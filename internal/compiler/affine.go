@@ -5,96 +5,6 @@ import (
 	"plasticine/internal/pattern"
 )
 
-// Affine is a linear form over counter levels: Const + sum(Coeff[l] * i_l).
-// Address expressions that fit this form get static banking; anything else
-// is a data-dependent (random) access.
-type Affine struct {
-	Coeff map[int]int64
-	Const int64
-}
-
-// AnalyzeAffine decomposes an address expression into an affine form over
-// counter levels. The second result is false for non-affine addresses
-// (data-dependent indices, products of counters, and so on).
-func AnalyzeAffine(e dhdl.Expr) (Affine, bool) {
-	a, ok := affine(e)
-	if !ok {
-		return Affine{}, false
-	}
-	if a.Coeff == nil {
-		a.Coeff = map[int]int64{}
-	}
-	return a, true
-}
-
-func affine(e dhdl.Expr) (Affine, bool) {
-	switch n := e.(type) {
-	case *dhdl.Lit:
-		// Only integer literals participate in addressing.
-		if n.V.T != pattern.I32 {
-			return Affine{}, false
-		}
-		return Affine{Const: int64(n.V.I)}, true
-	case *dhdl.Ctr:
-		return Affine{Coeff: map[int]int64{n.Level: 1}}, true
-	case *dhdl.Bin:
-		x, okX := affine(n.X)
-		y, okY := affine(n.Y)
-		switch n.Op {
-		case pattern.Add:
-			if okX && okY {
-				return addAffine(x, y, 1), true
-			}
-		case pattern.Sub:
-			if okX && okY {
-				return addAffine(x, y, -1), true
-			}
-		case pattern.Mul:
-			// One side must be a pure constant.
-			if okX && okY {
-				if len(x.Coeff) == 0 {
-					return scaleAffine(y, x.Const), true
-				}
-				if len(y.Coeff) == 0 {
-					return scaleAffine(x, y.Const), true
-				}
-			}
-		}
-		return Affine{}, false
-	}
-	return Affine{}, false
-}
-
-func addAffine(x, y Affine, sign int64) Affine {
-	out := Affine{Coeff: map[int]int64{}, Const: x.Const + sign*y.Const}
-	for l, c := range x.Coeff {
-		out.Coeff[l] += c
-	}
-	for l, c := range y.Coeff {
-		out.Coeff[l] += sign * c
-	}
-	for l, c := range out.Coeff {
-		if c == 0 {
-			delete(out.Coeff, l)
-		}
-	}
-	return out
-}
-
-func scaleAffine(x Affine, k int64) Affine {
-	out := Affine{Coeff: map[int]int64{}, Const: x.Const * k}
-	for l, c := range x.Coeff {
-		if c*k != 0 {
-			out.Coeff[l] = c * k
-		}
-	}
-	return out
-}
-
-// LaneStride returns the address stride across SIMD lanes (the coefficient
-// of the given innermost counter level).
-func (a Affine) LaneStride(laneLevel int) int64 { return a.Coeff[laneLevel] }
-
 func gcd(a, b int64) int64 {
 	if a < 0 {
 		a = -a
@@ -106,20 +16,6 @@ func gcd(a, b int64) int64 {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// ConflictFactor returns how many cycles a banked SRAM needs to serve one
-// vector of lanes accessing with this stride: 1 when conflict-free
-// (consecutive or broadcast), banks/gcd-limited otherwise
-// (e.g. stride 2 over 16 banks touches only 8 banks, so two lanes collide
-// per bank and the access takes 2 cycles).
-func (a Affine) ConflictFactor(laneLevel, banks int) int {
-	s := a.LaneStride(laneLevel)
-	if s == 0 {
-		return 1 // broadcast: every lane reads the same word
-	}
-	g := gcd(s, int64(banks))
-	return int(g)
 }
 
 // LaneStride computes how an address varies across SIMD lanes: the

@@ -8,46 +8,6 @@ import (
 	"plasticine/internal/pattern"
 )
 
-func TestAnalyzeAffine(t *testing.T) {
-	cases := []struct {
-		e     dhdl.Expr
-		coeff map[int]int64
-		k     int64
-		ok    bool
-	}{
-		{dhdl.CI(5), map[int]int64{}, 5, true},
-		{dhdl.Idx(1), map[int]int64{1: 1}, 0, true},
-		{dhdl.Add(dhdl.Mul(dhdl.Idx(0), dhdl.CI(32)), dhdl.Idx(1)), map[int]int64{0: 32, 1: 1}, 0, true},
-		{dhdl.Sub(dhdl.Mul(dhdl.CI(4), dhdl.Idx(2)), dhdl.CI(3)), map[int]int64{2: 4}, -3, true},
-		{dhdl.Sub(dhdl.Idx(0), dhdl.Idx(0)), map[int]int64{}, 0, true},       // cancels
-		{dhdl.Mul(dhdl.Idx(0), dhdl.Idx(1)), nil, 0, false},                  // quadratic
-		{dhdl.Ld(&dhdl.SRAM{Name: "s", Size: 4}, dhdl.CI(0)), nil, 0, false}, // data-dependent
-		{dhdl.CF(1.5), nil, 0, false},                                        // float literal is not an address
-	}
-	for i, c := range cases {
-		a, ok := AnalyzeAffine(c.e)
-		if ok != c.ok {
-			t.Errorf("case %d: ok = %v, want %v", i, ok, c.ok)
-			continue
-		}
-		if !ok {
-			continue
-		}
-		if a.Const != c.k {
-			t.Errorf("case %d: const = %d, want %d", i, a.Const, c.k)
-		}
-		if len(a.Coeff) != len(c.coeff) {
-			t.Errorf("case %d: coeff = %v, want %v", i, a.Coeff, c.coeff)
-			continue
-		}
-		for l, v := range c.coeff {
-			if a.Coeff[l] != v {
-				t.Errorf("case %d: coeff[%d] = %d, want %d", i, l, a.Coeff[l], v)
-			}
-		}
-	}
-}
-
 func TestLaneStride(t *testing.T) {
 	s := &dhdl.SRAM{Name: "tbl", Size: 64}
 	const lane = 2

@@ -1,0 +1,116 @@
+package dhdl
+
+import (
+	"math"
+	"reflect"
+	"testing"
+
+	"plasticine/internal/pattern"
+)
+
+// Memories is what both interpreters expose about on-chip memory after a
+// run.
+type Memories interface {
+	SRAMData(*SRAM) []pattern.Value
+	RegValue(*Reg) pattern.Value
+	FIFOData(*FIFOMem) []pattern.Value
+}
+
+// TraceReference runs the tree-walking oracle.
+func TraceReference(p *Program, hook ExecHook) (Memories, error) {
+	st, err := traceReference(p, hook)
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// SnapshotDRAM copies the contents of every bound DRAM buffer.
+func SnapshotDRAM(p *Program) [][]uint32 {
+	out := make([][]uint32, len(p.DRAMs))
+	for i, d := range p.DRAMs {
+		if d.Data == nil {
+			continue
+		}
+		out[i] = make([]uint32, d.Len())
+		dramOf(d).load(0, out[i])
+	}
+	return out
+}
+
+// RestoreDRAM writes a snapshot back into the bound DRAM buffers.
+func RestoreDRAM(p *Program, snap [][]uint32) {
+	for i, d := range p.DRAMs {
+		if d.Data == nil {
+			continue
+		}
+		dramOf(d).store(0, snap[i])
+	}
+}
+
+// CheckAgainstOracle runs p on the tree-walking oracle and on the compiled
+// interpreter from the same DRAM inputs and fails t unless both agree bit
+// for bit: the error (or its absence), every DRAM buffer, every declared
+// SRAM, register and FIFO, and the sequence of execution events. It
+// returns the compiled run's state and error.
+func CheckAgainstOracle(t testing.TB, p *Program) (*State, error) {
+	t.Helper()
+	inputs := SnapshotDRAM(p)
+	var refEvents, gotEvents []ExecEvent
+	ref, refErr := traceReference(p, func(ev *ExecEvent) { refEvents = append(refEvents, *ev) })
+	refDRAM := SnapshotDRAM(p)
+	RestoreDRAM(p, inputs)
+	got, gotErr := Trace(p, func(ev *ExecEvent) { gotEvents = append(gotEvents, *ev) })
+
+	if (refErr == nil) != (gotErr == nil) {
+		t.Fatalf("%s: oracle error %v, compiled error %v", p.Name, refErr, gotErr)
+	}
+	if refErr != nil {
+		if refErr.Error() != gotErr.Error() {
+			t.Errorf("%s: oracle error %q, compiled error %q", p.Name, refErr, gotErr)
+		}
+		return nil, gotErr
+	}
+	if gotDRAM := SnapshotDRAM(p); !reflect.DeepEqual(refDRAM, gotDRAM) {
+		for i := range refDRAM {
+			if !reflect.DeepEqual(refDRAM[i], gotDRAM[i]) {
+				t.Errorf("%s: DRAM %q differs", p.Name, p.DRAMs[i].Name)
+			}
+		}
+	}
+	for _, s := range p.SRAMs {
+		sameValues(t, p.Name+": SRAM "+s.Name, ref.SRAMData(s), got.SRAMData(s))
+	}
+	for _, r := range p.Regs {
+		sameValues(t, p.Name+": register "+r.Name, []pattern.Value{ref.RegValue(r)}, []pattern.Value{got.RegValue(r)})
+	}
+	for _, f := range p.FIFOs {
+		sameValues(t, p.Name+": FIFO "+f.Name, ref.FIFOData(f), got.FIFOData(f))
+	}
+	if len(refEvents) != len(gotEvents) {
+		t.Fatalf("%s: oracle emitted %d events, compiled %d", p.Name, len(refEvents), len(gotEvents))
+	}
+	for i := range refEvents {
+		if !reflect.DeepEqual(refEvents[i], gotEvents[i]) {
+			t.Fatalf("%s: event %d differs:\noracle   %+v\ncompiled %+v", p.Name, i, refEvents[i], gotEvents[i])
+		}
+	}
+	return got, nil
+}
+
+// sameValues compares values by type and bit pattern, so NaNs compare
+// equal to themselves and -0 differs from +0.
+func sameValues(t testing.TB, what string, want, got []pattern.Value) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Errorf("%s: %d values, want %d", what, len(got), len(want))
+		return
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.T != g.T || math.Float32bits(w.F) != math.Float32bits(g.F) || w.I != g.I || w.B != g.B {
+			t.Errorf("%s[%d] = %+v, want %+v", what, i, g, w)
+			return
+		}
+	}
+}

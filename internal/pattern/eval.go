@@ -63,7 +63,7 @@ func Eval(e Expr, idx []int) Value {
 		}
 		return Eval(n.F, idx)
 	case *Un:
-		return evalUn(n.Op, Eval(n.X, idx))
+		return EvalUnary(n.Op, Eval(n.X, idx))
 	case *Bin:
 		return EvalOp(n.Op, Eval(n.X, idx), Eval(n.Y, idx))
 	case *Read:
@@ -80,7 +80,9 @@ func Eval(e Expr, idx []int) Value {
 	return Value{}
 }
 
-func evalUn(op Op, x Value) Value {
+// EvalUnary applies a unary op to a value; exported, like EvalOp, because
+// the DHDL interpreter's op tables are checked against it.
+func EvalUnary(op Op, x Value) Value {
 	switch op {
 	case Not:
 		return VB(!x.B)

@@ -105,7 +105,7 @@ func TestEngineGoldenFaultedIdentity(t *testing.T) {
 func TestEngineGoldenCheckpoint(t *testing.T) {
 	snap := func(kind EngineKind) []byte {
 		m, _, _ := recoverySetup(t, nil)
-		eng, _, err := prepare(m, Options{Engine: kind})
+		eng, _, err := prepare(context.Background(), m, Options{Engine: kind})
 		if err != nil {
 			t.Fatal(err)
 		}

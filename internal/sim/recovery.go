@@ -86,7 +86,7 @@ func RunWithRecoveryCtx(ctx context.Context, m *compiler.Mapping, opts Options) 
 // compiler.ErrInsufficient or compiler.ErrNoRoute) fails the run.
 func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, *dhdl.State, error) {
 	events := m.Faults.Events()
-	eng, st, err := prepare(m, opts)
+	eng, st, err := prepare(ctx, m, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -157,14 +157,15 @@ func Run(m *compiler.Mapping) (*Result, *dhdl.State, error) {
 // recovering paths simulate the identical graph against the identical DRAM.
 // The trace mutates the program's bound collections in place, so prepare
 // must run exactly once per simulation; recovery restores into the graph it
-// built rather than re-tracing.
-func prepare(m *compiler.Mapping, opts Options) (*engine, *dhdl.State, error) {
+// built rather than re-tracing. The trace polls ctx, so a canceled run
+// stops there too, with an error wrapping ctx.Err().
+func prepare(ctx context.Context, m *compiler.Mapping, opts Options) (*engine, *dhdl.State, error) {
 	b := newBuilder(m)
 	if opts.CoalesceWindow > 0 {
 		b.coalesceWindow = opts.CoalesceWindow
 	}
 	b.disableNBuffer = opts.DisableNBuffer
-	st, err := dhdl.Trace(m.Prog, b.handle)
+	st, err := dhdl.TraceContext(ctx, m.Prog, b.handle)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: functional execution failed: %w", err)
 	}
@@ -225,7 +226,7 @@ func RunCtx(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, *d
 // whose Cause is the context error, so errors.Is(err, context.Canceled)
 // holds.
 func runPlain(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, *dhdl.State, error) {
-	eng, st, err := prepare(m, opts)
+	eng, st, err := prepare(ctx, m, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,12 +1,15 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
 	"plasticine/internal/dhdl"
+	"plasticine/internal/fault"
 	"plasticine/internal/pattern"
 )
 
@@ -72,6 +75,26 @@ func TestSimDotFunctionalMatchesReference(t *testing.T) {
 	}
 	if res.DRAM.BytesRead < int64(2*4096*4) {
 		t.Errorf("DRAM read %d bytes, want >= %d (both vectors)", res.DRAM.BytesRead, 2*4096*4)
+	}
+}
+
+// TestSimulateCanceledStopsInFunctionalTrace checks that cancellation
+// reaches the functional interpreter, which runs before the engine and
+// used to ignore the context.
+func TestSimulateCanceledStopsInFunctionalTrace(t *testing.T) {
+	plan, err := fault.NewPlan(fault.Spec{Seed: 2,
+		Events: []fault.EventSpec{{Kind: fault.KillChan, Cycle: 300}}}, arch.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, _, _ := dotSetup(t, 4096, 512, true)
+	recovering, _, _ := recoverySetup(t, plan)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, m := range map[string]*compiler.Mapping{"plain": plain, "recovering": recovering} {
+		if _, _, err := Simulate(ctx, m, Options{Recovery: true}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s run under a canceled context = %v, want context.Canceled", name, err)
+		}
 	}
 }
 
