@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"plasticine/internal/arch"
+	"plasticine/internal/compiler"
 	"plasticine/internal/core"
 	"plasticine/internal/dram"
 	"plasticine/internal/dse"
@@ -42,7 +43,7 @@ func BenchmarkTable3Sizing(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := dse.Table3(benches, arch.Default().Chip)
+		rows, err := dse.NewSweep(benches, arch.Default().Chip, nil).Table3(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,7 +62,7 @@ func BenchmarkTable6Overheads(b *testing.B) {
 	b.ResetTimer()
 	var cum float64
 	for i := 0; i < b.N; i++ {
-		rows, err := dse.Table6(benches, arch.Default())
+		rows, err := dse.NewSweep(benches, arch.Default().Chip, nil).Table6(context.Background(), arch.Default())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,11 +78,12 @@ func BenchmarkTable7(b *testing.B) {
 	for _, w := range workloads.All() {
 		w := w
 		b.Run(w.Name(), func(b *testing.B) {
-			sys := core.New()
 			var r *core.BenchResult
 			var err error
 			for i := 0; i < b.N; i++ {
-				r, err = sys.RunBenchmark(w)
+				// A fresh session per iteration: its empty cache makes
+				// every iteration compile and simulate.
+				r, err = core.NewSession().RunBenchmark(context.Background(), w)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -104,7 +106,7 @@ func BenchmarkFig7(b *testing.B) {
 		b.Run(panel, func(b *testing.B) {
 			var best int
 			for i := 0; i < b.N; i++ {
-				p, err := dse.Figure7(panel, benches, arch.Default().Chip)
+				p, err := dse.NewSweep(benches, arch.Default().Chip, nil).Figure7(context.Background(), panel)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -119,7 +121,8 @@ func BenchmarkFig7(b *testing.B) {
 // relative to the full-featured configuration.
 func ablate(b *testing.B, mk func() workloads.Benchmark, opts sim.Options) {
 	b.Helper()
-	sys := core.New()
+	ctx := context.Background()
+	opt := compiler.Options{Params: arch.Default()}
 	var slowdown float64
 	for i := 0; i < b.N; i++ {
 		w := mk()
@@ -127,11 +130,11 @@ func ablate(b *testing.B, mk func() workloads.Benchmark, opts sim.Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := sys.Compile(p)
+		m, err := compiler.CompileOpts(ctx, p, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		base, _, err := sim.Simulate(context.Background(), m, sim.Options{})
+		base, _, err := sim.Simulate(ctx, m, sim.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -140,11 +143,11 @@ func ablate(b *testing.B, mk func() workloads.Benchmark, opts sim.Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m2, err := sys.Compile(p2)
+		m2, err := compiler.CompileOpts(ctx, p2, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		abl, _, err := sim.Simulate(context.Background(), m2, opts)
+		abl, _, err := sim.Simulate(ctx, m2, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

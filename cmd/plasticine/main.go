@@ -64,7 +64,7 @@ func main() {
 	case "profile":
 		err = cmdProfile(ctx, args)
 	case "explain":
-		err = cmdExplain(args)
+		err = cmdExplain(ctx, args)
 	case "bench":
 		err = cmdBench(ctx, args)
 	case "resilience":
@@ -74,7 +74,7 @@ func main() {
 	case "table3":
 		err = cmdTable3(ctx, args)
 	case "table5":
-		fmt.Print(core.FormatTable5(core.New().Table5()))
+		fmt.Print(core.FormatTable5(arch.Area(arch.Default())))
 	case "table6":
 		err = cmdTable6(ctx, args)
 	case "table7":
@@ -82,7 +82,7 @@ func main() {
 	case "fig7":
 		err = cmdFig7(ctx, args)
 	case "bitstream":
-		err = cmdBitstream(args)
+		err = cmdBitstream(ctx, args)
 	case "ratios":
 		err = cmdRatios(ctx, args)
 	case "tune":
@@ -198,7 +198,6 @@ type suiteFlags struct {
 	cacheMB    *int
 	jobTimeout *time.Duration
 	jobRetries *int
-	engine     *string
 }
 
 // addSuiteFlags registers the shared suite flags on a subcommand.
@@ -209,31 +208,13 @@ func addSuiteFlags(fs *flag.FlagSet) *suiteFlags {
 		cacheMB:    fs.Int("cache-mb", 0, "persistent cache size cap in MB (0 = 256)"),
 		jobTimeout: fs.Duration("job-timeout", 0, "per-job deadline; timed-out jobs are retried under -job-retries (0 = none)"),
 		jobRetries: fs.Int("job-retries", 0, "extra attempts for transiently-failing jobs (retries are reported on stderr)"),
-		engine:     fs.String("engine", "event", "simulator scheduling core: event (discrete-event, default) or cycle (legacy reference loop); results are byte-identical"),
-	}
-}
-
-// parseEngine maps the -engine flag to the simulator's core selector.
-func parseEngine(s string) (sim.EngineKind, error) {
-	switch s {
-	case "", "event":
-		return sim.EngineEvent, nil
-	case "cycle":
-		return sim.EngineCycle, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want event or cycle)", s)
 	}
 }
 
 // session builds the core.Session the flags describe. Retry accounting goes
 // to stderr, keeping stdout byte-identical across runs and worker counts.
 func (f *suiteFlags) session(extra ...core.SessionOption) (*core.Session, error) {
-	eng, err := parseEngine(*f.engine)
-	if err != nil {
-		return nil, err
-	}
-	opts := []core.SessionOption{core.WithWorkers(*f.workers),
-		core.WithSimOptions(sim.Options{Engine: eng})}
+	opts := []core.SessionOption{core.WithWorkers(*f.workers)}
 	if *f.cacheDir != "" {
 		d, err := exec.OpenDiskCache(*f.cacheDir, int64(*f.cacheMB)<<20)
 		if err != nil {
@@ -279,18 +260,13 @@ func cmdRun(ctx context.Context, args []string) error {
 	faultSpec := fs.String("faults", "", "fault plan, e.g. seed=1,pcu=4,pmu=2,sw=1,chan=1,retry=0.001")
 	events := fs.String("events", "", "timed mid-run faults, e.g. kill-pcu@5000,kill-chan@12000")
 	budget := fs.Int64("budget", 0, "abort via the watchdog after this many cycles (0 = unlimited)")
-	engine := fs.String("engine", "event", "simulator scheduling core: event (default) or cycle")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
-		return fmt.Errorf("usage: plasticine run <benchmark> [-faults spec] [-events list] [-budget cycles] [-engine event|cycle]")
+		return fmt.Errorf("usage: plasticine run <benchmark> [-faults spec] [-events list] [-budget cycles]")
 	}
 	b, err := workloads.ByName(fs.Arg(0))
-	if err != nil {
-		return err
-	}
-	eng, err := parseEngine(*engine)
 	if err != nil {
 		return err
 	}
@@ -302,7 +278,7 @@ func cmdRun(ctx context.Context, args []string) error {
 		fmt.Printf("fault plan: %s\n", plan)
 	}
 	sess := core.NewSession(core.WithFaults(plan),
-		core.WithSimOptions(sim.Options{MaxCycles: *budget, Engine: eng}))
+		core.WithSimOptions(sim.Options{MaxCycles: *budget}))
 	r, err := sess.RunBenchmark(ctx, b)
 	if err != nil {
 		return err
@@ -418,7 +394,7 @@ func cmdProfile(ctx context.Context, args []string) error {
 	return write(*countersPath, name+"_counters.json", p.CountersJSON, "counters")
 }
 
-func cmdExplain(args []string) error {
+func cmdExplain(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
 	bench := fs.String("bench", "", "benchmark to explain (see plasticine list)")
 	cols := fs.Int("cols", 0, "override fabric columns (0 = paper default); shrink to probe fit limits")
@@ -451,7 +427,7 @@ func cmdExplain(args []string) error {
 		return err
 	}
 	sess := core.NewSession(core.WithArch(params), core.WithFaults(plan))
-	ex, err := sess.Explain(b)
+	ex, err := sess.Explain(ctx, b)
 	if err != nil {
 		return err
 	}
@@ -582,7 +558,7 @@ func cmdRecovery(ctx context.Context, args []string) error {
 	return nil
 }
 
-func cmdBitstream(args []string) error {
+func cmdBitstream(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("bitstream", flag.ContinueOnError)
 	asJSON := fs.Bool("json", false, "emit JSON instead of the assembly listing")
 	if err := fs.Parse(args); err != nil {
@@ -599,7 +575,7 @@ func cmdBitstream(args []string) error {
 	if err != nil {
 		return err
 	}
-	m, err := core.New().Compile(p)
+	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: arch.Default()})
 	if err != nil {
 		return err
 	}

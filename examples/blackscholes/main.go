@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"log"
 
+	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
-	"plasticine/internal/core"
 	"plasticine/internal/sim"
 	"plasticine/internal/workloads"
 )
@@ -23,8 +23,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys := core.New()
-	m, err := sys.Compile(p)
+	ctx := context.Background()
+	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: arch.Default()})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 		fmt.Printf("%s: %d cycles (%.1f us), %.1f GB/s DRAM\n",
 			label, res.Cycles, res.Seconds*1e6, res.EffectiveBandwidth()/1e9)
 	}
-	res, st, err := sim.Simulate(context.Background(), m, sim.Options{})
+	res, st, err := sim.Simulate(ctx, m, sim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m2, err := compiler.Compile(p2, sys.Params)
+	m2, err := compiler.CompileOpts(ctx, p2, compiler.Options{Params: arch.Default()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res2, _, err := sim.Simulate(context.Background(), m2, sim.Options{DisableNBuffer: true})
+	res2, _, err := sim.Simulate(ctx, m2, sim.Options{DisableNBuffer: true})
 	if err != nil {
 		log.Fatal(err)
 	}

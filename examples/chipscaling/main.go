@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -37,7 +38,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			r, err := core.WithParams(p).RunBenchmark(b)
+			r, err := core.NewSession(core.WithArch(p)).RunBenchmark(context.Background(), b)
 			if err != nil {
 				row = append(row, "does not fit")
 				continue

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,8 +17,8 @@ func main() {
 	bench := workloads.NewGEMM()
 	fmt.Println("GEMM:", bench.ScaleNote())
 
-	sys := core.New()
-	r, err := sys.RunBenchmark(bench)
+	ctx := context.Background()
+	r, err := core.NewSession().RunBenchmark(ctx, bench)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -33,8 +34,7 @@ func main() {
 	// so it should degrade far less than 2x.
 	narrow := arch.Default()
 	narrow.Chip.DDRChannels = 2
-	sys2 := core.WithParams(narrow)
-	r2, err := sys2.RunBenchmark(workloads.NewGEMM())
+	r2, err := core.NewSession(core.WithArch(narrow)).RunBenchmark(ctx, workloads.NewGEMM())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"log"
 
+	"plasticine/internal/compiler"
 	"plasticine/internal/core"
 	"plasticine/internal/sim"
 	"plasticine/internal/workloads"
@@ -17,8 +18,9 @@ func main() {
 	bench := workloads.NewPageRank()
 	fmt.Println("PageRank:", bench.ScaleNote())
 
-	sys := core.New()
-	r, err := sys.RunBenchmark(bench)
+	ctx := context.Background()
+	sess := core.NewSession()
+	r, err := sess.RunBenchmark(ctx, bench)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -32,11 +34,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	m, err := sys.Compile(p)
+	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: sess.Params()})
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, _, err := sim.Simulate(context.Background(), m, sim.Options{CoalesceWindow: 1})
+	res, _, err := sim.Simulate(ctx, m, sim.Options{CoalesceWindow: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,9 +5,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"plasticine/internal/arch"
+	"plasticine/internal/compiler"
 	"plasticine/internal/core"
 	"plasticine/internal/dhdl"
 	"plasticine/internal/pattern"
@@ -62,14 +65,14 @@ func main() {
 	fmt.Printf("\ncontroller tree:\n%s", prog.Tree())
 
 	// --- 3. Compile and simulate. ---
-	sys := core.New()
-	mapping, err := sys.Compile(prog)
+	ctx := context.Background()
+	mapping, err := compiler.CompileOpts(ctx, prog, compiler.Options{Params: arch.Default()})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n%s", mapping.Summary())
 
-	res, st, err := sys.Run(prog)
+	res, st, err := core.NewSession().Run(ctx, prog)
 	if err != nil {
 		log.Fatal(err)
 	}

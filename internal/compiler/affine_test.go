@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"testing"
 
 	"plasticine/internal/arch"
@@ -79,7 +80,7 @@ func TestCompileSetsIIFromBankConflicts(t *testing.T) {
 		return b.MustBuild()
 	}
 	leafII := func(p *dhdl.Program) int {
-		m, err := Compile(p, arch.Default())
+		m, err := CompileOpts(context.Background(), p, Options{Params: arch.Default()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestCompileAutoSelectsDuplicationBanking(t *testing.T) {
 	b.Compute("g", []dhdl.Counter{dhdl.CPar(1024, 16)}, func(ix []dhdl.Expr) []*dhdl.Assign {
 		return []*dhdl.Assign{dhdl.StoreAt(dst, ix[0], dhdl.Ld(tbl, dhdl.Ld(idx, ix[0])))}
 	})
-	if _, err := Compile(b.MustBuild(), arch.Default()); err != nil {
+	if _, err := CompileOpts(context.Background(), b.MustBuild(), Options{Params: arch.Default()}); err != nil {
 		t.Fatal(err)
 	}
 	if tbl.Banking != dhdl.Duplication {

@@ -103,38 +103,13 @@ type Options struct {
 // Options.Faults (see Repair).
 func CompileOpts(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping, error) {
 	if opts.Reuse != nil {
-		if _, err := Repair(opts.Reuse, opts.Faults); err != nil {
+		if _, err := Repair(ctx, opts.Reuse, opts.Faults); err != nil {
 			return nil, err
 		}
 		return opts.Reuse, nil
 	}
 	m, _, err := compileTraced(ctx, p, opts)
 	return m, err
-}
-
-// Compile maps a program onto a pristine fabric under params.
-//
-// Deprecated: thin wrapper kept for existing callers; use CompileOpts.
-func Compile(p *dhdl.Program, params arch.Params) (*Mapping, error) {
-	return CompileWithFaults(p, params, nil)
-}
-
-// CompileWithFaults is Compile under a fault plan. A nil (or fault-free)
-// plan reproduces Compile byte-identically.
-//
-// Deprecated: thin wrapper kept for existing callers; use CompileOpts.
-func CompileWithFaults(p *dhdl.Program, params arch.Params, plan *fault.Plan) (*Mapping, error) {
-	return CompileOpts(context.Background(), p, Options{Params: params, Faults: plan})
-}
-
-// CompileTraced is CompileWithFaults that also returns the pass trace. On
-// failure the mapping is nil but the trace still covers every pass up to and
-// including the one that failed, so callers can explain what went wrong.
-//
-// Deprecated: thin wrapper kept for existing callers; use CompileOpts (the
-// trace is always available as Mapping.Passes).
-func CompileTraced(p *dhdl.Program, params arch.Params, plan *fault.Plan) (*Mapping, *PassTrace, error) {
-	return compileTraced(context.Background(), p, Options{Params: params, Faults: plan})
 }
 
 // compileTraced is the pipeline body. It checks ctx at every pass boundary:

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -240,7 +241,7 @@ func TestPartitionPMUSupportPCUs(t *testing.T) {
 }
 
 func TestCompileEndToEnd(t *testing.T) {
-	mp, err := Compile(buildDotProgram(4096, 512, 16), arch.Default())
+	mp, err := CompileOpts(context.Background(), buildDotProgram(4096, 512, 16), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +276,11 @@ func TestCompileUnrollMultipliesUnits(t *testing.T) {
 		})
 		return b.MustBuild()
 	}
-	m1, err := Compile(build(1), arch.Default())
+	m1, err := CompileOpts(context.Background(), build(1), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m4, err := Compile(build(4), arch.Default())
+	m4, err := CompileOpts(context.Background(), build(4), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,13 +293,13 @@ func TestCompileRejectsOversizedDesign(t *testing.T) {
 	small := arch.Default()
 	small.Chip.Rows, small.Chip.Cols = 1, 2 // one PCU, one PMU
 	p := buildDotProgram(4096, 512, 16)
-	if _, err := Compile(p, small); err == nil {
+	if _, err := CompileOpts(context.Background(), p, Options{Params: small}); err == nil {
 		t.Error("expected failure on a 1x2 chip")
 	}
 }
 
 func TestPlacementAssignsDistinctSlots(t *testing.T) {
-	mp, err := Compile(buildDotProgram(4096, 512, 16), arch.Default())
+	mp, err := CompileOpts(context.Background(), buildDotProgram(4096, 512, 16), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 func dotMapping(t *testing.T) *Mapping {
 	t.Helper()
-	m, err := Compile(buildDotProgram(4096, 512, 16), arch.Default())
+	m, err := CompileOpts(context.Background(), buildDotProgram(4096, 512, 16), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -52,14 +53,19 @@ type Explanation struct {
 // Explain compiles a program and reports, in source-level terms, whether it
 // fits the fabric described by params (under an optional fault plan) and —
 // when it does not — which pattern nodes demanded the resource that ran out.
-func Explain(p *dhdl.Program, params arch.Params, plan *fault.Plan) *Explanation {
+// A compile that ctx cancels is not a fit answer: it returns an error
+// wrapping ctx.Err() instead of an explanation.
+func Explain(ctx context.Context, p *dhdl.Program, params arch.Params, plan *fault.Plan) (*Explanation, error) {
 	ex := &Explanation{Program: p.Name}
-	m, pt, err := CompileTraced(p, params, plan)
+	m, pt, err := compileTraced(ctx, p, Options{Params: params, Faults: plan})
+	if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
+		return nil, err
+	}
 	ex.Passes = pt
 	if err == nil {
 		ex.Fits = true
 		ex.Util = &m.Util
-		return ex
+		return ex, nil
 	}
 	ex.Err = err.Error()
 
@@ -74,7 +80,7 @@ func Explain(p *dhdl.Program, params arch.Params, plan *fault.Plan) *Explanation
 		ex.RouteFrom, ex.RouteTo = nr.From, nr.To
 		ex.RouteFromOrigin, ex.RouteToOrigin = nr.FromOrigin, nr.ToOrigin
 	}
-	return ex
+	return ex, nil
 }
 
 // originDemand recomputes the virtual/partitioned view (which must have

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // compileFaulted compiles the shared dot-product program under a plan.
 func compileFaulted(t *testing.T, plan *fault.Plan) *Mapping {
 	t.Helper()
-	m, err := CompileWithFaults(buildDotProgram(1024, 256, 16), arch.Default(), plan)
+	m, err := CompileOpts(context.Background(), buildDotProgram(1024, 256, 16), Options{Params: arch.Default(), Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestCompileInsufficientHealthy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = CompileWithFaults(buildDotProgram(1024, 256, 16), params, plan)
+	_, err = CompileOpts(context.Background(), buildDotProgram(1024, 256, 16), Options{Params: params, Faults: plan})
 	if !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("want ErrInsufficient, got %v", err)
 	}
@@ -142,11 +143,11 @@ func TestZeroFaultPlanReproducesPristineCompile(t *testing.T) {
 		t.Fatal(err)
 	}
 	prog := buildDotProgram(1024, 256, 16)
-	pristine, err := Compile(prog, params)
+	pristine, err := CompileOpts(context.Background(), prog, Options{Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulted, err := CompileWithFaults(prog, params, zero)
+	faulted, err := CompileOpts(context.Background(), prog, Options{Params: params, Faults: zero})
 	if err != nil {
 		t.Fatal(err)
 	}

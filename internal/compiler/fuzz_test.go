@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"testing"
 
 	"plasticine/internal/arch"
@@ -11,7 +12,7 @@ import (
 )
 
 // FuzzCompile drives the whole front half of the toolchain — pattern
-// construction, lowering, DHDL build, and Compile (optionally under a fault
+// construction, lowering, DHDL build, and CompileOpts (optionally under a fault
 // plan) — with fuzz-chosen shapes and ops, proving that malformed or
 // unmappable programs come back as errors, never panics.
 func FuzzCompile(f *testing.F) {
@@ -54,7 +55,7 @@ func FuzzCompile(f *testing.F) {
 				t.Fatalf("NewPlan rejected an in-range spec: %v", err)
 			}
 		}
-		if _, err := CompileWithFaults(res.Prog, params, plan); err != nil {
+		if _, err := CompileOpts(context.Background(), res.Prog, Options{Params: params, Faults: plan}); err != nil {
 			return // unmappable programs must fail with an error, not a panic
 		}
 	})
@@ -85,7 +86,7 @@ func FuzzBuilderCompile(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := Compile(prog, arch.Default()); err != nil {
+		if _, err := CompileOpts(context.Background(), prog, Options{Params: arch.Default()}); err != nil {
 			return
 		}
 	})

@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -46,7 +47,7 @@ func buildOriginDot(n, tile, lanes, par int) *dhdl.Program {
 // non-empty Origin, and nodes built from origin-annotated controllers carry
 // the source-level name rather than the physical one.
 func TestNetlistCarriesOrigins(t *testing.T) {
-	m, err := Compile(buildOriginDot(1024, 256, 16, 1), arch.Default())
+	m, err := CompileOpts(context.Background(), buildOriginDot(1024, 256, 16, 1), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +70,7 @@ func TestNetlistCarriesOrigins(t *testing.T) {
 // TestNetlistOriginFallsBackToName: hand-written DHDL without SetOrigin still
 // yields full provenance (origin == unit name, never empty).
 func TestNetlistOriginFallsBackToName(t *testing.T) {
-	m, err := Compile(buildDotProgram(1024, 256, 16), arch.Default())
+	m, err := CompileOpts(context.Background(), buildDotProgram(1024, 256, 16), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestNetlistOriginFallsBackToName(t *testing.T) {
 // TestPassTraceRecordsPipeline: a successful compile records every pass of
 // the pipeline, in order, with wall times and structured stats.
 func TestPassTraceRecordsPipeline(t *testing.T) {
-	m, pt, err := CompileTraced(buildOriginDot(1024, 256, 16, 1), arch.Default(), nil)
+	m, pt, err := compileTraced(context.Background(), buildOriginDot(1024, 256, 16, 1), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestPassTraceRecordsPipeline(t *testing.T) {
 func TestPassTraceSurvivesFailure(t *testing.T) {
 	params := arch.Default()
 	params.Chip.Cols, params.Chip.Rows = 2, 2
-	m, pt, err := CompileTraced(buildOriginDot(1<<16, 256, 16, 8), params, nil)
+	m, pt, err := compileTraced(context.Background(), buildOriginDot(1<<16, 256, 16, 8), Options{Params: params})
 	if err == nil {
 		t.Fatal("expected a fit failure on a 2x2 fabric")
 	}
@@ -159,7 +160,10 @@ func TestPassTraceSurvivesFailure(t *testing.T) {
 func TestExplainNamesOffendingOrigins(t *testing.T) {
 	params := arch.Default()
 	params.Chip.Cols, params.Chip.Rows = 2, 2
-	ex := Explain(buildOriginDot(1<<16, 256, 16, 8), params, nil)
+	ex, err := Explain(context.Background(), buildOriginDot(1<<16, 256, 16, 8), params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ex.Fits {
 		t.Fatal("2x2 fabric reported as fitting")
 	}
@@ -198,7 +202,10 @@ func TestExplainNamesOffendingOrigins(t *testing.T) {
 // TestExplainFits: a fitting program reports utilization and the full pass
 // trace.
 func TestExplainFits(t *testing.T) {
-	ex := Explain(buildOriginDot(1024, 256, 16, 1), arch.Default(), nil)
+	ex, err := Explain(context.Background(), buildOriginDot(1024, 256, 16, 1), arch.Default(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ex.Fits {
 		t.Fatalf("dot fixture does not fit the default fabric: %s", ex.Err)
 	}
@@ -217,7 +224,7 @@ func TestRepairExtendsPassTrace(t *testing.T) {
 	before := len(m.Passes.Entries)
 	victim := pickOccupied(t, m, NodePCU)
 	plan := fault.ManualPlan([]fault.Coord{{X: victim.X, Y: victim.Y}}, nil, nil, nil)
-	if _, err := Repair(m, plan); err != nil {
+	if _, err := Repair(context.Background(), m, plan); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Passes.Entries) != before+1 {
@@ -239,7 +246,7 @@ func TestRepairExtendsPassTrace(t *testing.T) {
 // TestSummaryIncludesOrigin: the human-readable mapping summary names the
 // originating source node next to physical coordinates.
 func TestSummaryIncludesOrigin(t *testing.T) {
-	m, err := Compile(buildOriginDot(1024, 256, 16, 1), arch.Default())
+	m, err := CompileOpts(context.Background(), buildOriginDot(1024, 256, 16, 1), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}

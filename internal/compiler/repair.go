@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -45,8 +46,10 @@ func (r *RepairReport) String() string {
 // replaces m.Faults. The simulator-facing timing maps (Leaves, Mems) are
 // deliberately left untouched on the incremental path so an in-flight
 // activity graph remains valid; detour latency is second-order next to the
-// reconfiguration stall and is absorbed into the recovery penalty.
-func Repair(m *Mapping, plan *fault.Plan) (*RepairReport, error) {
+// reconfiguration stall and is absorbed into the recovery penalty. ctx
+// bounds the full recompile: a canceled one fails with an error wrapping
+// ctx.Err().
+func Repair(ctx context.Context, m *Mapping, plan *fault.Plan) (*RepairReport, error) {
 	t0 := time.Now()
 	rep := &RepairReport{}
 	defer func() {
@@ -92,14 +95,14 @@ func Repair(m *Mapping, plan *fault.Plan) (*RepairReport, error) {
 	moved := map[int]bool{}
 	if len(displaced) > 0 {
 		if ok := replaceDisplaced(nl, p, plan, displaced, occupied, moved, rep); !ok {
-			return fullRecompile(m, plan, rep)
+			return fullRecompile(ctx, m, plan, rep)
 		}
 	}
 
 	// 2. Patch routes that cross a newly dead switch or touch a moved unit.
 	if m.Routes != nil {
 		if ok := patchRoutes(m, plan, moved, rep); !ok {
-			return fullRecompile(m, plan, rep)
+			return fullRecompile(ctx, m, plan, rep)
 		}
 	}
 	m.Faults = plan
@@ -234,9 +237,9 @@ func patchRoutes(m *Mapping, plan *fault.Plan, moved map[int]bool, rep *RepairRe
 // fullRecompile is rung two of the ladder: recompile the whole program
 // against the extended plan and splice the result into m. The returned
 // counts cover every unit whose position changed.
-func fullRecompile(m *Mapping, plan *fault.Plan, rep *RepairReport) (*RepairReport, error) {
+func fullRecompile(ctx context.Context, m *Mapping, plan *fault.Plan, rep *RepairReport) (*RepairReport, error) {
 	rep.FullRecompile = true
-	fresh, freshPT, err := CompileTraced(m.Prog, m.Params, plan)
+	fresh, freshPT, err := compileTraced(ctx, m.Prog, Options{Params: m.Params, Faults: plan})
 	if freshPT != nil {
 		// Keep the recompile's per-pass record, marked as repair work.
 		for _, e := range freshPT.Entries {
@@ -245,7 +248,7 @@ func fullRecompile(m *Mapping, plan *fault.Plan, rep *RepairReport) (*RepairRepo
 		}
 	}
 	if err != nil {
-		return rep, err // wraps ErrInsufficient / ErrNoRoute
+		return rep, err // wraps ErrInsufficient / ErrNoRoute, or ctx.Err()
 	}
 	rep.MovedPCUs, rep.MovedPMUs, rep.ReroutedEdges = 0, 0, len(fresh.Routes.Routes)
 	if len(fresh.Netlist.Nodes) == len(m.Netlist.Nodes) {

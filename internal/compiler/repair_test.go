@@ -1,6 +1,7 @@
 package compiler
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -12,7 +13,7 @@ import (
 // compileDot compiles the shared dot-product fixture fault-free.
 func compileDot(t *testing.T) *Mapping {
 	t.Helper()
-	m, err := Compile(buildDotProgram(1024, 256, 16), arch.Default())
+	m, err := CompileOpts(context.Background(), buildDotProgram(1024, 256, 16), Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestRepairMovesOnlyDeadTileUnits(t *testing.T) {
 	vx, vy := victim.X, victim.Y
 
 	plan := fault.ManualPlan([]fault.Coord{{X: vx, Y: vy}}, nil, nil, nil)
-	rep, err := Repair(m, plan)
+	rep, err := Repair(context.Background(), m, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestRepairReroutesMovedUnitEdges(t *testing.T) {
 	m := compileDot(t)
 	victim := pickOccupied(t, m, NodePMU)
 	plan := fault.ManualPlan(nil, []fault.Coord{{X: victim.X, Y: victim.Y}}, nil, nil)
-	rep, err := Repair(m, plan)
+	rep, err := Repair(context.Background(), m, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestRepairPatchesDeadSwitchRoutes(t *testing.T) {
 		t.Skip("fixture has no multi-hop route to cut")
 	}
 	plan := fault.ManualPlan(nil, nil, []fault.Coord{{X: dead[0], Y: dead[1]}}, nil)
-	rep, err := Repair(m, plan)
+	rep, err := Repair(context.Background(), m, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestRepairDeterministic(t *testing.T) {
 		m := compileDot(t)
 		victim := pickOccupied(t, m, NodePCU)
 		plan := fault.ManualPlan([]fault.Coord{{X: victim.X, Y: victim.Y}}, nil, nil, nil)
-		if _, err := Repair(m, plan); err != nil {
+		if _, err := Repair(context.Background(), m, plan); err != nil {
 			t.Fatal(err)
 		}
 		return placementKey(m)
@@ -188,7 +189,7 @@ func TestRepairKeepsTimingMapsOnIncrementalPath(t *testing.T) {
 	}
 	victim := pickOccupied(t, m, NodePCU)
 	plan := fault.ManualPlan([]fault.Coord{{X: victim.X, Y: victim.Y}}, nil, nil, nil)
-	if _, err := Repair(m, plan); err != nil {
+	if _, err := Repair(context.Background(), m, plan); err != nil {
 		t.Fatal(err)
 	}
 	for k, v := range m.Leaves {
@@ -203,19 +204,8 @@ func TestRepairKeepsTimingMapsOnIncrementalPath(t *testing.T) {
 // error wraps ErrInsufficient.
 func TestRepairFallsBackToRecompileError(t *testing.T) {
 	m := compileDot(t)
-	params := m.Params
-	// Kill every PCU tile on the chip: the displaced units have nowhere to
-	// go incrementally, and the recompile fallback cannot fit either.
-	var allPCU []fault.Coord
-	for y := 0; y < params.Chip.Rows; y++ {
-		for x := 0; x < params.Chip.Cols; x++ {
-			if (x+y)%2 == 0 {
-				allPCU = append(allPCU, fault.Coord{X: x, Y: y})
-			}
-		}
-	}
-	plan := fault.ManualPlan(allPCU, nil, nil, nil)
-	rep, err := Repair(m, plan)
+	plan := allPCUsDead(m.Params)
+	rep, err := Repair(context.Background(), m, plan)
 	if err == nil {
 		t.Fatal("repair succeeded with every PCU tile dead")
 	}
@@ -227,13 +217,46 @@ func TestRepairFallsBackToRecompileError(t *testing.T) {
 	}
 }
 
+// allPCUsDead kills every PCU tile on the chip: displaced units have nowhere
+// to go incrementally, and the recompile fallback cannot fit either.
+func allPCUsDead(params arch.Params) *fault.Plan {
+	var allPCU []fault.Coord
+	for y := 0; y < params.Chip.Rows; y++ {
+		for x := 0; x < params.Chip.Cols; x++ {
+			if (x+y)%2 == 0 {
+				allPCU = append(allPCU, fault.Coord{X: x, Y: y})
+			}
+		}
+	}
+	return fault.ManualPlan(allPCU, nil, nil, nil)
+}
+
+// TestRepairRecompileHonoursCancel: the full-recompile rung runs under the
+// caller's ctx, so a canceled repair reports the cancellation, never a
+// program that does not fit.
+func TestRepairRecompileHonoursCancel(t *testing.T) {
+	m := compileDot(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := CompileOpts(ctx, m.Prog, Options{Faults: allPCUsDead(m.Params), Reuse: m})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if errors.Is(err, ErrInsufficient) {
+		t.Errorf("canceled recompile reported as a no-fit: %v", err)
+	}
+	if m.LastRepair == nil || !m.LastRepair.FullRecompile {
+		t.Error("repair never reached the full-recompile rung")
+	}
+}
+
 // TestRepairZeroNewFaultsIsNoOp pins that repairing under a plan that kills
 // nothing new leaves placement, routes and counters untouched.
 func TestRepairZeroNewFaultsIsNoOp(t *testing.T) {
 	m := compileDot(t)
 	before := placementKey(m)
 	plan := fault.ManualPlan(nil, nil, nil, nil)
-	rep, err := Repair(m, plan)
+	rep, err := Repair(context.Background(), m, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

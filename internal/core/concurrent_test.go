@@ -64,7 +64,7 @@ func TestSessionConcurrentMixedUse(t *testing.T) {
 		}
 		return data
 	}
-	refExplain, err := ref.Explain(mustBench(t, "TPCHQ6"))
+	refExplain, err := ref.Explain(ctx, mustBench(t, "TPCHQ6"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSessionConcurrentMixedUse(t *testing.T) {
 			return nil
 		})
 		tasks = append(tasks, func() error {
-			ex, err := sess.Explain(mustBench(t, "TPCHQ6"))
+			ex, err := sess.Explain(ctx, mustBench(t, "TPCHQ6"))
 			if err != nil {
 				return fmt.Errorf("explain: %w", err)
 			}

@@ -11,7 +11,6 @@ import (
 
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
-	"plasticine/internal/dhdl"
 	"plasticine/internal/fault"
 	"plasticine/internal/fpga"
 	"plasticine/internal/metrics"
@@ -19,43 +18,6 @@ import (
 	"plasticine/internal/stats"
 	"plasticine/internal/workloads"
 )
-
-// System is a Plasticine instance at a particular parameterisation.
-type System struct {
-	Params arch.Params
-	FPGA   fpga.Model
-}
-
-// New returns a system with the paper's final architecture and baseline.
-func New() *System {
-	return &System{Params: arch.Default(), FPGA: fpga.StratixV()}
-}
-
-// WithParams returns a system with custom architecture parameters.
-func WithParams(p arch.Params) *System {
-	return &System{Params: p, FPGA: fpga.StratixV()}
-}
-
-// Compile maps a DHDL program onto the fabric.
-func (s *System) Compile(p *dhdl.Program) (*compiler.Mapping, error) {
-	return compiler.Compile(p, s.Params)
-}
-
-// CompileFaulted maps a DHDL program onto the fabric under a fault plan:
-// the placer avoids disabled tiles and routes detour dead switches. A nil
-// plan is identical to Compile.
-func (s *System) CompileFaulted(p *dhdl.Program, plan *fault.Plan) (*compiler.Mapping, error) {
-	return compiler.CompileWithFaults(p, s.Params, plan)
-}
-
-// Run compiles and simulates a program whose DRAM buffers are bound.
-func (s *System) Run(p *dhdl.Program) (*sim.Result, *dhdl.State, error) {
-	m, err := s.Compile(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sim.Simulate(context.Background(), m, sim.Options{})
-}
 
 // BenchResult is one Table 7 row: Plasticine vs the FPGA baseline.
 type BenchResult struct {
@@ -98,32 +60,22 @@ type BenchResult struct {
 	Passes *compiler.PassTrace `json:"-"`
 }
 
-// RunBenchmark executes one Table 4 benchmark end to end, checks its
-// functional output, and models the FPGA baseline on the same instance.
-func (s *System) RunBenchmark(b workloads.Benchmark) (*BenchResult, error) {
-	return s.RunBenchmarkOpts(b, nil, sim.Options{})
-}
-
-// RunBenchmarkOpts is RunBenchmark under a fault plan and simulator
-// options. Faults degrade timing, never results: the functional check must
-// still pass, or the run fails. A plan with timed mid-run events goes
-// through the recovery controller (checkpoint, repair, resume); without
-// events the flow is bit-identical to the plain simulation pipeline.
-func (s *System) RunBenchmarkOpts(b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
-	return s.RunBenchmarkCtx(context.Background(), b, plan, opts)
-}
-
-// RunBenchmarkCtx is RunBenchmarkOpts under a context: compilation checks
-// ctx between passes and the simulator polls it periodically, so a parallel
-// suite can abandon in-flight work when a sibling fails or the user
-// interrupts.
-func (s *System) RunBenchmarkCtx(ctx context.Context, b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
+// runBenchmark executes one Table 4 benchmark end to end on a fabric with
+// the given parameters, checks its functional output, and models the FPGA
+// baseline on the same instance. Faults degrade timing, never results: the
+// functional check must still pass, or the run fails. A plan with timed
+// mid-run events goes through the recovery controller (checkpoint, repair,
+// resume); without events the flow is bit-identical to the plain
+// simulation pipeline. Compilation checks ctx between passes and the
+// simulator polls it periodically, so a parallel suite can abandon
+// in-flight work when a sibling fails or the user interrupts.
+func runBenchmark(ctx context.Context, params arch.Params, b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
 	endCompile := metrics.StartPhase(ctx, "compile")
 	p, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
 	}
-	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: s.Params, Faults: plan})
+	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: params, Faults: plan})
 	endCompile()
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
@@ -154,8 +106,9 @@ func (s *System) RunBenchmarkCtx(ctx context.Context, b workloads.Benchmark, pla
 		LogicUtil:       prof.FPGALogicUtil,
 		MemUtil:         prof.FPGAMemUtil,
 	}
-	fpgaTime := s.FPGA.Runtime(w)
-	fpgaPower := s.FPGA.Power(w)
+	baseline := fpga.StratixV()
+	fpgaTime := baseline.Runtime(w)
+	fpgaPower := baseline.Power(w)
 	r := &BenchResult{
 		Name:         b.Name(),
 		Passes:       m.Passes,
@@ -184,20 +137,6 @@ func (s *System) RunBenchmarkCtx(ctx context.Context, b workloads.Benchmark, pla
 		r.PerfPerWatt = r.Speedup * fpgaPower / r.PowerW
 	}
 	return r, nil
-}
-
-// Table7 runs all thirteen benchmarks and returns their rows in paper
-// order.
-func (s *System) Table7() ([]*BenchResult, error) {
-	var out []*BenchResult
-	for _, b := range workloads.All() {
-		r, err := s.RunBenchmark(b)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // FormatTable7 renders Table 7 rows in the paper's layout.
@@ -238,9 +177,6 @@ func Table7CSV(rows []*BenchResult) string {
 	}
 	return t.CSV()
 }
-
-// Table5 returns the area breakdown of the current parameters.
-func (s *System) Table5() arch.AreaBreakdown { return arch.Area(s.Params) }
 
 // FormatTable5 renders the area breakdown in the paper's layout.
 func FormatTable5(a arch.AreaBreakdown) string {

@@ -1,16 +1,19 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
+	"plasticine/internal/arch"
 	"plasticine/internal/dhdl"
 	"plasticine/internal/pattern"
 	"plasticine/internal/workloads"
 )
 
 func TestRunBenchmarkInnerProduct(t *testing.T) {
-	r, err := New().RunBenchmark(workloads.NewInnerProduct())
+	r, err := NewSession().RunBenchmark(context.Background(), workloads.NewInnerProduct())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +36,7 @@ func TestTable7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 7 is slow")
 	}
-	rows, err := New().Table7()
+	rows, err := NewSession().Table7(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +85,7 @@ func TestTable7Shape(t *testing.T) {
 }
 
 func TestTable5Format(t *testing.T) {
-	out := FormatTable5(New().Table5())
+	out := FormatTable5(arch.Area(arch.Default()))
 	for _, want := range []string{"PCU.FUs", "PMU.Scratchpad", "Interconnect", "Chip total"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 5 missing %q:\n%s", want, out)
@@ -90,7 +93,7 @@ func TestTable5Format(t *testing.T) {
 	}
 }
 
-func TestSystemRunCustomProgram(t *testing.T) {
+func TestSessionRunCustomProgram(t *testing.T) {
 	b := dhdl.NewBuilder("custom", dhdl.Sequential)
 	d := b.DRAMF32("d", 64)
 	s := b.SRAM("s", pattern.F32, 64)
@@ -109,7 +112,7 @@ func TestSystemRunCustomProgram(t *testing.T) {
 	if err := d.Bind(pattern.FromF32("d", data)); err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := New().Run(p)
+	res, st, err := NewSession().Run(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +124,21 @@ func TestSystemRunCustomProgram(t *testing.T) {
 	}
 }
 
+// TestSessionExplainHonoursCancel: a canceled explain reports the
+// cancellation, never a program that does not fit.
+func TestSessionExplainHonoursCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ex, err := NewSession().Explain(ctx, workloads.NewInnerProduct())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v (explanation %+v)", err, ex)
+	}
+}
+
 func TestRunBenchmarkReportsCompileErrors(t *testing.T) {
-	sys := New()
-	sys.Params.Chip.Rows, sys.Params.Chip.Cols = 1, 2
-	if _, err := sys.RunBenchmark(workloads.NewGEMM()); err == nil {
+	tiny := arch.Default()
+	tiny.Chip.Rows, tiny.Chip.Cols = 1, 2
+	if _, err := NewSession(WithArch(tiny)).RunBenchmark(context.Background(), workloads.NewGEMM()); err == nil {
 		t.Error("expected failure on a one-unit chip")
 	}
 }

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"plasticine/internal/arch"
 	"plasticine/internal/fault"
-	"plasticine/internal/sim"
 	"plasticine/internal/workloads"
 )
 
@@ -19,18 +20,19 @@ func benchByName(t *testing.T, name string) workloads.Benchmark {
 }
 
 func TestZeroFaultPlanKeepsMakespan(t *testing.T) {
-	s := New()
-	zero, err := fault.NewPlan(fault.Spec{Seed: 123}, s.Params)
+	zero, err := fault.NewPlan(fault.Spec{Seed: 123}, arch.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
+	pristineSess, zeroSess := NewSession(), NewSession(WithFaults(zero))
 	for _, name := range []string{"InnerProduct", "GEMM", "BlackScholes"} {
 		b := benchByName(t, name)
-		pristine, err := s.RunBenchmark(b)
+		pristine, err := pristineSess.RunBenchmark(ctx, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		faulted, err := s.RunBenchmarkOpts(b, zero, sim.Options{})
+		faulted, err := zeroSess.RunBenchmark(ctx, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,15 +47,17 @@ func TestZeroFaultPlanKeepsMakespan(t *testing.T) {
 }
 
 func TestFaultedRunDeterministic(t *testing.T) {
-	s := New()
+	ctx := context.Background()
 	spec := fault.Spec{Seed: 4, PCUs: 8, PMUs: 4, Switches: 2,
 		Chans: 1, TransientProb: 0.001}
+	// Each run gets its own session, hence its own cache: the second run
+	// recomputes instead of replaying the first.
 	run := func() *BenchResult {
-		plan, err := fault.NewPlan(spec, s.Params)
+		plan, err := fault.NewPlan(spec, arch.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := s.RunBenchmarkOpts(benchByName(t, "InnerProduct"), plan, sim.Options{})
+		r, err := NewSession(WithFaults(plan)).RunBenchmark(ctx, benchByName(t, "InnerProduct"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +68,7 @@ func TestFaultedRunDeterministic(t *testing.T) {
 		t.Errorf("same fault seed produced different runs:\n%+v\n%+v", a, b)
 	}
 	// A downed channel and transient retries must cost cycles, not results.
-	pristine, err := s.RunBenchmark(benchByName(t, "InnerProduct"))
+	pristine, err := NewSession().RunBenchmark(ctx, benchByName(t, "InnerProduct"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +78,8 @@ func TestFaultedRunDeterministic(t *testing.T) {
 }
 
 func TestResilienceSweep(t *testing.T) {
-	s := New()
-	rows, err := s.Resilience(benchByName(t, "InnerProduct"), 1, []float64{0, 0.25, 0.50})
+	rows, err := NewSession().Resilience(context.Background(), benchByName(t, "InnerProduct"),
+		fault.Spec{Seed: 1}, []float64{0, 0.25, 0.50})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,11 +11,8 @@ import (
 	"strings"
 
 	"plasticine/internal/compiler"
-	"plasticine/internal/fault"
-	"plasticine/internal/sim"
 	"plasticine/internal/stats"
 	"plasticine/internal/trace"
-	"plasticine/internal/workloads"
 )
 
 // ProfileResult bundles one profiled benchmark run: the evaluation row, the
@@ -27,26 +24,6 @@ type ProfileResult struct {
 	Pattern   *trace.PatternReport
 	Passes    *compiler.PassTrace
 	Collector *trace.Collector
-}
-
-// ProfileBenchmark is RunBenchmarkOpts with the observability subsystem
-// armed: every physical unit's busy/stall/idle cycles are attributed, link
-// and DRAM-channel traffic is counted, and recovery windows (if the fault
-// plan fires mid-run events) are charged fabric-wide.
-func (s *System) ProfileBenchmark(b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*ProfileResult, error) {
-	col, opts := newProfileRecorder(opts)
-	r, err := s.RunBenchmarkOpts(b, plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	return assembleProfile(b.Name(), r, col), nil
-}
-
-// newProfileRecorder arms a fresh collector on the given options.
-func newProfileRecorder(opts sim.Options) (*trace.Collector, sim.Options) {
-	col := trace.NewCollector()
-	opts.Recorder = col
-	return col, opts
 }
 
 // assembleProfile rolls a recorded run into a ProfileResult. Compile passes
@@ -189,17 +166,6 @@ func (p *ProfileResult) PatternJSON() ([]byte, error) {
 	return json.MarshalIndent(p.Pattern, "", "  ")
 }
 
-// Explain reports, in source-level terms, whether a benchmark fits this
-// system's fabric (optionally under a fault plan) — the backend of
-// `plasticine explain`.
-func (s *System) Explain(b workloads.Benchmark, plan *fault.Plan) (*compiler.Explanation, error) {
-	p, err := b.Build()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
-	}
-	return compiler.Explain(p, s.Params, plan), nil
-}
-
 // BenchSchema versions the BENCH_sim.json document (see EXPERIMENTS.md).
 const BenchSchema = "plasticine-bench-sim/v1"
 
@@ -216,36 +182,6 @@ type BenchSim struct {
 type BenchFile struct {
 	Schema  string     `json:"schema"`
 	Results []BenchSim `json:"results"`
-}
-
-// BenchSims simulates the named benchmarks (all of Table 4 when names is
-// empty) and reports simulated cycles against host wall time.
-func (s *System) BenchSims(names []string) ([]BenchSim, error) {
-	var benches []workloads.Benchmark
-	if len(names) == 0 {
-		benches = workloads.All()
-	} else {
-		for _, n := range names {
-			b, err := workloads.ByName(n)
-			if err != nil {
-				return nil, err
-			}
-			benches = append(benches, b)
-		}
-	}
-	var out []BenchSim
-	for _, b := range benches {
-		r, err := s.RunBenchmark(b)
-		if err != nil {
-			return nil, err
-		}
-		bs := BenchSim{Benchmark: r.Name, Cycles: r.Cycles, SimWallSeconds: r.SimWallSec}
-		if bs.SimWallSeconds > 0 {
-			bs.CyclesPerSec = float64(bs.Cycles) / bs.SimWallSeconds
-		}
-		out = append(out, bs)
-	}
-	return out, nil
 }
 
 // BenchJSON serialises results as the versioned BENCH_sim.json document.

@@ -1,12 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
 	"plasticine/internal/fault"
-	"plasticine/internal/sim"
 	"plasticine/internal/workloads"
 )
 
@@ -25,13 +26,12 @@ func provenanceBenches() []workloads.Benchmark {
 // carries non-empty provenance — no orphans after allocation, partitioning,
 // placement, or a mid-run Repair.
 func TestMappingProvenanceGolden(t *testing.T) {
-	sys := New()
 	for _, b := range provenanceBenches() {
 		p, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := sys.Compile(p)
+		m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
 		if err != nil {
 			t.Fatalf("%s: %v", b.Name(), err)
 		}
@@ -72,7 +72,7 @@ func TestMappingProvenanceGolden(t *testing.T) {
 			t.Fatalf("%s: no PCU node to kill", b.Name())
 		}
 		plan := fault.ManualPlan([]fault.Coord{{X: victim.X, Y: victim.Y}}, nil, nil, nil)
-		if _, err := compiler.Repair(m, plan); err != nil {
+		if _, err := compiler.Repair(context.Background(), m, plan); err != nil {
 			t.Fatalf("%s: repair: %v", b.Name(), err)
 		}
 		assertNoOrphans("repair")
@@ -84,9 +84,9 @@ func TestMappingProvenanceGolden(t *testing.T) {
 // to the simulated makespan, and every traced unit resolves to a
 // source-level origin.
 func TestPatternRollupSumsToMakespan(t *testing.T) {
-	sys := New()
+	sess := NewSession()
 	for _, b := range provenanceBenches() {
-		p, err := sys.ProfileBenchmark(b, nil, sim.Options{})
+		p, err := sess.Profile(context.Background(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestPatternRollupSumsToMakespan(t *testing.T) {
 // TestProfileByPatternRendering: the rendered table names pattern nodes and
 // states the exact-sum identity.
 func TestProfileByPatternRendering(t *testing.T) {
-	p, err := New().ProfileBenchmark(workloads.NewInnerProduct(), nil, sim.Options{})
+	p, err := NewSession().Profile(context.Background(), workloads.NewInnerProduct())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestProfileByPatternRendering(t *testing.T) {
 // TestProfileCarriesCompilePasses: a profiled run exposes the compile pass
 // trace and ships it on the Chrome trace's compiler track.
 func TestProfileCarriesCompilePasses(t *testing.T) {
-	p, err := New().ProfileBenchmark(workloads.NewInnerProduct(), nil, sim.Options{})
+	p, err := NewSession().Profile(context.Background(), workloads.NewInnerProduct())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"plasticine/internal/fault"
 	"plasticine/internal/sim"
 	"plasticine/internal/stats"
-	"plasticine/internal/workloads"
 )
 
 // RecoveryReport decomposes the cost of surviving a timed fault schedule
@@ -39,53 +38,6 @@ func (r *RecoveryReport) OverheadFrac() float64 {
 		return 0
 	}
 	return float64(r.Cycles-r.BaselineCycles) / float64(r.BaselineCycles)
-}
-
-// Recovery runs one benchmark under a fault spec with timed events twice —
-// once with the events stripped (the degradation-free baseline) and once
-// surviving them mid-run — and decomposes the difference.
-func (s *System) Recovery(b workloads.Benchmark, spec fault.Spec) (*RecoveryReport, error) {
-	if len(spec.Events) == 0 {
-		return nil, fmt.Errorf("core: recovery: spec schedules no timed events")
-	}
-	baseSpec := spec
-	baseSpec.Events = nil
-	var basePlan *fault.Plan
-	if !baseSpec.Zero() {
-		var err error
-		basePlan, err = fault.NewPlan(baseSpec, s.Params)
-		if err != nil {
-			return nil, fmt.Errorf("core: recovery baseline: %w", err)
-		}
-	}
-	base, err := s.RunBenchmarkOpts(b, basePlan, sim.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("core: recovery baseline: %w", err)
-	}
-	plan, err := fault.NewPlan(spec, s.Params)
-	if err != nil {
-		return nil, fmt.Errorf("core: recovery: %w", err)
-	}
-	r, err := s.RunBenchmarkOpts(b, plan, sim.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("core: recovery: %w", err)
-	}
-	rep := &RecoveryReport{
-		Name:           b.Name(),
-		Spec:           spec,
-		BaselineCycles: base.Cycles,
-		Cycles:         r.Cycles,
-	}
-	if r.Recovery != nil {
-		rep.Events = r.Recovery.Events
-		rep.DrainCycles = r.Recovery.DrainCycles
-		rep.ReconfigCycles = r.Recovery.ReconfigCycles
-		rep.LostBursts = r.Recovery.LostBursts
-	}
-	if re := rep.Cycles - rep.BaselineCycles - rep.DrainCycles - rep.ReconfigCycles; re > 0 {
-		rep.ReExecCycles = re
-	}
-	return rep, nil
 }
 
 // FormatRecovery renders one report: the per-event breakdown followed by

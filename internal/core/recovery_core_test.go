@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,12 +9,11 @@ import (
 )
 
 func TestRecoveryReportInnerProduct(t *testing.T) {
-	s := New()
 	spec := fault.Spec{Seed: 3, Events: []fault.EventSpec{
 		{Kind: fault.KillPCU, Cycle: 500},
 		{Kind: fault.KillChan, Cycle: 1500},
 	}}
-	rep, err := s.Recovery(benchByName(t, "InnerProduct"), spec)
+	rep, err := NewSession().Recovery(context.Background(), benchByName(t, "InnerProduct"), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +37,16 @@ func TestRecoveryReportInnerProduct(t *testing.T) {
 }
 
 func TestRecoveryRejectsEventFreeSpec(t *testing.T) {
-	_, err := New().Recovery(benchByName(t, "InnerProduct"), fault.Spec{Seed: 1})
+	_, err := NewSession().Recovery(context.Background(), benchByName(t, "InnerProduct"), fault.Spec{Seed: 1})
 	if err == nil {
 		t.Fatal("recovery accepted a spec with no timed events")
 	}
 }
 
 func TestResilienceSpecCarriesMemoryFaults(t *testing.T) {
-	s := New()
+	s := NewSession()
 	base := fault.Spec{Seed: 1, TransientProb: 0.01}
-	rows, err := s.ResilienceSpec(benchByName(t, "InnerProduct"), base, []float64{0, 0.25})
+	rows, err := s.Resilience(context.Background(), benchByName(t, "InnerProduct"), base, []float64{0, 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestResilienceSpecCarriesMemoryFaults(t *testing.T) {
 	}
 	// The fraction-0 point now runs on a noisy memory system, so it must be
 	// slower than the clean pristine run.
-	clean, err := s.Resilience(benchByName(t, "InnerProduct"), 1, []float64{0})
+	clean, err := s.Resilience(context.Background(), benchByName(t, "InnerProduct"), fault.Spec{Seed: 1}, []float64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestResilienceSpecCarriesMemoryFaults(t *testing.T) {
 }
 
 func TestResilienceSpecRejectsTileCounts(t *testing.T) {
-	_, err := New().ResilienceSpec(benchByName(t, "InnerProduct"),
+	_, err := NewSession().Resilience(context.Background(), benchByName(t, "InnerProduct"),
 		fault.Spec{PCUs: 3}, []float64{0})
 	if err == nil {
 		t.Fatal("base spec with tile counts accepted")

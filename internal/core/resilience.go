@@ -5,10 +5,7 @@ import (
 	"fmt"
 
 	"plasticine/internal/compiler"
-	"plasticine/internal/fault"
-	"plasticine/internal/sim"
 	"plasticine/internal/stats"
-	"plasticine/internal/workloads"
 )
 
 // ResilienceRow is one point of the graceful-degradation sweep: the
@@ -25,66 +22,6 @@ type ResilienceRow struct {
 	Slowdown float64
 	// Reason explains an infeasible point (insufficient healthy resources).
 	Reason string
-}
-
-// Resilience sweeps fault fractions for one benchmark with a fixed seed.
-// The fraction-0 point is always included first and is the slowdown
-// baseline; infeasible points (the program no longer fits the healthy
-// fabric) are reported, not treated as errors.
-func (s *System) Resilience(b workloads.Benchmark, seed int64, fracs []float64) ([]ResilienceRow, error) {
-	return s.ResilienceSpec(b, fault.Spec{Seed: seed}, fracs)
-}
-
-// ResilienceSpec is Resilience with the full memory-fault surface of the
-// base spec carried into every sweep point: latency-spike and transient-
-// retry probabilities (and their tuning fields) apply at each fraction,
-// including the fraction-0 baseline, so the sweep isolates the cost of the
-// disabled tiles on an already-noisy memory system. The base spec's own
-// tile counts and timed events must be zero — the sweep owns those.
-func (s *System) ResilienceSpec(b workloads.Benchmark, base fault.Spec, fracs []float64) ([]ResilienceRow, error) {
-	if base.PCUs != 0 || base.PMUs != 0 || base.Switches != 0 || len(base.Events) != 0 {
-		return nil, fmt.Errorf("core: resilience: base spec must not disable tiles or schedule events")
-	}
-	if len(fracs) == 0 || fracs[0] != 0 {
-		fracs = append([]float64{0}, fracs...)
-	}
-	var out []ResilienceRow
-	var baseCycles int64
-	for _, frac := range fracs {
-		row := ResilienceRow{
-			Fraction: frac,
-			PCUsDown: int(frac * float64(s.Params.NumPCUs())),
-			PMUsDown: int(frac * float64(s.Params.NumPMUs())),
-		}
-		spec := base
-		spec.PCUs, spec.PMUs = row.PCUsDown, row.PMUsDown
-		var plan *fault.Plan
-		if !spec.Zero() {
-			var err error
-			plan, err = fault.NewPlan(spec, s.Params)
-			if err != nil {
-				return nil, fmt.Errorf("core: resilience at %.0f%%: %w", 100*frac, err)
-			}
-		}
-		r, err := s.RunBenchmarkOpts(b, plan, sim.Options{})
-		switch {
-		case err == nil:
-			row.Feasible = true
-			row.Cycles = r.Cycles
-			if baseCycles == 0 {
-				baseCycles = r.Cycles
-			}
-			if baseCycles > 0 {
-				row.Slowdown = float64(r.Cycles) / float64(baseCycles)
-			}
-		case isInfeasible(err):
-			row.Reason = err.Error()
-		default:
-			return nil, fmt.Errorf("core: resilience at %.0f%%: %w", 100*frac, err)
-		}
-		out = append(out, row)
-	}
-	return out, nil
 }
 
 // isInfeasible reports whether a run failed because the program no longer

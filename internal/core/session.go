@@ -16,7 +16,7 @@ package core
 // Concurrency: one Session may serve many goroutines at once — the serving
 // layer (internal/serve) drives exactly this pattern, mixing Run, Profile,
 // Explain and the sweeps through one shared handle. The audit behind that
-// claim: configuration (sys, plan, simOpts, policy, disk) is written only
+// claim: configuration (params, plan, simOpts, policy, disk) is written only
 // during NewSession and read-only afterwards; the engine (pool, cache,
 // retry counter) is concurrency-safe by construction; per-call mutable
 // state (fault-plan clones, fresh benchmark instances, trace collectors) is
@@ -37,13 +37,14 @@ import (
 	"plasticine/internal/fault"
 	"plasticine/internal/metrics"
 	"plasticine/internal/sim"
+	"plasticine/internal/trace"
 	"plasticine/internal/workloads"
 )
 
 // Session is the facade handle. Construct with NewSession; the zero value is
 // not usable.
 type Session struct {
-	sys     *System
+	params  arch.Params
 	engine  *exec.Engine
 	plan    *fault.Plan
 	simOpts sim.Options
@@ -74,7 +75,7 @@ type SessionOption func(*Session)
 // WithArch sets the architecture parameters (default: the paper's final
 // configuration, arch.Default()).
 func WithArch(p arch.Params) SessionOption {
-	return func(s *Session) { s.sys = WithParams(p) }
+	return func(s *Session) { s.params = p }
 }
 
 // WithFaults sets the fault plan benchmark runs compile and simulate under
@@ -118,7 +119,7 @@ func WithDiskCache(d *exec.DiskCache) SessionOption {
 // NewSession builds a session. Defaults: paper architecture, no faults, one
 // worker, fresh cache, no persistence, no job policy.
 func NewSession(opts ...SessionOption) *Session {
-	s := &Session{sys: New(), engine: exec.NewEngine(1)}
+	s := &Session{params: arch.Default(), engine: exec.NewEngine(1)}
 	for _, o := range opts {
 		o(s)
 	}
@@ -129,12 +130,8 @@ func NewSession(opts ...SessionOption) *Session {
 	return s
 }
 
-// System exposes the underlying parameterised system for callers that need
-// the lower-level API (area breakdowns, direct compiles).
-func (s *Session) System() *System { return s.sys }
-
 // Params returns the session's architecture parameters.
-func (s *Session) Params() arch.Params { return s.sys.Params }
+func (s *Session) Params() arch.Params { return s.params }
 
 // Workers reports the engine's concurrency.
 func (s *Session) Workers() int { return s.engine.Workers() }
@@ -172,7 +169,7 @@ func (s *Session) Close() error {
 // Run compiles and simulates one program under the session's plan and
 // options (uncached: arbitrary programs have no stable identity).
 func (s *Session) Run(ctx context.Context, p *dhdl.Program) (*sim.Result, *dhdl.State, error) {
-	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: s.sys.Params, Faults: s.plan.Clone()})
+	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: s.params, Faults: s.plan.Clone()})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -202,8 +199,8 @@ func optsKey(o sim.Options) string {
 	if o.Faults != nil {
 		f = fmt.Sprintf("dramfaults=%+v", *o.Faults)
 	}
-	return fmt.Sprintf("cw=%d nbuf=%t %s %s max=%d stall=%d engine=%v",
-		o.CoalesceWindow, o.DisableNBuffer, d, f, o.MaxCycles, o.StallWindow, o.Engine)
+	return fmt.Sprintf("cw=%d nbuf=%t %s %s max=%d stall=%d",
+		o.CoalesceWindow, o.DisableNBuffer, d, f, o.MaxCycles, o.StallWindow)
 }
 
 // freshInstance returns a private copy of a registry benchmark. Benchmarks
@@ -229,12 +226,12 @@ func freshInstance(b workloads.Benchmark) workloads.Benchmark {
 func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
 	b = freshInstance(b)
 	if opts.Recorder != nil {
-		return s.sys.RunBenchmarkCtx(ctx, b, plan.Clone(), opts)
+		return runBenchmark(ctx, s.params, b, plan.Clone(), opts)
 	}
 	k := exec.NewKey("core/bench", b.Name(),
-		fmt.Sprintf("%+v", s.sys.Params), planKey(plan), optsKey(opts))
+		fmt.Sprintf("%+v", s.params), planKey(plan), optsKey(opts))
 	// Phase attribution: when this call computes the point itself, the
-	// compile/sim spans recorded inside RunBenchmarkCtx tell the story and
+	// compile/sim spans recorded inside runBenchmark tell the story and
 	// no "cache" span is emitted. When the result came from the cache — a
 	// hit, the disk tier, or a singleflight wait on another request's
 	// in-flight compute — the whole CachedJSON call is the "cache" phase.
@@ -245,7 +242,7 @@ func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fau
 		var r *BenchResult
 		err := s.engine.RunJob(ctx, b.Name(), func(ctx context.Context) error {
 			var rerr error
-			r, rerr = s.sys.RunBenchmarkCtx(ctx, b, plan.Clone(), opts)
+			r, rerr = runBenchmark(ctx, s.params, b, plan.Clone(), opts)
 			return rerr
 		})
 		return r, err
@@ -329,11 +326,13 @@ func (s *Session) Bench(ctx context.Context, names []string) ([]BenchSim, error)
 // uncached (the collector is a side effect) and single-threaded per call,
 // but safe to invoke from parallel jobs.
 func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileResult, error) {
-	// ProfileBenchmark owns the collector; route the session's plan through a
-	// clone and a fresh benchmark instance like every other run.
+	// The collector is private to this call; route the session's plan
+	// through a clone and a fresh benchmark instance like every other run.
 	b = freshInstance(b)
-	col, opts := newProfileRecorder(s.simOpts)
-	r, err := s.sys.RunBenchmarkCtx(ctx, b, s.plan.Clone(), opts)
+	col := trace.NewCollector()
+	opts := s.simOpts
+	opts.Recorder = col
+	r, err := runBenchmark(ctx, s.params, b, s.plan.Clone(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -341,15 +340,26 @@ func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileR
 }
 
 // Explain reports whether a benchmark fits the session's fabric under its
-// fault plan, in source-level terms.
-func (s *Session) Explain(b workloads.Benchmark) (*compiler.Explanation, error) {
-	return s.sys.Explain(b, s.plan)
+// fault plan, in source-level terms — the backend of `plasticine explain`.
+// A canceled ctx yields an error wrapping ctx.Err(), never a no-fit report.
+func (s *Session) Explain(ctx context.Context, b workloads.Benchmark) (*compiler.Explanation, error) {
+	p, err := b.Build()
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
+	}
+	return compiler.Explain(ctx, p, s.params, s.plan)
 }
 
 // Resilience sweeps fault fractions for one benchmark, fanning the points
-// across the engine's workers. The fraction-0 baseline is part of the same
-// fan-out; slowdowns are folded afterwards in fraction order, so the rows
-// are identical at any worker count.
+// across the engine's workers. The fraction-0 point is always included
+// first and is the slowdown baseline; infeasible points (the program no
+// longer fits the healthy fabric) are reported, not treated as errors.
+// The base spec's memory-fault surface (latency spikes, transient retries)
+// applies at every fraction, including the baseline, so the sweep isolates
+// the cost of the disabled tiles; its own tile counts and timed events must
+// be zero — the sweep owns those. The baseline is part of the same fan-out;
+// slowdowns are folded afterwards in fraction order, so the rows are
+// identical at any worker count.
 func (s *Session) Resilience(ctx context.Context, b workloads.Benchmark, base fault.Spec, fracs []float64) ([]ResilienceRow, error) {
 	if base.PCUs != 0 || base.PMUs != 0 || base.Switches != 0 || len(base.Events) != 0 {
 		return nil, fmt.Errorf("core: resilience: base spec must not disable tiles or schedule events")
@@ -390,15 +400,15 @@ func (s *Session) Resilience(ctx context.Context, b workloads.Benchmark, base fa
 func (s *Session) resiliencePoint(ctx context.Context, b workloads.Benchmark, base fault.Spec, frac float64) (ResilienceRow, error) {
 	row := ResilienceRow{
 		Fraction: frac,
-		PCUsDown: int(frac * float64(s.sys.Params.NumPCUs())),
-		PMUsDown: int(frac * float64(s.sys.Params.NumPMUs())),
+		PCUsDown: int(frac * float64(s.params.NumPCUs())),
+		PMUsDown: int(frac * float64(s.params.NumPMUs())),
 	}
 	spec := base
 	spec.PCUs, spec.PMUs = row.PCUsDown, row.PMUsDown
 	var plan *fault.Plan
 	if !spec.Zero() {
 		var err error
-		plan, err = fault.NewPlan(spec, s.sys.Params)
+		plan, err = fault.NewPlan(spec, s.params)
 		if err != nil {
 			return row, fmt.Errorf("core: resilience at %.0f%%: %w", 100*frac, err)
 		}
@@ -435,7 +445,7 @@ func (s *Session) Recovery(ctx context.Context, b workloads.Benchmark, spec faul
 		var plan *fault.Plan
 		if !sp.Zero() {
 			var err error
-			plan, err = fault.NewPlan(sp, s.sys.Params)
+			plan, err = fault.NewPlan(sp, s.params)
 			if err != nil {
 				return fmt.Errorf("core: %s: %w", label, err)
 			}
@@ -479,7 +489,7 @@ func (s *Session) sweep() (*dse.Sweep, error) {
 			s.dseLoadErr = err
 			return
 		}
-		s.dseSweep = dse.NewSweep(benches, s.sys.Params.Chip, s.engine)
+		s.dseSweep = dse.NewSweep(benches, s.params.Chip, s.engine)
 		s.dseSweep.SetMetrics(s.metricsReg.Load())
 	})
 	return s.dseSweep, s.dseLoadErr
@@ -521,7 +531,7 @@ func (s *Session) Table6(ctx context.Context) ([]dse.Ladder, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sw.Table6(ctx, s.sys.Params)
+	return sw.Table6(ctx, s.params)
 }
 
 // RatioStudy evaluates PMU:PCU provisioning through the shared sweep.
@@ -530,5 +540,5 @@ func (s *Session) RatioStudy(ctx context.Context) ([]dse.RatioRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sw.RatioStudy(ctx, s.sys.Params)
+	return sw.RatioStudy(ctx, s.params)
 }

@@ -5,7 +5,6 @@
 package dse
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -158,13 +157,6 @@ func CheckFeasible(b *Bench, params arch.Params) error {
 	return nil
 }
 
-// minimizeArea is the uncached, sequential form of Sweep.minimizeArea.
-//
-// Deprecated: kept for existing callers and tests; use Sweep.minimizeArea.
-func minimizeArea(b *Bench, fixed map[string]int, chip arch.ChipParams) (arch.PCUParams, float64, error) {
-	return (&Sweep{Chip: chip}).minimizeArea(b, fixed)
-}
-
 // Panel is one Figure 7 sub-plot.
 type Panel struct {
 	Param  string
@@ -195,13 +187,6 @@ var panelSpecs = []panelSpec{
 	{"d", "scalarOuts", map[string]int{"stages": 6, "registers": 6, "scalarIns": 6}},
 	{"e", "vectorIns", map[string]int{"stages": 6, "registers": 6}},
 	{"f", "vectorOuts", map[string]int{"stages": 6, "registers": 6, "vectorIns": 3}},
-}
-
-// Figure7 computes one panel (a-f) sequentially and uncached.
-//
-// Deprecated: kept for existing callers and tests; use Sweep.Figure7.
-func Figure7(panelID string, benches []*Bench, chip arch.ChipParams) (*Panel, error) {
-	return NewSweep(benches, chip, nil).Figure7(context.Background(), panelID)
 }
 
 // BestValue returns the swept value with the lowest average overhead,
@@ -261,13 +246,6 @@ type Table3Row struct {
 	Param  string
 	Chosen int
 	Paper  int
-}
-
-// Table3 runs the panel sequence sequentially and uncached.
-//
-// Deprecated: kept for existing callers and tests; use Sweep.Table3.
-func Table3(benches []*Bench, chip arch.ChipParams) ([]Table3Row, error) {
-	return NewSweep(benches, chip, nil).Table3(context.Background())
 }
 
 // FormatTable3 renders the selection table.

@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -24,6 +25,12 @@ func benches(t *testing.T) []*Bench {
 	return benchCache
 }
 
+// seqSweep is a sequential, uncached sweep over the benchmark set.
+func seqSweep(t *testing.T) *Sweep {
+	t.Helper()
+	return NewSweep(benches(t), arch.Default().Chip, nil)
+}
+
 func TestLoadBenchesExcludesCNN(t *testing.T) {
 	bs := benches(t)
 	if len(bs) != 12 {
@@ -40,7 +47,7 @@ func TestLoadBenchesExcludesCNN(t *testing.T) {
 }
 
 func TestFigure7PanelA(t *testing.T) {
-	p, err := Figure7("a", benches(t), arch.Default().Chip)
+	p, err := seqSweep(t).Figure7(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +98,7 @@ func TestFigure7PanelA(t *testing.T) {
 func TestFigure7OverheadGrowsWithExcessStages(t *testing.T) {
 	// Past each benchmark's sweet spot, adding stages only wastes area:
 	// overhead at 16 stages must exceed overhead at the best value.
-	p, err := Figure7("a", benches(t), arch.Default().Chip)
+	p, err := seqSweep(t).Figure7(context.Background(), "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +114,7 @@ func TestFigure7OverheadGrowsWithExcessStages(t *testing.T) {
 }
 
 func TestFigure7UnknownPanel(t *testing.T) {
-	if _, err := Figure7("z", benches(t), arch.Default().Chip); err == nil {
+	if _, err := seqSweep(t).Figure7(context.Background(), "z"); err == nil {
 		t.Error("expected error for unknown panel")
 	}
 }
@@ -117,7 +124,7 @@ func TestFigure7AllPanelsRun(t *testing.T) {
 		t.Skip("all panels are slow")
 	}
 	for _, id := range []string{"b", "c", "d", "e", "f"} {
-		p, err := Figure7(id, benches(t), arch.Default().Chip)
+		p, err := seqSweep(t).Figure7(context.Background(), id)
 		if err != nil {
 			t.Fatalf("panel %s: %v", id, err)
 		}
@@ -134,7 +141,7 @@ func TestTable3SelectionNearPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full selection sweep is slow")
 	}
-	rows, err := Table3(benches(t), arch.Default().Chip)
+	rows, err := seqSweep(t).Table3(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +164,7 @@ func TestTable3SelectionNearPaper(t *testing.T) {
 }
 
 func TestTable6LadderShape(t *testing.T) {
-	rows, err := Table6(benches(t), arch.Default())
+	rows, err := seqSweep(t).Table6(context.Background(), arch.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +203,7 @@ func TestTable6LadderShape(t *testing.T) {
 
 func TestMinimizeAreaRespectsFixed(t *testing.T) {
 	bs := benches(t)
-	p, area, err := minimizeArea(bs[0], map[string]int{"stages": 6}, arch.Default().Chip)
+	p, area, err := (&Sweep{Chip: arch.Default().Chip}).minimizeArea(bs[0], map[string]int{"stages": 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +217,7 @@ func TestMinimizeAreaRespectsFixed(t *testing.T) {
 
 func TestMinimizeAreaUnknownParam(t *testing.T) {
 	bs := benches(t)
-	_, _, err := minimizeArea(bs[0], map[string]int{"lanes?": 4}, arch.Default().Chip)
+	_, _, err := (&Sweep{Chip: arch.Default().Chip}).minimizeArea(bs[0], map[string]int{"lanes?": 4})
 	if !errors.Is(err, ErrUnknownParam) {
 		t.Fatalf("want ErrUnknownParam, got %v", err)
 	}
@@ -229,7 +236,7 @@ func TestBenchPCUAreaInfeasible(t *testing.T) {
 }
 
 func TestRatioStudy(t *testing.T) {
-	rows, err := RatioStudy(benches(t), arch.Default())
+	rows, err := seqSweep(t).RatioStudy(context.Background(), arch.Default())
 	if err != nil {
 		t.Fatal(err)
 	}

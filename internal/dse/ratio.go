@@ -33,24 +33,8 @@ type unitDemand struct {
 	PCUs, PMUs int
 }
 
-// RatioStudy evaluates PMU:PCU provisioning choices at a fixed total unit
-// count (the 16x8 array of 128 units), sequentially and uncached.
-//
-// Deprecated: kept for existing callers and tests; use Sweep.RatioStudy.
-func RatioStudy(benches []*Bench, params arch.Params) ([]RatioRow, error) {
-	demands := make([]unitDemand, len(benches))
-	for i, b := range benches {
-		part, err := demand(b, params)
-		if err != nil {
-			return nil, err
-		}
-		demands[i] = unitDemand{PCUs: part.TotalPCUs, PMUs: part.TotalPMUs}
-	}
-	return ratioRows(demands, params), nil
-}
-
 // ratioRows folds per-benchmark unit demands into the provisioning table.
-// Pure function of its inputs, shared by the sequential and parallel paths.
+// Pure function of its inputs.
 func ratioRows(demands []unitDemand, params arch.Params) []RatioRow {
 	total := params.Chip.Rows * params.Chip.Cols
 	ratios := []struct{ pmu, pcu int }{

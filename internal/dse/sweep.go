@@ -36,7 +36,7 @@ type Sweep struct {
 }
 
 // NewSweep builds a sweep over benches on chip, evaluated by eng (nil means
-// sequential and uncached — the behaviour of the deprecated free functions).
+// sequential and uncached).
 func NewSweep(benches []*Bench, chip arch.ChipParams, eng *exec.Engine) *Sweep {
 	return &Sweep{Benches: benches, Chip: chip, Engine: eng}
 }

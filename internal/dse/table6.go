@@ -1,7 +1,6 @@
 package dse
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -156,14 +155,6 @@ func (s *Sweep) table6RowUncached(b *Bench, params arch.Params) (Ladder, error) 
 		D: a4 / a3, CumD: a4 / a0,
 		E: a5 / a4, CumE: a5 / a0,
 	}, nil
-}
-
-// Table6 computes the ladder for every benchmark plus the geometric mean,
-// sequentially and uncached.
-//
-// Deprecated: kept for existing callers and tests; use Sweep.Table6.
-func Table6(benches []*Bench, params arch.Params) ([]Ladder, error) {
-	return NewSweep(benches, params.Chip, nil).Table6(context.Background(), params)
 }
 
 // FormatTable6 renders the ladder in the paper's layout.

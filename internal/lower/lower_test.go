@@ -185,7 +185,7 @@ func TestLoweredProgramsCompileAndSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := compiler.Compile(res.Prog, arch.Default())
+	m, err := compiler.CompileOpts(context.Background(), res.Prog, compiler.Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}

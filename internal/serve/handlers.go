@@ -419,7 +419,7 @@ func (s *Server) runExplain(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.sess.Explain(b)
+	return s.sess.Explain(ctx, b)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

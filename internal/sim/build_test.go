@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"plasticine/internal/arch"
@@ -99,12 +100,12 @@ func dotSetupMapping(t *testing.T) (*compiler.Mapping, *dhdl.Reg, float64) {
 
 func TestNBufferAblationSlowsPipeline(t *testing.T) {
 	m, _, _ := dotSetup(t, 16384, 1024, true)
-	base, _, err := Run(m)
+	base, _, err := Simulate(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2, _, _ := dotSetup(t, 16384, 1024, true)
-	abl, _, err := RunOpts(m2, Options{DisableNBuffer: true})
+	abl, _, err := Simulate(context.Background(), m2, Options{DisableNBuffer: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +116,14 @@ func TestNBufferAblationSlowsPipeline(t *testing.T) {
 
 func TestDRAMOverrideOption(t *testing.T) {
 	m, _, _ := dotSetup(t, 16384, 1024, true)
-	base, _, err := Run(m)
+	base, _, err := Simulate(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2, _, _ := dotSetup(t, 16384, 1024, true)
 	one := dram.DDR3_1600x4()
 	one.Channels = 1
-	slow, _, err := RunOpts(m2, Options{DRAM: &one})
+	slow, _, err := Simulate(context.Background(), m2, Options{DRAM: &one})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,17 +155,17 @@ func TestBarriersSerializeSequentialSiblings(t *testing.T) {
 		} else {
 			b.Par("pair", func() { body(nil) })
 		}
-		m, err := compiler.Compile(b.MustBuild(), arch.Default())
+		m, err := compiler.CompileOpts(context.Background(), b.MustBuild(), compiler.Options{Params: arch.Default()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	seqRes, _, err := Run(build(dhdl.Sequential))
+	seqRes, _, err := Simulate(context.Background(), build(dhdl.Sequential), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parRes, _, err := Run(build(dhdl.Parallel))
+	parRes, _, err := Simulate(context.Background(), build(dhdl.Parallel), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

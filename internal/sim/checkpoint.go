@@ -241,8 +241,6 @@ func (e *engine) restore(cp *Checkpoint) error {
 			return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}
 	}
-	if e.mode == EngineEvent {
-		e.rebuildEventState()
-	}
+	e.rebuildEventState()
 	return nil
 }

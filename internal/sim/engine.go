@@ -102,11 +102,8 @@ type engine struct {
 	dram  *dram.DRAM
 	clock int64
 
-	// mode selects the scheduling core: EngineEvent (default) skips between
-	// state-changing cycles, EngineCycle is the legacy cycle-by-cycle
-	// reference loop. Both produce byte-identical results; the cycle loop is
-	// kept as the regression oracle (see the golden differential tests).
-	mode EngineKind
+	// loop is the scheduling core that advances the clock (see loop).
+	loop loop
 
 	// Observability: units is the builder's physical-unit registry; rec, when
 	// non-nil, arms the per-transfer busy/high-water counters. Everything
@@ -213,11 +210,10 @@ func (e *engine) drainReady() {
 	}
 }
 
-// burstDone builds the completion callback for one transfer's bursts. Both
-// engine modes and checkpoint restore share it, so a burst landing has
-// identical effects everywhere. In event mode a completion additionally
-// wakes a saturated AG and flags the retire scan when the transfer's last
-// burst lands.
+// burstDone builds the completion callback for one transfer's bursts.
+// Admission and checkpoint restore share it, so a burst landing has
+// identical effects everywhere. A completion wakes a saturated AG and flags
+// the retire scan when the transfer's last burst lands.
 func (e *engine) burstDone(rx *runningXfer) func(now int64) {
 	return func(now int64) {
 		rx.inFlight--
@@ -226,15 +222,13 @@ func (e *engine) burstDone(rx *runningXfer) func(now int64) {
 		if e.rec != nil {
 			rx.markBusy(now)
 		}
-		if e.mode == EngineEvent {
-			if rx.state == rxSat {
-				rx.state = rxActive
-				e.active = append(e.active, rx)
-				e.activeDirty = true
-			}
-			if rx.completed == len(rx.act.bursts) {
-				e.retireNeeded = true
-			}
+		if rx.state == rxSat {
+			rx.state = rxActive
+			e.active = append(e.active, rx)
+			e.activeDirty = true
+		}
+		if rx.completed == len(rx.act.bursts) {
+			e.retireNeeded = true
 		}
 	}
 }
@@ -273,14 +267,6 @@ func (e *engine) issueInto(rx *runningXfer) {
 				rx.hiWater = rx.inFlight
 			}
 		}
-	}
-}
-
-// issueBursts feeds each running transfer's AG, reissuing fault-dropped
-// bursts before advancing to new ones.
-func (e *engine) issueBursts() {
-	for _, rx := range e.running {
-		e.issueInto(rx)
 	}
 }
 
@@ -340,58 +326,24 @@ func (e *engine) checkWatchdog() error {
 	return nil
 }
 
+// loop is a scheduling core: how an engine advances its clock. Production
+// always runs eventLoop, the discrete-event core in event.go; the golden
+// identity tests also drive a cycle-by-cycle reference loop through the
+// same seam (see simulate).
+type loop struct {
+	runUntil      func(e *engine, stopAt int64) (bool, error)
+	drainInFlight func(e *engine) (QuiesceState, int64, error)
+}
+
+// eventLoop is the discrete-event scheduling core.
+var eventLoop = loop{(*engine).runUntilEvent, (*engine).drainInFlightEvent}
+
 // runUntil advances the schedule until every activity resolves or the clock
 // reaches stopAt (>= 0; pass a negative stopAt to run to completion). It
 // returns true when the schedule finished. On a stop the engine is at a loop
 // boundary — between cycles — which is exactly where a checkpoint or fault
 // event may be applied.
-func (e *engine) runUntil(stopAt int64) (bool, error) {
-	if e.mode == EngineCycle {
-		return e.runUntilCycle(stopAt)
-	}
-	return e.runUntilEvent(stopAt)
-}
-
-// runUntilCycle is the legacy cycle-by-cycle loop, kept verbatim as the
-// reference oracle the event core is differentially tested against.
-func (e *engine) runUntilCycle(stopAt int64) (bool, error) {
-	e.start()
-	e.drainReady()
-	for len(e.waiting) > 0 || len(e.running) > 0 {
-		if stopAt >= 0 && e.clock >= stopAt {
-			return false, nil
-		}
-		// Admit transfers whose start time has arrived; if idle, jump (but
-		// never past the stop point).
-		if len(e.running) == 0 && len(e.waiting) > 0 && e.waiting[0].start > e.clock {
-			jump := e.waiting[0].start
-			if stopAt >= 0 && jump > stopAt {
-				jump = stopAt
-			}
-			e.clock = jump
-			e.lastProgressAt = e.clock // a jump is forward progress
-			if stopAt >= 0 && e.clock >= stopAt {
-				return false, nil
-			}
-		}
-		for len(e.waiting) > 0 && e.waiting[0].start <= e.clock {
-			a := heap.Pop(&e.waiting).(*activity)
-			rx := &runningXfer{act: a, lastBusy: -1}
-			rx.done = e.burstDone(rx)
-			e.running = append(e.running, rx)
-			e.lastProgressAt = e.clock // admission is forward progress
-		}
-		e.issueBursts()
-		e.clock++
-		e.dram.Tick(e.clock)
-		if err := e.checkWatchdog(); err != nil {
-			return false, err
-		}
-		e.retire()
-		e.drainReady()
-	}
-	return true, nil
-}
+func (e *engine) runUntil(stopAt int64) (bool, error) { return e.loop.runUntil(e, stopAt) }
 
 // run resolves every activity and returns the makespan in cycles.
 func (e *engine) run() (int64, error) {
@@ -463,27 +415,4 @@ func (e *engine) quiescent() bool {
 // the number of cycles the drain took; that cost is part of the recovery
 // overhead. The watchdog stays armed, so a drain that cannot finish (e.g.
 // every channel down) aborts instead of spinning.
-func (e *engine) drainInFlight() (QuiesceState, int64, error) {
-	if e.mode == EngineCycle {
-		return e.drainInFlightCycle()
-	}
-	return e.drainInFlightEvent()
-}
-
-// drainInFlightCycle is the legacy per-cycle drain loop.
-func (e *engine) drainInFlightCycle() (QuiesceState, int64, error) {
-	q := e.quiesceState()
-	from := e.clock
-	for !e.quiescent() {
-		e.clock++
-		e.dram.Tick(e.clock)
-		if err := e.checkWatchdog(); err != nil {
-			return q, e.clock - from, err
-		}
-		e.retire()
-	}
-	// Transfers finishing exactly at the drain boundary retire here so the
-	// checkpoint sees them resolved.
-	e.retire()
-	return q, e.clock - from, nil
-}
+func (e *engine) drainInFlight() (QuiesceState, int64, error) { return e.loop.drainInFlight(e) }

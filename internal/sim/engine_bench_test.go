@@ -9,19 +9,19 @@ import (
 	"plasticine/internal/workloads"
 )
 
-func benchEngine(b *testing.B, kind EngineKind) {
+func benchEngine(b *testing.B, kind engineKind) {
 	for i := 0; i < b.N; i++ {
 		w, _ := workloads.ByName("InnerProduct")
 		prog, err := w.Build()
 		if err != nil {
 			b.Fatal(err)
 		}
-		m, err := compiler.Compile(prog, arch.Default())
+		m, err := compiler.CompileOpts(context.Background(), prog, compiler.Options{Params: arch.Default()})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
-		res, _, err := Simulate(context.Background(), m, Options{Engine: kind})
+		res, _, err := simulate(context.Background(), m, Options{}, kind.loop)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -29,5 +29,5 @@ func benchEngine(b *testing.B, kind EngineKind) {
 	}
 }
 
-func BenchmarkEngineEventIP(b *testing.B) { benchEngine(b, EngineEvent) }
-func BenchmarkEngineCycleIP(b *testing.B) { benchEngine(b, EngineCycle) }
+func BenchmarkEngineEventIP(b *testing.B) { benchEngine(b, eventEngine) }
+func BenchmarkEngineCycleIP(b *testing.B) { benchEngine(b, cycleEngine) }

@@ -10,7 +10,7 @@ import (
 )
 
 func newTestEngine(acts []*activity) *engine {
-	return &engine{acts: acts, dram: dram.New(dram.DDR3_1600x4())}
+	return &engine{acts: acts, dram: dram.New(dram.DDR3_1600x4()), loop: eventLoop}
 }
 
 func TestEngineComputeChain(t *testing.T) {
@@ -84,7 +84,7 @@ func TestWatchdogAbortsLivelockedSchedule(t *testing.T) {
 	a := &activity{id: 0, kind: actTransfer,
 		leaf:   &dhdl.Controller{Name: "stuck_load"},
 		bursts: []uint64{0, 64, 128}}
-	eng := &engine{acts: []*activity{a}, dram: ddr, stallWindow: 5000}
+	eng := &engine{acts: []*activity{a}, dram: ddr, stallWindow: 5000, loop: eventLoop}
 	_, err := eng.run()
 	if err == nil {
 		t.Fatal("livelocked schedule terminated without error")
@@ -125,7 +125,7 @@ func TestWatchdogCycleBudget(t *testing.T) {
 	}
 	a := &activity{id: 0, kind: actTransfer,
 		leaf: &dhdl.Controller{Name: "big_load"}, bursts: bursts}
-	eng := &engine{acts: []*activity{a}, dram: dram.New(dram.DDR3_1600x4()), maxCycles: 100}
+	eng := &engine{acts: []*activity{a}, dram: dram.New(dram.DDR3_1600x4()), maxCycles: 100, loop: eventLoop}
 	_, err := eng.run()
 	if !errors.Is(err, ErrWatchdog) || !strings.Contains(err.Error(), "cycle budget") {
 		t.Fatalf("want cycle-budget watchdog abort, got %v", err)

@@ -5,9 +5,10 @@ import (
 	"sort"
 )
 
-// This file is the discrete-event scheduling core (EngineEvent, the
-// default). It resolves the identical activity graph against the identical
-// DRAM model as the legacy cycle-by-cycle loop in engine.go, but instead of
+// This file is the discrete-event scheduling core (eventLoop). It resolves
+// the identical activity graph against the identical DRAM model as the
+// legacy cycle-by-cycle loop, which the golden identity tests keep as
+// their reference oracle (cycle_loop_test.go), but instead of
 // ticking every cycle it computes the next state-changing cycle and jumps
 // straight to it. Byte-identity with the legacy loop is the contract — same
 // cycle counts, same DRAM counters, same checkpoint bytes, same watchdog

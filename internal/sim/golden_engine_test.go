@@ -22,18 +22,18 @@ import (
 
 // goldenRun executes one benchmark under the given engine with a collector
 // armed and returns everything observable about the run.
-func goldenRun(t *testing.T, b workloads.Benchmark, kind EngineKind) (*Result, *trace.Report, *trace.PatternReport) {
+func goldenRun(t *testing.T, b workloads.Benchmark, kind engineKind) (*Result, *trace.Report, *trace.PatternReport) {
 	t.Helper()
 	prog, err := b.Build()
 	if err != nil {
 		t.Fatalf("%s: build: %v", b.Name(), err)
 	}
-	m, err := compiler.Compile(prog, arch.Default())
+	m, err := compiler.CompileOpts(context.Background(), prog, compiler.Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatalf("%s: compile: %v", b.Name(), err)
 	}
 	col := trace.NewCollector()
-	res, st, err := Simulate(context.Background(), m, Options{Engine: kind, Recorder: col})
+	res, st, err := simulate(context.Background(), m, Options{Recorder: col}, kind.loop)
 	if err != nil {
 		t.Fatalf("%s: simulate (%v engine): %v", b.Name(), kind, err)
 	}
@@ -51,8 +51,8 @@ func TestEngineGoldenIdentity(t *testing.T) {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
 			t.Parallel()
-			evRes, evRep, evPat := goldenRun(t, b, EngineEvent)
-			cyRes, cyRep, cyPat := goldenRun(t, b, EngineCycle)
+			evRes, evRep, evPat := goldenRun(t, b, eventEngine)
+			cyRes, cyRep, cyPat := goldenRun(t, b, cycleEngine)
 			if evRes.Cycles != cyRes.Cycles {
 				t.Errorf("cycles: event %d, cycle %d", evRes.Cycles, cyRes.Cycles)
 			}
@@ -78,15 +78,15 @@ func TestEngineGoldenIdentity(t *testing.T) {
 func TestEngineGoldenFaultedIdentity(t *testing.T) {
 	faults := &dram.Faults{Seed: 11, SpikeProb: 0.05, SpikeCycles: 40,
 		TransientProb: 0.02, MaxRetries: 4, RetryBackoff: 8}
-	run := func(kind EngineKind) *Result {
+	run := func(kind engineKind) *Result {
 		m, _, _ := recoverySetup(t, nil)
-		res, _, err := Simulate(context.Background(), m, Options{Engine: kind, Faults: faults})
+		res, _, err := simulate(context.Background(), m, Options{Faults: faults}, kind.loop)
 		if err != nil {
 			t.Fatalf("%v engine: %v", kind, err)
 		}
 		return res
 	}
-	ev, cy := run(EngineEvent), run(EngineCycle)
+	ev, cy := run(eventEngine), run(cycleEngine)
 	if ev.Cycles != cy.Cycles {
 		t.Errorf("cycles: event %d, cycle %d", ev.Cycles, cy.Cycles)
 	}
@@ -103,9 +103,9 @@ func TestEngineGoldenFaultedIdentity(t *testing.T) {
 // strictest equivalence the simulator can express, covering every clock,
 // counter, queue, bank, PRNG and in-flight request field.
 func TestEngineGoldenCheckpoint(t *testing.T) {
-	snap := func(kind EngineKind) []byte {
+	snap := func(kind engineKind) []byte {
 		m, _, _ := recoverySetup(t, nil)
-		eng, _, err := prepare(context.Background(), m, Options{Engine: kind})
+		eng, _, err := prepare(context.Background(), m, Options{}, kind.loop)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestEngineGoldenCheckpoint(t *testing.T) {
 		}
 		return eng.checkpoint().Encode()
 	}
-	ev, cy := snap(EngineEvent), snap(EngineCycle)
+	ev, cy := snap(eventEngine), snap(cycleEngine)
 	if !bytes.Equal(ev, cy) {
 		t.Fatalf("checkpoints diverge: event %d bytes, cycle %d bytes (or same size, different content)", len(ev), len(cy))
 	}
@@ -130,14 +130,14 @@ func TestEngineGoldenCheckpoint(t *testing.T) {
 // recovery decompositions (pause cycle, drain cost, lost bursts,
 // reconfiguration stall).
 func TestEngineGoldenRecovery(t *testing.T) {
-	run := func(kind EngineKind) *Result {
+	run := func(kind engineKind) *Result {
 		plan, err := fault.NewPlan(fault.Spec{Seed: 2,
 			Events: []fault.EventSpec{{Kind: fault.KillChan, Cycle: 300}}}, arch.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
 		m, total, want := recoverySetup(t, plan)
-		res, st, err := Simulate(context.Background(), m, Options{Engine: kind, Recovery: true})
+		res, st, err := simulate(context.Background(), m, Options{Recovery: true}, kind.loop)
 		if err != nil {
 			t.Fatalf("%v engine: %v", kind, err)
 		}
@@ -147,7 +147,7 @@ func TestEngineGoldenRecovery(t *testing.T) {
 		}
 		return res
 	}
-	ev, cy := run(EngineEvent), run(EngineCycle)
+	ev, cy := run(eventEngine), run(cycleEngine)
 	if ev.Cycles != cy.Cycles {
 		t.Errorf("cycles: event %d, cycle %d", ev.Cycles, cy.Cycles)
 	}
@@ -165,10 +165,10 @@ func TestEngineGoldenRecovery(t *testing.T) {
 // finish. Both engines must agree (the legacy loop shares checkWatchdog).
 func TestWatchdogToleratesLongMemoryGap(t *testing.T) {
 	faults := &dram.Faults{Seed: 3, SpikeProb: 1.0, SpikeCycles: 400}
-	for _, kind := range []EngineKind{EngineEvent, EngineCycle} {
+	for _, kind := range []engineKind{eventEngine, cycleEngine} {
 		m, total, want := recoverySetup(t, nil)
-		res, st, err := Simulate(context.Background(), m, Options{
-			Engine: kind, Faults: faults, StallWindow: 64})
+		res, st, err := simulate(context.Background(), m,
+			Options{Faults: faults, StallWindow: 64}, kind.loop)
 		if err != nil {
 			t.Fatalf("%v engine: spiked run tripped the stall detector: %v", kind, err)
 		}

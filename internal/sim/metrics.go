@@ -41,11 +41,9 @@ func UseMetrics(r *metrics.Registry) {
 	})
 }
 
-// observeRun records a finished run's event-loop efficiency. Only the event
-// core reports: the cycle engine takes exactly one step per cycle by
-// definition, and observing a constant 1.0 would drown the signal.
+// observeRun records a finished run's event-loop efficiency.
 func (e *engine) observeRun(cycles int64) {
-	if e.insts == nil || e.mode != EngineEvent || cycles <= 0 {
+	if e.insts == nil || cycles <= 0 {
 		return
 	}
 	e.insts.eventsPerCycle.Observe(float64(e.steps) / float64(cycles))

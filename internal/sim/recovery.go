@@ -52,23 +52,6 @@ type RecoveryStats struct {
 // against an event-free run of the same plan.
 func (s *RecoveryStats) Overhead() int64 { return s.DrainCycles + s.ReconfigCycles }
 
-// RunWithRecovery simulates a compiled program, surviving the fault plan's
-// timed mid-run events.
-//
-// Deprecated: use Simulate(context.Background(), m, opts) with
-// Options.Recovery set.
-func RunWithRecovery(m *compiler.Mapping, opts Options) (*Result, *dhdl.State, error) {
-	return RunWithRecoveryCtx(context.Background(), m, opts)
-}
-
-// RunWithRecoveryCtx is RunWithRecovery under a context.
-//
-// Deprecated: use Simulate(ctx, m, opts) with Options.Recovery set.
-func RunWithRecoveryCtx(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, *dhdl.State, error) {
-	opts.Recovery = true
-	return Simulate(ctx, m, opts)
-}
-
 // runRecovery simulates a compiled program whose fault plan schedules
 // timed mid-run events (Simulate guarantees there is at least one),
 // surviving each one:
@@ -84,9 +67,9 @@ func RunWithRecoveryCtx(ctx context.Context, m *compiler.Mapping, opts Options) 
 //
 // A fault the mapping cannot be repaired around (wrapping
 // compiler.ErrInsufficient or compiler.ErrNoRoute) fails the run.
-func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, *dhdl.State, error) {
+func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*Result, *dhdl.State, error) {
 	events := m.Faults.Events()
-	eng, st, err := prepare(ctx, m, opts)
+	eng, st, err := prepare(ctx, m, opts, lp)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -160,7 +143,7 @@ func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options) (*Resul
 			units: eng.units, rec: eng.rec,
 			maxCycles: eng.maxCycles, stallWindow: eng.stallWindow,
 			ctx: eng.ctx, nextCtxCheck: eng.nextCtxCheck,
-			mode: eng.mode, insts: eng.insts, steps: eng.steps}
+			loop: eng.loop, insts: eng.insts, steps: eng.steps}
 		if err := fresh.restore(cp); err != nil {
 			return nil, nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -48,7 +49,7 @@ func recoverySetup(t *testing.T, plan *fault.Plan) (*compiler.Mapping, *dhdl.Reg
 	if err := bv.Bind(pattern.FromF32("b", bvv)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := compiler.CompileWithFaults(p, arch.Default(), plan)
+	m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default(), Faults: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,15 +64,15 @@ func checkDot(t *testing.T, st *dhdl.State, total *dhdl.Reg, want float64) {
 	}
 }
 
-// TestRecoveryZeroEventsMatchesRunOpts: with no timed events, the recovery
+// TestRecoveryZeroEventsMatchesPlainRun: with no timed events, the recovery
 // controller must be bit-identical to the plain pipeline.
-func TestRecoveryZeroEventsMatchesRunOpts(t *testing.T) {
+func TestRecoveryZeroEventsMatchesPlainRun(t *testing.T) {
 	plan, err := fault.NewPlan(fault.Spec{Seed: 5, PCUs: 2, PMUs: 2}, arch.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
 	m1, total1, want := recoverySetup(t, plan)
-	r1, st1, err := RunOpts(m1, Options{})
+	r1, st1, err := Simulate(context.Background(), m1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestRecoveryZeroEventsMatchesRunOpts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2, total2, _ := recoverySetup(t, plan2)
-	r2, st2, err := RunWithRecovery(m2, Options{})
+	r2, st2, err := Simulate(context.Background(), m2, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestRecoveryZeroEventsMatchesRunOpts(t *testing.T) {
 		t.Error("zero-event run reports recovery stats")
 	}
 	if r1.Cycles != r2.Cycles || r1.DRAM != r2.DRAM {
-		t.Errorf("zero-event recovery diverges from RunOpts: %d vs %d cycles, DRAM\n%+v\n%+v",
+		t.Errorf("zero-event recovery diverges from the plain run: %d vs %d cycles, DRAM\n%+v\n%+v",
 			r2.Cycles, r1.Cycles, r2.DRAM, r1.DRAM)
 	}
 }
@@ -100,7 +101,7 @@ func TestRecoveryZeroEventsMatchesRunOpts(t *testing.T) {
 func pristineCycles(t *testing.T) int64 {
 	t.Helper()
 	m, total, want := recoverySetup(t, nil)
-	r, st, err := Run(m)
+	r, st, err := Simulate(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestRecoverySurvivesPCUKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, total, want := recoverySetup(t, plan)
-	r, st, err := RunWithRecovery(m, Options{})
+	r, st, err := Simulate(context.Background(), m, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestRecoverySurvivesChannelKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, total, want := recoverySetup(t, plan)
-	r, st, err := RunWithRecovery(m, Options{})
+	r, st, err := Simulate(context.Background(), m, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestRecoveryDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		m, total, want := recoverySetup(t, plan)
-		r, st, err := RunWithRecovery(m, Options{})
+		r, st, err := Simulate(context.Background(), m, Options{Recovery: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,7 +229,7 @@ func TestRecoveryMultiEventOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, total, want := recoverySetup(t, plan)
-	r, st, err := RunWithRecovery(m, Options{})
+	r, st, err := Simulate(context.Background(), m, Options{Recovery: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,32 +60,6 @@ func (r *Result) EffectiveBandwidth() float64 {
 	return float64(r.DRAM.BytesRead+r.DRAM.BytesWritten) / r.Seconds
 }
 
-// EngineKind selects Simulate's scheduling core.
-type EngineKind int
-
-const (
-	// EngineEvent is the discrete-event core and the default: the engine
-	// computes the next state-changing cycle (burst completion, retry expiry,
-	// refresh, transfer admission, watchdog deadline) and jumps straight to
-	// it, so quiescent stretches cost nothing. Results are byte-identical to
-	// EngineCycle.
-	EngineEvent EngineKind = iota
-	// EngineCycle is the legacy cycle-by-cycle loop, kept as the reference
-	// oracle the event core is differentially tested against.
-	EngineCycle
-)
-
-func (k EngineKind) String() string {
-	switch k {
-	case EngineEvent:
-		return "event"
-	case EngineCycle:
-		return "cycle"
-	default:
-		return fmt.Sprintf("EngineKind(%d)", int(k))
-	}
-}
-
 // Options tune simulator behaviour for ablation studies.
 type Options struct {
 	// CoalesceWindow sets the coalescing cache size in bursts; 1 disables
@@ -121,45 +95,42 @@ type Options struct {
 	// events in the plan this is a no-op and the run is bit-identical to a
 	// plain one.
 	Recovery bool
-	// Engine selects the scheduling core. The zero value, EngineEvent, is
-	// the discrete-event core; EngineCycle forces the legacy cycle-by-cycle
-	// reference loop. Both produce byte-identical results.
-	Engine EngineKind
 }
 
 // Simulate runs a compiled program and is the one simulator entry point: the
 // context bounds the run (cancellation surfaces as a *WatchdogError whose
 // Cause is ctx.Err()), and Options selects everything else — ablations,
-// fault injection, watchdog budgets, tracing, the recovery protocol and the
-// scheduling core. All of the program's DRAM buffers must be bound to
-// collections; the functional results land in those collections and the
-// returned state, while the returned Result carries the cycle-level timing.
+// fault injection, watchdog budgets, tracing and the recovery protocol. All
+// of the program's DRAM buffers must be bound to collections; the
+// functional results land in those collections and the returned state,
+// while the returned Result carries the cycle-level timing.
 func Simulate(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, *dhdl.State, error) {
+	return simulate(ctx, m, opts, eventLoop)
+}
+
+// simulate is Simulate on an explicit scheduling core. Production passes
+// eventLoop; the golden identity tests also pass the cycle-by-cycle
+// reference loop, so both cores run the same plain, faulted, checkpoint and
+// recovery paths.
+func simulate(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*Result, *dhdl.State, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if opts.Recovery && len(m.Faults.Events()) > 0 {
-		return runRecovery(ctx, m, opts)
+		return runRecovery(ctx, m, opts, lp)
 	}
-	return runPlain(ctx, m, opts)
-}
-
-// Run simulates a compiled program with default options.
-//
-// Deprecated: use Simulate(context.Background(), m, Options{}).
-func Run(m *compiler.Mapping) (*Result, *dhdl.State, error) {
-	return Simulate(context.Background(), m, Options{})
+	return runPlain(ctx, m, opts, lp)
 }
 
 // prepare runs the functional trace, builds the timed activity graph, and
 // constructs the memory system — everything up to (but excluding) advancing
-// the clock. RunOpts and RunWithRecovery share it, so the uninterrupted and
+// the clock. runPlain and runRecovery share it, so the uninterrupted and
 // recovering paths simulate the identical graph against the identical DRAM.
 // The trace mutates the program's bound collections in place, so prepare
 // must run exactly once per simulation; recovery restores into the graph it
 // built rather than re-tracing. The trace polls ctx, so a canceled run
 // stops there too, with an error wrapping ctx.Err().
-func prepare(ctx context.Context, m *compiler.Mapping, opts Options) (*engine, *dhdl.State, error) {
+func prepare(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*engine, *dhdl.State, error) {
 	b := newBuilder(m)
 	if opts.CoalesceWindow > 0 {
 		b.coalesceWindow = opts.CoalesceWindow
@@ -184,7 +155,7 @@ func prepare(ctx context.Context, m *compiler.Mapping, opts Options) (*engine, *
 	}
 	return &engine{acts: b.acts, dram: ddr, units: b.units, rec: opts.Recorder,
 		maxCycles: opts.MaxCycles, stallWindow: opts.StallWindow,
-		mode: opts.Engine, insts: simMetrics.Load()}, st, nil
+		loop: lp, insts: simMetrics.Load()}, st, nil
 }
 
 // buildResult assembles the Result for a finished engine.
@@ -207,26 +178,12 @@ func buildResult(m *compiler.Mapping, e *engine, cycles int64, t0 time.Time) *Re
 	return res
 }
 
-// RunOpts is Run with ablation options.
-//
-// Deprecated: use Simulate(context.Background(), m, opts).
-func RunOpts(m *compiler.Mapping, opts Options) (*Result, *dhdl.State, error) {
-	return Simulate(context.Background(), m, opts)
-}
-
-// RunCtx is RunOpts under a context.
-//
-// Deprecated: use Simulate(ctx, m, opts).
-func RunCtx(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, *dhdl.State, error) {
-	return Simulate(ctx, m, opts)
-}
-
 // runPlain simulates an uninterrupted run: the engine polls ctx periodically
 // (see ctxCheckInterval) and a canceled run aborts with a *WatchdogError
 // whose Cause is the context error, so errors.Is(err, context.Canceled)
 // holds.
-func runPlain(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, *dhdl.State, error) {
-	eng, st, err := prepare(ctx, m, opts)
+func runPlain(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*Result, *dhdl.State, error) {
+	eng, st, err := prepare(ctx, m, opts, lp)
 	if err != nil {
 		return nil, nil, err
 	}

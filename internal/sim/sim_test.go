@@ -53,7 +53,7 @@ func dotSetup(t *testing.T, n, tile int, pipelined bool) (*compiler.Mapping, *dh
 	if err := bv.Bind(pattern.FromF32("b", bvv)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := compiler.Compile(p, arch.Default())
+	m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func dotSetup(t *testing.T, n, tile int, pipelined bool) (*compiler.Mapping, *dh
 
 func TestSimDotFunctionalMatchesReference(t *testing.T) {
 	m, total, want := dotSetup(t, 4096, 512, true)
-	res, st, err := Run(m)
+	res, st, err := Simulate(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func TestSimulateCanceledStopsInFunctionalTrace(t *testing.T) {
 func TestSimPipelineFasterThanSequential(t *testing.T) {
 	mp, _, _ := dotSetup(t, 8192, 512, true)
 	ms, _, _ := dotSetup(t, 8192, 512, false)
-	rp, _, err := Run(mp)
+	rp, _, err := Simulate(context.Background(), mp, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, _, err := Run(ms)
+	rs, _, err := Simulate(context.Background(), ms, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +142,11 @@ func TestSimStreamingBoundByDRAMBandwidth(t *testing.T) {
 	if err := a.Bind(pattern.FromF32("a", av)); err != nil {
 		t.Fatal(err)
 	}
-	m, err := compiler.Compile(p, arch.Default())
+	m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := Run(m)
+	res, st, err := Simulate(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,17 +196,17 @@ func TestSimGatherSlowerThanDenseLoad(t *testing.T) {
 		}
 		mustBindT(b, table, pattern.FromF32("t", tv))
 		mustBindT(b, idxb, pattern.FromI32("i", iv))
-		m, err := compiler.Compile(p, arch.Default())
+		m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
 		if err != nil {
 			panic(err)
 		}
 		return m
 	}
-	rs, _, err := Run(build(true))
+	rs, _, err := Simulate(context.Background(), build(true), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, _, err := Run(build(false))
+	rd, _, err := Simulate(context.Background(), build(false), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,17 +240,17 @@ func TestSimUnrollSpeedsUpCompute(t *testing.T) {
 				return []*dhdl.Assign{dhdl.StoreAt(d, jx[0], v)}
 			})
 		})
-		m, err := compiler.Compile(b.MustBuild(), arch.Default())
+		m, err := compiler.CompileOpts(context.Background(), b.MustBuild(), compiler.Options{Params: arch.Default()})
 		if err != nil {
 			panic(err)
 		}
 		return m
 	}
-	r1, _, err := Run(build(1))
+	r1, _, err := Simulate(context.Background(), build(1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, _, err := Run(build(4))
+	r4, _, err := Simulate(context.Background(), build(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestSimUnrollSpeedsUpCompute(t *testing.T) {
 
 func TestSimPowerWithinChipEnvelope(t *testing.T) {
 	m, _, _ := dotSetup(t, 4096, 512, true)
-	res, _, err := Run(m)
+	res, _, err := Simulate(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,11 +286,11 @@ func TestSimSequentialDependencyOrdering(t *testing.T) {
 			return []*dhdl.Assign{dhdl.Accum(r, pattern.Add, dhdl.Ld(s, ix[0]))}
 		})
 	})
-	m, err := compiler.Compile(b.MustBuild(), arch.Default())
+	m, err := compiler.CompileOpts(context.Background(), b.MustBuild(), compiler.Options{Params: arch.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, st, err := Run(m)
+	res, st, err := Simulate(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

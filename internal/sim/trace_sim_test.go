@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
@@ -144,7 +145,7 @@ func TestWatchdogDiagnosticTopStalled(t *testing.T) {
 func TestEndToEndProfileInvariant(t *testing.T) {
 	m, total, want := dotSetup(t, 4096, 512, true)
 	col := trace.NewCollector()
-	res, st, err := RunOpts(m, Options{Recorder: col})
+	res, st, err := Simulate(context.Background(), m, Options{Recorder: col})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"context"
 	"testing"
 
 	"plasticine/internal/arch"
@@ -19,7 +20,7 @@ func TestMappingProperties(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := compiler.Compile(p, arch.Default())
+		m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +139,7 @@ func TestBitstreamsGenerateForAllBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := compiler.Compile(p, arch.Default())
+			m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
 			if err != nil {
 				t.Fatal(err)
 			}

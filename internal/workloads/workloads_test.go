@@ -41,7 +41,7 @@ func TestCompiles(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			m, err := compiler.Compile(p, arch.Default())
+			m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -70,7 +70,7 @@ func TestSimulated(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			m, err := compiler.Compile(p, arch.Default())
+			m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
