@@ -166,8 +166,8 @@ commands:
                     space for the given workload mix, minimising weighted
                     cycles, area and power under analytical constraints;
                     deterministic per -seed at any -workers, resumable from
-                    a -cache-dir snapshot after a kill, shardable across
-                    processes with -shard
+                    its -cache-dir design points after a kill, shardable
+                    across processes with -shard
   serve [-addr host:port] [-queue N] [-tenant-rate R] [-drain d] [suite flags]
                     multi-tenant evaluation service: HTTP/JSON endpoints
                     (/v1/run, /v1/compile, /v1/profile, /v1/explain,

@@ -4,10 +4,10 @@ package main
 // workload mix under 100 mm²" as one invocation. Front table (or -json
 // document) on stdout, byte-identical at any -workers count; progress,
 // prune accounting and the cache summary on stderr. With -cache-dir the
-// search is killable: evaluations persist in the design-point cache and the
-// search state in a PLTN snapshot, so a rerun resumes byte-identically, and
-// -shard i/N splits one search across cooperating processes sharing the
-// directory.
+// search is killable: evaluations persist in the design-point cache, so a
+// rerun re-walks the seeded trajectory from disk and finishes
+// byte-identically, and -shard i/N splits one search across cooperating
+// processes sharing the directory.
 
 import (
 	"context"
@@ -76,10 +76,6 @@ func cmdTune(ctx context.Context, args []string) error {
 		return err
 	}
 	st := res.Stats
-	if st.ResumedEvaluations > 0 || st.ResumedGenerations > 0 {
-		fmt.Fprintf(os.Stderr, "tune: resumed from snapshot: %d generation(s), %d evaluation(s) already complete\n",
-			st.ResumedGenerations, st.ResumedEvaluations)
-	}
 	pct := 0.0
 	if st.Sampled > 0 {
 		pct = 100 * float64(st.PrunedAnalytic) / float64(st.Sampled)

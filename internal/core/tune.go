@@ -23,14 +23,14 @@ import (
 // for the spec's workload mix. onGen (nil ok) observes each completed
 // generation. Deterministic for a fixed spec at any worker count; with a
 // disk cache attached, a killed run rerun against the same directory
-// resumes byte-identically from its PLTN snapshot.
+// re-walks its trajectory from the cached evaluations and finishes
+// byte-identically.
 func (s *Session) Tune(ctx context.Context, spec tune.Spec, onGen func(tune.Generation)) (*tune.Result, error) {
 	return tune.Search(ctx, spec, tune.Env{
 		Engine:       s.engine,
 		Bench:        dse.LoadBench,
 		Evaluate:     s.tuneEvaluate,
 		OnGeneration: onGen,
-		Logf:         nil,
 		Metrics:      s.metricsReg.Load(),
 	})
 }

@@ -117,14 +117,16 @@ func (p *Pool) track(ctx context.Context, i int, fn func(context.Context, int) e
 // worker count.
 //
 // The first real (non-cancellation) failure cancels the derived context,
-// stopping in-flight and unstarted jobs early. The returned error is the
-// failure with the lowest job index — the same error a sequential run would
-// return — so error output is deterministic too. Cancellation errors from
-// sibling jobs reacting to a context that was already dying (because a
-// sibling failed, or because the parent ctx was canceled or hit its
-// deadline) are never reported as failures; if the parent context died, Map
-// returns the parent's own error. A panicking job is recovered into a
-// *PanicError and treated as a real failure.
+// so unstarted jobs never start and in-flight jobs that watch their
+// context stop early. Jobs are claimed in index order and a claimed job
+// always runs, so the returned error is the failure with the lowest job
+// index — the same error a sequential run would return — unless a job
+// below it watches its context and is cut short before reaching its own
+// failure. Cancellation errors from sibling jobs reacting to a context
+// that was already dying (because a sibling failed, or because the parent
+// ctx was canceled or hit its deadline) are never reported as failures; if
+// the parent context died, Map returns the parent's own error. A panicking
+// job is recovered into a *PanicError and treated as a real failure.
 func (p *Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -160,9 +162,11 @@ func (p *Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i in
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
+			// Check before claiming, never after: a claimed index always
+			// runs, so no index below a failure is skipped.
+			for jobCtx.Err() == nil {
 				i := int(next.Add(1)) - 1
-				if i >= n || jobCtx.Err() != nil {
+				if i >= n {
 					return
 				}
 				if err := p.track(jobCtx, i, fn); err != nil {

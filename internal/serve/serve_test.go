@@ -531,13 +531,11 @@ func TestStatszShape(t *testing.T) {
 	}
 }
 
-// TestTuneStreamsGenerationsAndResult drives a tiny /v1/tune search end to
-// end: the stream must open with queued, emit at least one generation event,
-// carry the plasticine-tune/v1 document in its result event, and close with
-// done.
-func TestTuneStreamsGenerationsAndResult(t *testing.T) {
-	_, ts := newTestServer(t, nil)
-	resp, err := http.Get(ts.URL + "/v1/tune?mix=InnerProduct:1&budget=2&pop=4&seed=7&max_area=120&timeout=5m")
+// tuneStream runs one /v1/tune request to completion and returns its NDJSON
+// events in order.
+func tuneStream(t *testing.T, url string) []sweepEvent {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,18 +554,28 @@ func TestTuneStreamsGenerationsAndResult(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
 		}
+		if ev.Event == "error" {
+			t.Fatalf("tune errored: %+v", ev)
+		}
 		events = append(events, ev)
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return events
+}
+
+// TestTuneStreamsGenerationsAndResult drives a tiny /v1/tune search end to
+// end: the stream must open with queued, emit at least one generation event,
+// carry the plasticine-tune/v1 document in its result event, and close with
+// done.
+func TestTuneStreamsGenerationsAndResult(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	events := tuneStream(t, ts.URL+"/v1/tune?mix=InnerProduct:1&budget=2&pop=4&seed=7&max_area=120&timeout=5m")
 	count := map[string]int{}
 	var resultData any
 	for _, ev := range events {
 		count[ev.Event]++
-		if ev.Event == "error" {
-			t.Fatalf("tune errored: %+v", ev)
-		}
 		if ev.Event == "result" {
 			resultData = ev.Data
 		}
@@ -587,6 +595,42 @@ func TestTuneStreamsGenerationsAndResult(t *testing.T) {
 	}
 }
 
+// TestTuneRepeatStreamsSameGenerations: a repeated search on a disk-backed
+// server re-walks its trajectory from the cache, so the second stream
+// reports the same generations and the same result as the first.
+func TestTuneRepeatStreamsSameGenerations(t *testing.T) {
+	disk, err := exec.OpenDiskCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, func(cfg *Config) {
+		cfg.Session = core.NewSession(core.WithWorkers(2), core.WithDiskCache(disk))
+	})
+	url := ts.URL + "/v1/tune?mix=InnerProduct:1&budget=8&pop=4&seed=7&max_area=120&timeout=5m"
+	// Event names and payloads only: timing fields differ run to run.
+	progress := func(events []sweepEvent) string {
+		var kept []sweepEvent
+		for _, ev := range events {
+			if ev.Event == "generation" || ev.Event == "result" {
+				kept = append(kept, sweepEvent{Event: ev.Event, Data: ev.Data})
+			}
+		}
+		data, err := json.Marshal(kept)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	first := progress(tuneStream(t, url))
+	second := progress(tuneStream(t, url))
+	if !strings.Contains(first, `"generation"`) {
+		t.Fatalf("first stream has no generation events: %s", first)
+	}
+	if first != second {
+		t.Fatalf("repeated search streamed different progress:\n-- first --\n%s\n-- second --\n%s", first, second)
+	}
+}
+
 // TestTuneBadParamsAre400 pins the pre-admission validation: malformed specs
 // are refused before the stream is committed.
 func TestTuneBadParamsAre400(t *testing.T) {
@@ -596,6 +640,7 @@ func TestTuneBadParamsAre400(t *testing.T) {
 		"budget=0",
 		"budget=99999",
 		"pop=0",
+		"max_generations=-1",
 		"max_area=-5",
 		"seed=notanumber",
 	} {

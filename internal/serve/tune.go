@@ -84,6 +84,9 @@ func tuneSpec(r *http.Request) (tune.Spec, error) {
 	if spec.MaxGenerations, err = intParam("max_generations", 0); err != nil {
 		return spec, err
 	}
+	if spec.MaxGenerations < 0 {
+		return spec, fmt.Errorf("max_generations %d is negative", spec.MaxGenerations)
+	}
 	seed, err := intParam("seed", 1)
 	if err != nil {
 		return spec, err

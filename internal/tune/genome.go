@@ -65,9 +65,9 @@ func paramKey(p arch.Params) string {
 		p.PCU.VectorIns, p.PCU.VectorOuts, p.PMU.BankKB)
 }
 
-// rng is a splitmix64 generator. Unlike math/rand it is a single uint64 of
-// state, so a snapshot can persist it and a resumed search replays the
-// exact draw sequence.
+// rng is a splitmix64 generator seeded from Spec.Seed, so a rerun replays
+// the exact draw sequence — which is what lets a killed search resume from
+// the design-point cache alone.
 type rng struct{ state uint64 }
 
 func (r *rng) next() uint64 {

@@ -29,12 +29,20 @@ type search struct {
 
 	records []evalRecord    // every simulated candidate, in evaluation order
 	seen    map[string]bool // keys of evaluated candidates (dedup)
+}
 
-	snapPath string
-	specHash uint64
-
-	resumedGen   int
-	resumedEvals int64
+// evalRecord is one simulated candidate, in evaluation order. The ordered
+// record list is the whole mutable search state: front, parent selection
+// and dedup set are all recomputed from it.
+type evalRecord struct {
+	Key            string
+	Params         arch.Params
+	AreaMM2        float64
+	PowerW         float64
+	Infeasible     bool
+	Cycles         map[string]int64
+	WeightedCycles float64
+	Gen            int
 }
 
 // searchMetrics bundles the tuner's side-channel collectors. With a nil
@@ -68,8 +76,10 @@ func newSearchMetrics(r *metrics.Registry) searchMetrics {
 func RegisterSearchMetrics(r *metrics.Registry) { newSearchMetrics(r) }
 
 // Search runs one budgeted Pareto-front search. Deterministic for a fixed
-// spec at any engine worker count; resumable byte-identically from the PLTN
-// snapshot when the engine has a disk tier.
+// spec at any engine worker count. When the engine has a disk tier, a rerun
+// re-walks the same seeded trajectory with every completed evaluation
+// served from the design-point cache, so a killed search resumes
+// byte-identically.
 func Search(ctx context.Context, spec Spec, env Env) (*Result, error) {
 	if env.Evaluate == nil {
 		return nil, errors.New("tune: Env.Evaluate is required")
@@ -78,11 +88,10 @@ func Search(ctx context.Context, spec Spec, env Env) (*Result, error) {
 		return nil, err
 	}
 	s := &search{
-		spec:     spec,
-		env:      env,
-		rng:      rng{state: uint64(spec.Seed)},
-		seen:     map[string]bool{},
-		specHash: spec.hash(),
+		spec: spec,
+		env:  env,
+		rng:  rng{state: uint64(spec.Seed)},
+		seen: map[string]bool{},
 	}
 	if env.Bench != nil {
 		s.benches = make(map[string]*dse.Bench, len(spec.Mix))
@@ -93,10 +102,6 @@ func Search(ctx context.Context, spec Spec, env Env) (*Result, error) {
 			}
 			s.benches[m.Bench] = b
 		}
-	}
-	if d := env.Engine.Cache().Disk(); d != nil {
-		s.snapPath = snapshotPath(d.Dir(), &s.spec)
-		s.loadSnapshot()
 	}
 
 	// Side-channel instrumentation only: a nil registry hands out nil
@@ -121,11 +126,6 @@ func Search(ctx context.Context, spec Spec, env Env) (*Result, error) {
 		sm.dups.Add(s.dups - before.dups)
 		sm.evaluated.Add(int64(len(s.records)) - before.evaluated)
 		sm.infeasible.Add(s.infeasibleSim - before.infeasible)
-		if err := s.writeSnapshot(); err != nil {
-			// A failed snapshot write costs resumability, not correctness;
-			// the design-point cache still holds every completed evaluation.
-			s.env.logf("tune: snapshot write failed (search continues): %v", err)
-		}
 		if s.env.OnGeneration != nil {
 			s.env.OnGeneration(Generation{
 				Gen:       s.gen,
@@ -397,56 +397,17 @@ func (s *search) parents() []Point {
 	return front
 }
 
-// writeSnapshot persists the search state after a completed generation.
-func (s *search) writeSnapshot() error {
-	if s.snapPath == "" {
-		return nil
-	}
-	return writeSnapshotFile(s.snapPath, &snapshot{
-		SpecHash: s.specHash,
-		Seed:     s.spec.Seed,
-		Gen:      s.gen,
-		Rng:      s.rng.state,
-		Sampled:  s.sampled, Pruned: s.pruned,
-		Duplicates: s.dups, InfeasibleSim: s.infeasibleSim,
-		Records: s.records,
-	})
-}
-
-// loadSnapshot resumes from the cache directory's PLTN snapshot if one
-// matches this search's identity.
-func (s *search) loadSnapshot() {
-	snap, quarantined, err := loadSnapshotFile(s.snapPath, s.specHash)
-	if quarantined {
-		s.env.logf("tune: quarantined corrupt snapshot %s (search restarts from the design-point cache): %v", s.snapPath, err)
-	}
-	if snap == nil {
-		return
-	}
-	s.gen = snap.Gen
-	s.rng.state = snap.Rng
-	s.sampled, s.pruned = snap.Sampled, snap.Pruned
-	s.dups, s.infeasibleSim = snap.Duplicates, snap.InfeasibleSim
-	s.records = snap.Records
-	for _, r := range s.records {
-		s.seen[r.Key] = true
-	}
-	s.resumedGen, s.resumedEvals = snap.Gen, int64(len(snap.Records))
-}
-
 // result assembles the final front and accounting.
 func (s *search) result() *Result {
 	return &Result{
 		Front: s.front(),
 		Stats: Stats{
-			Generations:        s.gen,
-			Sampled:            s.sampled,
-			PrunedAnalytic:     s.pruned,
-			Duplicates:         s.dups,
-			Evaluated:          int64(len(s.records)),
-			InfeasibleSim:      s.infeasibleSim,
-			ResumedGenerations: s.resumedGen,
-			ResumedEvaluations: s.resumedEvals,
+			Generations:    s.gen,
+			Sampled:        s.sampled,
+			PrunedAnalytic: s.pruned,
+			Duplicates:     s.dups,
+			Evaluated:      int64(len(s.records)),
+			InfeasibleSim:  s.infeasibleSim,
 		},
 	}
 }

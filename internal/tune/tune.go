@@ -15,16 +15,15 @@
 // non-dominated half as the next generation's parents.
 //
 // Determinism: every random draw happens on the coordinator in a fixed
-// order from a seeded, serialisable RNG, evaluation results are a pure
+// order from a seeded RNG, evaluation results are a pure
 // function of (params, benchmark), and fronts are merged and sorted by
 // canonical keys — so a fixed seed yields a byte-identical front at any
 // worker count.
 //
 // Durability: when the engine has a disk tier, every evaluation persists
-// through the design-point cache and the search state itself is written
-// after each generation as a versioned PLTN snapshot (crc32, atomic
-// temp+rename, quarantine-on-corrupt — the PLDE/PLCK discipline). A
-// SIGKILL'd search rerun against the same cache directory resumes
+// through the design-point cache. Since the trajectory is a function of
+// the spec alone, a SIGKILL'd search rerun against the same cache directory
+// re-walks it with completed evaluations served from disk and resumes
 // byte-identically, and N cooperating processes can split one search via
 // Spec.Shard/Shards over a shared directory.
 package tune
@@ -34,7 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -90,10 +88,10 @@ type Constraints struct {
 	MaxPowerW  float64 `json:"max_power_w,omitempty"`
 }
 
-// Spec describes one search. The identity fields (Mix, Constraints,
-// Population, Seed) determine the search trajectory and key its snapshot;
-// Budget, MaxGenerations, Shard/Shards and ShardWait are stop/execution
-// parameters a resumed run may change without invalidating prior work.
+// Spec describes one search. Mix, Constraints, Population and Seed
+// determine the search trajectory; Budget, MaxGenerations, Shard/Shards and
+// ShardWait are stop/execution parameters a rerun may change while still
+// reusing every cached evaluation of the shared prefix.
 type Spec struct {
 	Mix         []MixEntry  `json:"mix"`
 	Constraints Constraints `json:"constraints"`
@@ -125,8 +123,9 @@ type Spec struct {
 }
 
 // normalize canonicalises the spec in place: the mix is merged by benchmark
-// and sorted by name, and defaults are filled, so equal searches hash
-// equally and weighted sums fold in a fixed order.
+// and sorted by name, and zero sizes are filled with defaults, so equal
+// searches walk the same trajectory and weighted sums fold in a fixed
+// order. Negative sizes are errors, not requests for the default.
 func (s *Spec) normalize() error {
 	if len(s.Mix) == 0 {
 		return errors.New("tune: spec has an empty workload mix")
@@ -160,13 +159,21 @@ func (s *Spec) normalize() error {
 		return fmt.Errorf("tune: negative constraint (area %g mm², power %g W)",
 			s.Constraints.MaxAreaMM2, s.Constraints.MaxPowerW)
 	}
-	if s.Budget <= 0 {
+	switch {
+	case s.Budget < 0:
+		return fmt.Errorf("tune: negative budget %d", s.Budget)
+	case s.Population < 0:
+		return fmt.Errorf("tune: negative population %d", s.Population)
+	case s.MaxGenerations < 0:
+		return fmt.Errorf("tune: negative max generations %d", s.MaxGenerations)
+	}
+	if s.Budget == 0 {
 		s.Budget = 48
 	}
-	if s.Population <= 0 {
+	if s.Population == 0 {
 		s.Population = 24
 	}
-	if s.MaxGenerations <= 0 {
+	if s.MaxGenerations == 0 {
 		s.MaxGenerations = 16 + 8*((s.Budget+s.Population-1)/s.Population)
 	}
 	if s.Shards <= 0 {
@@ -179,22 +186,6 @@ func (s *Spec) normalize() error {
 		s.ShardWait = 15 * time.Second
 	}
 	return nil
-}
-
-// hash fingerprints the search identity: the fields that determine the
-// sampling trajectory. Budget, generation cap and sharding are deliberately
-// excluded — they only decide when to stop and who computes what, so a
-// rerun may extend the budget or change the shard layout and still resume.
-func (s *Spec) hash() uint64 {
-	var b strings.Builder
-	for _, m := range s.Mix {
-		fmt.Fprintf(&b, "%s:%g,", m.Bench, m.Weight)
-	}
-	fmt.Fprintf(&b, "|area=%g|power=%g|pop=%d|seed=%d|v=%d",
-		s.Constraints.MaxAreaMM2, s.Constraints.MaxPowerW, s.Population, s.Seed, SnapshotVersion)
-	h := fnv.New64a()
-	h.Write([]byte(b.String()))
-	return h.Sum64()
 }
 
 // EvalOutcome is one (candidate, benchmark) simulation result. Designs the
@@ -234,12 +225,6 @@ type Stats struct {
 	Duplicates     int64 `json:"duplicates"`
 	Evaluated      int64 `json:"evaluated"`
 	InfeasibleSim  int64 `json:"infeasible_sim"`
-
-	// Resume accounting is process-local (how much this run inherited from
-	// a snapshot) and excluded from JSON so a resumed run's document is
-	// byte-identical to an uninterrupted one's.
-	ResumedGenerations int   `json:"-"`
-	ResumedEvaluations int64 `json:"-"`
 }
 
 // Result is the search outcome: the non-dominated front over every
@@ -265,7 +250,7 @@ type Generation struct {
 // cycle with core while still riding the shared engine.
 type Env struct {
 	// Engine supplies the worker pool, the design-point cache (memory +
-	// optional disk tier, which also hosts the PLTN snapshot) and the job
+	// optional disk tier, which makes a search resumable) and the job
 	// policy. A nil engine evaluates sequentially and uncached.
 	Engine *exec.Engine
 
@@ -281,20 +266,10 @@ type Env struct {
 	// OnGeneration, when set, observes each completed generation.
 	OnGeneration func(Generation)
 
-	// Logf receives diagnostics (snapshot quarantines, resume notes);
-	// nil discards them. Never used for results.
-	Logf func(format string, args ...any)
-
 	// Metrics, when set, receives side-channel instrumentation:
 	// generation wall time and prune-stage counters. Never feeds back
 	// into the search — results stay byte-identical with or without it.
 	Metrics *metrics.Registry
-}
-
-func (e *Env) logf(format string, args ...any) {
-	if e.Logf != nil {
-		e.Logf(format, args...)
-	}
 }
 
 // FormatFront renders the Pareto front as a text table.

@@ -7,9 +7,8 @@ package tune
 import (
 	"bytes"
 	"context"
-	"fmt"
-	"os"
-	"path/filepath"
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,22 +109,44 @@ func diskEnv(t *testing.T, workers int, dir string, calls *atomic.Int64) Env {
 	return env
 }
 
+// rerun searches spec again over dir, whose earlier run finished done of
+// the clean run's raw evaluations, and checks the resume contract: the
+// clean run's document, those done evaluations served from disk, and only
+// the rest computed. It returns the rerun's cache counters.
+func rerun(t *testing.T, spec Spec, dir string, want []byte, done, clean int64) exec.CacheStats {
+	t.Helper()
+	var calls atomic.Int64
+	env := diskEnv(t, 4, dir, &calls)
+	if got := searchJSON(t, spec, env); !bytes.Equal(got, want) {
+		t.Fatalf("rerun differs from the clean run:\n-- rerun --\n%s\n-- clean --\n%s", got, want)
+	}
+	s := env.Engine.CacheStats()
+	if s.DiskHits != done || calls.Load() != clean-done {
+		t.Fatalf("rerun: %d disk hits, %d raw evaluations; the earlier run finished %d of the clean run's %d",
+			s.DiskHits, calls.Load(), done, clean)
+	}
+	return s
+}
+
 // TestKillAndResume is the durability contract: a search killed after its
-// first generation, rerun against the same cache directory, resumes from the
-// PLTN snapshot and finishes byte-identical to an uninterrupted run — and a
-// third run over the complete state recomputes and rewrites nothing.
+// first generation, rerun against the same cache directory, re-walks its
+// trajectory with the finished generation served from disk and ends
+// byte-identical to an uninterrupted run — and a third run over the
+// complete directory recomputes and rewrites nothing.
 func TestKillAndResume(t *testing.T) {
 	spec := testSpec()
 
 	// Uninterrupted reference run in its own directory.
-	want := searchJSON(t, spec, diskEnv(t, 4, t.TempDir(), nil))
+	var clean atomic.Int64
+	want := searchJSON(t, spec, diskEnv(t, 4, t.TempDir(), &clean))
 
 	dir := t.TempDir()
-	// Run 1: die (via context cancellation — as abrupt as SIGKILL from the
-	// search's point of view, since snapshots only land at generation
-	// boundaries) after the first completed generation.
+	// Run 1: die (via context cancellation) after the first completed
+	// generation.
+	var calls1 atomic.Int64
 	ctx, cancel := context.WithCancel(context.Background())
-	env := diskEnv(t, 4, dir, nil)
+	defer cancel()
+	env := diskEnv(t, 4, dir, &calls1)
 	env.OnGeneration = func(g Generation) {
 		if g.Gen >= 1 {
 			cancel()
@@ -134,46 +155,56 @@ func TestKillAndResume(t *testing.T) {
 	if _, err := Search(ctx, spec, env); err == nil {
 		t.Fatal("canceled search reported success")
 	}
-
-	// Run 2: same directory, fresh engine — must resume and match.
-	var calls atomic.Int64
-	env2 := diskEnv(t, 4, dir, &calls)
-	res, err := Search(context.Background(), spec, env2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ResumedGenerations < 1 || res.Stats.ResumedEvaluations < 1 {
-		t.Fatalf("run 2 did not resume: %+v", res.Stats)
-	}
-	got, err := ResultJSON(spec, res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("resumed document differs from uninterrupted run:\n-- resumed --\n%s\n-- clean --\n%s", got, want)
+	if calls1.Load() == 0 || calls1.Load() >= clean.Load() {
+		t.Fatalf("run 1 made %d raw evaluations of the clean run's %d; want a strict prefix", calls1.Load(), clean.Load())
 	}
 
-	// Run 3: everything is already evaluated and snapshotted. No raw
-	// evaluations, no new disk writes for completed generations.
-	calls.Store(0)
-	env3 := diskEnv(t, 4, dir, &calls)
-	res3, err := Search(context.Background(), spec, env3)
-	if err != nil {
-		t.Fatal(err)
+	// Run 2: same directory, fresh engine — the first generation must come
+	// from disk and only the rest be computed.
+	rerun(t, spec, dir, want, calls1.Load(), clean.Load())
+
+	// Run 3: everything is already evaluated. No raw evaluations, no new
+	// disk writes.
+	if s := rerun(t, spec, dir, want, clean.Load(), clean.Load()); s.DiskWrites != 0 {
+		t.Fatalf("third run rewrote %d cache entries", s.DiskWrites)
 	}
-	got3, err := ResultJSON(spec, res3)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCancelMidGenerationResumes: a search cut off inside a generation
+// keeps that generation's finished evaluations in the cache, and the rerun
+// serves every one of them — the two runs together cost exactly one clean
+// run's raw evaluations.
+func TestCancelMidGenerationResumes(t *testing.T) {
+	spec := testSpec()
+
+	// Clean run: record the raw-call count at each generation boundary so
+	// the cancel can be aimed inside the second generation.
+	var clean atomic.Int64
+	cleanEnv := diskEnv(t, 4, t.TempDir(), &clean)
+	var bounds []int64
+	cleanEnv.OnGeneration = func(Generation) { bounds = append(bounds, clean.Load()) }
+	want := searchJSON(t, spec, cleanEnv)
+	if len(bounds) < 2 || bounds[1]-bounds[0] < 2 {
+		t.Fatalf("second generation too small to cut inside: boundaries %v", bounds)
 	}
-	if !bytes.Equal(got3, want) {
-		t.Fatalf("third run diverged:\n%s", got3)
+	cutAt := bounds[0] + (bounds[1]-bounds[0])/2
+
+	dir := t.TempDir()
+	var calls1 atomic.Int64
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	env := diskEnv(t, 4, dir, nil)
+	env.Evaluate = func(_ context.Context, p arch.Params, bench string) (EvalOutcome, error) {
+		if calls1.Add(1) == cutAt {
+			cancel()
+		}
+		return EvalOutcome{Cycles: fakeCycles(p, bench)}, nil
 	}
-	if n := calls.Load(); n != 0 {
-		t.Fatalf("third run recomputed %d evaluations; the search state covers them all", n)
+	if _, err := Search(ctx, spec, env); !errors.Is(err, context.Canceled) {
+		t.Fatalf("search canceled mid-generation returned %v", err)
 	}
-	if s := env3.Engine.CacheStats(); s.DiskWrites != 0 {
-		t.Fatalf("third run rewrote %d cache entries for completed generations", s.DiskWrites)
-	}
+
+	rerun(t, spec, dir, want, calls1.Load(), clean.Load())
 }
 
 // TestPruneAllNeverSimulates: with an impossible area ceiling every candidate
@@ -224,69 +255,6 @@ func TestInfeasibleConsumesBudgetButNotFront(t *testing.T) {
 	}
 }
 
-// TestSnapshotQuarantine: a corrupt PLTN file is quarantined (inspectable,
-// never reread) and the search restarts cleanly.
-func TestSnapshotQuarantine(t *testing.T) {
-	spec := testSpec()
-	dir := t.TempDir()
-	want := searchJSON(t, spec, diskEnv(t, 2, t.TempDir(), nil))
-
-	norm := spec
-	if err := norm.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	path := snapshotPath(dir, &norm)
-	if err := os.WriteFile(path, []byte("PLTNgarbage-not-a-snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var quarantineLogged bool
-	env := diskEnv(t, 2, dir, nil)
-	env.Logf = func(format string, args ...any) {
-		if bytes.Contains([]byte(fmt.Sprintf(format, args...)), []byte("quarantined")) {
-			quarantineLogged = true
-		}
-	}
-	got := searchJSON(t, spec, env)
-	if !bytes.Equal(got, want) {
-		t.Fatalf("search after quarantine diverged:\n%s", got)
-	}
-	if !quarantineLogged {
-		t.Fatal("quarantine was not logged")
-	}
-	if _, err := os.Stat(path + ".quarantined"); err != nil {
-		t.Fatalf("corrupt snapshot was not kept for inspection: %v", err)
-	}
-}
-
-// TestForeignSnapshotIgnored: a valid snapshot for a different search
-// identity must not be resumed (or quarantined).
-func TestForeignSnapshotIgnored(t *testing.T) {
-	spec := testSpec()
-	dir := t.TempDir()
-
-	other := testSpec()
-	other.Seed = 99
-	if err := other.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	norm := spec
-	if err := norm.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	// A snapshot with the *other* search's hash parked at *this* search's
-	// path (hand-constructed, as the doc comment warns).
-	if err := writeSnapshotFile(snapshotPath(dir, &norm), &snapshot{SpecHash: other.hash(), Seed: 99, Gen: 7}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Search(context.Background(), spec, diskEnv(t, 2, dir, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.ResumedGenerations != 0 {
-		t.Fatalf("resumed from a foreign snapshot: %+v", res.Stats)
-	}
-}
-
 // TestShardedMatchesUnsharded: two cooperating shards over one cache
 // directory produce the same document as the unsharded search.
 func TestShardedMatchesUnsharded(t *testing.T) {
@@ -328,35 +296,37 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 }
 
 // TestBudgetExtensionResumes: raising the budget on a finished search's
-// directory continues it instead of restarting — Budget is excluded from the
-// search identity.
+// directory continues it instead of restarting — the longer search walks the
+// same prefix, and the disk tier serves all of it.
 func TestBudgetExtensionResumes(t *testing.T) {
 	dir := t.TempDir()
 	spec := testSpec()
 	var calls atomic.Int64
-	if _, err := Search(context.Background(), spec, diskEnv(t, 2, dir, &calls)); err != nil {
-		t.Fatal(err)
-	}
-	small := calls.Load()
-
-	spec.Budget *= 2
-	calls.Store(0)
-	res, err := Search(context.Background(), spec, diskEnv(t, 2, dir, &calls))
+	small, err := Search(context.Background(), spec, diskEnv(t, 2, dir, &calls))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.ResumedEvaluations == 0 {
-		t.Fatalf("extension restarted from scratch: %+v", res.Stats)
+	smallCalls := calls.Load()
+
+	spec.Budget *= 2
+	calls.Store(0)
+	env := diskEnv(t, 2, dir, &calls)
+	res, err := Search(context.Background(), spec, env)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if res.Stats.Evaluated < int64(spec.Budget) && res.Stats.Generations < spec.MaxGenerations {
 		t.Fatalf("extension did not spend the new budget: %+v", res.Stats)
 	}
-	// Each candidate costs len(mix)=2 raw calls; the resumed prefix must
+	if s := env.Engine.CacheStats(); s.DiskHits != smallCalls {
+		t.Fatalf("extension served %d evaluations from disk; the first run completed %d", s.DiskHits, smallCalls)
+	}
+	// Each candidate costs len(mix)=2 raw calls; the finished prefix must
 	// cost none of them again.
-	newCandidates := res.Stats.Evaluated - res.Stats.ResumedEvaluations
-	if calls.Load() != 2*newCandidates {
-		t.Fatalf("extension recomputed the prefix: %d new calls for %d new candidates (first run: %d calls)",
-			calls.Load(), newCandidates, small)
+	newCandidates := res.Stats.Evaluated - small.Stats.Evaluated
+	if newCandidates <= 0 || calls.Load() != 2*newCandidates {
+		t.Fatalf("extension made %d raw calls for %d new candidates (first run: %d calls)",
+			calls.Load(), newCandidates, smallCalls)
 	}
 }
 
@@ -393,30 +363,14 @@ func TestSpecNormalizeMergesAndLeavesCallerAlone(t *testing.T) {
 	if s.Budget == 0 || s.Population == 0 || s.MaxGenerations == 0 || s.Shards != 1 {
 		t.Fatalf("defaults not filled: %+v", s)
 	}
-}
-
-// TestSpecHashIgnoresStopParams: budget, generation cap and sharding do not
-// change the search identity; everything else does.
-func TestSpecHashIgnoresStopParams(t *testing.T) {
-	base := testSpec()
-	if err := base.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	same := base
-	same.Budget, same.MaxGenerations, same.Shard, same.Shards = 999, 999, 1, 4
-	if base.hash() != same.hash() {
-		t.Fatal("stop/execution params changed the identity hash")
-	}
-	for _, change := range []func(*Spec){
-		func(s *Spec) { s.Seed++ },
-		func(s *Spec) { s.Population++ },
-		func(s *Spec) { s.Constraints.MaxAreaMM2 = 7 },
-		func(s *Spec) { s.Mix = append([]MixEntry{}, MixEntry{Bench: "X", Weight: 1}) },
+	// Zero means the default; a negative size is an error naming the field.
+	for field, bad := range map[string]Spec{
+		"budget":          {Mix: mine, Budget: -3},
+		"population":      {Mix: mine, Population: -1},
+		"max generations": {Mix: mine, MaxGenerations: -1},
 	} {
-		c := base
-		change(&c)
-		if base.hash() == c.hash() {
-			t.Fatalf("identity field change did not move the hash")
+		if err := bad.normalize(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("negative %s: normalize returned %v", field, err)
 		}
 	}
 }
@@ -431,23 +385,5 @@ func TestGenomeStaysOnGrid(t *testing.T) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("mutation %d left the valid grid: %v\n%+v", i, err, p)
 		}
-	}
-}
-
-// TestSnapshotFilePerShard: shards keep distinct snapshot files.
-func TestSnapshotFilePerShard(t *testing.T) {
-	s := testSpec()
-	if err := s.normalize(); err != nil {
-		t.Fatal(err)
-	}
-	a := snapshotPath("d", &s)
-	sh := s
-	sh.Shard, sh.Shards = 1, 2
-	b := snapshotPath("d", &sh)
-	if a == b {
-		t.Fatalf("shard snapshot path collides with unsharded: %s", a)
-	}
-	if filepath.Dir(a) != "d" || filepath.Ext(a) != snapshotExt {
-		t.Fatalf("snapshot path shape: %s", a)
 	}
 }
