@@ -9,33 +9,6 @@ import (
 	"plasticine/internal/pattern"
 )
 
-func TestLaneStride(t *testing.T) {
-	s := &dhdl.SRAM{Name: "tbl", Size: 64}
-	const lane = 2
-	cases := []struct {
-		e      dhdl.Expr
-		stride int64
-		ok     bool
-	}{
-		{dhdl.Idx(lane), 1, true},
-		{dhdl.Add(dhdl.Mul(dhdl.Idx(0), dhdl.CI(8)), dhdl.Idx(lane)), 1, true},
-		{dhdl.Mul(dhdl.Idx(lane), dhdl.CI(4)), 4, true},
-		{dhdl.Idx(0), 0, true}, // lane-invariant
-		// Data-dependent but lane-invariant base: still affine in the lane.
-		{dhdl.Add(dhdl.Mul(dhdl.Ld(s, dhdl.Idx(0)), dhdl.CI(8)), dhdl.Idx(lane)), 1, true},
-		// Per-lane gather: not affine.
-		{dhdl.Ld(s, dhdl.Idx(lane)), 0, false},
-		// Lane times a data-dependent value: unknown stride.
-		{dhdl.Mul(dhdl.Idx(lane), dhdl.Ld(s, dhdl.CI(0))), 0, false},
-	}
-	for i, c := range cases {
-		stride, ok := LaneStride(c.e, lane)
-		if ok != c.ok || (ok && stride != c.stride) {
-			t.Errorf("case %d: (%d, %v), want (%d, %v)", i, stride, ok, c.stride, c.ok)
-		}
-	}
-}
-
 func TestStrideConflictFactor(t *testing.T) {
 	cases := []struct {
 		stride int64

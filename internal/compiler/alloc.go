@@ -228,7 +228,7 @@ func (lw *lowerer) lowerAssign(c *dhdl.Controller, a *dhdl.Assign) error {
 		m := lw.pmuOf(s)
 		m.Writers++
 		m.AddrOps += addrOpCount(a.Addr)
-		stride, affineOK := LaneStride(a.Addr, lw.laneLevel)
+		stride, affineOK := dhdl.LaneStride(a.Addr, lw.laneLevel)
 		lw.u.WriteAccess = append(lw.u.WriteAccess, StreamStride{Stride: stride, Affine: affineOK})
 	}
 	switch a.Kind {
@@ -322,7 +322,7 @@ func (lw *lowerer) lowerExpr(e dhdl.Expr) (Operand, error) {
 		m := lw.pmuOf(n.Mem)
 		m.Readers++
 		m.AddrOps += addrOpCount(n.Addr)
-		stride, affineOK := LaneStride(n.Addr, lw.laneLevel)
+		stride, affineOK := dhdl.LaneStride(n.Addr, lw.laneLevel)
 		lw.u.ReadAccess = append(lw.u.ReadAccess, StreamStride{Stride: stride, Affine: affineOK})
 		if !affineOK && n.Mem.Banking == dhdl.Strided {
 			// Per-lane random reads need content duplication across banks;

@@ -32,6 +32,21 @@ func buildDotProgram(n, tile, lanes int) *dhdl.Program {
 	return b.MustBuild()
 }
 
+// TestCompileRejectsNegativeStep: a counter stepping below 1 runs no
+// iterations by Trips, so the compiler would plan none; it is an error
+// instead, returned before any pass runs.
+func TestCompileRejectsNegativeStep(t *testing.T) {
+	r := &dhdl.Reg{Name: "r", Elem: pattern.I32, Init: pattern.VI(0)}
+	p := &dhdl.Program{Name: "backwards", Regs: []*dhdl.Reg{r}, Root: &dhdl.Controller{Kind: dhdl.Sequential,
+		Children: []*dhdl.Controller{{Name: "down", Kind: dhdl.ComputeKind,
+			Chain: []dhdl.Counter{{Min: 0, Max: 4, Step: -1, Par: 1}},
+			Body:  []*dhdl.Assign{dhdl.SetReg(r, dhdl.Idx(0))}}}}}
+	_, err := CompileOpts(context.Background(), p, Options{Params: arch.Default()})
+	if err == nil || !strings.Contains(err.Error(), "step -1") {
+		t.Fatalf("CompileOpts = %v, want a step error", err)
+	}
+}
+
 func TestAllocateDotProgram(t *testing.T) {
 	v, err := Allocate(buildDotProgram(1024, 256, 16))
 	if err != nil {

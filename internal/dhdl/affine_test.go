@@ -41,3 +41,40 @@ func TestAnalyzeAffine(t *testing.T) {
 		}
 	}
 }
+
+func TestLaneStride(t *testing.T) {
+	s := &SRAM{Name: "tbl", Size: 64}
+	const lane = 2
+	cases := []struct {
+		e      Expr
+		stride int64
+		ok     bool
+	}{
+		{Idx(lane), 1, true},
+		{Add(Mul(Idx(0), CI(8)), Idx(lane)), 1, true},
+		{Mul(Idx(lane), CI(4)), 4, true},
+		{Idx(0), 0, true}, // lane-invariant
+		// Data-dependent but lane-invariant base: still affine in the lane.
+		{Add(Mul(Ld(s, Idx(0)), CI(8)), Idx(lane)), 1, true},
+		// Per-lane gather: not affine.
+		{Ld(s, Idx(lane)), 0, false},
+		// Lane times a data-dependent value: unknown stride.
+		{Mul(Idx(lane), Ld(s, CI(0))), 0, false},
+		// Lane times another counter: a stride per outer iteration, not one
+		// stride.
+		{Mul(Idx(0), Idx(lane)), 0, false},
+		// Literal arithmetic is a known constant.
+		{Mul(Sub(CI(0), CI(3)), Idx(lane)), -3, true},
+		// The lane cancels: every lane sees the same value.
+		{Sub(Add(Idx(lane), Ld(s, Idx(0))), Idx(lane)), 0, true},
+		// A lane-invariant f32 subtree is a constant too.
+		{Ld(s, Idx(1)), 0, true},
+		{nil, 0, true},
+	}
+	for i, c := range cases {
+		stride, ok := LaneStride(c.e, lane)
+		if ok != c.ok || (ok && stride != c.stride) {
+			t.Errorf("case %d: (%d, %v), want (%d, %v)", i, stride, ok, c.stride, c.ok)
+		}
+	}
+}

@@ -380,6 +380,10 @@ func (r *affineRegs) start(env []int32) {
 // still consume in assign order. When no assign reads a memory an earlier
 // assign writes, committing each assign right after evaluating it is
 // indistinguishable, and the body runs that way.
+//
+// A body that laneEligible admits runs its innermost counter a block of
+// lanes at a time instead (see lanes.go); a block that faults reruns its
+// lanes here, one iteration at a time.
 func (c *progCompiler) compute(ctl *Controller) func() {
 	env := c.env
 	aff, regs := c.affineAddrs(ctl)
@@ -392,12 +396,17 @@ func (c *progCompiler) compute(ctl *Controller) func() {
 	evals := make([]func() bool, len(ctl.Body))
 	commits := make([]func(), len(ctl.Body))
 	steps := make([]func(), len(ctl.Body))
+	accs := make([]*uint32, len(ctl.Body))
 	for i, a := range ctl.Body {
-		var reset, finish func()
-		evals[i], commits[i], steps[i], reset, finish = ec.assign(a)
-		if reset != nil {
-			resets, finishes = append(resets, reset), append(finishes, finish)
+		ca := ec.assign(a)
+		evals[i], commits[i], steps[i], accs[i] = ca.eval, ca.commit, ca.step, ca.acc
+		if ca.reset != nil {
+			resets, finishes = append(resets, ca.reset), append(finishes, ca.finish)
 		}
+	}
+	var lanes *laneBody
+	if laneEligible(ctl) {
+		lanes = c.laneBody(ctl, ec, accs)
 	}
 	iter := fused(evals, commits, steps)
 	if conflicts(ctl.Body) {
@@ -422,6 +431,34 @@ func (c *progCompiler) compute(ctl *Controller) func() {
 			aff.vals[s.to] = aff.vals[s.to-1] + s.d
 		}
 		shifts, last := aff.step[j], j == len(loops)-1
+		if last && lanes != nil {
+			for b, i, max := 0, lp.min, lp.limit(); i < max; b++ {
+				n := blockLanes(i, max, lp.step)
+				iters += int64(n)
+				replay := !lanes.eval(i, n)
+				if c.onBlock != nil {
+					c.onBlock(ctl, b, n, replay)
+				}
+				if replay {
+					for k := 0; k < n; k++ {
+						env[lp.level] = i
+						iter()
+						for _, s := range shifts {
+							aff.vals[s.to] += s.d
+						}
+						i += lp.step
+					}
+					continue
+				}
+				lanes.commit()
+				env[lp.level] = i + int32(n-1)*lp.step
+				for _, s := range shifts {
+					aff.vals[s.to] += s.d * int32(n)
+				}
+				i += int32(n) * lp.step
+			}
+			return
+		}
 		for i, max := lp.min, lp.limit(); i < max; i += lp.step {
 			env[lp.level] = i
 			if last {
@@ -520,13 +557,23 @@ func conflicts(body []*Assign) bool {
 	return false
 }
 
-// assign compiles one output of a Compute body: eval computes its value
+// compiledAssign is one output of a Compute body: eval computes its value
 // (and address) for this iteration and reports whether its condition held;
 // commit stores it. For the commonest unconditional shapes step does both
-// in one call; otherwise it is nil. Reductions into a register also return
+// in one call; otherwise it is nil. Reductions into a register also have
 // reset and finish, which start and end the accumulation around one
-// execution.
-func (ec *exprCompiler) assign(a *Assign) (eval func() bool, commit func(), step func(), reset, finish func()) {
+// execution, and acc, the accumulator between them.
+type compiledAssign struct {
+	eval          func() bool
+	commit, step  func()
+	reset, finish func()
+	acc           *uint32
+}
+
+// assign compiles one output of a Compute body.
+func (ec *exprCompiler) assign(a *Assign) compiledAssign {
+	var eval func() bool
+	var commit, step func()
 	var cond word
 	if a.Cond != nil {
 		cond = ec.typed(a.Cond, pattern.Bool, "condition")
@@ -627,11 +674,11 @@ func (ec *exprCompiler) assign(a *Assign) (eval func() bool, commit func(), step
 		if fsum && cond == nil {
 			step = func() { acc = fw(fv(acc) + fv(val())) }
 		}
-		reset = func() { acc = init }
-		finish = func() { *r = acc }
+		return compiledAssign{eval: eval, commit: commit, step: step,
+			reset: func() { acc = init }, finish: func() { *r = acc }, acc: &acc}
 	case PushFIFO:
 		q := ec.pc.fifo(a.FIFO)
 		commit = func() { q.push(v) }
 	}
-	return eval, commit, step, reset, finish
+	return compiledAssign{eval: eval, commit: commit, step: step}
 }

@@ -296,7 +296,9 @@ func (p *Program) Finalize() error {
 		return fmt.Errorf("dhdl: program %q has no root", p.Name)
 	}
 	for _, ctr := range allCounters(p.Root) {
-		if ctr.Step == 0 || ctr.Par < 1 {
+		// Trips counts no iterations for a step below 1; the loops must
+		// not run any either.
+		if ctr.Step < 1 || ctr.Par < 1 {
 			return fmt.Errorf("dhdl: program %q has counter with step %d, par %d", p.Name, ctr.Step, ctr.Par)
 		}
 	}

@@ -2,7 +2,9 @@ package dhdl
 
 import (
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"plasticine/internal/pattern"
 )
@@ -334,6 +336,27 @@ func TestFinalizeRejectsMalformed(t *testing.T) {
 		if err := p.Finalize(); err == nil {
 			t.Errorf("%s: expected Finalize error", p.Name)
 		}
+	}
+}
+
+// TestNegativeStepIsRejected: Trips counts a counter with a step below 1
+// as zero iterations, so the interpreter must refuse it up front rather
+// than count towards the limit through 2^31 wrapped iterations.
+func TestNegativeStepIsRejected(t *testing.T) {
+	r := &Reg{Name: "r", Elem: pattern.I32, Init: pattern.VI(0)}
+	p := &Program{Name: "backwards", Regs: []*Reg{r}, Root: &Controller{Kind: Sequential, Children: []*Controller{
+		{Name: "down", Kind: ComputeKind, Chain: []Counter{{Min: 0, Max: 4, Step: -1, Par: 1}},
+			Body: []*Assign{SetReg(r, Idx(0))}},
+	}}}
+	done := make(chan error, 1)
+	go func() { _, err := Run(p); done <- err }()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "step -1") {
+			t.Fatalf("Run = %v, want a step error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run of a counter with step -1 did not return")
 	}
 }
 

@@ -1,6 +1,7 @@
 package dhdl
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -55,12 +56,54 @@ func RestoreDRAM(p *Program, snap [][]uint32) {
 // returns the compiled run's state and error.
 func CheckAgainstOracle(t testing.TB, p *Program) (*State, error) {
 	t.Helper()
+	return checkAgainstOracle(t, p, nil)
+}
+
+// LaneStats counts what the lane path did in one compiled run.
+type LaneStats struct {
+	Eligible   int // compute leaves whose bodies run in lane blocks
+	Blocks     int // lane blocks evaluated
+	MultiBlock int // innermost loop runs that spanned more than one block
+	Replayed   int // blocks that faulted and reran one lane at a time
+}
+
+func (s *LaneStats) add(o LaneStats) {
+	s.Eligible += o.Eligible
+	s.Blocks += o.Blocks
+	s.MultiBlock += o.MultiBlock
+	s.Replayed += o.Replayed
+}
+
+// CheckLanesAgainstOracle is CheckAgainstOracle that also reports the
+// compiled run's lane path.
+func CheckLanesAgainstOracle(t testing.TB, p *Program) (LaneStats, error) {
+	t.Helper()
+	var st LaneStats
+	for _, c := range p.Leaves() {
+		if c.Kind == ComputeKind && laneEligible(c) {
+			st.Eligible++
+		}
+	}
+	_, err := checkAgainstOracle(t, p, func(_ *Controller, index, _ int, replayed bool) {
+		st.Blocks++
+		if index == 1 {
+			st.MultiBlock++
+		}
+		if replayed {
+			st.Replayed++
+		}
+	})
+	return st, err
+}
+
+func checkAgainstOracle(t testing.TB, p *Program, onBlock func(*Controller, int, int, bool)) (*State, error) {
+	t.Helper()
 	inputs := SnapshotDRAM(p)
 	var refEvents, gotEvents []ExecEvent
 	ref, refErr := traceReference(p, func(ev *ExecEvent) { refEvents = append(refEvents, *ev) })
 	refDRAM := SnapshotDRAM(p)
 	RestoreDRAM(p, inputs)
-	got, gotErr := Trace(p, func(ev *ExecEvent) { gotEvents = append(gotEvents, *ev) })
+	got, gotErr := trace(context.Background(), p, func(ev *ExecEvent) { gotEvents = append(gotEvents, *ev) }, onBlock)
 
 	if (refErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: oracle error %v, compiled error %v", p.Name, refErr, gotErr)

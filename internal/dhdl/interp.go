@@ -194,11 +194,18 @@ func Trace(p *Program, hook ExecHook) (*State, error) {
 // The program is compiled before it runs: every memory gets a slot,
 // every expression becomes a closure specialised to its static type, and
 // every affine SRAM address becomes a register that steps by a constant
-// stride as the counters advance. A program that is not well typed (an
-// f32 value stored into an i32 SRAM, a comparison used as a number, an
-// i32 counter limit read from an f32 register) is rejected with an error
-// before anything executes.
-func TraceContext(ctx context.Context, p *Program, hook ExecHook) (st *State, err error) {
+// stride as the counters advance. A compute body whose iterations are
+// independent runs its innermost counter a block of lanes at a time, with
+// the same results, errors and events. A program that is not well typed
+// (an f32 value stored into an i32 SRAM, a comparison used as a number,
+// an i32 counter limit read from an f32 register) is rejected with an
+// error before anything executes.
+func TraceContext(ctx context.Context, p *Program, hook ExecHook) (*State, error) {
+	return trace(ctx, p, hook, nil)
+}
+
+// trace is TraceContext with an observer of lane blocks (see progCompiler).
+func trace(ctx context.Context, p *Program, hook ExecHook, onBlock func(*Controller, int, int, bool)) (st *State, err error) {
 	if ferr := p.Finalize(); ferr != nil {
 		return nil, ferr
 	}
@@ -224,7 +231,7 @@ func TraceContext(ctx context.Context, p *Program, hook ExecHook) (st *State, er
 		}
 	}()
 	st = newState(p)
-	c := &progCompiler{st: st, hook: hook, env: make([]int32, maxLevels(p.Root)), ctx: ctx}
+	c := &progCompiler{st: st, hook: hook, env: make([]int32, maxLevels(p.Root)), ctx: ctx, onBlock: onBlock}
 	c.ctrl(p.Root)()
 	return st, nil
 }
@@ -246,6 +253,10 @@ type progCompiler struct {
 	env  []int32 // counter values by level; levels below the running controller's scope are stale
 	path []*Controller
 	ctx  context.Context
+
+	// onBlock, when set, observes every lane block: its index in its loop,
+	// its lanes, and whether it faulted and reran one lane at a time.
+	onBlock func(ctl *Controller, index, lanes int, replayed bool)
 }
 
 func (c *progCompiler) sram(m *SRAM) []uint32 {

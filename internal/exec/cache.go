@@ -80,11 +80,14 @@ func (s CacheStats) String() string {
 // Entries are bucketed by 64-bit fingerprint and verified against the full
 // key string, so colliding fingerprints coexist. Each key computes at most
 // once: concurrent requesters of an in-flight key block until the first
-// computation finishes (errors are cached too, so a failing point fails
-// once, identically, for every requester). A computation that panics is
-// never memoized: its entry is discarded, the panic propagates to its own
-// requester, and blocked requesters recompute from scratch. A nil *Cache
-// disables caching: Do simply calls compute.
+// computation finishes. Deterministic errors are cached too (a no-fit, a
+// failed check, a watchdog abort), so a failing point fails once,
+// identically, for every requester. Two outcomes are never memoized, since
+// they say more about the requester than about the key: a computation that
+// panics, and one that fails with an error wrapping context.Canceled or
+// context.DeadlineExceeded. Its entry is discarded, the outcome goes to its
+// own requester, and blocked and later requesters recompute under their
+// own contexts. A nil *Cache disables caching: Do simply calls compute.
 type Cache struct {
 	mu      sync.Mutex
 	buckets map[uint64][]*cacheEntry
@@ -96,11 +99,11 @@ type Cache struct {
 }
 
 type cacheEntry struct {
-	key      string
-	done     chan struct{} // closed once val/err are set, or on panic
-	panicked bool          // set (before close) if the computation panicked
-	val      any
-	err      error
+	key       string
+	done      chan struct{} // closed once val/err are set, or when abandoned
+	abandoned bool          // set (before close) if the owner panicked or was canceled
+	val       any
+	err       error
 }
 
 // codec translates cached values to and from the persistent tier's byte
@@ -182,9 +185,9 @@ func (c *Cache) do(k Key, cod *codec, compute func() (any, error)) (any, error) 
 			return c.fill(k, e, disk, cod, compute)
 		}
 		<-e.done
-		if e.panicked {
-			// The owner's computation panicked and the entry was dropped;
-			// start over and compute for ourselves.
+		if e.abandoned {
+			// The owner's computation panicked or was canceled and the
+			// entry was dropped; start over and compute for ourselves.
 			continue
 		}
 		return e.val, e.err
@@ -192,15 +195,15 @@ func (c *Cache) do(k Key, cod *codec, compute func() (any, error)) (any, error) 
 }
 
 // fill computes (or loads from disk) the value for an entry this goroutine
-// owns, publishes it, and wakes waiters. If the computation panics the entry
-// is un-published first, so the panic is never memoized: the panicking
-// requester gets the panic (recovered into a PanicError by Pool.Map), and
-// everyone else recomputes.
+// owns, publishes it, and wakes waiters. If the computation panics or fails
+// with its requester's cancellation, the entry is un-published first, so
+// the outcome is never memoized: the owner gets the panic (recovered into a
+// PanicError by Pool.Map) or the error, and everyone else recomputes.
 func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, cod *codec, compute func() (any, error)) (val any, err error) {
 	completed := false
 	defer func() {
 		if !completed {
-			e.panicked = true
+			e.abandoned = true
 			c.drop(k, e)
 			close(e.done)
 		}
@@ -218,6 +221,9 @@ func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, cod *codec, compute 
 		}
 	}
 	val, err = compute()
+	if isCancellation(err) {
+		return val, err
+	}
 	e.val, e.err = val, err
 	completed = true
 	close(e.done)

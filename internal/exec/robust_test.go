@@ -227,6 +227,67 @@ func TestCacheWaitersRecomputeAfterPanic(t *testing.T) {
 	}
 }
 
+// --- cache never memoizes a requester's cancellation ------------------------
+
+func TestCacheNeverMemoizesCancellation(t *testing.T) {
+	t.Run("later caller recomputes after a deadline", func(t *testing.T) {
+		c := NewCache()
+		k := NewKey("deadline")
+		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+		defer cancel()
+		_, err := c.Do(k, func() (any, error) {
+			<-ctx.Done()
+			return nil, fmt.Errorf("run abandoned: %w", ctx.Err())
+		})
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("owner Do = %v, want its own deadline", err)
+		}
+		calls := 0
+		v, err := c.Do(k, func() (any, error) { calls++; return "fresh", nil })
+		if err != nil || v != "fresh" || calls != 1 {
+			t.Fatalf("later Do = (%v, %v) after %d computes, want a recomputed value", v, err, calls)
+		}
+	})
+	t.Run("blocked waiter recomputes after the owner is canceled", func(t *testing.T) {
+		c := NewCache()
+		k := NewKey("canceled")
+		ctx, cancel := context.WithCancel(context.Background())
+		started := make(chan struct{})
+		ownerErr := make(chan error, 1)
+		go func() {
+			_, err := c.Do(k, func() (any, error) {
+				close(started)
+				<-ctx.Done()
+				return nil, fmt.Errorf("run abandoned: %w", ctx.Err())
+			})
+			ownerErr <- err
+		}()
+		<-started
+		type result struct {
+			v   any
+			err error
+		}
+		waiter := make(chan result, 1)
+		go func() {
+			v, err := c.Do(k, func() (any, error) { return "fresh", nil })
+			waiter <- result{v, err}
+		}()
+		time.Sleep(10 * time.Millisecond) // let the waiter block on the entry
+		cancel()
+		if err := <-ownerErr; !errors.Is(err, context.Canceled) {
+			t.Fatalf("owner Do = %v, want its own cancellation", err)
+		}
+		if r := <-waiter; r.err != nil || r.v != "fresh" {
+			t.Fatalf("waiter Do = (%v, %v), want a recomputed value", r.v, r.err)
+		}
+		// The waiter's success is an ordinary result and stays memoized.
+		v, err := c.Do(k, func() (any, error) { return nil, errors.New("recomputed a memoized success") })
+		if err != nil || v != "fresh" {
+			t.Fatalf("third Do = (%v, %v), want the memoized success", v, err)
+		}
+	})
+}
+
 // --- JobPolicy --------------------------------------------------------------
 
 type classifiedErr struct{ transient bool }

@@ -153,6 +153,29 @@ func TestDeadlineExpiryIs504(t *testing.T) {
 	}
 }
 
+// TestTimedOutRunIsNotMemoized: a request that runs out of its own
+// deadline must not poison the design point for the next request, which
+// has time to finish.
+func TestTimedOutRunIsNotMemoized(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	resp, body := get(t, ts.URL+"/v1/run?bench=GEMM&timeout=50ms")
+	if resp.StatusCode != http.StatusGatewayTimeout && resp.StatusCode != http.StatusOK {
+		t.Fatalf("50ms run = %d, want 504 (or 200 on a fast host): %s", resp.StatusCode, body)
+	}
+	resp, body = get(t, ts.URL+"/v1/run?bench=GEMM&timeout=2m")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("2m run after a timed-out one = %d, want 200: %s", resp.StatusCode, body)
+	}
+	var r core.BenchResult
+	if err := json.Unmarshal(body, &r); err != nil {
+		t.Fatalf("run body is not a BenchResult: %v\n%s", err, body)
+	}
+	const gemmCycles = 220925
+	if r.Cycles != gemmCycles {
+		t.Fatalf("GEMM cycles = %d, want Table 7's %d", r.Cycles, gemmCycles)
+	}
+}
+
 func TestQuotaDeniedIs429WithRetryAfter(t *testing.T) {
 	_, ts := newTestServer(t, func(cfg *Config) {
 		cfg.TenantRate = 0.5
