@@ -8,9 +8,8 @@
 package dram
 
 import (
+	"cmp"
 	"fmt"
-
-	"plasticine/internal/eventq"
 )
 
 // Config describes the memory system. All timings are in fabric clock
@@ -56,21 +55,87 @@ func DDR3_1600x4() Config {
 type Request struct {
 	Addr  uint64 // byte address (aligned down to BurstBytes internally)
 	Write bool
-	// Done is invoked when the burst completes (data returned for reads,
-	// write committed for writes).
-	Done func(now int64)
-	// Tag identifies the request's owner to checkpoint/restore: Done
-	// closures cannot be serialized, so Restore rebuilds them from Tags.
+	// Tag is the owner's name for the request: Tick reports it when the
+	// burst lands (data returned for reads, write committed for writes),
+	// KillChannel when the burst is lost, and checkpoints carry it.
 	Tag int64
+}
 
-	issued   int64 // arrival cycle, for FR-FCFS aging
-	attempts int   // transient-failure retries so far
+// entry is a request inside the memory system: queued, in flight or
+// backing off before a retry. Bank and row are decoded once at Submit: the
+// FR-FCFS scan revisits every queued entry every tick, and the divisions in
+// bankRowOf dominated the scheduler's profile. They depend only on the
+// address and the geometry, never on fault remapping, so they hold for the
+// entry's whole life.
+type entry struct {
+	Request
+	issued   int64 // arrival cycle, for FR-FCFS aging and latency
+	row      int64
+	bank     int32
+	attempts int32 // transient-failure retries so far
+}
 
-	// Cached address decomposition (see decode); geometry-derived, so it
-	// never changes once computed.
-	bk      int
-	row     int64
-	decoded bool
+// timed is an entry bound to a cycle: when it lands while in flight, when
+// it resubmits while backing off. seq is the global order in which bursts
+// were scheduled; it breaks same-cycle ties between channels.
+type timed struct {
+	entry
+	at  int64
+	seq uint64
+}
+
+// fifo holds one channel's scheduled completions in landing order. A FIFO
+// is enough because the channel's data bus serializes its bursts: schedule
+// sets done = max(start+latency, busFree) + BurstCycle and then busFree =
+// done, and refresh only pushes busFree later, so each channel schedules
+// its completions in non-decreasing cycle order.
+type fifo struct {
+	buf  []timed
+	head int
+}
+
+func (q *fifo) len() int { return len(q.buf) - q.head }
+
+// items returns the scheduled completions in landing order.
+func (q *fifo) items() []timed { return q.buf[q.head:] }
+
+func (q *fifo) front() *timed { return &q.buf[q.head] }
+
+func (q *fifo) back() *timed { return &q.buf[len(q.buf)-1] }
+
+func (q *fifo) push(t timed) {
+	// Slide the live entries down once at least half the buffer is spent,
+	// so a steady stream reuses one buffer.
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, t)
+}
+
+func (q *fifo) pop() timed {
+	t := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return t
+}
+
+// remove deletes, in order, the entries gone reports and appends them to
+// out.
+func (q *fifo) remove(gone func(*timed) bool, out []timed) []timed {
+	live := q.items()
+	kept := live[:0]
+	for _, t := range live {
+		if gone(&t) {
+			out = append(out, t)
+		} else {
+			kept = append(kept, t)
+		}
+	}
+	q.buf = q.buf[:q.head+len(kept)]
+	return out
 }
 
 type bank struct {
@@ -79,7 +144,8 @@ type bank struct {
 }
 
 type channel struct {
-	queue   []*Request
+	queue   []entry
+	flights fifo // scheduled completions
 	banks   []bank
 	busFree int64    // earliest cycle the data bus is free
 	acts    [4]int64 // issue times of the last four row activates (tFAW)
@@ -131,11 +197,12 @@ func (s Stats) AvgLatency() float64 {
 type DRAM struct {
 	cfg      Config
 	channels []channel
-	// pending holds scheduled completions keyed by finish cycle. The heap's
-	// (cycle, push-order) tie-break reproduces the legacy slice's insertion-
-	// order firing for same-cycle completions, which keeps the fault PRNG's
-	// draw sequence — and therefore every checkpoint byte — identical.
-	pending     eventq.Queue[*Request]
+	// seq numbers scheduled bursts. Completions fire in (cycle, seq) order:
+	// same-cycle landings on different channels fire in the order they were
+	// scheduled, which fixes the fault PRNG's draw sequence — and therefore
+	// every checkpoint byte.
+	seq         uint64
+	landed      []int64 // tags of the bursts the last Tick landed
 	stats       Stats
 	chanStats   []ChanStats
 	now         int64
@@ -144,13 +211,8 @@ type DRAM struct {
 	// Fault injection (nil when the memory system is healthy).
 	faults  *Faults
 	rng     prng
-	healthy []int        // channels accepting traffic under the fault plan
-	retryq  []completion // bursts awaiting retry after transient failures
-}
-
-type completion struct {
-	at  int64
-	req *Request
+	healthy []int   // channels accepting traffic under the fault plan
+	retryq  []timed // bursts awaiting retry after transient failures
 }
 
 // New creates a memory system.
@@ -199,66 +261,76 @@ func (d *DRAM) bankRowOf(addr uint64) (int, int64) {
 	return b, row
 }
 
-// decode caches a request's (bank, row) on the request itself: the FR-FCFS
-// scan revisits every queued request every tick, and the divisions in
-// bankRowOf dominated the scheduler's profile. Bank and row depend only on
-// the address and the (immutable) geometry, never on fault remapping, so
-// the cache is safe across the request's whole life.
-func (d *DRAM) decode(r *Request) (int, int64) {
-	if !r.decoded {
-		r.bk, r.row = d.bankRowOf(r.Addr)
-		r.decoded = true
-	}
-	return r.bk, r.row
-}
-
-// CanAccept reports whether the channel owning addr has queue space.
-func (d *DRAM) CanAccept(addr uint64) bool {
-	ci := d.channelOf(addr)
-	if ci < 0 {
-		return false
-	}
-	return len(d.channels[ci].queue) < d.cfg.QueueDepth
+// newEntry decodes a request's bank and row.
+func (d *DRAM) newEntry(r Request, issued int64, attempts int32) entry {
+	b, row := d.bankRowOf(r.Addr)
+	return entry{Request: r, issued: issued, row: row, bank: int32(b), attempts: attempts}
 }
 
 // Submit enqueues a request; it returns false (and drops the request) if
 // the owning channel's queue is full — callers must retry.
-func (d *DRAM) Submit(r *Request) bool {
+func (d *DRAM) Submit(r Request) bool {
 	ci := d.channelOf(r.Addr)
 	if ci < 0 {
 		d.stats.StallsChannelDown++
 		return false
 	}
-	ch := &d.channels[ci]
-	if len(ch.queue) >= d.cfg.QueueDepth {
+	if len(d.channels[ci].queue) >= d.cfg.QueueDepth {
 		d.stats.StallsQueueFull++
 		return false
 	}
-	r.issued = d.now
-	ch.queue = append(ch.queue, r)
+	d.enqueue(ci, d.newEntry(r, d.now, 0))
+	return true
+}
+
+// enqueue appends an accepted entry to channel ci's queue.
+func (d *DRAM) enqueue(ci int, e entry) {
+	ch := &d.channels[ci]
+	ch.queue = append(ch.queue, e)
 	if occ := len(ch.queue); occ > d.stats.MaxQueueOcc {
 		d.stats.MaxQueueOcc = occ
 	}
 	if occ := len(ch.queue); occ > d.chanStats[ci].MaxQueueOcc {
 		d.chanStats[ci].MaxQueueOcc = occ
 	}
-	return true
 }
 
-// Tick advances the memory system to cycle now: schedules one command per
-// idle channel (FR-FCFS: row hits first, then oldest) and fires completed
-// requests' callbacks.
-func (d *DRAM) Tick(now int64) {
+// nextLanding returns the channel holding the next completion to fire —
+// the earliest cycle, ties to the earliest scheduled — or -1 when nothing
+// is in flight.
+func (d *DRAM) nextLanding() int {
+	best := -1
+	var at int64
+	var seq uint64
+	for ci := range d.channels {
+		q := &d.channels[ci].flights
+		if q.len() == 0 {
+			continue
+		}
+		if f := q.front(); best < 0 || f.at < at || f.at == at && f.seq < seq {
+			best, at, seq = ci, f.at, f.seq
+		}
+	}
+	return best
+}
+
+// Tick advances the memory system to cycle now: lands due bursts, then
+// schedules one command per idle channel (FR-FCFS: row hits first, then
+// oldest). It returns the tags of the bursts that landed, in firing order;
+// the slice is reused and valid until the next Tick.
+func (d *DRAM) Tick(now int64) []int64 {
 	d.now = now
-	// Fire completions; bursts hit by a transient fault re-queue instead.
+	d.landed = d.landed[:0]
+	// Land completions; bursts hit by a transient fault re-queue instead.
 	for {
-		at, ok := d.pending.PeekAt()
-		if !ok || at > now {
+		ci := d.nextLanding()
+		if ci < 0 || d.channels[ci].flights.front().at > now {
 			break
 		}
-		r, _ := d.pending.Pop()
-		if !d.maybeRetry(r, now) {
-			d.finish(r, now)
+		f := d.channels[ci].flights.pop()
+		if !d.maybeRetry(f.entry, now) {
+			d.finish(&f.entry, now)
+			d.landed = append(d.landed, f.Tag)
 		}
 	}
 	d.drainRetries(now)
@@ -289,9 +361,10 @@ func (d *DRAM) Tick(now int64) {
 	for ci := range d.channels {
 		d.schedule(ci, now)
 	}
+	return d.landed
 }
 
-func (d *DRAM) finish(r *Request, now int64) {
+func (d *DRAM) finish(r *entry, now int64) {
 	d.stats.TotalLatency += now - r.issued
 	ci := d.channelOf(r.Addr)
 	if r.Write {
@@ -307,9 +380,6 @@ func (d *DRAM) finish(r *Request, now int64) {
 			d.chanStats[ci].Reads++
 		}
 	}
-	if r.Done != nil {
-		r.Done(now)
-	}
 }
 
 func (d *DRAM) schedule(ci int, now int64) {
@@ -321,13 +391,13 @@ func (d *DRAM) schedule(ci int, now int64) {
 	// pass; tracking the oldest-ready fallback while scanning for a row hit
 	// picks the same request the two-pass form would).
 	pick, oldestReady := -1, -1
-	for i, r := range ch.queue {
-		b, row := d.decode(r)
-		bk := &ch.banks[b]
+	for i := range ch.queue {
+		r := &ch.queue[i]
+		bk := &ch.banks[r.bank]
 		if bk.readyAt > now {
 			continue
 		}
-		if bk.openRow == row {
+		if bk.openRow == r.row {
 			pick = i
 			break
 		}
@@ -344,11 +414,10 @@ func (d *DRAM) schedule(ci int, now int64) {
 	r := ch.queue[pick]
 	ch.queue = append(ch.queue[:pick], ch.queue[pick+1:]...)
 
-	b, row := d.decode(r)
-	bk := &ch.banks[b]
+	bk := &ch.banks[r.bank]
 	var accessLatency int64
 	switch {
-	case bk.openRow == row:
+	case bk.openRow == r.row:
 		d.stats.RowHits++
 		d.chanStats[ci].RowHits++
 		accessLatency = int64(d.cfg.TCAS)
@@ -361,7 +430,7 @@ func (d *DRAM) schedule(ci int, now int64) {
 		d.chanStats[ci].RowConflicts++
 		accessLatency = int64(d.cfg.TRP + d.cfg.TRCD + d.cfg.TCAS)
 	}
-	bk.openRow = row
+	bk.openRow = r.row
 	start := now
 	if bk.readyAt > start {
 		start = bk.readyAt
@@ -385,21 +454,33 @@ func (d *DRAM) schedule(ci int, now int64) {
 	// tCCD (~ one burst) plus any activate/precharge work, while this
 	// request's data is still in flight.
 	bk.readyAt = start + int64(d.cfg.BurstCycle) + (accessLatency - int64(d.cfg.TCAS))
-	d.pending.Push(done, r)
+	ch.flights.push(timed{entry: r, at: done, seq: d.seq})
+	d.seq++
 }
 
 // Idle reports whether no requests are queued or in flight.
 func (d *DRAM) Idle() bool {
-	if d.pending.Len() > 0 || len(d.retryq) > 0 {
+	if len(d.retryq) > 0 {
 		return false
 	}
 	for i := range d.channels {
-		if len(d.channels[i].queue) > 0 {
+		if len(d.channels[i].queue) > 0 || d.channels[i].flights.len() > 0 {
 			return false
 		}
 	}
 	return true
 }
+
+// landingOrder and schedulingOrder order scheduled completions the way
+// Tick fires them and the way they were scheduled.
+func landingOrder(a, b timed) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+func schedulingOrder(a, b timed) int { return cmp.Compare(a.seq, b.seq) }
 
 // NextEventAt returns the earliest cycle strictly after now at which a Tick
 // could change memory-system state: a pending completion firing, a retry
@@ -421,8 +502,8 @@ func (d *DRAM) NextEventAt(now int64) int64 {
 	}
 	// now+1 is the floor; once a candidate hits it, nothing can be earlier,
 	// so the remaining (and costlier) scans are skipped.
-	if at, ok := d.pending.PeekAt(); ok {
-		consider(at)
+	if ci := d.nextLanding(); ci >= 0 {
+		consider(d.channels[ci].flights.front().at)
 	}
 	for _, c := range d.retryq {
 		consider(c.at)
@@ -440,9 +521,8 @@ func (d *DRAM) NextEventAt(now int64) int64 {
 		}
 		// FR-FCFS can issue a command the first cycle any queued request's
 		// bank is ready; before that every schedule() pass picks nothing.
-		for _, r := range ch.queue {
-			b, _ := d.decode(r)
-			consider(ch.banks[b].readyAt)
+		for i := range ch.queue {
+			consider(ch.banks[ch.queue[i].bank].readyAt)
 			if next == now+1 {
 				return next
 			}
@@ -493,7 +573,13 @@ func (d *DRAM) ChannelIndex(addr uint64) int { return d.channelOf(addr) }
 
 // EventCount returns scheduled future events (pending completions plus
 // retrying bursts) — the event-queue depth the observability gauge samples.
-func (d *DRAM) EventCount() int { return d.pending.Len() + len(d.retryq) }
+func (d *DRAM) EventCount() int {
+	n := len(d.retryq)
+	for i := range d.channels {
+		n += d.channels[i].flights.len()
+	}
+	return n
+}
 
 // PeakBandwidth returns bytes/cycle at full bus utilisation.
 func (c Config) PeakBandwidth() float64 {

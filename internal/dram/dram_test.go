@@ -6,12 +6,17 @@ import (
 	"testing/quick"
 )
 
-// drain ticks until idle, returning the cycle everything completed.
-func drain(d *DRAM, start int64) int64 {
+// drain ticks until idle, returning the cycle everything completed. landed
+// maps each landed burst's tag to its landing cycle (nil to discard).
+func drain(d *DRAM, start int64, landed map[int64]int64) int64 {
 	now := start
 	for !d.Idle() {
 		now++
-		d.Tick(now)
+		for _, tag := range d.Tick(now) {
+			if landed != nil {
+				landed[tag] = now
+			}
+		}
 		if now > start+10_000_000 {
 			panic("dram did not drain")
 		}
@@ -21,10 +26,14 @@ func drain(d *DRAM, start int64) int64 {
 
 func TestSingleReadLatency(t *testing.T) {
 	d := New(DDR3_1600x4())
-	var doneAt int64 = -1
 	d.Tick(0)
-	d.Submit(&Request{Addr: 0, Done: func(now int64) { doneAt = now }})
-	end := drain(d, 0)
+	d.Submit(Request{Addr: 0, Tag: 1})
+	landed := map[int64]int64{}
+	end := drain(d, 0, landed)
+	doneAt, ok := landed[1]
+	if !ok {
+		doneAt = -1
+	}
 	// One queue cycle + closed-row activate: 1 + tRCD + tCAS + burst = 34.
 	if doneAt != 34 {
 		t.Errorf("first read completed at %d, want 34", doneAt)
@@ -44,9 +53,9 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	// Two sequential reads in the same row: second is a row hit.
 	d := New(cfg)
 	d.Tick(0)
-	d.Submit(&Request{Addr: 0})
-	d.Submit(&Request{Addr: uint64(cfg.BurstBytes * cfg.Channels)}) // same channel, same row
-	drain(d, 0)
+	d.Submit(Request{Addr: 0})
+	d.Submit(Request{Addr: uint64(cfg.BurstBytes * cfg.Channels)}) // same channel, same row
+	drain(d, 0, nil)
 	if d.Stats().RowHits != 1 {
 		t.Errorf("sequential same-row reads: hits = %d, want 1", d.Stats().RowHits)
 	}
@@ -55,9 +64,9 @@ func TestRowHitFasterThanConflict(t *testing.T) {
 	d2 := New(cfg)
 	d2.Tick(0)
 	stride := uint64(cfg.RowBytes * cfg.Channels * cfg.BanksPerChan)
-	d2.Submit(&Request{Addr: 0})
-	d2.Submit(&Request{Addr: stride})
-	drain(d2, 0)
+	d2.Submit(Request{Addr: 0})
+	d2.Submit(Request{Addr: stride})
+	drain(d2, 0, nil)
 	if d2.Stats().RowConflicts != 1 {
 		t.Errorf("same-bank different-row reads: conflicts = %d, want 1", d2.Stats().RowConflicts)
 	}
@@ -69,13 +78,13 @@ func TestDenseStreamApproachesPeakBandwidth(t *testing.T) {
 	n := 4096 // bursts
 	next := 0
 	now := int64(0)
-	done := 0 // shared across iterations: completion closures must see it
+	done := 0
 	for done < n {
 		now++
-		for next < n && d.Submit(&Request{Addr: uint64(next * cfg.BurstBytes), Done: func(int64) { done++ }}) {
+		for next < n && d.Submit(Request{Addr: uint64(next * cfg.BurstBytes)}) {
 			next++
 		}
-		d.Tick(now)
+		done += len(d.Tick(now))
 		if now > 10_000_000 {
 			t.Fatal("stream did not finish")
 		}
@@ -101,10 +110,10 @@ func TestRandomAccessSlowerThanDense(t *testing.T) {
 		now := int64(0)
 		for done < len(addrs) {
 			now++
-			for i < len(addrs) && d.Submit(&Request{Addr: addrs[i], Done: func(int64) { done++ }}) {
+			for i < len(addrs) && d.Submit(Request{Addr: addrs[i]}) {
 				i++
 			}
-			d.Tick(now)
+			done += len(d.Tick(now))
 			if now > 50_000_000 {
 				panic("did not finish")
 			}
@@ -132,7 +141,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 	d.Tick(0)
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		if d.Submit(&Request{Addr: uint64(i * cfg.BurstBytes * cfg.Channels)}) { // all same channel
+		if d.Submit(Request{Addr: uint64(i * cfg.BurstBytes * cfg.Channels)}) { // all same channel
 			accepted++
 		}
 	}
@@ -142,8 +151,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if d.Stats().StallsQueueFull != 6 {
 		t.Errorf("stalls = %d, want 6", d.Stats().StallsQueueFull)
 	}
-	if d.CanAccept(0) {
-		t.Error("CanAccept should be false when the channel queue is full")
+	if ok, down := d.Accepts(0); ok || down {
+		t.Errorf("Accepts(0) = %v, %v with the channel queue full, want false, false", ok, down)
 	}
 }
 
@@ -162,9 +171,9 @@ func TestChannelInterleaving(t *testing.T) {
 func TestWritesCounted(t *testing.T) {
 	d := New(DDR3_1600x4())
 	d.Tick(0)
-	d.Submit(&Request{Addr: 0, Write: true})
-	d.Submit(&Request{Addr: 64})
-	drain(d, 0)
+	d.Submit(Request{Addr: 0, Write: true})
+	d.Submit(Request{Addr: 64})
+	drain(d, 0, nil)
 	st := d.Stats()
 	if st.Writes != 1 || st.Reads != 1 || st.BytesWritten != 64 {
 		t.Errorf("stats = %+v", st)
@@ -187,12 +196,12 @@ func TestAllRequestsEventuallyCompleteProperty(t *testing.T) {
 			now++
 			for i < n {
 				addr := uint64(rng.Intn(1<<20)) &^ uint64(cfg.BurstBytes-1)
-				if !d.Submit(&Request{Addr: addr, Write: rng.Intn(2) == 0, Done: func(int64) { done++ }}) {
+				if !d.Submit(Request{Addr: addr, Write: rng.Intn(2) == 0}) {
 					break
 				}
 				i++
 			}
-			d.Tick(now)
+			done += len(d.Tick(now))
 			if now > 1_000_000 {
 				return false
 			}
@@ -225,10 +234,10 @@ func TestRefreshStallsBanks(t *testing.T) {
 		n := 512
 		for done < n {
 			now++
-			for next < n && dd.Submit(&Request{Addr: uint64(next * c.BurstBytes), Done: func(int64) { done++ }}) {
+			for next < n && dd.Submit(Request{Addr: uint64(next * c.BurstBytes)}) {
 				next++
 			}
-			dd.Tick(now)
+			done += len(dd.Tick(now))
 			if now > 1_000_000 {
 				t.Fatal("did not finish")
 			}

@@ -3,6 +3,7 @@ package dram
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ErrRetriesExhausted is wrapped by ExhaustedError when a burst's transient
@@ -107,8 +108,8 @@ func (d *DRAM) spikeLatency() int64 {
 
 // maybeRetry rolls the transient-failure die for a completed burst. If the
 // burst must retry, it is re-queued after an exponential backoff and true is
-// returned; the caller must not fire its completion.
-func (d *DRAM) maybeRetry(r *Request, now int64) bool {
+// returned; the caller must not land it.
+func (d *DRAM) maybeRetry(e entry, now int64) bool {
 	f := d.faults
 	if f == nil || f.TransientProb <= 0 {
 		return false
@@ -116,20 +117,20 @@ func (d *DRAM) maybeRetry(r *Request, now int64) bool {
 	if d.rng.Float64() >= f.TransientProb {
 		return false
 	}
-	if r.attempts >= f.MaxRetries {
+	if int(e.attempts) >= f.MaxRetries {
 		d.stats.RetriesExhausted++
 		if f.OnExhausted != nil {
-			f.OnExhausted(&ExhaustedError{Addr: r.Addr, Attempts: r.attempts})
+			f.OnExhausted(&ExhaustedError{Addr: e.Addr, Attempts: int(e.attempts)})
 		}
 		return false
 	}
-	r.attempts++
+	e.attempts++
 	d.stats.Retries++
-	if ci := d.channelOf(r.Addr); ci >= 0 {
+	if ci := d.channelOf(e.Addr); ci >= 0 {
 		d.chanStats[ci].Retries++
 	}
-	backoff := int64(f.RetryBackoff) << (r.attempts - 1)
-	d.retryq = append(d.retryq, completion{at: now + backoff, req: r})
+	backoff := int64(f.RetryBackoff) << (e.attempts - 1)
+	d.retryq = append(d.retryq, timed{entry: e, at: now + backoff})
 	return true
 }
 
@@ -141,41 +142,36 @@ func (d *DRAM) drainRetries(now int64) {
 	}
 	kept := d.retryq[:0]
 	for _, c := range d.retryq {
-		if c.at > now || !d.resubmit(c.req) {
+		if c.at > now || !d.resubmit(c.entry) {
 			kept = append(kept, c)
 		}
 	}
 	d.retryq = kept
 }
 
-// resubmit enqueues a retried request without resetting its arrival cycle,
+// resubmit enqueues a retried entry without resetting its arrival cycle,
 // so latency accounting spans all attempts.
-func (d *DRAM) resubmit(r *Request) bool {
-	ci := d.remapChannel(r.Addr)
+func (d *DRAM) resubmit(e entry) bool {
+	ci := d.remapChannel(e.Addr)
 	if ci < 0 {
 		d.stats.StallsChannelDown++
 		return false
 	}
-	ch := &d.channels[ci]
-	if len(ch.queue) >= d.cfg.QueueDepth {
+	if len(d.channels[ci].queue) >= d.cfg.QueueDepth {
 		d.stats.StallsQueueFull++
 		return false
 	}
-	ch.queue = append(ch.queue, r)
-	if occ := len(ch.queue); occ > d.stats.MaxQueueOcc {
-		d.stats.MaxQueueOcc = occ
-	}
-	if occ := len(ch.queue); occ > d.chanStats[ci].MaxQueueOcc {
-		d.chanStats[ci].MaxQueueOcc = occ
-	}
+	d.enqueue(ci, e)
 	return true
 }
 
 // KillChannel takes channel c offline mid-run. Requests already queued,
-// scheduled, or awaiting retry on c are dropped and reported through lost
-// (their data is gone; the owner must reissue them); future traffic remaps
-// onto the surviving channels. Returns the number of dropped requests.
-func (d *DRAM) KillChannel(c int, lost func(*Request)) (int, error) {
+// scheduled, or awaiting retry on c are dropped and their tags reported
+// through lost — queued first, then in-flight in scheduling order, then
+// the retry queue (their data is gone; the owner must reissue them); future
+// traffic remaps onto the surviving channels. Returns the number of dropped
+// requests.
+func (d *DRAM) KillChannel(c int, lost func(tag int64)) (int, error) {
 	if c < 0 || c >= d.cfg.Channels {
 		return 0, fmt.Errorf("dram: kill-chan %d out of range (memory system has %d channels)", c, d.cfg.Channels)
 	}
@@ -195,30 +191,32 @@ func (d *DRAM) KillChannel(c int, lost func(*Request)) (int, error) {
 	// remapChannel answers differently afterwards, and a request in c's
 	// queue belongs to c regardless of which channel its address hashes to.
 	dropped := 0
-	drop := func(r *Request) {
+	drop := func(tag int64) {
 		dropped++
 		if lost != nil {
-			lost(r)
+			lost(tag)
 		}
 	}
 	ch := &d.channels[c]
-	for _, r := range ch.queue {
-		drop(r)
+	for _, e := range ch.queue {
+		drop(e.Tag)
 	}
-	ch.queue = nil
-	d.pending.Filter(func(r *Request) bool {
-		if d.channelOf(r.Addr) == c {
-			drop(r)
-			return false
-		}
-		return true
-	})
+	ch.queue = ch.queue[:0]
+	owned := func(t *timed) bool { return d.channelOf(t.Addr) == c }
+	var gone []timed
+	for ci := range d.channels {
+		gone = d.channels[ci].flights.remove(owned, gone)
+	}
+	slices.SortFunc(gone, schedulingOrder)
+	for _, t := range gone {
+		drop(t.Tag)
+	}
 	keptR := d.retryq[:0]
-	for _, p := range d.retryq {
-		if d.channelOf(p.req.Addr) == c {
-			drop(p.req)
+	for _, t := range d.retryq {
+		if owned(&t) {
+			drop(t.Tag)
 		} else {
-			keptR = append(keptR, p)
+			keptR = append(keptR, t)
 		}
 	}
 	d.retryq = keptR

@@ -25,15 +25,15 @@ func TestDownChannelRemap(t *testing.T) {
 	d.Tick(0)
 	// Burst 0 natively maps to channel 0, which is down; it must land on a
 	// healthy channel and still complete.
-	done := false
-	if !d.Submit(&Request{Addr: 0, Done: func(int64) { done = true }}) {
+	if !d.Submit(Request{Addr: 0, Tag: 1}) {
 		t.Fatal("submit to remapped channel rejected")
 	}
 	if occ := d.QueueOccupancy(); occ[0] != 0 {
 		t.Errorf("downed channel 0 received a request: %v", occ)
 	}
-	drain(d, 0)
-	if !done {
+	landed := map[int64]int64{}
+	drain(d, 0, landed)
+	if _, done := landed[1]; !done {
 		t.Error("remapped request never completed")
 	}
 }
@@ -44,10 +44,10 @@ func TestAllChannelsDownRejectsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Tick(0)
-	if d.CanAccept(0) {
-		t.Error("CanAccept with every channel down")
+	if ok, down := d.Accepts(0); ok || !down {
+		t.Errorf("Accepts(0) = %v, %v with every channel down, want false, true", ok, down)
 	}
-	if d.Submit(&Request{Addr: 0}) {
+	if d.Submit(Request{Addr: 0}) {
 		t.Error("Submit with every channel down")
 	}
 	if d.Stats().StallsChannelDown == 0 {
@@ -63,13 +63,13 @@ func TestTransientRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Tick(0)
-	completions := 0
 	n := 4
 	for i := 0; i < n; i++ {
-		d.Submit(&Request{Addr: uint64(i * 64), Done: func(int64) { completions++ }})
+		d.Submit(Request{Addr: uint64(i * 64), Tag: int64(i)})
 	}
-	drain(d, 0)
-	if completions != n {
+	landed := map[int64]int64{}
+	drain(d, 0, landed)
+	if completions := len(landed); completions != n {
 		t.Fatalf("only %d/%d bursts completed despite bounded retries", completions, n)
 	}
 	st := d.Stats()
@@ -86,19 +86,19 @@ func TestRetryDelaysCompletion(t *testing.T) {
 	// A retried burst completes later than an unfaulted one.
 	base := New(DDR3_1600x4())
 	base.Tick(0)
-	var baseAt int64
-	base.Submit(&Request{Addr: 0, Done: func(now int64) { baseAt = now }})
-	drain(base, 0)
+	landed := map[int64]int64{}
+	base.Submit(Request{Addr: 0})
+	drain(base, 0, landed)
+	baseAt := landed[0]
 
 	d := New(DDR3_1600x4())
 	if err := d.InjectFaults(&Faults{Seed: 1, TransientProb: 1, MaxRetries: 1, RetryBackoff: 32}); err != nil {
 		t.Fatal(err)
 	}
 	d.Tick(0)
-	var retriedAt int64
-	d.Submit(&Request{Addr: 0, Done: func(now int64) { retriedAt = now }})
-	drain(d, 0)
-	if retriedAt <= baseAt {
+	d.Submit(Request{Addr: 0})
+	drain(d, 0, landed)
+	if retriedAt := landed[0]; retriedAt <= baseAt {
 		t.Errorf("retried burst at %d not later than pristine %d", retriedAt, baseAt)
 	}
 }
@@ -109,9 +109,10 @@ func TestLatencySpikes(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Tick(0)
-	var doneAt int64
-	d.Submit(&Request{Addr: 0, Done: func(now int64) { doneAt = now }})
-	drain(d, 0)
+	d.Submit(Request{Addr: 0})
+	landed := map[int64]int64{}
+	drain(d, 0, landed)
+	doneAt := landed[0]
 	// Pristine latency is 34 cycles (see TestSingleReadLatency); the spike
 	// adds 500.
 	if doneAt != 534 {
@@ -137,12 +138,12 @@ func TestRetriesExhaustedStructuredError(t *testing.T) {
 	}
 	d.Tick(0)
 	const n = 4
-	completions := 0
 	for i := 0; i < n; i++ {
-		d.Submit(&Request{Addr: uint64(i * 64), Done: func(int64) { completions++ }})
+		d.Submit(Request{Addr: uint64(i * 64), Tag: int64(i)})
 	}
-	drain(d, 0)
-	if completions != n {
+	landed := map[int64]int64{}
+	drain(d, 0, landed)
+	if completions := len(landed); completions != n {
 		t.Fatalf("only %d/%d bursts completed", completions, n)
 	}
 	st := d.Stats()
@@ -181,7 +182,7 @@ func TestFaultDeterminism(t *testing.T) {
 		next, now := 0, int64(0)
 		for !d.Idle() || next < 256 {
 			now++
-			for next < 256 && d.Submit(&Request{Addr: uint64(next * 64)}) {
+			for next < 256 && d.Submit(Request{Addr: uint64(next * 64)}) {
 				next++
 			}
 			d.Tick(now)

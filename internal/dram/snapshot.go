@@ -2,8 +2,7 @@ package dram
 
 import (
 	"fmt"
-
-	"plasticine/internal/eventq"
+	"slices"
 )
 
 // This file supports mid-run checkpointing: the memory system's entire
@@ -31,7 +30,8 @@ func (p *prng) Float64() float64 {
 
 // ReqState is the serializable form of one queued or in-flight request. Tag
 // carries the caller's identity for the request (the simulator stores the
-// owning activity id) so completion callbacks can be re-attached on restore.
+// owning activity id and burst index), which Tick reports when the restored
+// burst lands.
 type ReqState struct {
 	Addr     uint64
 	Write    bool
@@ -60,13 +60,17 @@ type MemState struct {
 	Acts    []int64     // Channels * 4 recent activate times, channel-major
 
 	Queued  [][]ReqState // per channel, queue order
-	Pending []ReqState   // scheduled completions, in order; At = finish cycle
+	Pending []ReqState   // scheduled completions, in landing order; At = finish cycle
 	Retry   []ReqState   // retry queue, in order; At = resubmit cycle
 }
 
-func reqState(r *Request, at int64) ReqState {
-	return ReqState{Addr: r.Addr, Write: r.Write, Issued: r.issued,
-		Attempts: int32(r.attempts), Tag: r.Tag, At: at}
+func (e *entry) state(at int64) ReqState {
+	return ReqState{Addr: e.Addr, Write: e.Write, Issued: e.issued,
+		Attempts: e.attempts, Tag: e.Tag, At: at}
+}
+
+func (d *DRAM) revive(rs ReqState) entry {
+	return d.newEntry(Request{Addr: rs.Addr, Write: rs.Write, Tag: rs.Tag}, rs.Issued, rs.Attempts)
 }
 
 // Snapshot captures the memory system's dynamic state. The snapshot is
@@ -80,6 +84,7 @@ func (d *DRAM) Snapshot() *MemState {
 		Chans:       append([]ChanStats(nil), d.chanStats...),
 		Queued:      make([][]ReqState, len(d.channels)),
 	}
+	var pending []timed
 	for ci := range d.channels {
 		ch := &d.channels[ci]
 		for _, bk := range ch.banks {
@@ -87,24 +92,28 @@ func (d *DRAM) Snapshot() *MemState {
 		}
 		st.BusFree = append(st.BusFree, ch.busFree)
 		st.Acts = append(st.Acts, ch.acts[:]...)
-		for _, r := range ch.queue {
-			st.Queued[ci] = append(st.Queued[ci], reqState(r, 0))
+		for i := range ch.queue {
+			st.Queued[ci] = append(st.Queued[ci], ch.queue[i].state(0))
 		}
+		pending = append(pending, ch.flights.items()...)
 	}
-	d.pending.InOrder(func(at int64, r *Request) {
-		st.Pending = append(st.Pending, reqState(r, at))
-	})
-	for _, c := range d.retryq {
-		st.Retry = append(st.Retry, reqState(c.req, c.at))
+	slices.SortFunc(pending, landingOrder)
+	for _, t := range pending {
+		st.Pending = append(st.Pending, t.state(t.at))
+	}
+	for _, t := range d.retryq {
+		st.Retry = append(st.Retry, t.state(t.at))
 	}
 	return st
 }
 
 // Restore loads a snapshot into a fresh memory system of the same
 // configuration (and, if faults were armed when the snapshot was taken, with
-// InjectFaults already applied). done rebuilds the completion callback for a
-// request from its Tag; it may be nil when the snapshot holds no requests.
-func (d *DRAM) Restore(st *MemState, done func(tag int64) func(now int64)) error {
+// InjectFaults already applied). Each pending completion goes back on the
+// channel that owns its address, in list order. A list that is out of cycle
+// order for a channel, or that lands a burst after its channel's bus frees,
+// is rejected: the channel would land its bursts out of order.
+func (d *DRAM) Restore(st *MemState) error {
 	if want := d.cfg.Channels * d.cfg.BanksPerChan; len(st.Banks) != want {
 		return fmt.Errorf("dram: snapshot has %d bank states, config wants %d", len(st.Banks), want)
 	}
@@ -117,18 +126,6 @@ func (d *DRAM) Restore(st *MemState, done func(tag int64) func(now int64)) error
 	}
 	if len(st.Chans) != d.cfg.Channels {
 		return fmt.Errorf("dram: snapshot has %d channel counter sets, config wants %d", len(st.Chans), d.cfg.Channels)
-	}
-	revive := func(rs ReqState) (*Request, error) {
-		r := &Request{Addr: rs.Addr, Write: rs.Write, Tag: rs.Tag,
-			issued: rs.Issued, attempts: int(rs.Attempts)}
-		if done == nil {
-			return nil, fmt.Errorf("dram: snapshot holds in-flight requests but no callback factory was given")
-		}
-		r.Done = done(rs.Tag)
-		if r.Done == nil {
-			return nil, fmt.Errorf("dram: no completion callback for request tag %d", rs.Tag)
-		}
-		return r, nil
 	}
 	d.now = st.Now
 	d.nextRefresh = st.NextRefresh
@@ -143,30 +140,36 @@ func (d *DRAM) Restore(st *MemState, done func(tag int64) func(now int64)) error
 		}
 		ch.busFree = st.BusFree[ci]
 		copy(ch.acts[:], st.Acts[ci*4:ci*4+4])
-		ch.queue = nil
+		ch.queue = ch.queue[:0]
 		for _, rs := range st.Queued[ci] {
-			r, err := revive(rs)
-			if err != nil {
-				return err
-			}
-			ch.queue = append(ch.queue, r)
+			ch.queue = append(ch.queue, d.revive(rs))
 		}
+		ch.flights = fifo{}
 	}
-	d.pending = eventq.Queue[*Request]{}
+	d.seq = 0
 	for _, rs := range st.Pending {
-		r, err := revive(rs)
-		if err != nil {
-			return err
+		ci := d.channelOf(rs.Addr)
+		if ci < 0 {
+			return fmt.Errorf("dram: pending request tag %d at 0x%x has no healthy channel", rs.Tag, rs.Addr)
 		}
-		d.pending.Push(rs.At, r)
+		// Every later burst on the channel lands after its bus frees, so
+		// each channel's completions must come in cycle order, none after
+		// that.
+		q := &d.channels[ci].flights
+		if q.len() > 0 && q.back().at > rs.At {
+			return fmt.Errorf("dram: pending request tag %d lands at cycle %d, before cycle %d already pending on channel %d",
+				rs.Tag, rs.At, q.back().at, ci)
+		}
+		if rs.At > d.channels[ci].busFree {
+			return fmt.Errorf("dram: pending request tag %d lands at cycle %d, after channel %d's bus frees at %d",
+				rs.Tag, rs.At, ci, d.channels[ci].busFree)
+		}
+		q.push(timed{entry: d.revive(rs), at: rs.At, seq: d.seq})
+		d.seq++
 	}
-	d.retryq = nil
+	d.retryq = d.retryq[:0]
 	for _, rs := range st.Retry {
-		r, err := revive(rs)
-		if err != nil {
-			return err
-		}
-		d.retryq = append(d.retryq, completion{at: rs.At, req: r})
+		d.retryq = append(d.retryq, timed{entry: d.revive(rs), at: rs.At})
 	}
 	return nil
 }

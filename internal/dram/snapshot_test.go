@@ -19,26 +19,27 @@ func TestSnapshotRestoreMidFlight(t *testing.T) {
 
 	// Uninterrupted reference run, recording every completion cycle by tag.
 	ref := make([]int64, n)
-	mkDone := func(out []int64, tag int64) func(int64) {
-		return func(now int64) { out[tag] = now }
-	}
 	d := New(cfg)
 	if err := d.InjectFaults(faults()); err != nil {
 		t.Fatal(err)
 	}
 	next, now := 0, int64(0)
-	submitAll := func(dd *DRAM, out []int64) {
-		for next < n && dd.Submit(&Request{Addr: uint64(next * 64), Tag: int64(next),
-			Done: mkDone(out, int64(next))}) {
+	submitAll := func(dd *DRAM) {
+		for next < n && dd.Submit(Request{Addr: uint64(next * 64), Tag: int64(next)}) {
 			next++
+		}
+	}
+	tick := func(dd *DRAM, out []int64) {
+		for _, tag := range dd.Tick(now) {
+			out[tag] = now
 		}
 	}
 	var snap *MemState
 	var snapNext int
 	for !d.Idle() || next < n {
 		now++
-		submitAll(d, ref)
-		d.Tick(now)
+		submitAll(d)
+		tick(d, ref)
 		if now == freezeAt {
 			snap = d.Snapshot()
 			snapNext = next
@@ -57,9 +58,7 @@ func TestSnapshotRestoreMidFlight(t *testing.T) {
 	if err := d2.InjectFaults(faults()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d2.Restore(snap, func(tag int64) func(int64) {
-		return mkDone(make([]int64, n), tag)
-	}); err != nil {
+	if err := d2.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	if again := d2.Snapshot(); !reflect.DeepEqual(snap, again) {
@@ -72,23 +71,20 @@ func TestSnapshotRestoreMidFlight(t *testing.T) {
 	if err := d3.InjectFaults(faults()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d3.Restore(snap, func(tag int64) func(int64) {
-		return mkDone(got, tag)
-	}); err != nil {
+	if err := d3.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
 	next, now = snapNext, freezeAt
 	for !d3.Idle() || next < n {
 		now++
-		submitAll(d3, got)
-		d3.Tick(now)
+		submitAll(d3)
+		tick(d3, got)
 		if now > 1_000_000 {
 			t.Fatal("restored stream did not drain")
 		}
 	}
 	// Bursts issued after the freeze must complete on exactly the reference
-	// cycle; bursts in flight at the freeze fire their restored callbacks on
-	// the reference cycle too (zero means the burst finished pre-freeze).
+	// cycle; bursts in flight at the freeze land on the reference cycle too (zero means the burst finished pre-freeze).
 	for i, at := range got {
 		if i >= snapNext && at == 0 {
 			t.Fatalf("burst %d never completed after restore", i)
@@ -104,21 +100,14 @@ func TestSnapshotRestoreMidFlight(t *testing.T) {
 
 func TestRestoreRejectsMismatchedShape(t *testing.T) {
 	d := New(DDR3_1600x4())
-	if err := d.Restore(&MemState{}, nil); err == nil {
+	if err := d.Restore(&MemState{}); err == nil {
 		t.Error("restoring an empty snapshot into a 4-channel system must fail")
 	}
 	small := DDR3_1600x4()
 	small.Channels = 2
 	src := New(small)
-	if err := d.Restore(src.Snapshot(), nil); err == nil {
+	if err := d.Restore(src.Snapshot()); err == nil {
 		t.Error("restoring a 2-channel snapshot into a 4-channel system must fail")
-	}
-	// A request-bearing snapshot needs a callback factory.
-	src4 := New(DDR3_1600x4())
-	src4.Tick(0)
-	src4.Submit(&Request{Addr: 0, Tag: 7})
-	if err := d.Restore(src4.Snapshot(), nil); err == nil {
-		t.Error("restoring in-flight requests without a callback factory must fail")
 	}
 }
 
@@ -128,10 +117,10 @@ func TestKillChannelDropsInFlight(t *testing.T) {
 	d.Tick(0)
 	// One burst per channel: burst i maps to channel i.
 	for i := 0; i < cfg.Channels; i++ {
-		d.Submit(&Request{Addr: uint64(i * cfg.BurstBytes), Tag: int64(i)})
+		d.Submit(Request{Addr: uint64(i * cfg.BurstBytes), Tag: int64(i)})
 	}
 	var lost []int64
-	dropped, err := d.KillChannel(1, func(r *Request) { lost = append(lost, r.Tag) })
+	dropped, err := d.KillChannel(1, func(tag int64) { lost = append(lost, tag) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +137,5 @@ func TestKillChannelDropsInFlight(t *testing.T) {
 	if ci := d.channelOf(uint64(1 * cfg.BurstBytes)); ci == 1 || ci < 0 {
 		t.Errorf("channel 1 traffic remapped to %d", ci)
 	}
-	drain(d, 0)
+	drain(d, 0, nil)
 }

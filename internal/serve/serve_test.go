@@ -493,11 +493,11 @@ func TestDrainCutsStragglersAtBudget(t *testing.T) {
 	s, ts := newTestServer(t, func(cfg *Config) {
 		cfg.DrainBudget = 5 * time.Millisecond
 	})
-	// CNN takes on the order of 100ms — far longer than the 5ms budget — so
-	// the drain must cut it loose rather than wait.
+	// OuterProduct takes on the order of 100ms — far longer than the 5ms
+	// budget — so the drain must cut it loose rather than wait.
 	results := make(chan int, 1)
 	go func() {
-		resp, err := http.Get(ts.URL + "/v1/run?bench=CNN&timeout=5m")
+		resp, err := http.Get(ts.URL + "/v1/run?bench=OuterProduct&timeout=5m")
 		if err != nil {
 			results <- -1
 			return

@@ -1,7 +1,9 @@
 package sim
 
 import (
-	"fmt"
+	"bytes"
+	"slices"
+	"strconv"
 	"strings"
 
 	"plasticine/internal/compiler"
@@ -22,26 +24,34 @@ type simUnit struct {
 }
 
 // builder consumes traced execution events and grows the activity graph.
+//
+// Its keys are built in one reused byte buffer (key) and read from maps as
+// m[string(key)], which allocates nothing; a key string is made only when a
+// new key is stored. Keys name controllers by a per-builder number.
 type builder struct {
 	m    *compiler.Mapping
 	acts []*activity
+
+	key      []byte
+	ctrlNums map[*dhdl.Controller]int
 
 	// DRAM buffer base addresses (4 KB aligned).
 	base map[*dhdl.DRAMBuf]uint64
 
 	// Per-physical-unit occupancy: the last execution on each unroll copy
-	// of each leaf (keyed by leaf plus copy-lane).
-	lastOfLeaf map[string]*activity
+	// of each leaf, indexed by unit.
+	lastOfUnit []*activity
 	// lastXferKey identifies the enclosing iteration of the last transfer
 	// per leaf: rows of one tiled transfer merge into a single AG command
 	// stream rather than separate round-trips.
-	lastXferKey map[*dhdl.Controller]string
+	lastXferKey map[*dhdl.Controller][]byte
 
 	// Per-memory version state for RAW/WAR edges. Memories are privatised
 	// per unroll copy (the compiler duplicates PMUs under outer
 	// parallelization), so the key combines the object with the copy
-	// identity.
-	mems map[memKey]*memVersions
+	// identity, numbered through copyOf.
+	mems   map[memKey]*memVersions
+	copyOf map[string]int
 
 	// Per-Sequential-controller-instance subtree barriers, keyed by the
 	// controller plus its enclosing iteration (unrolled copies of a
@@ -58,7 +68,10 @@ type builder struct {
 
 	// Coalescing-unit state survives across sparse transfers of the same
 	// leaf only; a fresh cache per activity is a close, simpler model.
+	// window and order hold that cache; their storage is reused.
 	coalesceWindow int
+	window         map[uint64]bool
+	order          []uint64
 	// disableNBuffer forces single buffering everywhere (ablation).
 	disableNBuffer bool
 }
@@ -73,7 +86,7 @@ type memVersions struct {
 }
 
 type seqState struct {
-	key     string
+	key     []byte // the child subtree and iteration now running
 	group   []*activity
 	barrier *activity
 }
@@ -81,14 +94,16 @@ type seqState struct {
 func newBuilder(m *compiler.Mapping) *builder {
 	b := &builder{
 		m:              m,
+		ctrlNums:       map[*dhdl.Controller]int{},
 		base:           map[*dhdl.DRAMBuf]uint64{},
-		lastOfLeaf:     map[string]*activity{},
-		lastXferKey:    map[*dhdl.Controller]string{},
+		lastXferKey:    map[*dhdl.Controller][]byte{},
 		mems:           map[memKey]*memVersions{},
+		copyOf:         map[string]int{},
 		seq:            map[string]*seqState{},
 		reads:          map[*dhdl.Controller][]any{},
 		writes:         map[*dhdl.Controller][]any{},
 		unitOf:         map[string]int{},
+		window:         map[uint64]bool{},
 		coalesceWindow: 64,
 	}
 	var addr uint64 = 1 << 20 // leave page 0 unmapped
@@ -106,14 +121,26 @@ func (b *builder) newActivity(k actKind, leaf *dhdl.Controller) *activity {
 	return a
 }
 
-// unitIndex resolves a unit key to its registry index, registering it on
-// first sight. The display name is the leaf's name plus the copy-lane suffix
-// ("#0.1" = lane positions at each parallelized level) when the leaf is
-// unrolled onto duplicate units.
-func (b *builder) unitIndex(ev *dhdl.ExecEvent, key string) int {
-	if id, ok := b.unitOf[key]; ok {
+// ctrlNum numbers controllers in order of first sight.
+func (b *builder) ctrlNum(c *dhdl.Controller) int {
+	n, ok := b.ctrlNums[c]
+	if !ok {
+		n = len(b.ctrlNums)
+		b.ctrlNums[c] = n
+	}
+	return n
+}
+
+// unitIndex resolves an execution's physical unit to its registry index,
+// registering it on first sight. The display name is the leaf's name plus
+// the copy-lane suffix ("#0.1" = lane positions at each parallelized level)
+// when the leaf is unrolled onto duplicate units.
+func (b *builder) unitIndex(ev *dhdl.ExecEvent) int {
+	b.key = appendUnitKey(b.key[:0], b.ctrlNum(ev.Ctrl), ev)
+	if id, ok := b.unitOf[string(b.key)]; ok {
 		return id
 	}
+	key := string(b.key)
 	kind := trace.UnitCompute
 	if ev.Ctrl.Kind != dhdl.ComputeKind {
 		kind = trace.UnitTransfer
@@ -128,12 +155,25 @@ func (b *builder) unitIndex(ev *dhdl.ExecEvent, key string) int {
 	// Unroll copies share the leaf's provenance: the profile rolls them up
 	// into one source-level row.
 	b.units = append(b.units, simUnit{name: name, origin: ev.Ctrl.Provenance(), kind: kind})
+	b.lastOfUnit = append(b.lastOfUnit, nil)
 	b.unitOf[key] = id
+	return id
+}
+
+// copyIndex numbers an execution's unroll copy-lane.
+func (b *builder) copyIndex(ev *dhdl.ExecEvent) int {
+	b.key = appendCopyKey(b.key[:0], ev)
+	id, ok := b.copyOf[string(b.key)]
+	if !ok {
+		id = len(b.copyOf)
+		b.copyOf[string(b.key)] = id
+	}
 	return id
 }
 
 // handle processes one traced leaf execution.
 func (b *builder) handle(ev *dhdl.ExecEvent) {
+	unit := b.unitIndex(ev)
 	var a *activity
 	if ev.Ctrl.Kind == dhdl.ComputeKind {
 		a = b.newActivity(actCompute, ev.Ctrl)
@@ -150,34 +190,32 @@ func (b *builder) handle(ev *dhdl.ExecEvent) {
 		// Chain iterations of one tiled transfer (e.g. the rows of a 2-D
 		// tile) form a single AG command stream: merge them into the
 		// previous activity of the same enclosing iteration.
-		unit := unitKey(ev)
-		key := envPrefixKey(ev)
-		if prev := b.lastOfLeaf[unit]; prev != nil && prev.kind == actTransfer &&
-			!prev.resolved && b.lastXferKey[ev.Ctrl] == key && len(ev.Ctrl.Chain) > 0 {
-			prev.bursts = append(prev.bursts, b.burstsFor(ev)...)
+		b.key = appendEnvPrefix(b.key[:0], ev)
+		if prev := b.lastOfUnit[unit]; prev != nil && prev.kind == actTransfer &&
+			!prev.resolved && bytes.Equal(b.lastXferKey[ev.Ctrl], b.key) && len(ev.Ctrl.Chain) > 0 {
+			prev.bursts = b.burstsFor(prev.bursts, ev)
 			return
 		}
+		b.lastXferKey[ev.Ctrl] = append(b.lastXferKey[ev.Ctrl][:0], b.key...)
 		a = b.newActivity(actTransfer, ev.Ctrl)
 		a.write = ev.Write
-		a.bursts = b.burstsFor(ev)
+		a.bursts = b.burstsFor(nil, ev)
 		a.fill = 8 // command path through AG and coalescing unit
-		b.lastXferKey[ev.Ctrl] = key
 	}
 
 	// Occupancy: successive executions on the same physical unit (the
 	// same unroll copy-lane of the same leaf) serialize.
-	unit := unitKey(ev)
-	a.unit = b.unitIndex(ev, unit)
-	if prev := b.lastOfLeaf[unit]; prev != nil {
+	a.unit = unit
+	if prev := b.lastOfUnit[unit]; prev != nil {
 		a.addDep(prev, endToStart)
 	}
-	b.lastOfLeaf[unit] = a
+	b.lastOfUnit[unit] = a
 
 	// Sequential ancestors serialize their child subtrees with tokens.
 	b.applySequentialBarriers(ev, a)
 
 	// Memory dependencies, privatised per unroll copy.
-	copyID := copyKey(ev)
+	copyID := b.copyIndex(ev)
 	streamParent := directParent(ev.Path)
 	for _, mm := range b.leafReads(ev.Ctrl) {
 		mv := b.memState(mm, copyID)
@@ -212,10 +250,10 @@ func (b *builder) handle(ev *dhdl.ExecEvent) {
 
 type memKey struct {
 	mem  any
-	copy string
+	copy int
 }
 
-func (b *builder) memState(m any, copyID string) *memVersions {
+func (b *builder) memState(m any, copyID int) *memVersions {
 	k := memKey{m, copyID}
 	if mv, ok := b.mems[k]; ok {
 		return mv
@@ -256,32 +294,31 @@ func (b *builder) applySequentialBarriers(ev *dhdl.ExecEvent, a *activity) {
 			continue
 		}
 		// Instance identity: this controller at this enclosing iteration.
-		inst := fmt.Sprintf("%p", anc)
+		k := strconv.AppendInt(b.key[:0], int64(b.ctrlNum(anc)), 10)
 		for _, v := range ev.Env[:min(anc.Depth, len(ev.Env))] {
-			inst += fmt.Sprintf(";%d", v)
+			k = strconv.AppendInt(append(k, ';'), int64(v), 10)
 		}
-		child := ev.Path[i+1]
-		key := fmt.Sprintf("%p", child)
-		hi := anc.Depth + len(anc.Chain)
-		if hi > len(ev.Env) {
-			hi = len(ev.Env)
+		st := b.seq[string(k)]
+		fresh := st == nil
+		if fresh {
+			st = &seqState{}
+			b.seq[string(k)] = st
 		}
-		for _, v := range ev.Env[anc.Depth:hi] {
-			key += fmt.Sprintf(",%d", v)
+		// The child subtree at the ancestor's own iteration.
+		k = strconv.AppendInt(k[:0], int64(b.ctrlNum(ev.Path[i+1])), 10)
+		for _, v := range ev.Env[anc.Depth:min(anc.Depth+len(anc.Chain), len(ev.Env))] {
+			k = strconv.AppendInt(append(k, ','), int64(v), 10)
 		}
-		st := b.seq[inst]
-		if st == nil {
-			st = &seqState{key: key}
-			b.seq[inst] = st
-		} else if st.key != key {
+		b.key = k
+		if !fresh && !bytes.Equal(st.key, k) {
 			bar := b.newActivity(actBarrier, nil)
 			for _, m := range st.group {
 				bar.addDep(m, endToStart)
 			}
 			st.barrier = bar
 			st.group = nil
-			st.key = key
 		}
+		st.key = append(st.key[:0], k...)
 		if st.barrier != nil {
 			a.addDep(st.barrier, endToStart)
 		}
@@ -301,66 +338,47 @@ func ownChainUnroll(c *dhdl.Controller) int {
 	return u
 }
 
-// unitKey identifies the physical unit instance an execution runs on: the
-// leaf plus its copy-lane — position modulo Par at every parallelized
-// counter level above the leaf. Executions with the same unit key share
-// hardware and serialize; different copy-lanes are duplicate units and may
-// overlap (subject to data dependencies).
-func unitKey(ev *dhdl.ExecEvent) string {
-	key := fmt.Sprintf("%p|", ev.Ctrl)
+// appendUnitKey appends the physical unit instance an execution runs on:
+// the leaf (by its controller number) plus its copy-lane. Executions with
+// the same unit key share hardware and serialize; different copy-lanes are
+// duplicate units and may overlap (subject to data dependencies).
+func appendUnitKey(dst []byte, leaf int, ev *dhdl.ExecEvent) []byte {
+	dst = append(strconv.AppendInt(dst, int64(leaf), 10), '|')
+	return appendCopyKey(dst, ev)
+}
+
+// appendCopyKey appends which unroll copy-lane a leaf execution belongs to:
+// position modulo Par at every parallelized counter level above the leaf,
+// each followed by a comma. Copies run on duplicate units with privatised
+// tile memories; successive waves on the same lane share the physical
+// memory, so its N-buffer write-after-read credits still apply across
+// waves.
+func appendCopyKey(dst []byte, ev *dhdl.ExecEvent) []byte {
 	level := 0
 	ownDepth := ev.Ctrl.Depth
 	for _, c := range ev.Path {
 		for _, ctr := range c.Chain {
 			if level >= len(ev.Env) || level >= ownDepth {
-				return key
+				return dst
 			}
 			if ctr.Par > 1 {
 				pos := (int(ev.Env[level]) - ctr.Min) / ctr.Step
-				key += fmt.Sprintf("%d,", pos%ctr.Par)
+				dst = append(strconv.AppendInt(dst, int64(pos%ctr.Par), 10), ',')
 			}
 			level++
 		}
 	}
-	return key
+	return dst
 }
 
-// copyKey identifies which unroll copy-lane a leaf execution belongs to:
-// position modulo Par at every parallelized counter level above the leaf.
-// Copies run on duplicate units with privatised tile memories; successive
-// waves on the same lane share the physical memory, so its N-buffer
-// write-after-read credits still apply across waves.
-func copyKey(ev *dhdl.ExecEvent) string {
-	key := ""
-	level := 0
-	ownDepth := ev.Ctrl.Depth
-	for _, c := range ev.Path {
-		for _, ctr := range c.Chain {
-			if level >= len(ev.Env) || level >= ownDepth {
-				return key
-			}
-			if ctr.Par > 1 {
-				pos := (int(ev.Env[level]) - ctr.Min) / ctr.Step
-				key += fmt.Sprintf("%d,", pos%ctr.Par)
-			}
-			level++
-		}
+// appendEnvPrefix appends the enclosing-controller iteration of a leaf
+// execution: the counter values above the leaf's own chain, each followed
+// by a comma.
+func appendEnvPrefix(dst []byte, ev *dhdl.ExecEvent) []byte {
+	for _, v := range ev.Env[:min(ev.Ctrl.Depth, len(ev.Env))] {
+		dst = append(strconv.AppendInt(dst, int64(v), 10), ',')
 	}
-	return key
-}
-
-// envPrefixKey identifies the enclosing-controller iteration of a leaf
-// execution: the counter values above the leaf's own chain.
-func envPrefixKey(ev *dhdl.ExecEvent) string {
-	d := ev.Ctrl.Depth
-	if d > len(ev.Env) {
-		d = len(ev.Env)
-	}
-	key := ""
-	for _, v := range ev.Env[:d] {
-		key += fmt.Sprintf("%d,", v)
-	}
-	return key
+	return dst
 }
 
 func directParent(path []*dhdl.Controller) *dhdl.Controller {
@@ -546,40 +564,42 @@ func dropTypedNils(in []any) []any {
 	return out
 }
 
-// burstsFor converts a transfer event into burst-aligned DRAM addresses.
+// burstsFor appends a transfer event's burst-aligned DRAM addresses to dst.
 // Dense transfers become sequential bursts; sparse transfers go through the
 // coalescing cache, which merges addresses falling into the same burst
 // within a sliding window (Section 3.4).
-func (b *builder) burstsFor(ev *dhdl.ExecEvent) []uint64 {
+func (b *builder) burstsFor(dst []uint64, ev *dhdl.ExecEvent) []uint64 {
 	base := b.base[ev.Buf]
 	if len(ev.SparseAddrs) == 0 {
 		startB := base + uint64(ev.DenseOff)*4
 		endB := startB + uint64(ev.DenseLen)*4
 		first := startB &^ (burstBytes - 1)
-		var out []uint64
-		for a := first; a < endB; a += burstBytes {
-			out = append(out, a)
+		if endB > first {
+			dst = slices.Grow(dst, int((endB-first+burstBytes-1)/burstBytes))
 		}
-		return out
+		for a := first; a < endB; a += burstBytes {
+			dst = append(dst, a)
+		}
+		return dst
 	}
-	// Coalescing cache: recent-burst window keyed by burst address.
-	window := make(map[uint64]bool, b.coalesceWindow)
-	var order []uint64
-	var out []uint64
+	// Coalescing cache: recent-burst window keyed by burst address, fresh
+	// for every transfer; order[head:] is the window, oldest first.
+	clear(b.window)
+	order, head := b.order[:0], 0
 	for _, idx := range ev.SparseAddrs {
 		addr := (base + uint64(ev.DenseOff)*4 + uint64(idx)*4) &^ (burstBytes - 1)
-		if window[addr] {
+		if b.window[addr] {
 			continue
 		}
-		out = append(out, addr)
-		window[addr] = true
+		dst = append(dst, addr)
+		b.window[addr] = true
 		order = append(order, addr)
-		if len(order) > b.coalesceWindow {
+		if len(order)-head > b.coalesceWindow {
 			// Evict the oldest entry.
-			old := order[0]
-			order = order[1:]
-			delete(window, old)
+			delete(b.window, order[head])
+			head++
 		}
 	}
-	return out
+	b.order = order
+	return dst
 }

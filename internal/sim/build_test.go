@@ -17,6 +17,8 @@ func TestUnitKeyIdentifiesCopyLanes(t *testing.T) {
 	ev := func(v int32) *dhdl.ExecEvent {
 		return &dhdl.ExecEvent{Ctrl: leaf, Path: []*dhdl.Controller{ctrl, leaf}, Env: []int32{v}}
 	}
+	unitKey := func(e *dhdl.ExecEvent) string { return string(appendUnitKey(nil, 3, e)) }
+	copyKey := func(e *dhdl.ExecEvent) string { return string(appendCopyKey(nil, e)) }
 	// Iterations 0 and 16 are different copy-lanes of a Par-2 counter
 	// (they overlap on duplicate units); 0 and 32 share lane 0.
 	if unitKey(ev(0)) == unitKey(ev(16)) {
@@ -31,6 +33,9 @@ func TestUnitKeyIdentifiesCopyLanes(t *testing.T) {
 	if copyKey(ev(0)) == copyKey(ev(16)) {
 		t.Error("copyKey: different lanes have privatised tiles")
 	}
+	if got := unitKey(ev(16)); got != "3|1," {
+		t.Errorf("unit key %q, want leaf 3 on lane 1: \"3|1,\"", got)
+	}
 }
 
 func TestEnvPrefixKeyIgnoresOwnChain(t *testing.T) {
@@ -38,6 +43,7 @@ func TestEnvPrefixKeyIgnoresOwnChain(t *testing.T) {
 	a := &dhdl.ExecEvent{Ctrl: leaf, Env: []int32{7, 0}}
 	b := &dhdl.ExecEvent{Ctrl: leaf, Env: []int32{7, 3}}
 	c := &dhdl.ExecEvent{Ctrl: leaf, Env: []int32{8, 0}}
+	envPrefixKey := func(e *dhdl.ExecEvent) string { return string(appendEnvPrefix(nil, e)) }
 	if envPrefixKey(a) != envPrefixKey(b) {
 		t.Error("rows of one tile share the prefix key")
 	}
@@ -56,7 +62,7 @@ func TestCoalescingDedupesWithinWindow(t *testing.T) {
 		addrs = append(addrs, int32(i%32)) // words 0..31 = 2 bursts
 	}
 	ev := &dhdl.ExecEvent{Ctrl: m.Prog.Leaves()[0], Buf: buf, SparseAddrs: addrs}
-	bursts := b.burstsFor(ev)
+	bursts := b.burstsFor(nil, ev)
 	if len(bursts) != 2 {
 		t.Errorf("coalesced to %d bursts, want 2", len(bursts))
 	}
@@ -64,7 +70,7 @@ func TestCoalescingDedupesWithinWindow(t *testing.T) {
 	b.coalesceWindow = 1
 	alt := &dhdl.ExecEvent{Ctrl: m.Prog.Leaves()[0], Buf: buf,
 		SparseAddrs: []int32{0, 100, 1, 101, 2, 102}}
-	if got := len(b.burstsFor(alt)); got != 6 {
+	if got := len(b.burstsFor(nil, alt)); got != 6 {
 		t.Errorf("window=1 produced %d bursts, want 6", got)
 	}
 }
@@ -74,7 +80,7 @@ func TestDenseBurstsCoverRange(t *testing.T) {
 	b := newBuilder(m)
 	buf := m.Prog.DRAMs[0]
 	ev := &dhdl.ExecEvent{Ctrl: m.Prog.Leaves()[0], Buf: buf, DenseOff: 3, DenseLen: 64}
-	bursts := b.burstsFor(ev)
+	bursts := b.burstsFor(nil, ev)
 	// 64 words starting at word 3: bytes 12..268 span 5 bursts.
 	if len(bursts) != 5 {
 		t.Errorf("got %d bursts, want 5", len(bursts))
@@ -83,6 +89,10 @@ func TestDenseBurstsCoverRange(t *testing.T) {
 		if bursts[i] != bursts[i-1]+burstBytes {
 			t.Errorf("bursts not contiguous: %v", bursts)
 		}
+	}
+	// A merged tile row appends to the bursts before it.
+	if got := b.burstsFor(bursts[:1], ev); len(got) != 6 || got[0] != bursts[0] || got[1] != bursts[0] {
+		t.Errorf("appending a row to one burst gave %v", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"plasticine/internal/dram"
 )
@@ -156,19 +157,16 @@ func (e *engine) restore(cp *Checkpoint) error {
 	if len(cp.Acts) != len(e.acts) {
 		return fmt.Errorf("%w: %d activity states for %d activities", ErrBadCheckpoint, len(cp.Acts), len(e.acts))
 	}
-	byID := make(map[int]*activity, len(e.acts))
-	for _, a := range e.acts {
-		if _, dup := byID[a.id]; dup {
-			return fmt.Errorf("%w: duplicate activity id %d", ErrBadCheckpoint, a.id)
+	for i, a := range e.acts {
+		if a.id != i {
+			return fmt.Errorf("%w: activity %d has id %d", ErrBadCheckpoint, i, a.id)
 		}
-		byID[a.id] = a
 	}
 	lookup := func(id int32) (*activity, error) {
-		a, ok := byID[int(id)]
-		if !ok {
+		if id < 0 || int(id) >= len(e.acts) {
 			return nil, fmt.Errorf("%w: unknown activity id %d", ErrBadCheckpoint, id)
 		}
-		return a, nil
+		return e.acts[id], nil
 	}
 	e.clock = cp.Clock
 	e.makespan = cp.Makespan
@@ -203,16 +201,18 @@ func (e *engine) restore(cp *Checkpoint) error {
 	}
 	heap.Init(&e.waiting) // stored order is already a valid heap; Init keeps it
 	e.running = e.running[:0]
-	rxByID := make(map[int]*runningXfer, len(cp.Running))
+	e.byAct = make([]*runningXfer, len(e.acts))
 	for _, rs := range cp.Running {
 		a, err := lookup(rs.Act)
 		if err != nil {
 			return err
 		}
+		if e.byAct[a.id] != nil {
+			return fmt.Errorf("%w: transfer %d running twice", ErrBadCheckpoint, a.id)
+		}
 		rx := &runningXfer{act: a, nextBurst: int(rs.NextBurst),
 			inFlight: int(rs.InFlight), completed: int(rs.Completed),
 			busy: rs.Busy, lastBusy: rs.LastBusy, hiWater: int(rs.HiWater)}
-		rx.done = e.burstDone(rx)
 		if rx.nextBurst < 0 || rx.nextBurst > len(a.bursts) {
 			return fmt.Errorf("%w: transfer %d next burst %d out of range", ErrBadCheckpoint, a.id, rx.nextBurst)
 		}
@@ -223,24 +223,35 @@ func (e *engine) restore(cp *Checkpoint) error {
 			rx.requeue = append(rx.requeue, int(i))
 		}
 		e.running = append(e.running, rx)
-		rxByID[a.id] = rx
+		e.byAct[a.id] = rx
 	}
 	if cp.DRAM != nil {
 		if e.dram == nil {
 			return fmt.Errorf("%w: checkpoint carries DRAM state but the engine has no memory system", ErrBadCheckpoint)
 		}
-		err := e.dram.Restore(cp.DRAM, func(tag int64) func(int64) {
-			actID, _ := splitTag(tag)
-			rx, ok := rxByID[actID]
-			if !ok {
-				return nil // Restore turns a nil callback into an error
-			}
-			return rx.done
-		})
-		if err != nil {
+		if err := e.checkTags(cp.DRAM); err != nil {
+			return err
+		}
+		if err := e.dram.Restore(cp.DRAM); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 		}
 	}
 	e.rebuildEventState()
+	return nil
+}
+
+// checkTags requires every request in a memory snapshot to name a burst of
+// a running transfer: landing or losing it indexes that transfer.
+func (e *engine) checkTags(st *dram.MemState) error {
+	for _, r := range slices.Concat(slices.Concat(st.Queued...), st.Pending, st.Retry) {
+		actID, burst := splitTag(r.Tag)
+		if actID < 0 || actID >= len(e.byAct) || e.byAct[actID] == nil {
+			return fmt.Errorf("%w: request tag %#x names no running transfer", ErrBadCheckpoint, r.Tag)
+		}
+		if n := len(e.byAct[actID].act.bursts); burst >= n {
+			return fmt.Errorf("%w: request tag %#x names burst %d of transfer %d, which has %d",
+				ErrBadCheckpoint, r.Tag, burst, actID, n)
+		}
+	}
 	return nil
 }

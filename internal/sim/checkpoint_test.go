@@ -125,6 +125,33 @@ func TestCheckpointRejectsWrongGraph(t *testing.T) {
 	}
 }
 
+func TestCheckpointRejectsTagsOfNoRunningTransfer(t *testing.T) {
+	paused := ckptEngine(buildCkptGraph(), nil)
+	if _, err := paused.runUntil(1500); err != nil {
+		t.Fatal(err)
+	}
+	running := paused.running[0].act.id
+	for _, tc := range []struct {
+		name string
+		tag  int64
+	}{
+		{"unknown activity", burstTag(99, 0)},
+		{"negative activity", -1},
+		{"compute activity", burstTag(2, 0)},
+		{"burst out of range", burstTag(running, 1<<20)},
+	} {
+		cp := paused.checkpoint()
+		if len(cp.DRAM.Pending) == 0 {
+			t.Fatal("no burst in flight at the pause point; test is vacuous")
+		}
+		cp.DRAM.Pending[0].Tag = tc.tag
+		e := ckptEngine(buildCkptGraph(), nil)
+		if err := e.restore(cp); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: want ErrBadCheckpoint, got %v", tc.name, err)
+		}
+	}
+}
+
 func TestDecodeCheckpointRejectsCorruption(t *testing.T) {
 	paused := ckptEngine(buildCkptGraph(), ckptFaults())
 	if _, err := paused.runUntil(1000); err != nil {

@@ -44,15 +44,11 @@ func (e *engine) runUntilCycle(stopAt int64) (bool, error) {
 			}
 		}
 		for len(e.waiting) > 0 && e.waiting[0].start <= e.clock {
-			a := heap.Pop(&e.waiting).(*activity)
-			rx := &runningXfer{act: a, lastBusy: -1}
-			rx.done = e.burstDone(rx)
-			e.running = append(e.running, rx)
-			e.lastProgressAt = e.clock // admission is forward progress
+			e.admit(heap.Pop(&e.waiting).(*activity))
 		}
 		e.issueBursts()
 		e.clock++
-		e.dram.Tick(e.clock)
+		e.tick()
 		if err := e.checkWatchdog(); err != nil {
 			return false, err
 		}
@@ -76,7 +72,7 @@ func (e *engine) drainInFlightCycle() (QuiesceState, int64, error) {
 	from := e.clock
 	for !e.quiescent() {
 		e.clock++
-		e.dram.Tick(e.clock)
+		e.tick()
 		if err := e.checkWatchdog(); err != nil {
 			return q, e.clock - from, err
 		}

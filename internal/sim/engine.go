@@ -61,10 +61,6 @@ type runningXfer struct {
 	blockedDown      bool
 	blockedChan      int
 
-	// done is the transfer's completion callback (see engine.burstDone),
-	// built once at admission so issuing a burst allocates no closure.
-	done func(now int64)
-
 	// Observability (tracked only when a trace.Recorder is armed): cycles on
 	// which the AG issued or landed at least one burst, deduplicated through
 	// lastBusy, plus the outstanding-burst FIFO's occupancy peak.
@@ -90,8 +86,8 @@ func (h *startHeap) Push(x any)        { *h = append(*h, x.(*activity)) }
 func (h *startHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
 // burstTag packs an activity id and burst index into a dram.Request tag, so
-// checkpoint restore and lost-work accounting can identify any in-flight
-// burst without serializing closures.
+// landings, lost-work accounting and checkpoint restore can identify any
+// in-flight burst.
 func burstTag(actID, burst int) int64 { return int64(actID)<<32 | int64(uint32(burst)) }
 
 func splitTag(tag int64) (actID, burst int) { return int(tag >> 32), int(uint32(tag)) }
@@ -127,6 +123,9 @@ type engine struct {
 	ready   []*activity // deps satisfied, not yet resolved
 	waiting startHeap   // transfers with known start, awaiting clock
 	running []*runningXfer
+	// byAct indexes running transfers by activity id (ids are indices into
+	// acts), so a burst's tag names its transfer.
+	byAct []*runningXfer
 
 	bursts int64 // completed bursts (watchdog progress signal)
 
@@ -162,6 +161,7 @@ func (e *engine) start() {
 		return
 	}
 	e.started = true
+	e.byAct = make([]*runningXfer, len(e.acts))
 	for _, a := range e.acts {
 		if a.nDepsLeft == 0 {
 			e.ready = append(e.ready, a)
@@ -210,17 +210,28 @@ func (e *engine) drainReady() {
 	}
 }
 
-// burstDone builds the completion callback for one transfer's bursts.
-// Admission and checkpoint restore share it, so a burst landing has
-// identical effects everywhere. A completion wakes a saturated AG and flags
-// the retire scan when the transfer's last burst lands.
-func (e *engine) burstDone(rx *runningXfer) func(now int64) {
-	return func(now int64) {
+// admit starts a transfer whose start time has arrived.
+func (e *engine) admit(a *activity) *runningXfer {
+	rx := &runningXfer{act: a, lastBusy: -1}
+	e.running = append(e.running, rx)
+	e.byAct[a.id] = rx
+	e.lastProgressAt = e.clock // admission is forward progress
+	return rx
+}
+
+// tick advances the memory system to the clock and lands the bursts that
+// completed. Every scheduling core ticks through it, so a landing has
+// identical effects everywhere: it wakes a saturated AG and flags the
+// retire scan when the transfer's last burst lands.
+func (e *engine) tick() {
+	for _, tag := range e.dram.Tick(e.clock) {
+		actID, _ := splitTag(tag)
+		rx := e.byAct[actID]
 		rx.inFlight--
 		rx.completed++
 		e.bursts++
 		if e.rec != nil {
-			rx.markBusy(now)
+			rx.markBusy(e.clock)
 		}
 		if rx.state == rxSat {
 			rx.state = rxActive
@@ -250,8 +261,8 @@ func (e *engine) issueInto(rx *runningXfer) {
 		} else {
 			break
 		}
-		req := &dram.Request{Addr: rx.act.bursts[idx], Write: rx.act.write,
-			Tag: burstTag(rx.act.id, idx), Done: rx.done}
+		req := dram.Request{Addr: rx.act.bursts[idx], Write: rx.act.write,
+			Tag: burstTag(rx.act.id, idx)}
 		if !e.dram.Submit(req) {
 			break // channel queue full; retry next cycle
 		}
@@ -276,6 +287,7 @@ func (e *engine) retire() {
 	for _, rx := range e.running {
 		if rx.completed == len(rx.act.bursts) {
 			rx.act.busy, rx.act.hiWater = rx.busy, int32(rx.hiWater)
+			e.byAct[rx.act.id] = nil
 			e.resolve(rx.act, rx.act.start, e.clock+rx.act.fill)
 		} else {
 			kept = append(kept, rx)

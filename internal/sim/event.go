@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
-	"sort"
+	"slices"
 )
 
 // This file is the discrete-event scheduling core (eventLoop). It resolves
@@ -43,7 +44,7 @@ func (e *engine) issueBurstsEvent() bool {
 		return false
 	}
 	if e.activeDirty {
-		sort.Slice(e.active, func(i, j int) bool { return e.active[i].seq < e.active[j].seq })
+		slices.SortFunc(e.active, bySeq)
 		e.activeDirty = false
 	}
 	kept := e.active[:0]
@@ -76,6 +77,10 @@ func (e *engine) issueBurstsEvent() bool {
 	e.active = kept
 	return len(e.active) > 0
 }
+
+// bySeq orders transfers by admission. Sequence numbers are unique, so the
+// order is total.
+func bySeq(a, b *runningXfer) int { return cmp.Compare(a.seq, b.seq) }
 
 // parkBlocked benches a transfer whose next submission would be rejected.
 // accountedThrough records that stall counters are settled through the
@@ -139,7 +144,7 @@ func (e *engine) wakeParked() {
 		if free <= 0 {
 			continue
 		}
-		sort.Slice(group, func(i, j int) bool { return group[i].seq < group[j].seq })
+		slices.SortFunc(group, bySeq)
 		n := free
 		if n > len(group) {
 			n = len(group)
@@ -240,18 +245,15 @@ func (e *engine) runUntilEvent(stopAt int64) (bool, error) {
 			}
 		}
 		for len(e.waiting) > 0 && e.waiting[0].start <= e.clock {
-			a := heap.Pop(&e.waiting).(*activity)
-			rx := &runningXfer{act: a, lastBusy: -1, seq: e.nextSeq}
-			rx.done = e.burstDone(rx)
+			rx := e.admit(heap.Pop(&e.waiting).(*activity))
+			rx.seq = e.nextSeq
 			e.nextSeq++
-			e.running = append(e.running, rx)
 			e.active = append(e.active, rx) // seqs ascend; order preserved
-			e.lastProgressAt = e.clock      // admission is forward progress
 		}
 		canIssue := e.issueBurstsEvent()
 		e.clock = e.nextEventCycle(stopAt, canIssue)
 		e.steps++
-		e.dram.Tick(e.clock)
+		e.tick()
 		e.wakeParked()
 		if err := e.checkWatchdog(); err != nil {
 			e.settleParked(e.clock - 1)
@@ -308,7 +310,7 @@ func (e *engine) drainInFlightEvent() (QuiesceState, int64, error) {
 		}
 		e.clock = next
 		e.steps++
-		e.dram.Tick(e.clock)
+		e.tick()
 		if err := e.checkWatchdog(); err != nil {
 			return q, e.clock - from, err
 		}

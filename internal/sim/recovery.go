@@ -7,7 +7,6 @@ import (
 
 	"plasticine/internal/compiler"
 	"plasticine/internal/dhdl"
-	"plasticine/internal/dram"
 	"plasticine/internal/fault"
 )
 
@@ -88,14 +87,13 @@ func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options, lp loop
 		re := RecoveryEvent{Event: ev.String(), At: eng.clock}
 
 		if ev.Kind == fault.KillChan {
-			lost, err := eng.dram.KillChannel(ev.Chan, func(req *dram.Request) {
-				actID, burst := splitTag(req.Tag)
-				for _, rx := range eng.running {
-					if rx.act.id == actID {
-						rx.inFlight--
-						rx.requeue = append(rx.requeue, burst)
-						return
-					}
+			// Lost bursts come queued first, then in flight in scheduling
+			// order, then retrying; they are reissued in that order.
+			lost, err := eng.dram.KillChannel(ev.Chan, func(tag int64) {
+				actID, burst := splitTag(tag)
+				if rx := eng.byAct[actID]; rx != nil {
+					rx.inFlight--
+					rx.requeue = append(rx.requeue, burst)
 				}
 			})
 			if err != nil {
