@@ -125,11 +125,12 @@ commands:
                     cycle-level profile: per-unit busy/stall/idle accounting
                     with stall causes, DRAM channel and link utilization and
                     the named bottleneck; writes a Chrome trace-event JSON
-                    (chrome://tracing, with compile passes on their own
-                    track) and a flat counters JSON. -by-pattern rolls the
-                    profile up by source pattern node instead of physical
-                    unit (rows sum exactly to the makespan); -passes prints
-                    the compiler pass trace
+                    (chrome://tracing, with the host-time spans on their
+                    own track) and a flat counters JSON. -by-pattern rolls
+                    the profile up by source pattern node instead of
+                    physical unit (rows sum exactly to the makespan);
+                    -passes prints the host-time span tree with the
+                    compiler's passes
   explain -bench <name> [-cols N] [-rows N] [-faults spec] [-json]
                     source-level fit report: does the benchmark fit the
                     fabric, and if not, which pattern nodes demand the
@@ -336,7 +337,7 @@ func cmdProfile(ctx context.Context, args []string) error {
 	tracePath := fs.String("trace", "", "Chrome trace-event JSON output path (default <bench>_trace.json; \"\" after -bench keeps the default, \"none\" disables)")
 	countersPath := fs.String("counters", "", "flat counters JSON output path (default <bench>_counters.json; \"none\" disables)")
 	byPattern := fs.Bool("by-pattern", false, "roll the profile up by source pattern node (rows sum exactly to the makespan)")
-	showPasses := fs.Bool("passes", false, "print the compiler pass trace (wall time and per-pass statistics)")
+	showPasses := fs.Bool("passes", false, "print the host-time span tree: build, compile and its passes, sim (with any repair), check (wall time and per-pass statistics)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -368,8 +369,8 @@ func cmdProfile(ctx context.Context, args []string) error {
 	} else {
 		fmt.Print(core.FormatProfile(p.Report))
 	}
-	if *showPasses && p.Passes != nil {
-		fmt.Print(p.Passes.String())
+	if *showPasses {
+		fmt.Print(compiler.FormatPasses(p.Spans))
 	}
 	write := func(path, fallback string, gen func() ([]byte, error), what string) error {
 		if path == "none" {

@@ -8,6 +8,7 @@ import (
 	"plasticine/internal/arch"
 	"plasticine/internal/dhdl"
 	"plasticine/internal/fault"
+	"plasticine/internal/metrics"
 )
 
 // LeafMap is the simulator-facing mapping of one leaf controller.
@@ -61,10 +62,6 @@ type Mapping struct {
 	Mems   map[*dhdl.SRAM]*MemMap
 	Util   Utilization
 
-	// Passes is the per-pass instrumentation of the compile that produced
-	// this mapping; Repair appends its own entries.
-	Passes *PassTrace
-
 	// LastRepair describes the most recent incremental repair applied to
 	// this mapping (nil if it has never been repaired). Set by Repair, and
 	// therefore by CompileOpts when Options.Reuse routes through it.
@@ -108,27 +105,29 @@ func CompileOpts(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping, 
 		}
 		return opts.Reuse, nil
 	}
-	m, _, err := compileTraced(ctx, p, opts)
+	ctx, sp := metrics.Start(ctx, "compile")
+	m, err := pipeline(ctx, p, opts)
+	sp.EndWith(p.Name, nil, err)
 	return m, err
 }
 
-// compileTraced is the pipeline body. It checks ctx at every pass boundary:
-// a canceled compile returns ctx's error wrapped with the program name, and
-// the trace still covers every pass that ran.
-func compileTraced(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping, *PassTrace, error) {
+// pipeline is the compile body: it records each pass as a span under ctx's
+// current one (the caller's compile span), failing pass included. It checks
+// ctx at every pass boundary: a canceled compile returns ctx's error
+// wrapped with the program name.
+func pipeline(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping, error) {
 	params, plan := opts.Params, opts.Faults
-	pt := &PassTrace{Program: p.Name}
 	if err := ctx.Err(); err != nil {
-		return nil, pt, fmt.Errorf("compiler: %s: %w", p.Name, err)
+		return nil, fmt.Errorf("compiler: %s: %w", p.Name, err)
 	}
-	end := pt.begin("validate")
+	_, sp := metrics.Start(ctx, "validate")
 	err := params.Validate()
-	end(params.String(), nil, err)
+	sp.EndWith(params.String(), nil, err)
 	if err != nil {
-		return nil, pt, err
+		return nil, err
 	}
 
-	end = pt.begin("allocate")
+	_, sp = metrics.Start(ctx, "allocate")
 	v, err := Allocate(p)
 	var allocDetail string
 	var allocStats map[string]int64
@@ -139,15 +138,15 @@ func compileTraced(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping
 			"virtual_ags": int64(len(v.AGs)), "outer_ctrls": int64(v.OuterCtrls),
 		}
 	}
-	end(allocDetail, allocStats, err)
+	sp.EndWith(allocDetail, allocStats, err)
 	if err != nil {
-		return nil, pt, err
+		return nil, err
 	}
 
 	if err := ctx.Err(); err != nil {
-		return nil, pt, fmt.Errorf("compiler: %s: %w", p.Name, err)
+		return nil, fmt.Errorf("compiler: %s: %w", p.Name, err)
 	}
-	end = pt.begin("partition")
+	_, sp = metrics.Start(ctx, "partition")
 	part, err := Partition(v, params)
 	var partDetail string
 	var partStats map[string]int64
@@ -158,12 +157,12 @@ func compileTraced(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping
 			"phys_ags": int64(part.TotalAGs), "used_fu_slots": part.UsedFUSlots,
 		}
 	}
-	end(partDetail, partStats, err)
+	sp.EndWith(partDetail, partStats, err)
 	if err != nil {
-		return nil, pt, err
+		return nil, err
 	}
 
-	end = pt.begin("fit-check")
+	_, sp = metrics.Start(ctx, "fit-check")
 	healthyPCUs := params.NumPCUs() - plan.NumDisabledPCUs()
 	healthyPMUs := params.NumPMUs() - plan.NumDisabledPMUs()
 	fitStats := map[string]int64{
@@ -182,13 +181,13 @@ func compileTraced(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping
 	case part.TotalAGs > params.NumAGs():
 		fitErr = &InsufficientError{Resource: "AG", Need: part.TotalAGs, Have: params.NumAGs()}
 	}
-	end(fmt.Sprintf("PCU %d/%d, PMU %d/%d, AG %d/%d", part.TotalPCUs, healthyPCUs,
+	sp.EndWith(fmt.Sprintf("PCU %d/%d, PMU %d/%d, AG %d/%d", part.TotalPCUs, healthyPCUs,
 		part.TotalPMUs, healthyPMUs, part.TotalAGs, params.NumAGs()), fitStats, fitErr)
 	if fitErr != nil {
-		return nil, pt, fitErr
+		return nil, fitErr
 	}
 
-	end = pt.begin("netlist")
+	_, sp = metrics.Start(ctx, "netlist")
 	nl := BuildNetlist(part)
 	edges := 0
 	for i, nd := range nl.Nodes {
@@ -198,13 +197,13 @@ func compileTraced(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping
 			}
 		}
 	}
-	end(fmt.Sprintf("%d nodes, %d edges", len(nl.Nodes), edges),
+	sp.EndWith(fmt.Sprintf("%d nodes, %d edges", len(nl.Nodes), edges),
 		map[string]int64{"nodes": int64(len(nl.Nodes)), "edges": int64(edges)}, nil)
 
 	if err := ctx.Err(); err != nil {
-		return nil, pt, fmt.Errorf("compiler: %s: %w", p.Name, err)
+		return nil, fmt.Errorf("compiler: %s: %w", p.Name, err)
 	}
-	end = pt.begin("place")
+	_, sp = metrics.Start(ctx, "place")
 	err = PlaceWithFaults(nl, params, plan)
 	var plStats map[string]int64
 	var plDetail string
@@ -213,15 +212,15 @@ func compileTraced(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping
 		plDetail = fmt.Sprintf("wirelength %d, worst edge %d hops",
 			plStats["wirelength"], plStats["worst_edge_hops"])
 	}
-	end(plDetail, plStats, err)
+	sp.EndWith(plDetail, plStats, err)
 	if err != nil {
-		return nil, pt, err
+		return nil, err
 	}
 
 	if err := ctx.Err(); err != nil {
-		return nil, pt, fmt.Errorf("compiler: %s: %w", p.Name, err)
+		return nil, fmt.Errorf("compiler: %s: %w", p.Name, err)
 	}
-	end = pt.begin("route")
+	_, sp = metrics.Start(ctx, "route")
 	routes, err := RouteAllWithFaults(nl, params, plan)
 	var rtStats map[string]int64
 	var rtDetail string
@@ -230,11 +229,11 @@ func compileTraced(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping
 		rtDetail = fmt.Sprintf("%d routes, %.2f avg hops, max link use %d",
 			len(routes.Routes), routes.AvgHops(), routes.MaxLinkUse())
 	}
-	end(rtDetail, rtStats, err)
+	sp.EndWith(rtDetail, rtStats, err)
 	if err != nil {
-		return nil, pt, err
+		return nil, err
 	}
-	endTiming := pt.begin("timing")
+	_, sp = metrics.Start(ctx, "timing")
 	// Hop distance between two placed nodes: Manhattan on a pristine
 	// fabric; the routed (detoured) path length under switch faults.
 	edgeHops := map[[2]int]int{}
@@ -345,14 +344,13 @@ func compileTraced(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping
 			maxII = lm.II
 		}
 	}
-	endTiming(fmt.Sprintf("%d leaves, max depth %d, max II %d", len(m.Leaves), maxDepth, maxII),
+	sp.EndWith(fmt.Sprintf("%d leaves, max depth %d, max II %d", len(m.Leaves), maxDepth, maxII),
 		map[string]int64{
 			"leaves": int64(len(m.Leaves)), "max_pipeline_depth": int64(maxDepth),
 			"max_ii": int64(maxII), "util_fu_pct": int64(m.Util.FUFrac * 100),
 			"util_pcu_pct": int64(m.Util.PCUFrac * 100), "util_pmu_pct": int64(m.Util.PMUFrac * 100),
 		}, nil)
-	m.Passes = pt
-	return m, pt, nil
+	return m, nil
 }
 
 func computeUtil(part *Partitioned, params arch.Params) Utilization {

@@ -10,6 +10,7 @@ import (
 	"plasticine/internal/arch"
 	"plasticine/internal/dhdl"
 	"plasticine/internal/fault"
+	"plasticine/internal/metrics"
 	"plasticine/internal/stats"
 )
 
@@ -46,8 +47,9 @@ type Explanation struct {
 
 	// Util is the fabric occupancy when the program fits.
 	Util *Utilization `json:",omitempty"`
-	// Passes covers every pass that ran, including the failing one.
-	Passes *PassTrace `json:",omitempty"`
+	// Compile is the compile's span tree: one child per pass that ran,
+	// including the failing one.
+	Compile *metrics.Span `json:",omitempty"`
 }
 
 // Explain compiles a program and reports, in source-level terms, whether it
@@ -57,11 +59,13 @@ type Explanation struct {
 // wrapping ctx.Err() instead of an explanation.
 func Explain(ctx context.Context, p *dhdl.Program, params arch.Params, plan *fault.Plan) (*Explanation, error) {
 	ex := &Explanation{Program: p.Name}
-	m, pt, err := compileTraced(ctx, p, Options{Params: params, Faults: plan})
+	ctx, sp := metrics.Start(ctx, "compile")
+	m, err := pipeline(ctx, p, Options{Params: params, Faults: plan})
+	sp.EndWith(p.Name, nil, err)
 	if ctx.Err() != nil && errors.Is(err, ctx.Err()) {
 		return nil, err
 	}
-	ex.Passes = pt
+	ex.Compile = sp.Snapshot()
 	if err == nil {
 		ex.Fits = true
 		ex.Util = &m.Util
@@ -179,8 +183,8 @@ func (ex *Explanation) String() string {
 				ex.RouteFrom, ex.RouteFromOrigin, ex.RouteTo, ex.RouteToOrigin)
 		}
 	}
-	if ex.Passes != nil {
-		b.WriteString(ex.Passes.String())
+	if ex.Compile != nil {
+		b.WriteString(FormatPasses(ex.Compile))
 	}
 	return b.String()
 }

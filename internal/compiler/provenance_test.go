@@ -8,6 +8,7 @@ import (
 	"plasticine/internal/arch"
 	"plasticine/internal/dhdl"
 	"plasticine/internal/fault"
+	"plasticine/internal/metrics"
 	"plasticine/internal/pattern"
 )
 
@@ -84,30 +85,49 @@ func TestNetlistOriginFallsBackToName(t *testing.T) {
 	}
 }
 
-// TestPassTraceRecordsPipeline: a successful compile records every pass of
-// the pipeline, in order, with wall times and structured stats.
+// compileSpans compiles p under a root span and returns the compile
+// span's snapshot (nil when the compile recorded none).
+func compileSpans(t *testing.T, p *dhdl.Program, params arch.Params) (*Mapping, *metrics.Span, error) {
+	t.Helper()
+	ctx, root := metrics.Start(context.Background(), "test")
+	m, err := CompileOpts(ctx, p, Options{Params: params})
+	root.End()
+	snap := root.Snapshot()
+	if len(snap.Children) != 1 || snap.Children[0].Name != "compile" {
+		t.Fatalf("compile recorded %+v under its caller, want one compile span", snap.Children)
+	}
+	return m, snap.Children[0], err
+}
+
+// TestPassTraceRecordsPipeline: a successful compile records every pass
+// of the pipeline as a child of its compile span, in order, inside it, with
+// wall times and structured stats.
 func TestPassTraceRecordsPipeline(t *testing.T) {
-	m, pt, err := compileTraced(context.Background(), buildOriginDot(1024, 256, 16, 1), Options{Params: arch.Default()})
+	_, sp, err := compileSpans(t, buildOriginDot(1024, 256, 16, 1), arch.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Passes != pt {
-		t.Fatal("mapping does not reference the returned pass trace")
+	if sp.Detail != "dot" || sp.Err != "" || sp.DurUS <= 0 {
+		t.Errorf("compile span = %+v, want the program name and a duration", sp)
 	}
 	want := []string{"validate", "allocate", "partition", "fit-check", "netlist", "place", "route", "timing"}
-	if len(pt.Entries) != len(want) {
-		t.Fatalf("got %d pass entries, want %d: %v", len(pt.Entries), len(want), pt.String())
+	if len(sp.Children) != len(want) {
+		t.Fatalf("got %d pass spans, want %d:\n%s", len(sp.Children), len(want), FormatPasses(sp))
 	}
-	for i, e := range pt.Entries {
+	byName := map[string]*metrics.Span{}
+	end := sp.StartUS
+	for i, e := range sp.Children {
 		if e.Name != want[i] {
 			t.Errorf("pass %d is %q, want %q", i, e.Name, want[i])
 		}
 		if e.Err != "" {
 			t.Errorf("pass %s failed on a fitting program: %s", e.Name, e.Err)
 		}
-	}
-	byName := map[string]*PassEntry{}
-	for _, e := range pt.Entries {
+		if e.StartUS < end || e.StartUS+e.DurUS > sp.StartUS+sp.DurUS {
+			t.Errorf("pass %s [%v, +%v] overlaps its predecessor or leaves compile [%v, +%v]",
+				e.Name, e.StartUS, e.DurUS, sp.StartUS, sp.DurUS)
+		}
+		end = e.StartUS + e.DurUS
 		byName[e.Name] = e
 	}
 	if byName["allocate"].Stats["virtual_pcus"] != 2 {
@@ -128,29 +148,30 @@ func TestPassTraceRecordsPipeline(t *testing.T) {
 	if !hops {
 		t.Error("route recorded no route-length histogram")
 	}
-	if pt.TotalNS() <= 0 {
-		t.Error("pass trace has no wall time")
-	}
 }
 
-// TestPassTraceSurvivesFailure: a compile that cannot fit still returns the
-// trace up to and including the failing pass.
+// TestPassTraceSurvivesFailure: a compile that cannot fit still records
+// its passes up to and including the failing one, and the compile span
+// carries the error.
 func TestPassTraceSurvivesFailure(t *testing.T) {
 	params := arch.Default()
 	params.Chip.Cols, params.Chip.Rows = 2, 2
-	m, pt, err := compileTraced(context.Background(), buildOriginDot(1<<16, 256, 16, 8), Options{Params: params})
+	m, sp, err := compileSpans(t, buildOriginDot(1<<16, 256, 16, 8), params)
 	if err == nil {
 		t.Fatal("expected a fit failure on a 2x2 fabric")
 	}
 	if m != nil {
 		t.Fatal("failed compile returned a mapping")
 	}
-	if pt == nil || len(pt.Entries) == 0 {
-		t.Fatal("failed compile returned no pass trace")
+	if len(sp.Children) == 0 {
+		t.Fatal("failed compile recorded no passes")
 	}
-	last := pt.Entries[len(pt.Entries)-1]
+	last := sp.Children[len(sp.Children)-1]
 	if last.Err == "" {
 		t.Errorf("last pass %q has no recorded error", last.Name)
+	}
+	if sp.Err != err.Error() {
+		t.Errorf("compile span error = %q, want %q", sp.Err, err)
 	}
 }
 
@@ -212,34 +233,72 @@ func TestExplainFits(t *testing.T) {
 	if ex.Util == nil || ex.Util.PCUFrac <= 0 {
 		t.Error("fitting explanation has no utilization")
 	}
-	if ex.Passes == nil || len(ex.Passes.Entries) == 0 {
-		t.Error("fitting explanation has no pass trace")
+	if ex.Compile == nil || ex.Compile.Name != "compile" || len(ex.Compile.Children) != 8 {
+		t.Fatalf("fitting explanation has no compile span with eight passes: %+v", ex.Compile)
+	}
+	if s := ex.String(); !strings.Contains(s, "compile passes: dot") || !strings.Contains(s, "route_hops[") {
+		t.Errorf("rendered explanation lacks the pass table:\n%s", s)
 	}
 }
 
-// TestRepairExtendsPassTrace: a mid-run repair appends its own entry to the
-// mapping's pass trace so compile and repair read as one pipeline.
+// TestRepairExtendsPassTrace: a mid-run repair records its own span under the
+// caller's (the simulator's sim span during a run), with its report as the
+// summary and its counts as stats.
 func TestRepairExtendsPassTrace(t *testing.T) {
 	m := compileDot(t)
-	before := len(m.Passes.Entries)
 	victim := pickOccupied(t, m, NodePCU)
 	plan := fault.ManualPlan([]fault.Coord{{X: victim.X, Y: victim.Y}}, nil, nil, nil)
-	if _, err := Repair(context.Background(), m, plan); err != nil {
+	ctx, simSpan := metrics.Start(context.Background(), "sim")
+	if _, err := Repair(ctx, m, plan); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.Passes.Entries) != before+1 {
-		t.Fatalf("repair appended %d entries, want 1", len(m.Passes.Entries)-before)
+	simSpan.End()
+	snap := simSpan.Snapshot()
+	if len(snap.Children) != 1 {
+		t.Fatalf("repair recorded %d spans under sim, want 1", len(snap.Children))
 	}
-	e := m.Passes.Entries[before]
-	if e.Name != "repair" {
-		t.Fatalf("appended pass is %q, want repair", e.Name)
+	e := snap.Children[0]
+	if e.Name != "repair" || e.Detail != m.LastRepair.String() {
+		t.Fatalf("recorded span = %+v, want repair with its report", e)
 	}
-	if e.Stats["moved_pcus"] != 1 {
-		t.Errorf("repair stats moved_pcus = %d, want 1", e.Stats["moved_pcus"])
+	if e.Stats["moved_pcus"] != 1 || e.Stats["full_recompile"] != 0 {
+		t.Errorf("repair stats = %v, want moved_pcus=1 full_recompile=0", e.Stats)
+	}
+	if len(e.Children) != 0 {
+		t.Errorf("incremental repair recorded children: %+v", e.Children)
 	}
 	// Provenance survives the move: the victim keeps its origin.
 	if victim.Origin == "" {
 		t.Error("moved node lost its origin")
+	}
+}
+
+// TestFullRecompileNestsUnderRepair: when the incremental rungs fail, the
+// recompile's compile span and its passes nest under the repair span.
+func TestFullRecompileNestsUnderRepair(t *testing.T) {
+	m := compileDot(t)
+	ctx, simSpan := metrics.Start(context.Background(), "sim")
+	if _, err := Repair(ctx, m, allPCUsDead(m.Params)); err == nil {
+		t.Fatal("repair succeeded with every PCU tile dead")
+	}
+	simSpan.End()
+	snap := simSpan.Snapshot()
+	if len(snap.Children) != 1 || snap.Children[0].Name != "repair" {
+		t.Fatalf("sim holds %+v, want one repair span", snap.Children)
+	}
+	rep := snap.Children[0]
+	if rep.Stats["full_recompile"] != 1 || rep.Err == "" {
+		t.Errorf("repair span = %+v, want a failed full recompile", rep)
+	}
+	if len(rep.Children) != 1 || rep.Children[0].Name != "compile" {
+		t.Fatalf("repair holds %+v, want the recompile's compile span", rep.Children)
+	}
+	var names []string
+	for _, p := range rep.Children[0].Children {
+		names = append(names, p.Name)
+	}
+	if got := strings.Join(names, ","); got != "validate,allocate,partition,fit-check" {
+		t.Errorf("recompile passes = %s, want validate..fit-check (where it ran out of PCUs)", got)
 	}
 }
 

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"plasticine/internal/arch"
 	"plasticine/internal/fault"
+	"plasticine/internal/metrics"
 )
 
 // RepairReport counts what a mapping repair changed, for recovery-overhead
@@ -48,27 +48,21 @@ func (r *RepairReport) String() string {
 // activity graph remains valid; detour latency is second-order next to the
 // reconfiguration stall and is absorbed into the recovery penalty. ctx
 // bounds the full recompile: a canceled one fails with an error wrapping
-// ctx.Err().
-func Repair(ctx context.Context, m *Mapping, plan *fault.Plan) (*RepairReport, error) {
-	t0 := time.Now()
+// ctx.Err(). The repair records a span under ctx's current one (during a
+// run, the sim span), with the recompile's passes below it.
+func Repair(ctx context.Context, m *Mapping, plan *fault.Plan) (_ *RepairReport, err error) {
+	ctx, sp := metrics.Start(ctx, "repair")
 	rep := &RepairReport{}
 	defer func() {
-		// The repair extends the mapping's pass trace so post-mortem tooling
-		// sees compile and repair as one pipeline.
 		m.LastRepair = rep
 		mode := int64(0)
 		if rep.FullRecompile {
 			mode = 1
 		}
-		m.Passes.Add(&PassEntry{
-			Name:   "repair",
-			WallNS: time.Since(t0).Nanoseconds(),
-			Detail: rep.String(),
-			Stats: map[string]int64{
-				"moved_pcus": int64(rep.MovedPCUs), "moved_pmus": int64(rep.MovedPMUs),
-				"rerouted_edges": int64(rep.ReroutedEdges), "full_recompile": mode,
-			},
-		})
+		sp.EndWith(rep.String(), map[string]int64{
+			"moved_pcus": int64(rep.MovedPCUs), "moved_pmus": int64(rep.MovedPMUs),
+			"rerouted_edges": int64(rep.ReroutedEdges), "full_recompile": mode,
+		}, err)
 	}()
 	nl := m.Netlist
 	p := m.Params
@@ -236,17 +230,11 @@ func patchRoutes(m *Mapping, plan *fault.Plan, moved map[int]bool, rep *RepairRe
 
 // fullRecompile is rung two of the ladder: recompile the whole program
 // against the extended plan and splice the result into m. The returned
-// counts cover every unit whose position changed.
+// counts cover every unit whose position changed. The recompile's span
+// nests under ctx's current one, the repair's.
 func fullRecompile(ctx context.Context, m *Mapping, plan *fault.Plan, rep *RepairReport) (*RepairReport, error) {
 	rep.FullRecompile = true
-	fresh, freshPT, err := compileTraced(ctx, m.Prog, Options{Params: m.Params, Faults: plan})
-	if freshPT != nil {
-		// Keep the recompile's per-pass record, marked as repair work.
-		for _, e := range freshPT.Entries {
-			m.Passes.Add(&PassEntry{Name: "repair/" + e.Name, WallNS: e.WallNS,
-				Detail: e.Detail, Stats: e.Stats, Err: e.Err})
-		}
-	}
+	fresh, err := CompileOpts(ctx, m.Prog, Options{Params: m.Params, Faults: plan})
 	if err != nil {
 		return rep, err // wraps ErrInsufficient / ErrNoRoute, or ctx.Err()
 	}

@@ -53,11 +53,11 @@ func TestSessionConcurrentMixedUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strip the pass trace before comparing explanations: it records host
-	// wall times, which legitimately differ between calls.
+	// Strip the compile span before comparing explanations: it records
+	// host wall times, which legitimately differ between calls.
 	explainJSON := func(ex *compiler.Explanation) []byte {
 		c := *ex
-		c.Passes = nil
+		c.Compile = nil
 		data, err := json.Marshal(&c)
 		if err != nil {
 			t.Fatal(err)

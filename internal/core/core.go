@@ -50,14 +50,10 @@ type BenchResult struct {
 	// fault plan scheduled timed events that fired).
 	Recovery *sim.RecoveryStats `json:",omitempty"`
 
-	// SimWallSec is host time spent simulating (simulator throughput, not a
-	// modelled quantity).
+	// SimWallSec is the event engine's host time, sim.Result.WallTime: the
+	// timed schedule alone, not the functional trace, graph build or repair
+	// inside the sim span (simulator throughput, not a modelled quantity).
 	SimWallSec float64 `json:",omitempty"`
-
-	// Passes is the compile pipeline's per-pass record (wall time, sizes,
-	// placement/routing quality). Excluded from the JSON artefacts: host wall
-	// times are not reproducible quantities.
-	Passes *compiler.PassTrace `json:"-"`
 }
 
 // runBenchmark executes one Table 4 benchmark end to end on a fabric with
@@ -70,26 +66,27 @@ type BenchResult struct {
 // simulator polls it periodically, so a parallel suite can abandon
 // in-flight work when a sibling fails or the user interrupts.
 func runBenchmark(ctx context.Context, params arch.Params, b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
-	endCompile := metrics.StartPhase(ctx, "compile")
+	_, span := metrics.Start(ctx, "build")
 	p, err := b.Build()
+	span.EndWith("", nil, err)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
 	}
+	// The compiler records its own compile span, passes below it.
 	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: params, Faults: plan})
-	endCompile()
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
 	}
-	endSim := metrics.StartPhase(ctx, "sim")
+	simCtx, span := metrics.Start(ctx, "sim")
 	opts.Recovery = true
-	res, st, err := sim.Simulate(ctx, m, opts)
-	endSim()
+	res, st, err := sim.Simulate(simCtx, m, opts)
+	span.EndWith("", nil, err)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
 	}
-	endCheck := metrics.StartPhase(ctx, "check")
+	_, span = metrics.Start(ctx, "check")
 	err = b.Check(st)
-	endCheck()
+	span.EndWith("", nil, err)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: functional check failed: %w", b.Name(), err)
 	}
@@ -111,7 +108,6 @@ func runBenchmark(ctx context.Context, params arch.Params, b workloads.Benchmark
 	fpgaPower := baseline.Power(w)
 	r := &BenchResult{
 		Name:         b.Name(),
-		Passes:       m.Passes,
 		Cycles:       res.Cycles,
 		TimeSec:      res.Seconds,
 		PowerW:       res.PowerW,

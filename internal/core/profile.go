@@ -10,43 +10,27 @@ import (
 	"fmt"
 	"strings"
 
-	"plasticine/internal/compiler"
+	"plasticine/internal/metrics"
 	"plasticine/internal/stats"
 	"plasticine/internal/trace"
 )
 
 // ProfileResult bundles one profiled benchmark run: the evaluation row, the
 // rolled-up cycle-accounting report (per physical unit and per source-level
-// pattern node), the compile pass trace, and the raw collector for export.
+// pattern node), the evaluation's host-time span tree, and the raw
+// collector for export.
 type ProfileResult struct {
 	Bench     *BenchResult
 	Report    *trace.Report
 	Pattern   *trace.PatternReport
-	Passes    *compiler.PassTrace
+	Spans     *metrics.Span
 	Collector *trace.Collector
 }
 
-// assembleProfile rolls a recorded run into a ProfileResult. Compile passes
-// ride the Chrome trace on their own process track; spans are laid end to
-// end since PassTrace records durations, not start times.
-func assembleProfile(name string, r *BenchResult, col *trace.Collector) *ProfileResult {
-	if r.Passes != nil {
-		var off int64
-		for _, e := range r.Passes.Entries {
-			col.AddCompileSpan(e.Name, e.Detail, off, e.WallNS)
-			off += e.WallNS
-		}
-	}
-	rep := col.Report()
-	rep.Benchmark = name
-	return &ProfileResult{Bench: r, Report: rep,
-		Pattern: col.PatternReport(name), Passes: r.Passes, Collector: col}
-}
-
 // ChromeTrace exports the run as Chrome trace-event JSON (load in
-// chrome://tracing or Perfetto).
+// chrome://tracing or Perfetto), host spans on the compiler process.
 func (p *ProfileResult) ChromeTrace() ([]byte, error) {
-	return p.Collector.ChromeTrace(p.Report.Benchmark)
+	return p.Collector.ChromeTrace(p.Report.Benchmark, p.Spans)
 }
 
 // CountersJSON exports the rolled-up report as flat JSON.

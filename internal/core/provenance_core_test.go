@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
 	"plasticine/internal/fault"
+	"plasticine/internal/metrics"
+	"plasticine/internal/trace"
 	"plasticine/internal/workloads"
 )
 
@@ -152,15 +155,23 @@ func TestProfileByPatternRendering(t *testing.T) {
 	}
 }
 
-// TestProfileCarriesCompilePasses: a profiled run exposes the compile pass
-// trace and ships it on the Chrome trace's compiler track.
+// TestProfileCarriesCompilePasses: a profiled run keeps its evaluation's
+// span tree — build, the compile span with its passes, sim, check — and
+// ships it on the Chrome trace's compiler track.
 func TestProfileCarriesCompilePasses(t *testing.T) {
 	p, err := NewSession().Profile(context.Background(), workloads.NewInnerProduct())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Passes == nil || len(p.Passes.Entries) == 0 {
-		t.Fatal("profiled run has no compile pass trace")
+	var names []string
+	for _, sp := range p.Spans.Children {
+		names = append(names, sp.Name)
+	}
+	if p.Spans.Name != "profile" || strings.Join(names, ",") != "build,compile,sim,check" {
+		t.Fatalf("profile span %q holds %v, want build,compile,sim,check", p.Spans.Name, names)
+	}
+	if n := len(p.Spans.Children[1].Children); n != 8 {
+		t.Fatalf("compile span holds %d passes, want 8", n)
 	}
 	data, err := p.ChromeTrace()
 	if err != nil {
@@ -171,5 +182,76 @@ func TestProfileCarriesCompilePasses(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("chrome trace lacks %s on the compiler track", want)
 		}
+	}
+	if rows := compiler.FormatPasses(p.Spans); !strings.Contains(rows, "  route ") {
+		t.Errorf("pass table lacks the route row:\n%s", rows)
+	}
+}
+
+// TestChromeCompilerTrackAtRecordedOffsets: profiling InnerProduct under a
+// mid-run PCU kill draws the evaluation's spans on the Chrome trace's
+// compiler process at their recorded offsets: the passes inside compile,
+// and repair inside sim — after the functional trace, not flush after the
+// last pass.
+func TestChromeCompilerTrackAtRecordedOffsets(t *testing.T) {
+	spec, err := fault.ParseSpec("kill-pcu@2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := fault.NewPlan(spec, arch.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewSession(WithFaults(plan)).Profile(context.Background(), workloads.NewInnerProduct())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := p.ChromeTrace()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.ValidateChrome(data); err != nil {
+		t.Fatal(err)
+	}
+	var doc trace.ChromeTrace
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	type interval struct{ from, to int64 }
+	var got []string
+	at := map[string]interval{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Pid != 1 || ev.Ph != "X" {
+			continue
+		}
+		got = append(got, ev.Name)
+		at[ev.Name] = interval{ev.Ts, ev.Ts + ev.Dur}
+	}
+	// The events are the span tree, depth first, each at its recorded
+	// offset from the profile span's start.
+	var want []string
+	p.Spans.Walk(func(sp *metrics.Span, _ int) {
+		want = append(want, sp.Name)
+		from := int64(sp.StartUS - p.Spans.StartUS)
+		if iv := at[sp.Name]; iv.from != from {
+			t.Errorf("%s drawn at %dus, recorded at %dus", sp.Name, iv.from, from)
+		}
+	})
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("compiler-process events %v, want the span tree %v", got, want)
+	}
+	inside := func(child, parent string) {
+		t.Helper()
+		c, p := at[child], at[parent]
+		if c.from < p.from || c.to > p.to {
+			t.Errorf("%s [%d, %d] lies outside %s [%d, %d]", child, c.from, c.to, parent, p.from, p.to)
+		}
+	}
+	for _, pass := range []string{"validate", "allocate", "partition", "fit-check", "netlist", "place", "route", "timing"} {
+		inside(pass, "compile")
+	}
+	inside("repair", "sim")
+	if at["repair"].from < at["compile"].to {
+		t.Errorf("repair starts at %dus, before compile ends at %dus", at["repair"].from, at["compile"].to)
 	}
 }

@@ -42,9 +42,8 @@ func TestBenchmarkResultResumesFromDiskTier(t *testing.T) {
 	if s2.CacheStats().DiskHits != 1 {
 		t.Fatalf("DiskHits = %d, want 1 (served without re-simulating)", s2.CacheStats().DiskHits)
 	}
-	// Deterministic fields must round-trip exactly; host-time fields
-	// (SimWallSec) and the in-memory-only pass trace are excluded by
-	// contract.
+	// Deterministic fields must round-trip exactly; the host-time field
+	// (SimWallSec) is excluded by contract.
 	if r2.Name != r1.Name || r2.Cycles != r1.Cycles || r2.PowerW != r1.PowerW ||
 		r2.Util != r1.Util || r2.Speedup != r1.Speedup ||
 		r2.DRAMReadMB != r1.DRAMReadMB || r2.DRAMWriteMB != r1.DRAMWriteMB {

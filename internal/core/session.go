@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
@@ -221,8 +222,7 @@ func freshInstance(b workloads.Benchmark) workloads.Benchmark {
 // inside the compute so parallel jobs share no mutable state; profiled runs
 // (non-nil Recorder) bypass the cache entirely. The compute runs under the
 // session's job policy (deadline + transient retries), and its result
-// persists to the disk tier when one is attached — note the persisted form
-// drops PassTrace (json:"-"), which only the uncached Profile path consumes.
+// persists to the disk tier when one is attached.
 func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
 	b = freshInstance(b)
 	if opts.Recorder != nil {
@@ -230,13 +230,14 @@ func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fau
 	}
 	k := exec.NewKey("core/bench", b.Name(),
 		fmt.Sprintf("%+v", s.params), planKey(plan), optsKey(opts))
-	// Phase attribution: when this call computes the point itself, the
-	// compile/sim spans recorded inside runBenchmark tell the story and
-	// no "cache" span is emitted. When the result came from the cache — a
-	// hit, the disk tier, or a singleflight wait on another request's
-	// in-flight compute — the whole CachedJSON call is the "cache" phase.
+	// Span attribution: when this call computes the point itself, the
+	// build/compile/sim/check spans recorded inside runBenchmark tell the
+	// story and no "cache" span is recorded. When the result came from the
+	// cache — a hit, the disk tier, or a singleflight wait on another
+	// request's in-flight compute — the whole CachedJSON call is the
+	// "cache" span.
 	computed := false
-	endCache := metrics.StartPhase(ctx, "cache")
+	t0 := time.Now()
 	r, err := exec.CachedJSON(s.engine.Cache(), k, func() (*BenchResult, error) {
 		computed = true
 		var r *BenchResult
@@ -248,7 +249,7 @@ func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fau
 		return r, err
 	})
 	if !computed {
-		endCache()
+		metrics.Add(ctx, "cache", t0)
 	}
 	return r, err
 }
@@ -324,7 +325,8 @@ func (s *Session) Bench(ctx context.Context, names []string) ([]BenchSim, error)
 
 // Profile runs one benchmark with the observability subsystem armed. Always
 // uncached (the collector is a side effect) and single-threaded per call,
-// but safe to invoke from parallel jobs.
+// but safe to invoke from parallel jobs. The evaluation records under a
+// "profile" span, which the result keeps.
 func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileResult, error) {
 	// The collector is private to this call; route the session's plan
 	// through a clone and a fresh benchmark instance like every other run.
@@ -332,18 +334,25 @@ func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileR
 	col := trace.NewCollector()
 	opts := s.simOpts
 	opts.Recorder = col
+	ctx, span := metrics.Start(ctx, "profile")
 	r, err := runBenchmark(ctx, s.params, b, s.plan.Clone(), opts)
+	span.EndWith(b.Name(), nil, err)
 	if err != nil {
 		return nil, err
 	}
-	return assembleProfile(b.Name(), r, col), nil
+	rep := col.Report()
+	rep.Benchmark = b.Name()
+	return &ProfileResult{Bench: r, Report: rep, Pattern: col.PatternReport(b.Name()),
+		Spans: span.Snapshot(), Collector: col}, nil
 }
 
 // Explain reports whether a benchmark fits the session's fabric under its
 // fault plan, in source-level terms — the backend of `plasticine explain`.
 // A canceled ctx yields an error wrapping ctx.Err(), never a no-fit report.
 func (s *Session) Explain(ctx context.Context, b workloads.Benchmark) (*compiler.Explanation, error) {
+	_, span := metrics.Start(ctx, "build")
 	p, err := b.Build()
+	span.EndWith("", nil, err)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
 	}

@@ -1,8 +1,8 @@
 // Package metrics is a zero-dependency instrumentation registry for the
 // serving and execution layers: atomic counters, gauges, function-backed
 // series, and log-bucketed latency histograms, exposed in Prometheus text
-// format v0.0.4 (see expo.go) and as per-request phase traces (see
-// reqtrace.go).
+// format v0.0.4 (see expo.go), plus the host-time span trees that requests,
+// evaluations and compiles record (see span.go).
 //
 // Design rules, enforced throughout:
 //

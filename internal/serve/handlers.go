@@ -174,7 +174,8 @@ func statusOf(err error) int {
 
 // job is one queued request: the dispatcher runs run under ctx and delivers
 // through done. tenant and enq feed the queue-wait and service-time
-// histograms; zero values simply skip those observations.
+// histograms; zero values simply skip those observations. queue is the
+// request's queue span, which the dispatcher ends when it picks the job up.
 type job struct {
 	ctx    context.Context
 	run    func(context.Context) (any, error)
@@ -183,6 +184,7 @@ type job struct {
 	done   chan struct{}
 	tenant string
 	enq    time.Time
+	queue  *metrics.Span
 }
 
 func (j *job) finish(v any, err error) {
@@ -227,21 +229,21 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, class reqClass, r
 	if class == classCheap {
 		cost = CheapCost
 	}
-	endAdmission := metrics.StartPhase(r.Context(), "admission")
+	_, admission := metrics.Start(r.Context(), "admission")
 	if !s.enterRequest(w, tenant, cost) {
-		endAdmission()
+		admission.End()
 		return nil, nil, false
 	}
 	defer s.inflight.Done()
 
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
-		endAdmission()
+		admission.End()
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return nil, nil, false
 	}
 	defer cancel()
-	endAdmission()
+	admission.End()
 
 	record := func(err error) {
 		s.adm.count(tenant, func(c *TenantCounters) {
@@ -265,14 +267,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, class reqClass, r
 			"queue past its shed watermark; retry later", s.estimatedWait())
 		return nil, nil, false
 	}
-	// The queue phase runs from Push to the dispatcher picking the job
-	// up; the wrapper closes it on the dispatcher goroutine.
-	endQueue := metrics.StartPhase(ctx, "queue")
-	j := &job{ctx: ctx, tenant: tenant, enq: s.cfg.now(), done: make(chan struct{})}
-	j.run = func(ctx context.Context) (any, error) {
-		endQueue()
-		return run(ctx)
-	}
+	// The queue phase runs from Push to the dispatcher picking the job up.
+	j := &job{ctx: ctx, run: run, tenant: tenant, enq: s.cfg.now(), done: make(chan struct{})}
+	_, j.queue = metrics.Start(ctx, "queue")
 	weight := s.cfg.TenantWeights[tenant]
 	if err := s.queue.Push(tenant, weight, j); err != nil {
 		switch {
@@ -327,9 +324,9 @@ func (s *Server) unary(class reqClass, body func(context.Context, *http.Request)
 			writeError(w, statusOf(err), err.Error(), 0)
 			return
 		}
-		endMarshal := metrics.StartPhase(r.Context(), "marshal")
+		_, marshal := metrics.Start(r.Context(), "marshal")
 		writeJSON(w, http.StatusOK, v)
-		endMarshal()
+		marshal.End()
 	}
 }
 
@@ -367,7 +364,9 @@ func (s *Server) runCompile(ctx context.Context, r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	_, span := metrics.Start(ctx, "build")
 	p, err := b.Build()
+	span.EndWith("", nil, err)
 	if err != nil {
 		return nil, err
 	}

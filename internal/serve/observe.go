@@ -1,14 +1,15 @@
 package serve
 
 // Service observability: the Prometheus registry wiring (/metricsz), the
-// request-ID middleware with per-phase tracing, the bounded ring of
-// recent request traces (/debugz/requests), the JSON access log, and the
-// slow-request log. Everything here is a side channel — metrics and
-// traces never influence admission, dispatch or evaluation, and the
+// request-ID middleware that roots each request's span tree, the bounded
+// ring of recent request records (/debugz/requests), the JSON access log,
+// and the slow-request log. Everything here is a side channel — metrics
+// and traces never influence admission, dispatch or evaluation, and the
 // collectors are nil-safe, so the deterministic outputs the CI diffs are
 // untouched.
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -189,17 +190,24 @@ func (s *Server) nextRequestID() string {
 }
 
 // requestRecord is one completed request in the /debugz/requests ring and
-// one line of the access log.
+// one line of the access log: a snapshot of the request's span tree taken
+// when its response was written. Phases are the root's children — the
+// sequential admission, queue, run and marshal phases — with everything
+// the request recorded nested below them.
 type requestRecord struct {
-	ID      string         `json:"id"`
-	Tenant  string         `json:"tenant"`
-	Route   string         `json:"route"`
-	Status  int            `json:"status"`
-	Start   time.Time      `json:"start"`
-	WallUS  int64          `json:"wall_us"`
-	PhaseUS int64          `json:"phase_us"` // summed span time; the gap to wall_us is uninstrumented overhead
-	Slow    bool           `json:"slow,omitempty"`
-	Phases  []metrics.Span `json:"phases,omitempty"`
+	ID     string    `json:"id"`
+	Tenant string    `json:"tenant"`
+	Route  string    `json:"route"`
+	Status int       `json:"status"`
+	Start  time.Time `json:"start"`
+	WallUS int64     `json:"wall_us"`
+	// PhaseUS sums the top-level phases, which run one after another, so
+	// it never exceeds WallUS; the gap is uninstrumented overhead.
+	PhaseUS int64 `json:"phase_us"`
+	Slow    bool  `json:"slow,omitempty"`
+	// Dropped counts the spans the tree refused past metrics.MaxSpans.
+	Dropped int             `json:"dropped,omitempty"`
+	Phases  []*metrics.Span `json:"phases,omitempty"`
 }
 
 // traceRing is a fixed-size ring of recent request records.
@@ -239,23 +247,25 @@ func (g *traceRing) snapshot() []requestRecord {
 
 // instrument is the middleware around the whole mux: route/status
 // metrics for every request, plus — for /v1 routes — request-ID
-// assignment (accepted from X-Request-Id or generated), phase tracing
-// via the request context, the trace ring, the access log, and the
+// assignment (accepted from X-Request-Id or generated), a span tree rooted
+// in the request context, the trace ring, the access log, and the
 // slow-request log.
 func (s *Server) instrument(w http.ResponseWriter, r *http.Request) {
 	path := r.URL.Path
 	start := time.Now()
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 
-	var tr *metrics.ReqTrace
+	var root *metrics.Span
+	var id string
 	if tracedRoute(path) {
-		id := r.Header.Get("X-Request-Id")
+		id = r.Header.Get("X-Request-Id")
 		if id == "" {
 			id = s.nextRequestID()
 		}
-		tr = metrics.NewReqTrace(id, tenantOf(r), path, start)
 		w.Header().Set("X-Request-Id", id)
-		r = r.WithContext(metrics.WithTrace(r.Context(), tr))
+		var ctx context.Context
+		ctx, root = metrics.Start(r.Context(), path)
+		r = r.WithContext(ctx)
 	}
 
 	s.mux.ServeHTTP(sw, r)
@@ -264,26 +274,27 @@ func (s *Server) instrument(w http.ResponseWriter, r *http.Request) {
 	route := routeLabel(path)
 	s.met.requests.With(route, strconv.Itoa(sw.status)).Inc()
 	s.met.duration.With(route).Observe(wall.Seconds())
-	if tr != nil {
-		s.finishTrace(tr, sw.status, start, wall)
+	if root != nil {
+		root.End()
+		s.finishTrace(requestRecord{ID: id, Tenant: tenantOf(r), Route: path, Status: sw.status, Start: start}, root)
 	}
 }
 
-// finishTrace turns a completed request's trace into a ring entry, an
-// access-log line, and — past the threshold — a slow-request log line.
-func (s *Server) finishTrace(tr *metrics.ReqTrace, status int, start time.Time, wall time.Duration) {
-	slow := s.cfg.SlowRequest > 0 && wall >= s.cfg.SlowRequest
-	rec := requestRecord{
-		ID:      tr.ID,
-		Tenant:  tr.Tenant,
-		Route:   tr.Route,
-		Status:  status,
-		Start:   start,
-		WallUS:  wall.Microseconds(),
-		PhaseUS: tr.SpanSumUS(),
-		Slow:    slow,
-		Phases:  tr.Spans(),
+// finishTrace fills rec from a snapshot of the request's ended span tree
+// and files it as a ring entry, an access-log line, and — past the
+// threshold — a slow-request log line. Jobs still running under the
+// request (a deadline answered while its evaluation finishes) keep
+// recording into the live tree, never into the record.
+func (s *Server) finishTrace(rec requestRecord, root *metrics.Span) {
+	snap := root.Snapshot()
+	var phases float64
+	for _, ph := range snap.Children {
+		phases += ph.DurUS
 	}
+	wall := time.Duration(snap.DurUS * 1e3)
+	rec.WallUS, rec.PhaseUS = int64(snap.DurUS), int64(phases)
+	rec.Slow = s.cfg.SlowRequest > 0 && wall >= s.cfg.SlowRequest
+	rec.Dropped, rec.Phases = snap.Dropped, snap.Children
 	s.ring.add(rec)
 	if s.cfg.AccessLog != nil {
 		if line, err := safeMarshal(rec, false); err == nil {
@@ -292,27 +303,32 @@ func (s *Server) finishTrace(tr *metrics.ReqTrace, status int, start time.Time, 
 			s.accessMu.Unlock()
 		}
 	}
-	if slow {
+	if rec.Slow {
 		s.met.slow.Inc()
 		s.cfg.Logf("slow request id=%s route=%s tenant=%s status=%d wall=%s phases=%s",
-			rec.ID, rec.Route, rec.Tenant, rec.Status, wall.Round(time.Millisecond), formatPhases(rec.Phases))
+			rec.ID, rec.Route, rec.Tenant, rec.Status, wall.Round(time.Millisecond), formatPhases(rec.Phases, rec.Dropped))
 	}
 }
 
-// formatPhases renders spans as "queue=1ms sim=9.8s" for log lines.
-func formatPhases(spans []metrics.Span) string {
-	if len(spans) == 0 {
+// formatPhases renders a request's span tree for log lines, one
+// path=duration per span: "queue=1ms run=9.8s run/compile=30ms
+// run/compile/place=90µs ... marshal=40µs".
+func formatPhases(phases []*metrics.Span, dropped int) string {
+	var parts, path []string
+	for _, ph := range phases {
+		ph.Walk(func(sp *metrics.Span, depth int) {
+			path = append(path[:depth], sp.Name)
+			parts = append(parts, fmt.Sprintf("%s=%s", strings.Join(path, "/"),
+				time.Duration(sp.DurUS*1e3).Round(time.Microsecond)))
+		})
+	}
+	if dropped > 0 {
+		parts = append(parts, fmt.Sprintf("dropped=%d", dropped))
+	}
+	if len(parts) == 0 {
 		return "none"
 	}
-	var b strings.Builder
-	for i, sp := range spans {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%s=%s", sp.Name,
-			(time.Duration(sp.DurUS) * time.Microsecond).Round(100*time.Microsecond))
-	}
-	return b.String()
+	return strings.Join(parts, " ")
 }
 
 // debugRequestsDoc is the /debugz/requests response.

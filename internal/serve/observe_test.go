@@ -186,6 +186,78 @@ func TestPanicCounterMoves(t *testing.T) {
 	}
 }
 
+// ringRecords fetches /debugz/requests, newest first.
+func ringRecords(t *testing.T, base string) debugRequestsDoc {
+	t.Helper()
+	_, body := get(t, base+"/debugz/requests")
+	var doc debugRequestsDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("debugz/requests: %v\n%s", err, body)
+	}
+	return doc
+}
+
+// newestRecord returns the newest ring record for route.
+func newestRecord(t *testing.T, base, route string) requestRecord {
+	t.Helper()
+	doc := ringRecords(t, base)
+	for _, r := range doc.Requests {
+		if r.Route == route {
+			return r
+		}
+	}
+	t.Fatalf("no %s record in ring: %+v", route, doc.Requests)
+	return requestRecord{}
+}
+
+// findSpan returns the first span named name, depth first through spans
+// and their descendants.
+func findSpan(spans []*metrics.Span, name string) *metrics.Span {
+	for _, sp := range spans {
+		var hit *metrics.Span
+		sp.Walk(func(s *metrics.Span, _ int) {
+			if hit == nil && s.Name == name {
+				hit = s
+			}
+		})
+		if hit != nil {
+			return hit
+		}
+	}
+	return nil
+}
+
+// countSpans counts spans and their descendants.
+func countSpans(spans []*metrics.Span) int {
+	n := 0
+	for _, sp := range spans {
+		sp.Walk(func(*metrics.Span, int) { n++ })
+	}
+	return n
+}
+
+// checkTopLevel fails unless rec's phases are sequential top-level phases
+// drawn from admission, queue, run and marshal, summing to no more than
+// the request's wall time.
+func checkTopLevel(t *testing.T, rec requestRecord) {
+	t.Helper()
+	var end float64
+	for _, ph := range rec.Phases {
+		switch ph.Name {
+		case "admission", "queue", "run", "marshal":
+		default:
+			t.Errorf("%s: top-level phase %q, want only admission, queue, run and marshal", rec.Route, ph.Name)
+		}
+		if ph.StartUS < end {
+			t.Errorf("%s: phase %s starts at %vµs, before its predecessor ends at %vµs", rec.Route, ph.Name, ph.StartUS, end)
+		}
+		end = ph.StartUS + ph.DurUS
+	}
+	if rec.PhaseUS > rec.WallUS {
+		t.Errorf("%s: phase_us %d exceeds wall_us %d", rec.Route, rec.PhaseUS, rec.WallUS)
+	}
+}
+
 func TestDebugRequestsRingRecordsPhases(t *testing.T) {
 	_, ts := newTestServer(t, func(cfg *Config) {
 		cfg.SlowRequest = time.Nanosecond // everything is "slow"
@@ -193,24 +265,11 @@ func TestDebugRequestsRingRecordsPhases(t *testing.T) {
 	if resp, body := get(t, ts.URL+"/v1/run?bench=InnerProduct&tenant=alice"); resp.StatusCode != 200 {
 		t.Fatalf("run = %d: %s", resp.StatusCode, body)
 	}
-	_, body := get(t, ts.URL+"/debugz/requests")
-	var doc debugRequestsDoc
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("debugz/requests: %v\n%s", err, body)
-	}
+	doc := ringRecords(t, ts.URL)
 	if doc.Capacity != 128 {
 		t.Fatalf("ring capacity = %d, want default 128", doc.Capacity)
 	}
-	var rec *requestRecord
-	for i := range doc.Requests {
-		if doc.Requests[i].Route == "/v1/run" {
-			rec = &doc.Requests[i]
-			break
-		}
-	}
-	if rec == nil {
-		t.Fatalf("no /v1/run record in ring: %s", body)
-	}
+	rec := newestRecord(t, ts.URL, "/v1/run")
 	if rec.ID == "" || rec.Tenant != "alice" || rec.Status != 200 {
 		t.Fatalf("record = %+v", rec)
 	}
@@ -220,13 +279,22 @@ func TestDebugRequestsRingRecordsPhases(t *testing.T) {
 	names := map[string]bool{}
 	for _, sp := range rec.Phases {
 		names[sp.Name] = true
-		if sp.DurUS < 0 || sp.StartUS < 0 {
-			t.Fatalf("negative span: %+v", sp)
-		}
+		sp.Walk(func(s *metrics.Span, _ int) {
+			if s.DurUS < 0 || s.StartUS < 0 {
+				t.Fatalf("negative span: %+v", s)
+			}
+		})
 	}
-	for _, want := range []string{"admission", "queue", "compile", "sim", "marshal"} {
+	for _, want := range []string{"admission", "queue", "run", "marshal"} {
 		if !names[want] {
 			t.Fatalf("missing %q phase; got %+v", want, rec.Phases)
+		}
+	}
+	checkTopLevel(t, rec)
+	run := findSpan(rec.Phases, "run")
+	for _, want := range []string{"compile", "sim"} {
+		if findSpan(run.Children, want) == nil {
+			t.Fatalf("missing %q under run; got %+v", want, run.Children)
 		}
 	}
 	if rec.PhaseUS <= 0 || rec.WallUS <= 0 {
@@ -240,22 +308,166 @@ func TestDebugRequestsRingRecordsPhases(t *testing.T) {
 	if rec.PhaseUS < rec.WallUS/2 {
 		t.Fatalf("phases cover %dus of %dus wall; tracing is losing time", rec.PhaseUS, rec.WallUS)
 	}
-	// Cached rerun records a "cache" span instead of compile/sim.
+	// Cached rerun records a "cache" span under run instead of compile/sim.
 	get(t, ts.URL+"/v1/run?bench=InnerProduct&tenant=alice")
-	_, body = get(t, ts.URL+"/debugz/requests")
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatal(err)
+	rec = newestRecord(t, ts.URL, "/v1/run")
+	run = findSpan(rec.Phases, "run")
+	if run == nil || findSpan(run.Children, "cache") == nil || findSpan(run.Children, "compile") != nil {
+		t.Fatalf("warm rerun records no lone cache span under run: %+v", rec.Phases)
 	}
-	found := false
-	for _, r := range doc.Requests {
-		for _, sp := range r.Phases {
-			if sp.Name == "cache" {
-				found = true
+}
+
+// TestCompileAndExplainRecordCompileSpan: /v1/compile and /v1/explain
+// record the compile itself — a compile span under run whose children are
+// the eight passes — so their phases cover the request's wall time.
+func TestCompileAndExplainRecordCompileSpan(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	passes := "validate,allocate,partition,fit-check,netlist,place,route,timing"
+	for _, route := range []string{"/v1/compile", "/v1/explain"} {
+		if resp, body := get(t, ts.URL+route+"?bench=GEMM"); resp.StatusCode != 200 {
+			t.Fatalf("%s = %d: %s", route, resp.StatusCode, body)
+		}
+		rec := newestRecord(t, ts.URL, route)
+		checkTopLevel(t, rec)
+		run := findSpan(rec.Phases, "run")
+		if run == nil {
+			t.Fatalf("%s: no run phase: %+v", route, rec.Phases)
+		}
+		comp := findSpan(run.Children, "compile")
+		if comp == nil {
+			t.Fatalf("%s: no compile span under run: %+v", route, run.Children)
+		}
+		var names []string
+		for _, p := range comp.Children {
+			names = append(names, p.Name)
+			if p.StartUS < comp.StartUS || p.StartUS+p.DurUS > comp.StartUS+comp.DurUS {
+				t.Errorf("%s: pass %s lies outside compile", route, p.Name)
 			}
 		}
+		if got := strings.Join(names, ","); got != passes {
+			t.Errorf("%s: compile children = %s, want %s", route, got, passes)
+		}
+		if rec.PhaseUS < rec.WallUS/2 {
+			t.Errorf("%s: phases cover %dus of %dus wall", route, rec.PhaseUS, rec.WallUS)
+		}
 	}
-	if !found {
-		t.Fatalf("no cache span after a warm rerun: %s", body)
+}
+
+// sweep runs one /v1/sweep to its done event.
+func sweep(t *testing.T, url string) {
+	t.Helper()
+	resp, body := get(t, url)
+	if resp.StatusCode != 200 || !strings.Contains(string(body), `"event":"result"`) {
+		t.Fatalf("sweep = %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestSweepPhasesNeverExceedWall: a sweep's parallel jobs nest under its
+// run phase instead of summing flat at the top level, so phase_us stays
+// within wall_us on a 2-worker session.
+func TestSweepPhasesNeverExceedWall(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	sweep(t, ts.URL+"/v1/sweep?kind=bench&bench=InnerProduct,TPCHQ6,LogReg,SGD&timeout=5m")
+	rec := newestRecord(t, ts.URL, "/v1/sweep")
+	checkTopLevel(t, rec)
+	run := findSpan(rec.Phases, "run")
+	if run == nil {
+		t.Fatalf("no run phase: %+v", rec.Phases)
+	}
+	count := map[string]int{}
+	for _, sp := range run.Children {
+		count[sp.Name]++
+	}
+	for _, name := range []string{"build", "compile", "sim", "check"} {
+		if count[name] != 4 {
+			t.Errorf("run holds %d %s spans, want one per benchmark (4): %v", count[name], name, count)
+		}
+	}
+	if rec.Dropped != 0 {
+		t.Errorf("a 4-benchmark sweep dropped %d spans", rec.Dropped)
+	}
+}
+
+// TestSweepTreeCapReportsDropped: a sweep whose tree passes the cap keeps
+// at most metrics.MaxSpans spans, root included, and counts the rest.
+func TestSweepTreeCapReportsDropped(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	benches := "InnerProduct,LogReg,SGD,CNN,Kmeans,SMDV,BFS"
+	sweep(t, ts.URL+"/v1/sweep?kind=bench&bench="+benches+"&timeout=5m")
+	rec := newestRecord(t, ts.URL, "/v1/sweep")
+	checkTopLevel(t, rec)
+	kept := countSpans(rec.Phases)
+	if kept+1 > metrics.MaxSpans {
+		t.Errorf("record keeps %d spans plus its root, over the cap %d", kept, metrics.MaxSpans)
+	}
+	// admission, queue and run, plus build, compile with eight passes, sim
+	// and check for each of the seven benchmarks.
+	if want := 3 + 7*12; kept+rec.Dropped != want {
+		t.Errorf("kept %d + dropped %d spans, want %d in all", kept, rec.Dropped, want)
+	}
+	if rec.Dropped == 0 {
+		t.Error("an over-cap tree reports nothing dropped")
+	}
+}
+
+// TestTimedOutRequestRecordIsSnapshot: a request that answers 504 while its
+// job keeps running files one record, which the straggler cannot change.
+// Run under -race, this also checks the job records into the live tree
+// while /debugz/requests reads the record.
+func TestTimedOutRequestRecordIsSnapshot(t *testing.T) {
+	s, ts := newTestServer(t, nil)
+	resp, body := get(t, ts.URL+"/v1/run?bench=GEMM&timeout=50ms")
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Skipf("50ms GEMM run = %d, not a timeout on this host: %s", resp.StatusCode, body)
+	}
+	id := resp.Header.Get("X-Request-Id")
+	record := func() []byte {
+		for _, r := range ringRecords(t, ts.URL).Requests {
+			if r.ID == id {
+				data, err := json.Marshal(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+		}
+		t.Fatalf("no record for request %s", id)
+		return nil
+	}
+	first := record()
+	for deadline := time.Now().Add(time.Minute); ; {
+		if got := record(); !bytes.Equal(got, first) {
+			t.Fatalf("record changed while its job ran:\n%s\n%s", first, got)
+		}
+		if s.busy.Load() == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the timed-out job never finished")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var rec requestRecord
+	if err := json.Unmarshal(first, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Status != http.StatusGatewayTimeout {
+		t.Errorf("record status = %d, want 504", rec.Status)
+	}
+	checkTopLevel(t, rec)
+	if findSpan(rec.Phases, "run") != nil {
+		t.Errorf("the record holds the run phase, which was still running: %+v", rec.Phases)
+	}
+	// The same point under a deadline it can meet: the evaluation's spans
+	// nest under run.
+	if resp, body := get(t, ts.URL+"/v1/run?bench=GEMM&timeout=2m"); resp.StatusCode != 200 {
+		t.Fatalf("2m run = %d: %s", resp.StatusCode, body)
+	}
+	rec = newestRecord(t, ts.URL, "/v1/run")
+	checkTopLevel(t, rec)
+	run := findSpan(rec.Phases, "run")
+	if run == nil || findSpan(run.Children, "sim") == nil {
+		t.Fatalf("2m run records no sim span under run: %+v", rec.Phases)
 	}
 }
 

@@ -261,7 +261,7 @@ func New(cfg Config) (*Server, error) {
 }
 
 // ServeHTTP implements http.Handler: the instrumentation middleware
-// (request-ID, phase trace, route/status metrics, access log) around the
+// (request-ID, span tree, route/status metrics, access log) around the
 // endpoint mux.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.instrument(w, r)
@@ -288,6 +288,7 @@ func (s *Server) dispatch() {
 		}
 		s.busy.Add(1)
 		t0 := s.cfg.now()
+		j.queue.End()
 		v, err := runIsolated(j.ctx, j.run)
 		d := s.cfg.now().Sub(t0)
 		s.observeService(d)
@@ -299,15 +300,19 @@ func (s *Server) dispatch() {
 	}
 }
 
-// runIsolated executes one request body with panic isolation: a panic is
-// recovered into a typed *exec.PanicError — the same contract the batch
-// pool gives jobs — so one poisoned request answers 500 while the process
-// and every other request keep going.
+// runIsolated executes one request body as the request's run span, with
+// panic isolation: a panic is recovered into a typed *exec.PanicError — the
+// same contract the batch pool gives jobs — so one poisoned request answers
+// 500 while the process and every other request keep going. Everything the
+// body records (evaluations, compiles, a sweep's parallel jobs) nests under
+// the run span.
 func runIsolated(ctx context.Context, fn func(context.Context) (any, error)) (v any, err error) {
+	ctx, span := metrics.Start(ctx, "run")
 	defer func() {
 		if r := recover(); r != nil {
 			err = &exec.PanicError{Index: -1, Value: r, Stack: captureStack()}
 		}
+		span.EndWith("", nil, err)
 	}()
 	return fn(ctx)
 }

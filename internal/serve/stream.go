@@ -96,16 +96,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // must never block (the stream drains it at its own pace).
 func (s *Server) streamRequest(w http.ResponseWriter, r *http.Request, kind string, run func(context.Context) (any, error), updates <-chan sweepEvent) {
 	tenant := tenantOf(r)
-	endAdmission := metrics.StartPhase(r.Context(), "admission")
+	_, admission := metrics.Start(r.Context(), "admission")
 	if !s.enterRequest(w, tenant, 1) {
-		endAdmission()
+		admission.End()
 		return
 	}
 	defer s.inflight.Done()
 	s.streams.Add(1)
 	defer s.streams.Add(-1)
 	if s.queue.Len() >= s.cfg.ShedWatermark {
-		endAdmission()
+		admission.End()
 		s.shedRequest(tenant)
 		writeError(w, http.StatusTooManyRequests,
 			"queue past its shed watermark; retry later", s.estimatedWait())
@@ -114,21 +114,20 @@ func (s *Server) streamRequest(w http.ResponseWriter, r *http.Request, kind stri
 
 	ctx, cancel, err := s.requestContext(r)
 	if err != nil {
-		endAdmission()
+		admission.End()
 		writeError(w, http.StatusBadRequest, err.Error(), 0)
 		return
 	}
 	defer cancel()
-	endAdmission()
+	admission.End()
 
 	started := make(chan struct{})
-	endQueue := metrics.StartPhase(ctx, "queue")
 	j := &job{ctx: ctx, tenant: tenant, enq: s.cfg.now(), done: make(chan struct{})}
 	j.run = func(ctx context.Context) (any, error) {
-		endQueue()
 		close(started)
 		return run(ctx)
 	}
+	_, j.queue = metrics.Start(ctx, "queue")
 	if err := s.queue.Push(tenant, s.cfg.TenantWeights[tenant], j); err != nil {
 		if errors.Is(err, exec.ErrQueueFull) {
 			s.shedRequest(tenant)

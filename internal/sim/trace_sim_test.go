@@ -181,7 +181,7 @@ func TestEndToEndProfileInvariant(t *testing.T) {
 	if len(rep.Links) == 0 {
 		t.Error("no link utilization recorded")
 	}
-	data, err := col.ChromeTrace("dot")
+	data, err := col.ChromeTrace("dot", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

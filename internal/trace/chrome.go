@@ -3,7 +3,10 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
+
+	"plasticine/internal/metrics"
 )
 
 // ChromeEvent is one trace-event in the Chrome trace-event format
@@ -34,11 +37,13 @@ type ChromeTrace struct {
 // events for recovery windows on a dedicated "recovery" thread. Timestamps
 // are cycles interpreted as microseconds (1 GHz fabric: 1 cycle = 1 ns, so
 // a displayed "us" is a real ns — the shapes, not the absolute unit, are
-// what the viewer is for). Compiler-pass spans (AddCompileSpan) appear as a
-// second process ("compiler", pid 1) with wall-clock microsecond timestamps
-// from the start of compilation. Events are sorted by timestamp, so
-// consumers see monotonic ts.
-func (c *Collector) ChromeTrace(benchmark string) ([]byte, error) {
+// what the viewer is for). A non-nil host is the run's host-time span tree
+// (a profile's build, compile and its passes, sim with any repair, check):
+// it appears as a second process ("compiler", pid 1), every span at its
+// recorded offset from host's start in wall-clock microseconds, so a child
+// lies inside its parent. Events are sorted by timestamp, so consumers see
+// monotonic ts.
+func (c *Collector) ChromeTrace(benchmark string, host *metrics.Span) ([]byte, error) {
 	doc := ChromeTrace{DisplayTimeUnit: "ns",
 		OtherData: map[string]any{"total_cycles": c.total}}
 	if benchmark != "" {
@@ -74,26 +79,29 @@ func (c *Collector) ChromeTrace(benchmark string) ([]byte, error) {
 			Ts: w.From, Dur: w.To - w.From, Pid: 0, Tid: recoveryTid,
 		})
 	}
-	if len(c.compile) > 0 {
+	if host != nil {
 		const compilerPid = 1
 		doc.TraceEvents = append(doc.TraceEvents, ChromeEvent{
 			Name: "process_name", Ph: "M", Pid: compilerPid,
 			Args: map[string]any{"name": "compiler"},
 		}, ChromeEvent{
 			Name: "thread_name", Ph: "M", Pid: compilerPid, Tid: 0,
-			Args: map[string]any{"name": "passes"},
+			Args: map[string]any{"name": "host"},
 		})
-		for _, sp := range c.compile {
-			args := map[string]any{"wall_ns": sp.DurNS}
+		host.Walk(func(sp *metrics.Span, _ int) {
+			// Both ends are truncated to whole microseconds, so truncation
+			// keeps a child inside its parent.
+			from := int64(sp.StartUS - host.StartUS)
+			to := int64(sp.StartUS + sp.DurUS - host.StartUS)
+			args := map[string]any{"wall_ns": int64(math.Round(sp.DurUS * 1e3))}
 			if sp.Detail != "" {
 				args["detail"] = sp.Detail
 			}
 			events = append(events, ChromeEvent{
-				Name: sp.Name, Ph: "X", Cat: "compile",
-				Ts: sp.StartNS / 1000, Dur: sp.DurNS / 1000,
+				Name: sp.Name, Ph: "X", Cat: "host", Ts: from, Dur: to - from,
 				Pid: compilerPid, Tid: 0, Args: args,
 			})
-		}
+		})
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].Ts < events[j].Ts })
 	doc.TraceEvents = append(doc.TraceEvents, events...)

@@ -1,8 +1,12 @@
 package trace
 
 import (
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+
+	"plasticine/internal/metrics"
 )
 
 // TestPatternReportSumsToMakespan: the exclusive attribution plus the
@@ -166,23 +170,46 @@ func TestPatternReportEmptyOriginFallsBack(t *testing.T) {
 	}
 }
 
-// TestChromeTraceCompileTrack: compile spans appear as their own process and
-// the emitted document still passes self-validation.
+// TestChromeTraceCompileTrack: the host span tree appears as its own
+// process, every span at its recorded offset from the tree's start, each
+// child inside its parent even where truncation to microseconds bites; the
+// emitted document still passes self-validation.
 func TestChromeTraceCompileTrack(t *testing.T) {
 	c := NewCollector()
 	c.RegisterUnit(0, "u", "body", UnitCompute)
 	c.Slice(0, "fire", 0, 50, 50, CauseNone)
-	c.AddCompileSpan("allocate", "2 vPCUs", 0, 1500)
-	c.AddCompileSpan("place", "", 1500, 2500)
 	c.Finish(50)
-	data, err := c.ChromeTrace("t")
+	host := &metrics.Span{Name: "profile", StartUS: 5, DurUS: 10, Children: []*metrics.Span{
+		{Name: "compile", StartUS: 5.5, DurUS: 3, Detail: "t", Children: []*metrics.Span{
+			{Name: "allocate", StartUS: 5.6, DurUS: 1.5, Detail: "2 vPCUs"},
+			{Name: "place", StartUS: 7.1, DurUS: 1.2},
+		}},
+		{Name: "sim", StartUS: 9, DurUS: 5, Children: []*metrics.Span{
+			{Name: "repair", StartUS: 12, DurUS: 0.8},
+		}},
+	}}
+	data, err := c.ChromeTrace("t", host)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := string(data)
-	for _, want := range []string{`"compiler"`, `"allocate"`, `"place"`, `"compile"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("chrome trace lacks %s", want)
+	if !strings.Contains(string(data), `"compiler"`) {
+		t.Error("chrome trace lacks the compiler process")
+	}
+	var doc ChromeTrace
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][2]int64{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Pid == 1 && ev.Ph == "X" {
+			got[ev.Name] = [2]int64{ev.Ts, ev.Ts + ev.Dur}
 		}
+	}
+	want := map[string][2]int64{
+		"profile": {0, 10}, "compile": {0, 3}, "allocate": {0, 2}, "place": {2, 3},
+		"sim": {4, 9}, "repair": {7, 7},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("compiler-process events [ts, ts+dur] = %v, want %v", got, want)
 	}
 }

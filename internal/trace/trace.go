@@ -146,17 +146,6 @@ type LinkStat struct {
 	BytesPerCycle float64
 }
 
-// CompileSpan is one compiler-pass span shown on the Chrome trace's
-// dedicated compiler process track. Times are host wall-clock nanoseconds
-// relative to the start of compilation (a different clock than the fabric's
-// cycle timestamps, which is why the spans live in their own process).
-type CompileSpan struct {
-	Name    string
-	Detail  string
-	StartNS int64
-	DurNS   int64
-}
-
 // Collector is the standard Recorder: it accumulates everything a run emits
 // and rolls it into a Report (and a Chrome trace) on demand.
 type Collector struct {
@@ -164,7 +153,6 @@ type Collector struct {
 	links    []LinkStat
 	channels []DRAMChannelCounters
 	windows  []Window
-	compile  []CompileSpan
 	total    int64
 	finished bool
 }
@@ -230,19 +218,6 @@ func (c *Collector) Window(cause StallCause, from, to int64) {
 	if to > from {
 		c.windows = append(c.windows, Window{Cause: cause, From: from, To: to})
 	}
-}
-
-// AddCompileSpan attaches one compiler-pass span (outside the Recorder
-// interface: compile passes happen before simulation starts, so the caller —
-// not the simulator — feeds them).
-func (c *Collector) AddCompileSpan(name, detail string, startNS, durNS int64) {
-	if startNS < 0 {
-		startNS = 0
-	}
-	if durNS < 0 {
-		durNS = 0
-	}
-	c.compile = append(c.compile, CompileSpan{Name: name, Detail: detail, StartNS: startNS, DurNS: durNS})
 }
 
 // Finish implements Recorder.

@@ -138,7 +138,7 @@ func TestChromeTraceRoundTrips(t *testing.T) {
 	c.Window(CauseDrain, 50, 60)
 	c.Finish(100)
 
-	data, err := c.ChromeTrace("bench")
+	data, err := c.ChromeTrace("bench", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,9 @@
 //     exposition must stay parseable, request counters must move by at
 //     least the burst size, with -expect-shed the shed counter must move,
 //     and with -panic the panic counter must reach 1. /debugz/requests
-//     must show traced requests with phase spans.
+//     must show traced requests with phase spans; no record's phase_us may
+//     exceed its wall_us, and every served /v1/compile and /v1/explain
+//     record must carry a compile span with its passes below it.
 //  6. Leaks: the final /statsz goroutine count must be under -max-goroutines
 //     after the storm has passed.
 //
@@ -228,33 +230,62 @@ func main() {
 			fail("request_panics_total = %.0f after a panic probe, want >= 1", panics)
 		}
 	}
-	// The trace ring saw the burst: at least one record with phase spans.
+	// The trace ring saw the burst: at least one record with phase spans,
+	// top-level phases that never sum past wall time, and the compile
+	// itself in every served compile and explain.
 	code, body := get("/debugz/requests")
 	if code != 200 {
 		fail("/debugz/requests = %d: %s", code, body)
 	}
+	type span struct {
+		Name     string  `json:"name"`
+		Children []*span `json:"children"`
+	}
 	var ring struct {
 		Requests []struct {
-			ID      string `json:"id"`
-			PhaseUS int64  `json:"phase_us"`
-			Phases  []struct {
-				Name string `json:"name"`
-			} `json:"phases"`
+			ID      string  `json:"id"`
+			Route   string  `json:"route"`
+			Status  int     `json:"status"`
+			WallUS  int64   `json:"wall_us"`
+			PhaseUS int64   `json:"phase_us"`
+			Phases  []*span `json:"phases"`
 		} `json:"requests"`
 	}
 	if err := json.Unmarshal(body, &ring); err != nil {
 		fail("/debugz/requests is not JSON: %v", err)
 	}
-	traced := 0
+	var hasCompile func(spans []*span) bool
+	hasCompile = func(spans []*span) bool {
+		for _, sp := range spans {
+			if sp.Name == "compile" && len(sp.Children) > 0 || hasCompile(sp.Children) {
+				return true
+			}
+		}
+		return false
+	}
+	traced, compiles := 0, 0
 	for _, r := range ring.Requests {
 		if r.ID != "" && len(r.Phases) > 0 {
 			traced++
+		}
+		if r.PhaseUS > r.WallUS {
+			fail("request %s (%s): phase_us %d exceeds wall_us %d", r.ID, r.Route, r.PhaseUS, r.WallUS)
+		}
+		if (r.Route == "/v1/compile" || r.Route == "/v1/explain") && r.Status == 200 {
+			if !hasCompile(r.Phases) {
+				fail("request %s (%s): no compile span with passes in its record", r.ID, r.Route)
+			}
+			compiles++
 		}
 	}
 	if traced == 0 {
 		fail("trace ring holds no requests with phase spans after the burst")
 	}
-	fmt.Printf("serve-load: metrics moved (%.0f requests total), %d traced requests in ring\n", reqAfter, traced)
+	if compiles == 0 {
+		fail("trace ring holds no served /v1/compile or /v1/explain record after the burst")
+	}
+	fmt.Printf("serve-load: metrics moved (%.0f requests total), %d traced requests in ring, %d with a compile span\n",
+		reqAfter, traced, compiles)
 
 	// 6. Goroutine ceiling after the storm: give pollers a moment to wind
 	// down, then check the final snapshot.
