@@ -300,8 +300,8 @@ func cmdRun(ctx context.Context, args []string) error {
 		fmt.Printf("  recovery: %d event(s) survived, %d drain + %d reconfig stall cycles, %d bursts reissued\n",
 			len(r.Recovery.Events), r.Recovery.DrainCycles, r.Recovery.ReconfigCycles, r.Recovery.LostBursts)
 		for _, e := range r.Recovery.Events {
-			fmt.Printf("    %s at cycle %d: drain %d, checkpoint %d B, moved %d PCU / %d PMU, %d rerouted, reconfig %d\n",
-				e.Event, e.At, e.DrainCycles, e.CheckpointBytes, e.MovedPCUs, e.MovedPMUs, e.ReroutedEdges, e.ReconfigCycles)
+			fmt.Printf("    %s at cycle %d: drain %d, moved %d PCU / %d PMU, %d rerouted, reconfig %d\n",
+				e.Event, e.At, e.DrainCycles, e.MovedPCUs, e.MovedPMUs, e.ReroutedEdges, e.ReconfigCycles)
 		}
 	}
 	return nil

@@ -1,7 +1,5 @@
 package compiler
 
-import "plasticine/internal/dhdl"
-
 func gcd(a, b int64) int64 {
 	if a < 0 {
 		a = -a
@@ -31,13 +29,3 @@ func StrideConflictFactor(stride int64, banks int) int {
 // addresses per cycle (Section 2.2: "random write commands must be
 // sequentialized and coalesced").
 const randomWriteFactor = 4
-
-// BankingFor picks the scratchpad banking mode an access pattern needs:
-// strided for lane-affine accesses, duplication for per-lane random reads
-// (Section 3.2).
-func BankingFor(addr dhdl.Expr, laneLevel int) dhdl.BankingMode {
-	if _, ok := dhdl.LaneStride(addr, laneLevel); ok {
-		return dhdl.Strided
-	}
-	return dhdl.Duplication
-}

@@ -30,13 +30,34 @@ func TestStrideConflictFactor(t *testing.T) {
 	}
 }
 
+// TestBankingForSelectsDuplicationOnGather: allocation gives a lane-affine
+// read a strided PMU and a per-lane gather a duplication PMU, and records
+// the choice on the VirtualPMU, not on the program's SRAM.
 func TestBankingForSelectsDuplicationOnGather(t *testing.T) {
-	s := &dhdl.SRAM{Name: "idx", Size: 64}
-	if got := BankingFor(dhdl.Idx(0), 0); got != dhdl.Strided {
-		t.Errorf("streaming access got %v, want strided", got)
+	b := dhdl.NewBuilder("gather", dhdl.Sequential)
+	src := b.SRAM("src", pattern.F32, 64)
+	tbl := b.SRAM("tbl", pattern.F32, 64)
+	dst := b.SRAM("dst", pattern.F32, 64)
+	b.Compute("g", []dhdl.Counter{dhdl.CPar(64, 16)}, func(ix []dhdl.Expr) []*dhdl.Assign {
+		return []*dhdl.Assign{dhdl.StoreAt(dst, ix[0],
+			dhdl.Add(dhdl.Ld(src, ix[0]), dhdl.Ld(tbl, dhdl.Ld(src, ix[0]))))}
+	})
+	v, err := Allocate(b.MustBuild())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := BankingFor(dhdl.Ld(s, dhdl.Idx(0)), 0); got != dhdl.Duplication {
-		t.Errorf("per-lane gather got %v, want duplication", got)
+	got := map[*dhdl.SRAM]dhdl.BankingMode{}
+	for _, pm := range v.PMUs {
+		got[pm.Mem] = pm.Banking
+	}
+	if mode, ok := got[src]; !ok || mode != dhdl.Strided {
+		t.Errorf("streaming access got %v (allocated %v), want strided", mode, ok)
+	}
+	if mode, ok := got[tbl]; !ok || mode != dhdl.Duplication {
+		t.Errorf("per-lane gather got %v (allocated %v), want duplication", mode, ok)
+	}
+	if tbl.Banking != dhdl.Strided {
+		t.Errorf("allocation rewrote the gathered SRAM's declared banking to %v", tbl.Banking)
 	}
 }
 
@@ -81,13 +102,21 @@ func TestCompileAutoSelectsDuplicationBanking(t *testing.T) {
 	b.Compute("g", []dhdl.Counter{dhdl.CPar(1024, 16)}, func(ix []dhdl.Expr) []*dhdl.Assign {
 		return []*dhdl.Assign{dhdl.StoreAt(dst, ix[0], dhdl.Ld(tbl, dhdl.Ld(idx, ix[0])))}
 	})
-	if _, err := CompileOpts(context.Background(), b.MustBuild(), Options{Params: arch.Default()}); err != nil {
+	m, err := CompileOpts(context.Background(), b.MustBuild(), Options{Params: arch.Default()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Banking != dhdl.Duplication {
-		t.Errorf("on-chip gather target banking = %v, want duplication (compiler-selected)", tbl.Banking)
+	got := map[string]string{}
+	for _, pm := range GenerateBitstream(m).PMUs {
+		got[pm.Mem] = pm.Banking
 	}
-	if idx.Banking != dhdl.Strided {
-		t.Errorf("streamed index banking = %v, want strided", idx.Banking)
+	if got["tbl"] != "duplication" {
+		t.Errorf("on-chip gather target banking = %q, want duplication (compiler-selected)", got["tbl"])
+	}
+	if got["dst"] != "strided" {
+		t.Errorf("streamed destination banking = %q, want strided", got["dst"])
+	}
+	if tbl.Banking != dhdl.Strided || idx.Banking != dhdl.Strided {
+		t.Errorf("compile rewrote declared banking: tbl %v, idx %v", tbl.Banking, idx.Banking)
 	}
 }

@@ -20,7 +20,8 @@ func Allocate(p *dhdl.Program) (*Virtual, error) {
 		if m, ok := pmus[s]; ok {
 			return m
 		}
-		m := &VirtualPMU{Name: s.Name, Origin: s.Provenance(), Mem: s, NBuf: s.NBuf, Unroll: 1}
+		m := &VirtualPMU{Name: s.Name, Origin: s.Provenance(), Mem: s, NBuf: s.NBuf, Unroll: 1,
+			Banking: s.Banking}
 		pmus[s] = m
 		v.PMUs = append(v.PMUs, m)
 		return m
@@ -324,10 +325,10 @@ func (lw *lowerer) lowerExpr(e dhdl.Expr) (Operand, error) {
 		m.AddrOps += addrOpCount(n.Addr)
 		stride, affineOK := dhdl.LaneStride(n.Addr, lw.laneLevel)
 		lw.u.ReadAccess = append(lw.u.ReadAccess, StreamStride{Stride: stride, Affine: affineOK})
-		if !affineOK && n.Mem.Banking == dhdl.Strided {
+		if !affineOK && m.Banking == dhdl.Strided {
 			// Per-lane random reads need content duplication across banks;
 			// the compiler selects the banking mode (Section 3.2).
-			n.Mem.Banking = dhdl.Duplication
+			m.Banking = dhdl.Duplication
 		}
 		i := len(lw.u.VecIns)
 		lw.u.VecIns = append(lw.u.VecIns, VecInput{SRAM: n.Mem})

@@ -61,11 +61,6 @@ type Mapping struct {
 	Leaves map[*dhdl.Controller]*LeafMap
 	Mems   map[*dhdl.SRAM]*MemMap
 	Util   Utilization
-
-	// LastRepair describes the most recent incremental repair applied to
-	// this mapping (nil if it has never been repaired). Set by Repair, and
-	// therefore by CompileOpts when Options.Reuse routes through it.
-	LastRepair *RepairReport
 }
 
 // pmuReadLatency is the cycles from read-address issue to data on the
@@ -81,12 +76,6 @@ type Options struct {
 	// tiles and routes detour disabled switches. Nil means a pristine
 	// fabric.
 	Faults *fault.Plan
-	// Reuse, when non-nil, repairs the given already-compiled mapping
-	// incrementally against Faults instead of compiling from scratch — the
-	// recovery controller's path. The returned mapping is Reuse itself,
-	// mutated in place, with Mapping.LastRepair describing what moved.
-	// Params is ignored (the mapping keeps its own).
-	Reuse *Mapping
 }
 
 // CompileOpts is the canonical compile entry point: it runs the full flow —
@@ -95,16 +84,7 @@ type Options struct {
 // struct, honouring ctx between passes so a parallel sweep can cancel
 // in-flight compiles. It fails if the program cannot be expressed on the
 // fabric (constraint violations) or does not fit (too few units).
-//
-// With Options.Reuse set it instead repairs the existing mapping around
-// Options.Faults (see Repair).
 func CompileOpts(ctx context.Context, p *dhdl.Program, opts Options) (*Mapping, error) {
-	if opts.Reuse != nil {
-		if _, err := Repair(ctx, opts.Reuse, opts.Faults); err != nil {
-			return nil, err
-		}
-		return opts.Reuse, nil
-	}
 	ctx, sp := metrics.Start(ctx, "compile")
 	m, err := pipeline(ctx, p, opts)
 	sp.EndWith(p.Name, nil, err)

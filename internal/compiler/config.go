@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -145,7 +146,11 @@ func (ra *regAlloc) claim(name string) int {
 	return r
 }
 
+// releaseDead frees the registers of values whose last use is at pos. The
+// freed registers join the free list in descending order, so the lowest is
+// claimed first, whatever order the map yields them in.
 func (ra *regAlloc) releaseDead(pos int) {
+	n := len(ra.free)
 	for name, last := range ra.lastUse {
 		if last == pos {
 			if r, ok := ra.regOf[name]; ok {
@@ -155,6 +160,8 @@ func (ra *regAlloc) releaseDead(pos int) {
 			delete(ra.lastUse, name)
 		}
 	}
+	slices.Sort(ra.free[n:])
+	slices.Reverse(ra.free[n:])
 }
 
 // pcuStageProgram renders one partition's ops into stage configs with
@@ -281,7 +288,7 @@ func GenerateBitstream(m *Mapping) *Bitstream {
 			Mem:       pm.V.Mem.Name,
 			SizeWords: pm.V.Mem.Size,
 			Banks:     m.Params.PMU.Banks,
-			Banking:   pm.V.Mem.Banking.String(),
+			Banking:   pm.V.Banking.String(),
 			NBuf:      pm.V.NBuf,
 			AddrOps:   pm.V.AddrOps,
 			RMWOps:    pm.V.RMWOps,

@@ -167,24 +167,16 @@ func BuildNetlist(part *Partitioned) *Netlist {
 	return nl
 }
 
-// Place assigns netlist nodes to grid slots: PCUs and PMUs interleave in a
-// checkerboard (Figure 5); AGs sit on the left/right chip edges. Placement
-// is greedy: nodes in netlist order take the free slot of their type that
-// minimises Manhattan distance to already-placed neighbours.
-func Place(nl *Netlist, p arch.Params) error {
-	return PlaceWithFaults(nl, p, nil)
-}
+// slot is a PCU or PMU grid position.
+type slot struct{ x, y int }
 
-// PlaceWithFaults is Place under a fault plan: tiles the plan disables are
-// never offered as slots, so the greedy placement re-allocates around them
-// exactly as it fills a smaller chip. A nil plan reproduces Place
-// byte-identically (same slot ordering, same assignments). Failures wrap
-// ErrInsufficient with a per-resource shortfall breakdown.
-func PlaceWithFaults(nl *Netlist, p arch.Params, plan *fault.Plan) error {
+// freeSlots lists the grid slots left for PCUs and PMUs, indexed by
+// NodeKind. PCUs and PMUs interleave in a checkerboard (Figure 5: PCUs where
+// x+y is even); slots the plan disables or occupied holds are left out. Each
+// list runs centre-out (Manhattan distance from the chip centre, then row,
+// then column), so early nodes get central positions.
+func freeSlots(p arch.Params, plan *fault.Plan, occupied map[[2]int]bool) [2][]slot {
 	cols, rows := p.Chip.Cols, p.Chip.Rows
-	type slot struct{ x, y int }
-	var pcuSlots, pmuSlots []slot
-	// Order slots centre-out so early nodes get central positions.
 	cx, cy := cols/2, rows/2
 	var all []slot
 	for y := 0; y < rows; y++ {
@@ -203,15 +195,34 @@ func PlaceWithFaults(nl *Netlist, p arch.Params, plan *fault.Plan) error {
 		}
 		return all[i].x < all[j].x
 	})
+	var free [2][]slot
 	for _, s := range all {
+		if occupied[[2]int{s.x, s.y}] {
+			continue
+		}
 		if (s.x+s.y)%2 == 0 {
 			if !plan.PCUDisabled(s.x, s.y) {
-				pcuSlots = append(pcuSlots, s)
+				free[NodePCU] = append(free[NodePCU], s)
 			}
 		} else if !plan.PMUDisabled(s.x, s.y) {
-			pmuSlots = append(pmuSlots, s)
+			free[NodePMU] = append(free[NodePMU], s)
 		}
 	}
+	return free
+}
+
+// PlaceWithFaults assigns netlist nodes to grid slots: PCUs and PMUs take
+// the checkerboard slots of freeSlots; AGs sit on the left/right chip edges.
+// Placement is greedy: nodes in netlist order take the free slot of their
+// type that minimises Manhattan distance to already-placed neighbours.
+// Tiles the plan disables are never offered, so the placement re-allocates
+// around them exactly as it fills a smaller chip; a nil plan disables none.
+// Failures wrap ErrInsufficient with a per-resource shortfall breakdown.
+func PlaceWithFaults(nl *Netlist, p arch.Params, plan *fault.Plan) error {
+	cols, rows := p.Chip.Cols, p.Chip.Rows
+	cx, cy := cols/2, rows/2
+	free := freeSlots(p, plan, nil)
+	pcuSlots, pmuSlots := free[NodePCU], free[NodePMU]
 	// Fail fast with the full shortfall rather than opaquely mid-placement.
 	var needPCU, needPMU, needAG int
 	for _, nd := range nl.Nodes {

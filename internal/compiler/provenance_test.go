@@ -249,7 +249,8 @@ func TestRepairExtendsPassTrace(t *testing.T) {
 	victim := pickOccupied(t, m, NodePCU)
 	plan := fault.ManualPlan([]fault.Coord{{X: victim.X, Y: victim.Y}}, nil, nil, nil)
 	ctx, simSpan := metrics.Start(context.Background(), "sim")
-	if _, err := Repair(ctx, m, plan); err != nil {
+	rep, err := Repair(ctx, m, plan)
+	if err != nil {
 		t.Fatal(err)
 	}
 	simSpan.End()
@@ -258,7 +259,7 @@ func TestRepairExtendsPassTrace(t *testing.T) {
 		t.Fatalf("repair recorded %d spans under sim, want 1", len(snap.Children))
 	}
 	e := snap.Children[0]
-	if e.Name != "repair" || e.Detail != m.LastRepair.String() {
+	if e.Name != "repair" || e.Detail != rep.String() {
 		t.Fatalf("recorded span = %+v, want repair with its report", e)
 	}
 	if e.Stats["moved_pcus"] != 1 || e.Stats["full_recompile"] != 0 {

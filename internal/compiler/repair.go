@@ -3,7 +3,6 @@ package compiler
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"plasticine/internal/arch"
 	"plasticine/internal/fault"
@@ -54,7 +53,6 @@ func Repair(ctx context.Context, m *Mapping, plan *fault.Plan) (_ *RepairReport,
 	ctx, sp := metrics.Start(ctx, "repair")
 	rep := &RepairReport{}
 	defer func() {
-		m.LastRepair = rep
 		mode := int64(0)
 		if rep.FullRecompile {
 			mode = 1
@@ -110,39 +108,8 @@ func Repair(ctx context.Context, m *Mapping, plan *fault.Plan) (_ *RepairReport,
 // centre-out in a fixed order.
 func replaceDisplaced(nl *Netlist, p arch.Params, plan *fault.Plan, displaced []int,
 	occupied map[[2]int]bool, moved map[int]bool, rep *RepairReport) bool {
-	cols, rows := p.Chip.Cols, p.Chip.Rows
-	cx, cy := cols/2, rows/2
-	type slot struct{ x, y int }
-	var free [2][]slot // indexed by NodeKind (NodePCU, NodePMU)
-	var all []slot
-	for y := 0; y < rows; y++ {
-		for x := 0; x < cols; x++ {
-			all = append(all, slot{x, y})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool {
-		di := absInt(all[i].x-cx) + absInt(all[i].y-cy)
-		dj := absInt(all[j].x-cx) + absInt(all[j].y-cy)
-		if di != dj {
-			return di < dj
-		}
-		if all[i].y != all[j].y {
-			return all[i].y < all[j].y
-		}
-		return all[i].x < all[j].x
-	})
-	for _, s := range all {
-		if occupied[[2]int{s.x, s.y}] {
-			continue
-		}
-		if (s.x+s.y)%2 == 0 {
-			if !plan.PCUDisabled(s.x, s.y) {
-				free[NodePCU] = append(free[NodePCU], s)
-			}
-		} else if !plan.PMUDisabled(s.x, s.y) {
-			free[NodePMU] = append(free[NodePMU], s)
-		}
-	}
+	cx, cy := p.Chip.Cols/2, p.Chip.Rows/2
+	free := freeSlots(p, plan, occupied)
 	for _, i := range displaced {
 		nd := nl.Nodes[i]
 		cand := free[nd.Kind]
@@ -183,9 +150,6 @@ func replaceDisplaced(nl *Netlist, p arch.Params, plan *fault.Plan, displaced []
 // moved unit, updating per-link usage incrementally.
 func patchRoutes(m *Mapping, plan *fault.Plan, moved map[int]bool, rep *RepairReport) bool {
 	nl, rt := m.Netlist, m.Routes
-	linkKey := func(a, b [2]int) string {
-		return fmt.Sprintf("%d,%d>%d,%d", a[0], a[1], b[0], b[1])
-	}
 	needsPatch := func(r Route) bool {
 		if moved[r.From] || moved[r.To] {
 			return true
@@ -214,13 +178,13 @@ func patchRoutes(m *Mapping, plan *fault.Plan, moved map[int]bool, rep *RepairRe
 			hops = xyRoute(from.X, from.Y, to.X, to.Y)
 		}
 		for h := 1; h < len(r.Hops); h++ {
-			k := linkKey(r.Hops[h-1], r.Hops[h])
+			k := LinkKey(r.Hops[h-1], r.Hops[h])
 			if rt.LinkUse[k]--; rt.LinkUse[k] <= 0 {
 				delete(rt.LinkUse, k)
 			}
 		}
 		for h := 1; h < len(hops); h++ {
-			rt.LinkUse[linkKey(hops[h-1], hops[h])]++
+			rt.LinkUse[LinkKey(hops[h-1], hops[h])]++
 		}
 		rt.Routes[ri].Hops = hops
 		rep.ReroutedEdges++
@@ -269,11 +233,4 @@ func fullRecompile(ctx context.Context, m *Mapping, plan *fault.Plan, rep *Repai
 	// but the fresh compile recomputed depths against the new placement.
 	m.Leaves, m.Mems = fresh.Leaves, fresh.Mems
 	return rep, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

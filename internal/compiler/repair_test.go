@@ -3,7 +3,6 @@ package compiler
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"plasticine/internal/arch"
@@ -105,8 +104,7 @@ func TestRepairReroutesMovedUnitEdges(t *testing.T) {
 	want := map[string]int{}
 	for _, r := range m.Routes.Routes {
 		for h := 1; h < len(r.Hops); h++ {
-			a, b := r.Hops[h-1], r.Hops[h]
-			want[keyOf(a, b)]++
+			want[LinkKey(r.Hops[h-1], r.Hops[h])]++
 		}
 	}
 	if len(want) != len(m.Routes.LinkUse) {
@@ -117,10 +115,6 @@ func TestRepairReroutesMovedUnitEdges(t *testing.T) {
 			t.Errorf("link %s: incremental count %d, recomputed %d", k, m.Routes.LinkUse[k], n)
 		}
 	}
-}
-
-func keyOf(a, b [2]int) string {
-	return fmt.Sprintf("%d,%d>%d,%d", a[0], a[1], b[0], b[1])
 }
 
 // TestRepairPatchesDeadSwitchRoutes kills a switch under an existing route;
@@ -238,14 +232,14 @@ func TestRepairRecompileHonoursCancel(t *testing.T) {
 	m := compileDot(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := CompileOpts(ctx, m.Prog, Options{Faults: allPCUsDead(m.Params), Reuse: m})
+	rep, err := Repair(ctx, m, allPCUsDead(m.Params))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	if errors.Is(err, ErrInsufficient) {
 		t.Errorf("canceled recompile reported as a no-fit: %v", err)
 	}
-	if m.LastRepair == nil || !m.LastRepair.FullRecompile {
+	if rep == nil || !rep.FullRecompile {
 		t.Error("repair never reached the full-recompile rung")
 	}
 }

@@ -41,9 +41,14 @@ type Route struct {
 // RouteTable holds every routed edge plus per-link usage.
 type RouteTable struct {
 	Routes []Route
-	// LinkUse counts routes crossing each directed link, keyed by
-	// "x1,y1>x2,y2".
+	// LinkUse counts routes crossing each directed link, keyed by LinkKey.
 	LinkUse map[string]int
+}
+
+// LinkKey names the directed link between adjacent switches a and b:
+// "x1,y1>x2,y2".
+func LinkKey(a, b [2]int) string {
+	return fmt.Sprintf("%d,%d>%d,%d", a[0], a[1], b[0], b[1])
 }
 
 // MaxLinkUse returns the most-shared link's route count (static congestion:
@@ -71,20 +76,13 @@ func (rt *RouteTable) AvgHops() float64 {
 	return float64(total) / float64(len(rt.Routes))
 }
 
-// RouteAll routes every netlist edge with X-Y dimension-ordered routing on
-// the switch grid. AGs sit at x = -1 or x = Cols and enter the fabric
-// through their row.
-func RouteAll(nl *Netlist, p arch.Params) *RouteTable {
-	rt, _ := RouteAllWithFaults(nl, p, nil)
-	return rt
-}
-
-// RouteAllWithFaults routes every netlist edge, detouring around switches a
-// fault plan disables. With no switch faults it reproduces RouteAll's X-Y
-// dimension-ordered routes exactly; otherwise each affected edge takes the
-// shortest healthy path (breadth-first, deterministic neighbour order). It
-// fails (wrapping ErrNoRoute) when disabled switches disconnect an edge's
-// endpoints.
+// RouteAllWithFaults routes every netlist edge on the switch grid. AGs sit
+// at x = -1 or x = Cols and enter the fabric through their row. With no
+// switch faults (a nil plan included) every edge takes its X-Y
+// dimension-ordered route; otherwise each edge detours around the disabled
+// switches along the shortest healthy path (breadth-first, deterministic
+// neighbour order). It fails (wrapping ErrNoRoute) when disabled switches
+// disconnect an edge's endpoints.
 func RouteAllWithFaults(nl *Netlist, p arch.Params, plan *fault.Plan) (*RouteTable, error) {
 	rt := &RouteTable{LinkUse: map[string]int{}}
 	seen := map[[2]int]bool{}
@@ -115,8 +113,7 @@ func RouteAllWithFaults(nl *Netlist, p arch.Params, plan *fault.Plan) (*RouteTab
 			r := Route{From: i, To: j, Hops: hops}
 			rt.Routes = append(rt.Routes, r)
 			for h := 1; h < len(r.Hops); h++ {
-				a, b := r.Hops[h-1], r.Hops[h]
-				rt.LinkUse[fmt.Sprintf("%d,%d>%d,%d", a[0], a[1], b[0], b[1])]++
+				rt.LinkUse[LinkKey(r.Hops[h-1], r.Hops[h])]++
 			}
 		}
 	}

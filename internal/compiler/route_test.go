@@ -32,7 +32,10 @@ func TestXYRoute(t *testing.T) {
 
 func TestRouteAllCoversEdges(t *testing.T) {
 	m := dotMapping(t)
-	rt := RouteAll(m.Netlist, m.Params)
+	rt, err := RouteAllWithFaults(m.Netlist, m.Params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rt.Routes) == 0 {
 		t.Fatal("no routes")
 	}
@@ -60,7 +63,10 @@ func TestRouteAllCoversEdges(t *testing.T) {
 func TestRoutesStayNearGrid(t *testing.T) {
 	m := dotMapping(t)
 	p := arch.Default()
-	rt := RouteAll(m.Netlist, p)
+	rt, err := RouteAllWithFaults(m.Netlist, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rt.Routes {
 		for _, h := range r.Hops {
 			if h[0] < -1 || h[0] > p.Chip.Cols || h[1] < 0 || h[1] >= p.Chip.Rows {

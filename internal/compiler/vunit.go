@@ -145,6 +145,10 @@ type VirtualPMU struct {
 	MaxConcurrentReads int
 	Unroll             int // duplication factor from outer parallelization
 	NBuf               int // buffering depth after pipeline analysis
+	// Banking is the mode the PMU runs in: the SRAM's declared mode, or
+	// duplication when a lane reads a strided SRAM at a non-affine address
+	// (Section 3.2). The program's SRAM keeps its declared mode.
+	Banking dhdl.BankingMode
 }
 
 // VirtualAG is an address-generator allocation for one transfer leaf.

@@ -45,14 +45,13 @@ func (r *RecoveryReport) OverheadFrac() float64 {
 func FormatRecovery(rep *RecoveryReport) string {
 	t := stats.New(
 		fmt.Sprintf("Recovery: %s, %d timed fault(s) survived", rep.Name, len(rep.Events)),
-		"Event", "Fired", "Drain", "Ckpt B", "Lost", "Moved", "Rerouted", "Reconfig")
+		"Event", "Fired", "Drain", "Lost", "Moved", "Rerouted", "Reconfig")
 	for _, e := range rep.Events {
 		moved := fmt.Sprintf("%dP+%dM", e.MovedPCUs, e.MovedPMUs)
 		if e.FullRecompile {
 			moved += "*"
 		}
-		t.Add(e.Event, fmt.Sprint(e.At), fmt.Sprint(e.DrainCycles),
-			fmt.Sprint(e.CheckpointBytes), fmt.Sprint(e.LostBursts),
+		t.Add(e.Event, fmt.Sprint(e.At), fmt.Sprint(e.DrainCycles), fmt.Sprint(e.LostBursts),
 			moved, fmt.Sprint(e.ReroutedEdges), fmt.Sprint(e.ReconfigCycles))
 	}
 	out := t.String()

@@ -200,7 +200,7 @@ type DRAM struct {
 	// seq numbers scheduled bursts. Completions fire in (cycle, seq) order:
 	// same-cycle landings on different channels fire in the order they were
 	// scheduled, which fixes the fault PRNG's draw sequence — and therefore
-	// every checkpoint byte.
+	// every checkpoint.
 	seq         uint64
 	landed      []int64 // tags of the bursts the last Tick landed
 	stats       Stats
@@ -546,7 +546,7 @@ func (d *DRAM) Accepts(addr uint64) (ok, down bool) {
 // AccountRejects adds n rejected-submission attempts to the stall counters
 // without performing them. The event-driven engine parks a transfer whose
 // submissions are blocked instead of re-attempting every cycle; this keeps
-// the counters — which are part of the checkpoint wire format — identical
+// the counters — which are part of every checkpoint — identical
 // to the legacy engine's per-cycle attempts.
 func (d *DRAM) AccountRejects(down bool, n int64) {
 	if n <= 0 {

@@ -14,9 +14,8 @@ import (
 	"time"
 )
 
-// On-disk cache entry format, little-endian, following the simulator's PLCK
-// checkpoint discipline (versioned magic header, length-validated fields,
-// trailing crc32 over everything before it):
+// On-disk cache entry format, little-endian: a versioned magic header,
+// length-validated fields and a trailing crc32 over everything before it:
 //
 //	u32 magic "PLDE" | u32 version | u64 key fingerprint |
 //	u32 keyLen | key bytes | u32 valLen | value bytes | u32 crc32

@@ -11,22 +11,12 @@ import (
 	"plasticine/internal/dram"
 )
 
-// ErrBadCheckpoint is wrapped by every checkpoint decode/restore failure:
-// truncated or corrupt snapshots, version mismatches, and snapshots taken
-// from a different activity graph.
+// ErrBadCheckpoint is wrapped by every restore failure: a checkpoint taken
+// from a different activity graph, or one whose state does not fit the
+// engine it is restored into (unknown activity ids, a transfer running
+// twice, bursts or request tags out of range, a DRAM shape or landing order
+// the memory system rejects).
 var ErrBadCheckpoint = errors.New("sim: bad checkpoint")
-
-// CheckpointVersion is the current snapshot format version. Decode rejects
-// any other version.
-//
-// History: v1 had no observability counters; v2 adds per-activity and
-// per-running-transfer busy/high-water fields plus per-channel DRAM counters,
-// so a profile taken after a checkpoint/restore is identical to one from an
-// uninterrupted run.
-const CheckpointVersion = 2
-
-// ckptMagic opens every encoded checkpoint ("PLCK").
-const ckptMagic = 0x504C434B
 
 // ActState is one activity's dynamic state in a checkpoint.
 type ActState struct {
@@ -52,9 +42,11 @@ type RunState struct {
 // Checkpoint is a complete, deterministic snapshot of a paused simulation:
 // the clock, every activity's status, the start heap, each running
 // transfer's AG, the watchdog's progress trackers, and the full DRAM state
-// (queues, banks, in-flight and retrying requests, fault PRNG). Restoring
-// it into an engine built from the same program resumes execution
-// cycle-identically to a run that never paused.
+// (queues, banks, in-flight and retrying requests, fault PRNG). It is a
+// plain value that shares no memory with the engine that took it, so that
+// engine can run on without changing it. Restoring it into an engine built
+// from the same program resumes execution cycle-identically to a run that
+// never paused.
 type Checkpoint struct {
 	GraphHash uint64 // fingerprint of the activity graph this state belongs to
 
@@ -109,7 +101,8 @@ func graphFingerprint(acts []*activity) uint64 {
 	return h.Sum64()
 }
 
-// checkpoint captures the engine at a loop boundary (between cycles).
+// checkpoint captures the engine at a loop boundary (between cycles). Every
+// slice it holds is freshly allocated, as are dram.Snapshot's.
 func (e *engine) checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		GraphHash:      graphFingerprint(e.acts),
@@ -149,6 +142,7 @@ func (e *engine) checkpoint() *Checkpoint {
 
 // restore loads a checkpoint into an engine freshly built from the same
 // program (acts rebuilt, DRAM fresh with the current fault view injected).
+// It copies what it reads and keeps no reference to cp.
 func (e *engine) restore(cp *Checkpoint) error {
 	if h := graphFingerprint(e.acts); h != cp.GraphHash {
 		return fmt.Errorf("%w: graph fingerprint %x does not match checkpoint %x",

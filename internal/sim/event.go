@@ -12,7 +12,7 @@ import (
 // their reference oracle (cycle_loop_test.go), but instead of
 // ticking every cycle it computes the next state-changing cycle and jumps
 // straight to it. Byte-identity with the legacy loop is the contract — same
-// cycle counts, same DRAM counters, same checkpoint bytes, same watchdog
+// cycle counts, same DRAM counters, equal checkpoints, same watchdog
 // trip cycles — and rests on one invariant: every cycle skipped over is
 // provably a no-op under the legacy loop's per-cycle step sequence
 // [admit, issue, tick, watchdog, retire, drainReady].
@@ -32,7 +32,7 @@ import (
 // rejected parks against its target channel and wakes when that channel
 // frees a queue slot. The legacy engine increments a DRAM stall counter for
 // every rejected per-cycle submission attempt, and those counters are part
-// of the checkpoint wire format — parked transfers therefore account their
+// of the checkpoint — parked transfers therefore account their
 // skipped attempts virtually (settleParked) so the counters stay exact.
 
 // issueBurstsEvent is the event core's issue pass: only transfers that may

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"testing"
@@ -99,11 +98,11 @@ func TestEngineGoldenFaultedIdentity(t *testing.T) {
 }
 
 // TestEngineGoldenCheckpoint pauses both engines at the same mid-run cycle,
-// drains, and requires the encoded checkpoints to be byte-identical — the
-// strictest equivalence the simulator can express, covering every clock,
-// counter, queue, bank, PRNG and in-flight request field.
+// drains, and requires equal checkpoints — the strictest equivalence the
+// simulator can express, covering every clock, counter, queue, bank, PRNG
+// and in-flight request field.
 func TestEngineGoldenCheckpoint(t *testing.T) {
-	snap := func(kind engineKind) []byte {
+	snap := func(kind engineKind) *Checkpoint {
 		m, _, _ := recoverySetup(t, nil)
 		eng, _, err := prepare(context.Background(), m, Options{}, kind.loop)
 		if err != nil {
@@ -117,11 +116,11 @@ func TestEngineGoldenCheckpoint(t *testing.T) {
 		if _, _, err := eng.drainInFlight(); err != nil {
 			t.Fatalf("%v engine: drain: %v", kind, err)
 		}
-		return eng.checkpoint().Encode()
+		return eng.checkpoint()
 	}
 	ev, cy := snap(eventEngine), snap(cycleEngine)
-	if !bytes.Equal(ev, cy) {
-		t.Fatalf("checkpoints diverge: event %d bytes, cycle %d bytes (or same size, different content)", len(ev), len(cy))
+	if !reflect.DeepEqual(ev, cy) {
+		t.Fatalf("checkpoints diverge:\nevent %+v\ncycle %+v", ev, cy)
 	}
 }
 

@@ -18,8 +18,6 @@ type RecoveryEvent struct {
 	// DrainCycles is the quiescence protocol's cost: cycles spent letting
 	// every outstanding burst land before the checkpoint.
 	DrainCycles int64
-	// CheckpointBytes is the encoded snapshot size.
-	CheckpointBytes int
 	// LostBursts counts in-flight requests dropped by the fault (killed
 	// channel); each is reissued after the restore.
 	LostBursts int
@@ -59,7 +57,7 @@ func (s *RecoveryStats) Overhead() int64 { return s.DrainCycles + s.ReconfigCycl
 //  2. land the fault — a killed DRAM channel drops its queued and in-flight
 //     bursts, which are accounted and marked for reissue;
 //  3. drain the remaining in-flight work to quiescence;
-//  4. checkpoint, round-tripping through the versioned wire encoding;
+//  4. checkpoint: take the engine's state as a plain value;
 //  5. repair the mapping incrementally around the dead resource (fabric
 //     faults only) and charge the reconfiguration stall;
 //  6. restore into a fresh engine and continue.
@@ -111,18 +109,13 @@ func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options, lp loop
 		}
 		re.DrainCycles = drain
 
-		enc := eng.checkpoint().Encode()
-		re.CheckpointBytes = len(enc)
-		cp, err := DecodeCheckpoint(enc)
-		if err != nil {
-			return nil, nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
-		}
+		cp := eng.checkpoint()
 
 		if ev.Kind != fault.KillChan {
-			if _, err := compiler.CompileOpts(ctx, m.Prog, compiler.Options{Faults: plan, Reuse: m}); err != nil {
+			rep, err := compiler.Repair(ctx, m, plan)
+			if err != nil {
 				return nil, nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
 			}
-			rep := m.LastRepair
 			re.MovedPCUs, re.MovedPMUs = rep.MovedPCUs, rep.MovedPMUs
 			re.ReroutedEdges, re.FullRecompile = rep.ReroutedEdges, rep.FullRecompile
 			re.ReconfigCycles = m.Params.ReconfigCycles(rep.MovedPCUs, rep.MovedPMUs, rep.ReroutedEdges)

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"sort"
 
 	"plasticine/internal/compiler"
@@ -66,10 +65,6 @@ func busyOf(a *activity) int64 {
 	return busy
 }
 
-func linkKey(a, b [2]int) string {
-	return fmt.Sprintf("%d,%d>%d,%d", a[0], a[1], b[0], b[1])
-}
-
 // emitTrace replays a finished run into the engine's Recorder. windows are
 // fabric-wide recovery stalls (drain + reconfig per survived fault); pass nil
 // for uninterrupted runs. No-op without a Recorder.
@@ -123,7 +118,7 @@ func (e *engine) emitTrace(m *compiler.Mapping, windows []trace.Window) {
 				continue
 			}
 			for h := 0; h+1 < len(rt.Hops); h++ {
-				linkBytes[linkKey(rt.Hops[h], rt.Hops[h+1])] += bytes
+				linkBytes[compiler.LinkKey(rt.Hops[h], rt.Hops[h+1])] += bytes
 			}
 		}
 		bpc := float64(m.Params.PCU.Lanes) * 4

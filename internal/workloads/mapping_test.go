@@ -36,9 +36,9 @@ func TestMappingProperties(t *testing.T) {
 		return 0
 	}
 	banking := func(m *compiler.Mapping, name string) dhdl.BankingMode {
-		for _, s := range m.Prog.SRAMs {
-			if s.Name == name {
-				return s.Banking
+		for _, pm := range m.Virtual.PMUs {
+			if pm.Mem.Name == name {
+				return pm.Banking
 			}
 		}
 		t.Fatalf("SRAM %s not found", name)
@@ -130,7 +130,8 @@ func TestMappingProperties(t *testing.T) {
 }
 
 // TestBitstreamsGenerateForAllBenchmarks ensures every benchmark's mapping
-// serialises to a configuration and survives a round trip.
+// serialises to a configuration, the same one every time: register
+// allocation must not depend on map iteration order.
 func TestBitstreamsGenerateForAllBenchmarks(t *testing.T) {
 	for _, b := range All() {
 		b := b
@@ -147,9 +148,51 @@ func TestBitstreamsGenerateForAllBenchmarks(t *testing.T) {
 			if len(bs.PCUs) == 0 {
 				t.Error("no PCU configs")
 			}
-			if asm := bs.Assembly(); len(asm) < 100 {
+			asm := bs.Assembly()
+			if len(asm) < 100 {
 				t.Errorf("assembly suspiciously short: %d bytes", len(asm))
 			}
+			for i := 0; i < 8; i++ {
+				if again := compiler.GenerateBitstream(m).Assembly(); again != asm {
+					t.Fatalf("bitstream changed between generations of one mapping:\n%s\n---\n%s", asm, again)
+				}
+			}
 		})
+	}
+}
+
+// TestCompileLeavesProgramBanking: compiling BFS picks duplication banking
+// for tlev, which lanes read at data-dependent addresses, yet every SRAM of
+// the program keeps the mode it was declared with; the choice lives in the
+// mapping and reaches the bitstream from there.
+func TestCompileLeavesProgramBanking(t *testing.T) {
+	p, err := NewBFS().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[*dhdl.SRAM]dhdl.BankingMode{}
+	for _, s := range p.SRAMs {
+		declared[s] = s.Banking
+	}
+	m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range p.SRAMs {
+		if s.Banking != declared[s] {
+			t.Errorf("compile changed %s banking from %v to %v", s.Name, declared[s], s.Banking)
+		}
+	}
+	found := false
+	for _, pm := range compiler.GenerateBitstream(m).PMUs {
+		if pm.Mem == "tlev" {
+			found = true
+			if pm.Banking != "duplication" {
+				t.Errorf("bitstream tlev banking = %s, want duplication", pm.Banking)
+			}
+		}
+	}
+	if !found {
+		t.Error("bitstream has no PMU for tlev")
 	}
 }
