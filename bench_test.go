@@ -19,7 +19,6 @@ import (
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
 	"plasticine/internal/core"
-	"plasticine/internal/dram"
 	"plasticine/internal/dse"
 	"plasticine/internal/sim"
 	"plasticine/internal/workloads"
@@ -117,9 +116,10 @@ func BenchmarkFig7(b *testing.B) {
 	}
 }
 
-// ablate runs a benchmark under simulator options and reports the slowdown
-// relative to the full-featured configuration.
-func ablate(b *testing.B, mk func() workloads.Benchmark, opts sim.Options) {
+// ablate runs a benchmark compiled for params under simulator options and
+// reports the slowdown relative to the full-featured configuration (the
+// paper's architecture, default options).
+func ablate(b *testing.B, mk func() workloads.Benchmark, params arch.Params, opts sim.Options) {
 	b.Helper()
 	ctx := context.Background()
 	opt := compiler.Options{Params: arch.Default()}
@@ -143,7 +143,7 @@ func ablate(b *testing.B, mk func() workloads.Benchmark, opts sim.Options) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		m2, err := compiler.CompileOpts(ctx, p2, opt)
+		m2, err := compiler.CompileOpts(ctx, p2, compiler.Options{Params: params})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,13 +161,13 @@ func ablate(b *testing.B, mk func() workloads.Benchmark, opts sim.Options) {
 // (coarse-grained pipelining), and DRAM channel count.
 func BenchmarkAblation(b *testing.B) {
 	b.Run("CoalescingOff-PageRank", func(b *testing.B) {
-		ablate(b, func() workloads.Benchmark { return workloads.NewPageRank() }, sim.Options{CoalesceWindow: 1})
+		ablate(b, func() workloads.Benchmark { return workloads.NewPageRank() }, arch.Default(), sim.Options{CoalesceWindow: 1})
 	})
 	b.Run("CoalescingOff-SMDV", func(b *testing.B) {
-		ablate(b, func() workloads.Benchmark { return workloads.NewSMDV() }, sim.Options{CoalesceWindow: 1})
+		ablate(b, func() workloads.Benchmark { return workloads.NewSMDV() }, arch.Default(), sim.Options{CoalesceWindow: 1})
 	})
 	b.Run("NBufferOff-BlackScholes", func(b *testing.B) {
-		ablate(b, func() workloads.Benchmark { return workloads.NewBlackScholes() }, sim.Options{DisableNBuffer: true})
+		ablate(b, func() workloads.Benchmark { return workloads.NewBlackScholes() }, arch.Default(), sim.Options{DisableNBuffer: true})
 	})
 	b.Run("NBufferOff-InnerProduct-NoUnroll", func(b *testing.B) {
 		// With outer unrolling, duplicate tile copies already overlap
@@ -178,11 +178,11 @@ func BenchmarkAblation(b *testing.B) {
 			w.Par = 1
 			return w
 		}
-		ablate(b, mk, sim.Options{DisableNBuffer: true})
+		ablate(b, mk, arch.Default(), sim.Options{DisableNBuffer: true})
 	})
 	b.Run("OneDDRChannel-TPCHQ6", func(b *testing.B) {
-		dcfg := dram.DDR3_1600x4()
-		dcfg.Channels = 1
-		ablate(b, func() workloads.Benchmark { return workloads.NewTPCHQ6() }, sim.Options{DRAM: &dcfg})
+		one := arch.Default()
+		one.Chip.DDRChannels = 1
+		ablate(b, func() workloads.Benchmark { return workloads.NewTPCHQ6() }, one, sim.Options{})
 	})
 }

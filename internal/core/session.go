@@ -189,19 +189,11 @@ func planKey(p *fault.Plan) string {
 	return fmt.Sprintf("%+v", p.Spec)
 }
 
-// optsKey canonicalises simulator options for cache keys, dereferencing the
-// pointer fields so the key reflects configuration, not addresses. The
-// Recorder is deliberately excluded: recorded runs never hit the cache.
+// optsKey canonicalises simulator options for cache keys. The Recorder is
+// deliberately excluded: recorded runs never hit the cache. So is Recovery,
+// which runBenchmark always sets.
 func optsKey(o sim.Options) string {
-	d, f := "dram=default", "dramfaults=plan"
-	if o.DRAM != nil {
-		d = fmt.Sprintf("dram=%+v", *o.DRAM)
-	}
-	if o.Faults != nil {
-		f = fmt.Sprintf("dramfaults=%+v", *o.Faults)
-	}
-	return fmt.Sprintf("cw=%d nbuf=%t %s %s max=%d stall=%d",
-		o.CoalesceWindow, o.DisableNBuffer, d, f, o.MaxCycles, o.StallWindow)
+	return fmt.Sprintf("cw=%d nbuf=%t max=%d", o.CoalesceWindow, o.DisableNBuffer, o.MaxCycles)
 }
 
 // freshInstance returns a private copy of a registry benchmark. Benchmarks

@@ -69,7 +69,6 @@ type Request struct {
 // entry's whole life.
 type entry struct {
 	Request
-	issued   int64 // arrival cycle, for FR-FCFS aging and latency
 	row      int64
 	bank     int32
 	attempts int32 // transient-failure retries so far
@@ -151,46 +150,29 @@ type channel struct {
 	acts    [4]int64 // issue times of the last four row activates (tFAW)
 }
 
-// Stats aggregates memory-system activity.
+// Stats holds the run totals: bytes moved, and the fault model's activity.
+// Everything else is counted per channel, in ChanStats.
 type Stats struct {
-	Reads, Writes   int64
-	Refreshes       int64
-	RowHits         int64
-	RowMisses       int64 // closed-row activations
-	RowConflicts    int64 // open-row mismatch (precharge + activate)
-	BytesRead       int64
-	BytesWritten    int64
-	TotalLatency    int64 // sum of request latencies, cycles
-	MaxQueueOcc     int
-	StallsQueueFull int64
+	BytesRead    int64
+	BytesWritten int64
 
 	// Fault-injection activity (all zero when no faults are armed).
-	Retries           int64 // transient-failure retries issued
-	RetriesExhausted  int64 // bursts that hit MaxRetries and completed anyway
-	LatencySpikes     int64 // bursts delayed by an injected latency spike
-	StallsChannelDown int64 // submissions rejected with every channel down
+	Retries          int64 // transient-failure retries issued
+	RetriesExhausted int64 // bursts that hit MaxRetries and completed anyway
+	LatencySpikes    int64 // bursts delayed by an injected latency spike
 }
 
-// ChanStats is one channel's share of the activity counters — the
-// per-channel view the observability layer needs to show bank-conflict and
-// row-hit imbalance across channels (e.g. after a kill-chan remap piles two
-// channels' traffic onto one).
+// ChanStats is one channel's activity: the only place the memory system
+// counts reads, writes, row outcomes and queue peaks. The observability
+// layer reads it to show bank-conflict and row-hit imbalance across channels
+// (e.g. after a kill-chan remap piles two channels' traffic onto one).
 type ChanStats struct {
 	Reads, Writes int64
 	RowHits       int64
-	RowMisses     int64
-	RowConflicts  int64
+	RowMisses     int64 // closed-row activations
+	RowConflicts  int64 // open-row mismatch (precharge + activate)
 	Retries       int64
 	MaxQueueOcc   int
-}
-
-// AvgLatency returns the mean request latency in cycles.
-func (s Stats) AvgLatency() float64 {
-	n := s.Reads + s.Writes
-	if n == 0 {
-		return 0
-	}
-	return float64(s.TotalLatency) / float64(n)
 }
 
 // DRAM is the memory system instance.
@@ -205,7 +187,6 @@ type DRAM struct {
 	landed      []int64 // tags of the bursts the last Tick landed
 	stats       Stats
 	chanStats   []ChanStats
-	now         int64
 	nextRefresh int64
 
 	// Fault injection (nil when the memory system is healthy).
@@ -262,34 +243,32 @@ func (d *DRAM) bankRowOf(addr uint64) (int, int64) {
 }
 
 // newEntry decodes a request's bank and row.
-func (d *DRAM) newEntry(r Request, issued int64, attempts int32) entry {
+func (d *DRAM) newEntry(r Request, attempts int32) entry {
 	b, row := d.bankRowOf(r.Addr)
-	return entry{Request: r, issued: issued, row: row, bank: int32(b), attempts: attempts}
+	return entry{Request: r, row: row, bank: int32(b), attempts: attempts}
 }
 
 // Submit enqueues a request; it returns false (and drops the request) if
-// the owning channel's queue is full — callers must retry.
+// no healthy channel owns the address or the owning channel's queue is full
+// — callers must retry.
 func (d *DRAM) Submit(r Request) bool {
-	ci := d.channelOf(r.Addr)
-	if ci < 0 {
-		d.stats.StallsChannelDown++
-		return false
+	ci, ok := d.admits(r.Addr)
+	if ok {
+		d.enqueue(ci, d.newEntry(r, 0))
 	}
-	if len(d.channels[ci].queue) >= d.cfg.QueueDepth {
-		d.stats.StallsQueueFull++
-		return false
-	}
-	d.enqueue(ci, d.newEntry(r, d.now, 0))
-	return true
+	return ok
+}
+
+// admits returns the channel owning addr and whether its queue has room.
+func (d *DRAM) admits(addr uint64) (int, bool) {
+	ci := d.channelOf(addr)
+	return ci, ci >= 0 && len(d.channels[ci].queue) < d.cfg.QueueDepth
 }
 
 // enqueue appends an accepted entry to channel ci's queue.
 func (d *DRAM) enqueue(ci int, e entry) {
 	ch := &d.channels[ci]
 	ch.queue = append(ch.queue, e)
-	if occ := len(ch.queue); occ > d.stats.MaxQueueOcc {
-		d.stats.MaxQueueOcc = occ
-	}
 	if occ := len(ch.queue); occ > d.chanStats[ci].MaxQueueOcc {
 		d.chanStats[ci].MaxQueueOcc = occ
 	}
@@ -319,7 +298,6 @@ func (d *DRAM) nextLanding() int {
 // oldest). It returns the tags of the bursts that landed, in firing order;
 // the slice is reused and valid until the next Tick.
 func (d *DRAM) Tick(now int64) []int64 {
-	d.now = now
 	d.landed = d.landed[:0]
 	// Land completions; bursts hit by a transient fault re-queue instead.
 	for {
@@ -329,7 +307,7 @@ func (d *DRAM) Tick(now int64) []int64 {
 		}
 		f := d.channels[ci].flights.pop()
 		if !d.maybeRetry(f.entry, now) {
-			d.finish(&f.entry, now)
+			d.finish(&f.entry)
 			d.landed = append(d.landed, f.Tag)
 		}
 	}
@@ -339,7 +317,6 @@ func (d *DRAM) Tick(now int64) []int64 {
 	// for tRFC and rows close.
 	if d.cfg.TREFI > 0 && now >= d.nextRefresh {
 		d.nextRefresh = now + int64(d.cfg.TREFI)
-		d.stats.Refreshes++
 		for ci := range d.channels {
 			ch := &d.channels[ci]
 			// The refresh occupies the whole channel for tRFC: already-
@@ -364,17 +341,14 @@ func (d *DRAM) Tick(now int64) []int64 {
 	return d.landed
 }
 
-func (d *DRAM) finish(r *entry, now int64) {
-	d.stats.TotalLatency += now - r.issued
+func (d *DRAM) finish(r *entry) {
 	ci := d.channelOf(r.Addr)
 	if r.Write {
-		d.stats.Writes++
 		d.stats.BytesWritten += int64(d.cfg.BurstBytes)
 		if ci >= 0 {
 			d.chanStats[ci].Writes++
 		}
 	} else {
-		d.stats.Reads++
 		d.stats.BytesRead += int64(d.cfg.BurstBytes)
 		if ci >= 0 {
 			d.chanStats[ci].Reads++
@@ -418,15 +392,12 @@ func (d *DRAM) schedule(ci int, now int64) {
 	var accessLatency int64
 	switch {
 	case bk.openRow == r.row:
-		d.stats.RowHits++
 		d.chanStats[ci].RowHits++
 		accessLatency = int64(d.cfg.TCAS)
 	case bk.openRow == -1:
-		d.stats.RowMisses++
 		d.chanStats[ci].RowMisses++
 		accessLatency = int64(d.cfg.TRCD + d.cfg.TCAS)
 	default:
-		d.stats.RowConflicts++
 		d.chanStats[ci].RowConflicts++
 		accessLatency = int64(d.cfg.TRP + d.cfg.TRCD + d.cfg.TCAS)
 	}
@@ -484,9 +455,9 @@ func schedulingOrder(a, b timed) int { return cmp.Compare(a.seq, b.seq) }
 
 // NextEventAt returns the earliest cycle strictly after now at which a Tick
 // could change memory-system state: a pending completion firing, a retry
-// backoff elapsing (a due-but-blocked retry forces now+1, because its
-// failed per-tick resubmission attempts increment stall counters), the next
-// refresh, or a channel whose queued work finds a ready bank. Every cycle
+// backoff elapsing (a due-but-blocked retry forces now+1: it tries to
+// resubmit every tick and gets in the first tick its channel has room), the
+// next refresh, or a channel whose queued work finds a ready bank. Every cycle
 // strictly between now and the returned value is provably a Tick no-op, so
 // the event-driven engine may skip straight to it. Returns -1 when no
 // event is scheduled (the memory system is idle and refresh is disabled).
@@ -532,31 +503,12 @@ func (d *DRAM) NextEventAt(now int64) int64 {
 }
 
 // Accepts probes whether Submit would succeed for addr right now, with no
-// side effects (no stall counters, no state change). down reports the
-// rejection kind when ok is false: true when no healthy channel owns the
-// address, false when the owning channel's queue is full.
+// side effects. down reports the rejection kind when ok is false: true when
+// no healthy channel owns the address, false when the owning channel's queue
+// is full.
 func (d *DRAM) Accepts(addr uint64) (ok, down bool) {
-	ci := d.channelOf(addr)
-	if ci < 0 {
-		return false, true
-	}
-	return len(d.channels[ci].queue) < d.cfg.QueueDepth, false
-}
-
-// AccountRejects adds n rejected-submission attempts to the stall counters
-// without performing them. The event-driven engine parks a transfer whose
-// submissions are blocked instead of re-attempting every cycle; this keeps
-// the counters — which are part of every checkpoint — identical
-// to the legacy engine's per-cycle attempts.
-func (d *DRAM) AccountRejects(down bool, n int64) {
-	if n <= 0 {
-		return
-	}
-	if down {
-		d.stats.StallsChannelDown += n
-	} else {
-		d.stats.StallsQueueFull += n
-	}
+	ci, ok := d.admits(addr)
+	return ok, ci < 0
 }
 
 // QueueSlack returns the free request-queue slots on channel ci.

@@ -1,28 +1,9 @@
 package dram
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 )
-
-// ErrRetriesExhausted is wrapped by ExhaustedError when a burst's transient
-// failures exceed the retry bound.
-var ErrRetriesExhausted = errors.New("dram: burst retries exhausted")
-
-// ExhaustedError reports one burst whose transient failures hit MaxRetries.
-// The burst still completes (higher-level ECC recovery), but the condition is
-// surfaced structurally so callers can count or escalate it.
-type ExhaustedError struct {
-	Addr     uint64
-	Attempts int // retries issued before giving up (== MaxRetries)
-}
-
-func (e *ExhaustedError) Error() string {
-	return fmt.Sprintf("%v: addr 0x%x after %d retries", ErrRetriesExhausted, e.Addr, e.Attempts)
-}
-
-func (e *ExhaustedError) Unwrap() error { return ErrRetriesExhausted }
 
 // Faults is the injectable memory-system fault configuration. All draws come
 // from a private PRNG seeded with Seed, and the model is single-threaded, so
@@ -52,10 +33,6 @@ type Faults struct {
 	// down, Submit rejects all requests (the simulator's watchdog turns
 	// that into a diagnostic abort instead of a hang).
 	Down []bool
-
-	// OnExhausted, when set, is invoked once per burst that abandons its
-	// retries (exactly when Stats.RetriesExhausted increments).
-	OnExhausted func(*ExhaustedError)
 }
 
 // InjectFaults arms the fault model. Must be called before the first Submit.
@@ -119,9 +96,6 @@ func (d *DRAM) maybeRetry(e entry, now int64) bool {
 	}
 	if int(e.attempts) >= f.MaxRetries {
 		d.stats.RetriesExhausted++
-		if f.OnExhausted != nil {
-			f.OnExhausted(&ExhaustedError{Addr: e.Addr, Attempts: int(e.attempts)})
-		}
 		return false
 	}
 	e.attempts++
@@ -149,20 +123,14 @@ func (d *DRAM) drainRetries(now int64) {
 	d.retryq = kept
 }
 
-// resubmit enqueues a retried entry without resetting its arrival cycle,
-// so latency accounting spans all attempts.
+// resubmit enqueues a retried entry, attempt count and all, if its channel
+// has room.
 func (d *DRAM) resubmit(e entry) bool {
-	ci := d.remapChannel(e.Addr)
-	if ci < 0 {
-		d.stats.StallsChannelDown++
-		return false
+	ci, ok := d.admits(e.Addr)
+	if ok {
+		d.enqueue(ci, e)
 	}
-	if len(d.channels[ci].queue) >= d.cfg.QueueDepth {
-		d.stats.StallsQueueFull++
-		return false
-	}
-	d.enqueue(ci, e)
-	return true
+	return ok
 }
 
 // KillChannel takes channel c offline mid-run. Requests already queued,

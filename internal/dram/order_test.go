@@ -42,8 +42,8 @@ func TestSameCycleLandingsFireInSchedulingOrder(t *testing.T) {
 	if !reflect.DeepEqual(tags, []int64{'A', 'C', 'B'}) || cycles[1] != cycles[2] {
 		t.Fatalf("landed %q at %v, want A, then C and B in one cycle", tags, cycles)
 	}
-	if d.Stats().RowHits != 1 {
-		t.Fatalf("row hits = %d, want 1 (B must hit A's open row)", d.Stats().RowHits)
+	if hits := totals(d).RowHits; hits != 1 {
+		t.Fatalf("row hits = %d, want 1 (B must hit A's open row)", hits)
 	}
 }
 

@@ -35,7 +35,6 @@ func (p *prng) Float64() float64 {
 type ReqState struct {
 	Addr     uint64
 	Write    bool
-	Issued   int64
 	Attempts int32
 	Tag      int64
 	At       int64 // completion/retry cycle; unused for queued requests
@@ -49,7 +48,6 @@ type BankState struct {
 
 // MemState is a complete snapshot of the memory system's dynamic state.
 type MemState struct {
-	Now         int64
 	NextRefresh int64
 	RNG         uint64
 	Stats       Stats
@@ -65,19 +63,17 @@ type MemState struct {
 }
 
 func (e *entry) state(at int64) ReqState {
-	return ReqState{Addr: e.Addr, Write: e.Write, Issued: e.issued,
-		Attempts: e.attempts, Tag: e.Tag, At: at}
+	return ReqState{Addr: e.Addr, Write: e.Write, Attempts: e.attempts, Tag: e.Tag, At: at}
 }
 
 func (d *DRAM) revive(rs ReqState) entry {
-	return d.newEntry(Request{Addr: rs.Addr, Write: rs.Write, Tag: rs.Tag}, rs.Issued, rs.Attempts)
+	return d.newEntry(Request{Addr: rs.Addr, Write: rs.Write, Tag: rs.Tag}, rs.Attempts)
 }
 
 // Snapshot captures the memory system's dynamic state. The snapshot is
 // deterministic: two identical systems produce identical MemStates.
 func (d *DRAM) Snapshot() *MemState {
 	st := &MemState{
-		Now:         d.now,
 		NextRefresh: d.nextRefresh,
 		RNG:         d.rng.state,
 		Stats:       d.stats,
@@ -127,7 +123,6 @@ func (d *DRAM) Restore(st *MemState) error {
 	if len(st.Chans) != d.cfg.Channels {
 		return fmt.Errorf("dram: snapshot has %d channel counter sets, config wants %d", len(st.Chans), d.cfg.Channels)
 	}
-	d.now = st.Now
 	d.nextRefresh = st.NextRefresh
 	d.rng.state = st.RNG
 	d.stats = st.Stats

@@ -51,7 +51,7 @@ func TestSnapshotRestoreMidFlight(t *testing.T) {
 	if snap == nil {
 		t.Fatal("stream finished before the freeze point; lower freezeAt")
 	}
-	refStats := d.Stats()
+	refStats, refChans := d.Stats(), d.ChannelStats()
 
 	// Snapshots must be deterministic: same state twice ⇒ deep-equal.
 	d2 := New(cfg)
@@ -95,6 +95,9 @@ func TestSnapshotRestoreMidFlight(t *testing.T) {
 	}
 	if st := d3.Stats(); st != refStats {
 		t.Errorf("restored run stats diverge:\n%+v\n%+v", st, refStats)
+	}
+	if chans := d3.ChannelStats(); !reflect.DeepEqual(chans, refChans) {
+		t.Errorf("restored run channel stats diverge:\n%+v\n%+v", chans, refChans)
 	}
 }
 

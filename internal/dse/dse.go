@@ -62,15 +62,30 @@ func LoadBench(name string) (*Bench, error) {
 	return &Bench{Name: b.Name(), PCUs: v.PCUs, PMUs: v.PMUs}, nil
 }
 
-// pcuRanges is the full design space of Table 3, used when minimising the
-// remaining parameters.
-var pcuRanges = map[string][]int{
-	"stages":     {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
-	"registers":  {2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16},
-	"scalarIns":  {1, 2, 3, 4, 5, 6, 8, 10},
-	"scalarOuts": {1, 2, 3, 4, 5, 6},
-	"vectorIns":  {2, 3, 4, 5, 6, 8, 10},
-	"vectorOuts": {1, 2, 3, 4, 5, 6},
+// PCUParam is one PCU datapath parameter of Table 3's design space: its
+// name (which keys the dse/minimize cache entries), its value grid, and the
+// arch.PCUParams field it sets.
+type PCUParam struct {
+	Name   string
+	Values []int
+	Field  func(p *arch.PCUParams) *int
+}
+
+// PCUSpace is the full design space of Table 3, used when minimising the
+// remaining parameters. The auto-tuner's genome draws it in this order.
+var PCUSpace = []PCUParam{
+	{"stages", []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
+		func(p *arch.PCUParams) *int { return &p.Stages }},
+	{"registers", []int{2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16},
+		func(p *arch.PCUParams) *int { return &p.Registers }},
+	{"scalarIns", []int{1, 2, 3, 4, 5, 6, 8, 10},
+		func(p *arch.PCUParams) *int { return &p.ScalarIns }},
+	{"scalarOuts", []int{1, 2, 3, 4, 5, 6},
+		func(p *arch.PCUParams) *int { return &p.ScalarOuts }},
+	{"vectorIns", []int{2, 3, 4, 5, 6, 8, 10},
+		func(p *arch.PCUParams) *int { return &p.VectorIns }},
+	{"vectorOuts", []int{1, 2, 3, 4, 5, 6},
+		func(p *arch.PCUParams) *int { return &p.VectorOuts }},
 }
 
 // panelValues are the x-axes Figure 7 actually plots.
@@ -87,20 +102,12 @@ var panelValues = map[string][]int{
 // not exist; the wrapping error identifies the offending name.
 var ErrUnknownParam = errors.New("dse: unknown parameter")
 
-func getParam(p *arch.PCUParams, name string) (*int, error) {
-	switch name {
-	case "stages":
-		return &p.Stages, nil
-	case "registers":
-		return &p.Registers, nil
-	case "scalarIns":
-		return &p.ScalarIns, nil
-	case "scalarOuts":
-		return &p.ScalarOuts, nil
-	case "vectorIns":
-		return &p.VectorIns, nil
-	case "vectorOuts":
-		return &p.VectorOuts, nil
+// pcuParam looks a PCUSpace parameter up by name.
+func pcuParam(name string) (*PCUParam, error) {
+	for i := range PCUSpace {
+		if PCUSpace[i].Name == name {
+			return &PCUSpace[i], nil
+		}
 	}
 	return nil, fmt.Errorf("%w %q (want one of stages, registers, scalarIns, scalarOuts, vectorIns, vectorOuts)", ErrUnknownParam, name)
 }

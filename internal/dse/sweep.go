@@ -149,11 +149,11 @@ func (s *Sweep) minimizeArea(b *Bench, fixed map[string]int) (arch.PCUParams, fl
 func (s *Sweep) minimizeAreaUncached(b *Bench, fixed map[string]int) (arch.PCUParams, float64, error) {
 	p := maxParams()
 	for name, v := range fixed {
-		f, err := getParam(&p, name)
+		pp, err := pcuParam(name)
 		if err != nil {
 			return p, Infeasible, fmt.Errorf("dse: %s: fixed grid: %w", b.Name, err)
 		}
-		*f = v
+		*pp.Field(&p) = v
 	}
 	best := s.benchArea(b, p)
 	if math.IsInf(best, 1) {
@@ -165,24 +165,19 @@ func (s *Sweep) minimizeAreaUncached(b *Bench, fixed map[string]int) (arch.PCUPa
 			if _, isFixed := fixed[name]; isFixed {
 				continue
 			}
-			f, err := getParam(&p, name)
+			pp, err := pcuParam(name)
 			if err != nil {
 				return p, Infeasible, fmt.Errorf("dse: %s: %w", b.Name, err)
 			}
-			bestV := *f
-			for _, v := range pcuRanges[name] {
+			bestV := *pp.Field(&p)
+			for _, v := range pp.Values {
 				q := p
-				qf, err := getParam(&q, name)
-				if err != nil {
-					return p, Infeasible, fmt.Errorf("dse: %s: %w", b.Name, err)
-				}
-				*qf = v
+				*pp.Field(&q) = v
 				if a := s.benchArea(b, q); a < best {
 					best, bestV = a, v
 				}
 			}
-			f, _ = getParam(&p, name)
-			*f = bestV
+			*pp.Field(&p) = bestV
 		}
 	}
 	return p, best, nil

@@ -7,7 +7,6 @@ import (
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
 	"plasticine/internal/dhdl"
-	"plasticine/internal/dram"
 	"plasticine/internal/pattern"
 )
 
@@ -124,16 +123,18 @@ func TestNBufferAblationSlowsPipeline(t *testing.T) {
 	}
 }
 
-func TestDRAMOverrideOption(t *testing.T) {
+// TestOneDDRChannelSlowsMemoryBound: the simulator builds the memory system
+// the mapping's architecture names, so a one-channel chip runs a
+// memory-bound program far slower than the paper's four channels.
+func TestOneDDRChannelSlowsMemoryBound(t *testing.T) {
 	m, _, _ := dotSetup(t, 16384, 1024, true)
 	base, _, err := Simulate(context.Background(), m, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m2, _, _ := dotSetup(t, 16384, 1024, true)
-	one := dram.DDR3_1600x4()
-	one.Channels = 1
-	slow, _, err := Simulate(context.Background(), m2, Options{DRAM: &one})
+	m2.Params.Chip.DDRChannels = 1
+	slow, _, err := Simulate(context.Background(), m2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

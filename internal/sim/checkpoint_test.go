@@ -39,7 +39,7 @@ func ckptEngine(acts []*activity, faults *dram.Faults) *engine {
 	if err := ddr.InjectFaults(faults); err != nil {
 		panic(err)
 	}
-	return &engine{acts: acts, dram: ddr, loop: eventLoop}
+	return &engine{acts: acts, dram: ddr, stallWindow: defaultStallWindow, loop: eventLoop}
 }
 
 func ckptFaults() *dram.Faults {

@@ -50,18 +50,12 @@ type runningXfer struct {
 	// Event-core bookkeeping (untouched by the legacy cycle loop). seq is
 	// the admission order — the legacy engine attempts transfers in running-
 	// list order every cycle, so the event core's issue pass must scan its
-	// active subset in exactly that order. accountedThrough supports the
-	// parked-transfer virtual stall accounting (see settleParked): the last
-	// cycle whose would-be rejected submission has been added to the DRAM
-	// stall counters. blockedDown/blockedChan record why/where a blocked
-	// transfer parked.
-	seq              int64
-	state            rxState
-	accountedThrough int64
-	blockedDown      bool
-	blockedChan      int
+	// active subset in exactly that order. state says which list or event
+	// holds the transfer (see rxState).
+	seq   int64
+	state rxState
 
-	// Observability (tracked only when a trace.Recorder is armed): cycles on
+	// Observability (tracked only when a trace.Collector is armed): cycles on
 	// which the AG issued or landed at least one burst, deduplicated through
 	// lastBusy, plus the outstanding-burst FIFO's occupancy peak.
 	busy     int64
@@ -103,14 +97,14 @@ type engine struct {
 
 	// Observability: units is the builder's physical-unit registry; rec, when
 	// non-nil, arms the per-transfer busy/high-water counters. Everything
-	// else the Recorder needs is replayed from the resolved graph after the
+	// else the Collector needs is replayed from the resolved graph after the
 	// run (see emitTrace), so a nil rec leaves the hot loop unchanged.
 	units []simUnit
-	rec   trace.Recorder
+	rec   *trace.Collector
 
 	// Watchdog: maxCycles is the total cycle budget (0 = unlimited);
 	// stallWindow aborts when no forward progress happens for that many
-	// cycles (0 = the defaultStallWindow; negative disables).
+	// cycles (prepare sets defaultStallWindow).
 	maxCycles   int64
 	stallWindow int64
 
@@ -298,10 +292,6 @@ func (e *engine) retire() {
 
 // checkWatchdog enforces the cycle budget and the stall detector.
 func (e *engine) checkWatchdog() error {
-	stallWindow := e.stallWindow
-	if stallWindow == 0 {
-		stallWindow = defaultStallWindow
-	}
 	if e.resolvedCount != e.lastResolved || e.bursts != e.lastBursts {
 		e.lastResolved, e.lastBursts = e.resolvedCount, e.bursts
 		e.lastProgressAt = e.clock
@@ -319,7 +309,7 @@ func (e *engine) checkWatchdog() error {
 		w.Cause = ErrBudget
 		return w
 	}
-	if stallWindow > 0 && e.clock-e.lastProgressAt >= stallWindow {
+	if e.clock-e.lastProgressAt >= e.stallWindow {
 		// Event-time-aware progress: while the memory system still holds
 		// scheduled work (a pending completion, a retrying burst, a queued
 		// request), a future event is guaranteed — the wait is long, not
@@ -332,7 +322,7 @@ func (e *engine) checkWatchdog() error {
 		if e.dram != nil && !e.dram.Idle() {
 			e.lastProgressAt = e.clock
 		} else {
-			return e.diagnostic(fmt.Sprintf("no forward progress for %d cycles (livelock)", stallWindow))
+			return e.diagnostic(fmt.Sprintf("no forward progress for %d cycles (livelock)", e.stallWindow))
 		}
 	}
 	return nil

@@ -10,7 +10,7 @@ import (
 )
 
 func newTestEngine(acts []*activity) *engine {
-	return &engine{acts: acts, dram: dram.New(dram.DDR3_1600x4()), loop: eventLoop}
+	return &engine{acts: acts, dram: dram.New(dram.DDR3_1600x4()), stallWindow: defaultStallWindow, loop: eventLoop}
 }
 
 func TestEngineComputeChain(t *testing.T) {
@@ -125,7 +125,8 @@ func TestWatchdogCycleBudget(t *testing.T) {
 	}
 	a := &activity{id: 0, kind: actTransfer,
 		leaf: &dhdl.Controller{Name: "big_load"}, bursts: bursts}
-	eng := &engine{acts: []*activity{a}, dram: dram.New(dram.DDR3_1600x4()), maxCycles: 100, loop: eventLoop}
+	eng := &engine{acts: []*activity{a}, dram: dram.New(dram.DDR3_1600x4()), maxCycles: 100,
+		stallWindow: defaultStallWindow, loop: eventLoop}
 	_, err := eng.run()
 	if !errors.Is(err, ErrWatchdog) || !strings.Contains(err.Error(), "cycle budget") {
 		t.Fatalf("want cycle-budget watchdog abort, got %v", err)

@@ -15,7 +15,9 @@ import (
 // cycle counts, same DRAM counters, equal checkpoints, same watchdog
 // trip cycles — and rests on one invariant: every cycle skipped over is
 // provably a no-op under the legacy loop's per-cycle step sequence
-// [admit, issue, tick, watchdog, retire, drainReady].
+// [admit, issue, tick, watchdog, retire, drainReady]. A rejected submission
+// changes nothing in the memory system, so a cycle whose only work would be
+// rejected attempts is such a no-op.
 //
 // Event taxonomy (the candidates nextEventCycle gathers):
 //   - transfer admission: the start heap's earliest start time;
@@ -30,10 +32,7 @@ import (
 // Transfers that cannot act are parked instead of rescanned: a saturated AG
 // (32 bursts in flight) wakes on a completion; an AG whose submission was
 // rejected parks against its target channel and wakes when that channel
-// frees a queue slot. The legacy engine increments a DRAM stall counter for
-// every rejected per-cycle submission attempt, and those counters are part
-// of the checkpoint — parked transfers therefore account their
-// skipped attempts virtually (settleParked) so the counters stay exact.
+// frees a queue slot.
 
 // issueBurstsEvent is the event core's issue pass: only transfers that may
 // actually submit this cycle are scanned, in admission order (the legacy
@@ -82,10 +81,8 @@ func (e *engine) issueBurstsEvent() bool {
 // order is total.
 func bySeq(a, b *runningXfer) int { return cmp.Compare(a.seq, b.seq) }
 
-// parkBlocked benches a transfer whose next submission would be rejected.
-// accountedThrough records that stall counters are settled through the
-// current cycle (the rejection that just happened, if any, was counted for
-// real by Submit).
+// parkBlocked benches a transfer whose next submission would be rejected,
+// against its target channel, or against -1 when every channel is down.
 func (e *engine) parkBlocked(rx *runningXfer, down bool) {
 	ci := -1
 	if !down {
@@ -96,34 +93,10 @@ func (e *engine) parkBlocked(rx *runningXfer, down bool) {
 		ci = e.dram.ChannelIndex(rx.act.bursts[idx])
 	}
 	rx.state = rxBlocked
-	rx.blockedDown = down
-	rx.blockedChan = ci
-	rx.accountedThrough = e.clock
 	if e.parked == nil {
 		e.parked = make(map[int][]*runningXfer)
 	}
 	e.parked[ci] = append(e.parked[ci], rx)
-}
-
-// settleOne adds a parked transfer's skipped per-cycle rejections (cycles
-// accountedThrough+1 .. upto) to the DRAM stall counters.
-func (e *engine) settleOne(rx *runningXfer, upto int64) {
-	if n := upto - rx.accountedThrough; n > 0 {
-		e.dram.AccountRejects(rx.blockedDown, n)
-		rx.accountedThrough = upto
-	}
-}
-
-// settleParked settles every parked transfer's virtual rejections through
-// cycle upto — called wherever the legacy loop's real per-cycle attempts
-// stop being replayable (a pause, an abort). Counter order within a cycle
-// does not matter: the stall counters are plain sums.
-func (e *engine) settleParked(upto int64) {
-	for _, group := range e.parked {
-		for _, rx := range group {
-			e.settleOne(rx, upto)
-		}
-	}
 }
 
 // wakeParked reactivates blocked transfers whose target channel freed queue
@@ -150,7 +123,6 @@ func (e *engine) wakeParked() {
 			n = len(group)
 		}
 		for _, rx := range group[:n] {
-			e.settleOne(rx, e.clock-1) // real attempt resumes at e.clock
 			rx.state = rxActive
 			e.active = append(e.active, rx)
 			e.activeDirty = true
@@ -193,24 +165,7 @@ func (e *engine) nextEventCycle(stopAt int64, canIssue bool) int64 {
 	if at := e.dram.NextEventAt(e.clock); at >= 0 {
 		consider(at)
 	}
-	stallWindow := e.stallWindow
-	if stallWindow == 0 {
-		stallWindow = defaultStallWindow
-	}
-	if stallWindow > 0 {
-		consider(e.lastProgressAt + stallWindow)
-	}
-	if e.maxCycles > 0 {
-		consider(e.maxCycles)
-	}
-	if e.ctx != nil {
-		// Land exactly on the poll boundary so a cancellation aborts at the
-		// same cycle the legacy loop would observe it.
-		consider(e.nextCtxCheck)
-	}
-	if next < 0 {
-		next = e.clock + 1
-	}
+	consider(e.nextDeadline())
 	if stopAt >= 0 && next > stopAt {
 		next = stopAt // the legacy loop ticks stopAt itself before pausing
 	}
@@ -227,12 +182,10 @@ func (e *engine) runUntilEvent(stopAt int64) (bool, error) {
 	e.drainReady()
 	for len(e.waiting) > 0 || len(e.running) > 0 {
 		if stopAt >= 0 && e.clock >= stopAt {
-			e.settleParked(e.clock - 1)
 			return false, nil
 		}
 		// Admit transfers whose start time has arrived; if idle, jump (but
-		// never past the stop point). Nothing is parked when running is
-		// empty, so the jump needs no settle.
+		// never past the stop point).
 		if len(e.running) == 0 && len(e.waiting) > 0 && e.waiting[0].start > e.clock {
 			jump := e.waiting[0].start
 			if stopAt >= 0 && jump > stopAt {
@@ -256,7 +209,6 @@ func (e *engine) runUntilEvent(stopAt int64) (bool, error) {
 		e.tick()
 		e.wakeParked()
 		if err := e.checkWatchdog(); err != nil {
-			e.settleParked(e.clock - 1)
 			return false, err
 		}
 		if e.retireNeeded {
@@ -273,42 +225,16 @@ func (e *engine) runUntilEvent(stopAt int64) (bool, error) {
 
 // drainInFlightEvent is drainInFlight's discrete-event implementation: jump
 // between memory-system events until quiescent, issuing nothing, with the
-// watchdog's deadlines still armed. Parked transfers accrue no stall
-// counters during a drain (the legacy drain never attempts submissions);
-// their accounting resumes at the post-drain clock.
+// watchdog's deadlines still armed.
 func (e *engine) drainInFlightEvent() (QuiesceState, int64, error) {
 	q := e.quiesceState()
 	from := e.clock
 	for !e.quiescent() {
-		next := int64(-1)
-		consider := func(v int64) {
-			if v <= e.clock {
-				v = e.clock + 1
-			}
-			if next < 0 || v < next {
-				next = v
-			}
+		next := e.nextDeadline()
+		if at := e.dram.NextEventAt(e.clock); at >= 0 && at < next {
+			next = at
 		}
-		if at := e.dram.NextEventAt(e.clock); at >= 0 {
-			consider(at)
-		}
-		stallWindow := e.stallWindow
-		if stallWindow == 0 {
-			stallWindow = defaultStallWindow
-		}
-		if stallWindow > 0 {
-			consider(e.lastProgressAt + stallWindow)
-		}
-		if e.maxCycles > 0 {
-			consider(e.maxCycles)
-		}
-		if e.ctx != nil {
-			consider(e.nextCtxCheck)
-		}
-		if next < 0 {
-			next = e.clock + 1
-		}
-		e.clock = next
+		e.clock = max(next, e.clock+1)
 		e.steps++
 		e.tick()
 		if err := e.checkWatchdog(); err != nil {
@@ -322,12 +248,21 @@ func (e *engine) drainInFlightEvent() (QuiesceState, int64, error) {
 	// Transfers finishing exactly at the drain boundary retire here so the
 	// checkpoint sees them resolved.
 	e.retire()
-	for _, group := range e.parked {
-		for _, rx := range group {
-			rx.accountedThrough = e.clock - 1
-		}
-	}
 	return q, e.clock - from, nil
+}
+
+// nextDeadline returns the earliest watchdog deadline: the stall window's
+// expiry, the cycle budget and the next context poll. The event core lands
+// on it exactly, so an abort trips on the cycle the legacy loop would trip.
+func (e *engine) nextDeadline() int64 {
+	next := e.lastProgressAt + e.stallWindow
+	if e.maxCycles > 0 {
+		next = min(next, e.maxCycles)
+	}
+	if e.ctx != nil {
+		next = min(next, e.nextCtxCheck)
+	}
+	return next
 }
 
 // rebuildEventState re-derives the event core's indexes after a checkpoint
@@ -344,7 +279,6 @@ func (e *engine) rebuildEventState() {
 		rx.seq = e.nextSeq
 		e.nextSeq++
 		rx.state = rxActive
-		rx.accountedThrough = e.clock - 1
 		e.active = append(e.active, rx)
 	}
 }

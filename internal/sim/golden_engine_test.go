@@ -7,7 +7,6 @@ import (
 
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
-	"plasticine/internal/dram"
 	"plasticine/internal/fault"
 	"plasticine/internal/trace"
 	"plasticine/internal/workloads"
@@ -75,22 +74,26 @@ func TestEngineGoldenIdentity(t *testing.T) {
 // model armed (latency spikes + transient retries), which exercises the
 // event core's retry-backoff events and the fault PRNG's draw order.
 func TestEngineGoldenFaultedIdentity(t *testing.T) {
-	faults := &dram.Faults{Seed: 11, SpikeProb: 0.05, SpikeCycles: 40,
-		TransientProb: 0.02, MaxRetries: 4, RetryBackoff: 8}
-	run := func(kind engineKind) *Result {
-		m, _, _ := recoverySetup(t, nil)
-		res, _, err := simulate(context.Background(), m, Options{Faults: faults}, kind.loop)
+	run := func(kind engineKind) (*Result, *trace.Report) {
+		m, _, _ := recoverySetup(t, memoryFaultPlan(t, fault.Spec{Seed: 11, SpikeProb: 0.05, SpikeCycles: 40,
+			TransientProb: 0.02, MaxRetries: 4, RetryBackoff: 8}))
+		col := trace.NewCollector()
+		res, _, err := simulate(context.Background(), m, Options{Recorder: col}, kind.loop)
 		if err != nil {
 			t.Fatalf("%v engine: %v", kind, err)
 		}
-		return res
+		return res, col.Report()
 	}
-	ev, cy := run(eventEngine), run(cycleEngine)
+	ev, evRep := run(eventEngine)
+	cy, cyRep := run(cycleEngine)
 	if ev.Cycles != cy.Cycles {
 		t.Errorf("cycles: event %d, cycle %d", ev.Cycles, cy.Cycles)
 	}
 	if !reflect.DeepEqual(ev.DRAM, cy.DRAM) {
 		t.Errorf("dram stats diverge:\nevent %+v\ncycle %+v", ev.DRAM, cy.DRAM)
+	}
+	if !reflect.DeepEqual(evRep, cyRep) {
+		t.Errorf("trace reports (per-channel DRAM counters included) diverge:\nevent %+v\ncycle %+v", evRep, cyRep)
 	}
 	if ev.DRAM.Retries == 0 && ev.DRAM.LatencySpikes == 0 {
 		t.Error("fault model never fired; the test exercises nothing")
@@ -125,18 +128,19 @@ func TestEngineGoldenCheckpoint(t *testing.T) {
 }
 
 // TestEngineGoldenRecovery survives the same kill-channel plan under both
-// engines and requires identical makespans, DRAM counters and per-event
-// recovery decompositions (pause cycle, drain cost, lost bursts,
-// reconfiguration stall).
+// engines and requires identical makespans, DRAM counters (run totals and
+// per channel) and per-event recovery decompositions (pause cycle, drain
+// cost, lost bursts, reconfiguration stall).
 func TestEngineGoldenRecovery(t *testing.T) {
-	run := func(kind engineKind) *Result {
+	run := func(kind engineKind) (*Result, *trace.Report) {
 		plan, err := fault.NewPlan(fault.Spec{Seed: 2,
 			Events: []fault.EventSpec{{Kind: fault.KillChan, Cycle: 300}}}, arch.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
 		m, total, want := recoverySetup(t, plan)
-		res, st, err := simulate(context.Background(), m, Options{Recovery: true}, kind.loop)
+		col := trace.NewCollector()
+		res, st, err := simulate(context.Background(), m, Options{Recovery: true, Recorder: col}, kind.loop)
 		if err != nil {
 			t.Fatalf("%v engine: %v", kind, err)
 		}
@@ -144,14 +148,18 @@ func TestEngineGoldenRecovery(t *testing.T) {
 		if res.Recovery == nil || len(res.Recovery.Events) == 0 {
 			t.Fatalf("%v engine: no recovery events recorded", kind)
 		}
-		return res
+		return res, col.Report()
 	}
-	ev, cy := run(eventEngine), run(cycleEngine)
+	ev, evRep := run(eventEngine)
+	cy, cyRep := run(cycleEngine)
 	if ev.Cycles != cy.Cycles {
 		t.Errorf("cycles: event %d, cycle %d", ev.Cycles, cy.Cycles)
 	}
 	if !reflect.DeepEqual(ev.DRAM, cy.DRAM) {
 		t.Errorf("dram stats diverge:\nevent %+v\ncycle %+v", ev.DRAM, cy.DRAM)
+	}
+	if !reflect.DeepEqual(evRep.Channels, cyRep.Channels) {
+		t.Errorf("per-channel dram counters diverge:\nevent %+v\ncycle %+v", evRep.Channels, cyRep.Channels)
 	}
 	if !reflect.DeepEqual(ev.Recovery, cy.Recovery) {
 		t.Errorf("recovery decompositions diverge:\nevent %+v\ncycle %+v", ev.Recovery, cy.Recovery)
@@ -163,17 +171,30 @@ func TestEngineGoldenRecovery(t *testing.T) {
 // holds the spiked burst, so the event-time-aware watchdog must let the run
 // finish. Both engines must agree (the legacy loop shares checkWatchdog).
 func TestWatchdogToleratesLongMemoryGap(t *testing.T) {
-	faults := &dram.Faults{Seed: 3, SpikeProb: 1.0, SpikeCycles: 400}
 	for _, kind := range []engineKind{eventEngine, cycleEngine} {
-		m, total, want := recoverySetup(t, nil)
-		res, st, err := simulate(context.Background(), m,
-			Options{Faults: faults, StallWindow: 64}, kind.loop)
+		m, total, want := recoverySetup(t, memoryFaultPlan(t, fault.Spec{Seed: 3, SpikeProb: 1.0, SpikeCycles: 400}))
+		eng, st, err := prepare(context.Background(), m, Options{}, kind.loop)
 		if err != nil {
+			t.Fatal(err)
+		}
+		eng.stallWindow = 64
+		if _, err := eng.run(); err != nil {
 			t.Fatalf("%v engine: spiked run tripped the stall detector: %v", kind, err)
 		}
 		checkDot(t, st, total, want)
-		if res.DRAM.LatencySpikes == 0 {
+		if eng.dram.Stats().LatencySpikes == 0 {
 			t.Fatalf("%v engine: no spikes fired; the test exercises nothing", kind)
 		}
 	}
+}
+
+// memoryFaultPlan builds the fault plan for a memory-only fault spec, the
+// path production runs take to arm the DRAM fault model.
+func memoryFaultPlan(t *testing.T, spec fault.Spec) *fault.Plan {
+	t.Helper()
+	plan, err := fault.NewPlan(spec, arch.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }

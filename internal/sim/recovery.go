@@ -123,11 +123,10 @@ func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options, lp loop
 
 		// The fabric stalls for the reconfiguration; everything resumes on
 		// the shifted clock. The memory system idles through the stall, so
-		// its internal time (and refresh schedule) shifts with it.
+		// its refresh schedule shifts with it.
 		cp.Clock += re.ReconfigCycles
 		cp.LastProgressAt = cp.Clock
 		if cp.DRAM != nil {
-			cp.DRAM.Now += re.ReconfigCycles
 			cp.DRAM.NextRefresh += re.ReconfigCycles
 		}
 		fresh := &engine{acts: eng.acts, dram: eng.dram,

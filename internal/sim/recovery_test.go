@@ -11,6 +11,7 @@ import (
 	"plasticine/internal/dhdl"
 	"plasticine/internal/fault"
 	"plasticine/internal/pattern"
+	"plasticine/internal/trace"
 )
 
 // recoverySetup compiles the shared dot-product fixture under a fault plan
@@ -72,7 +73,8 @@ func TestRecoveryZeroEventsMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1, total1, want := recoverySetup(t, plan)
-	r1, st1, err := Simulate(context.Background(), m1, Options{})
+	col1, col2 := trace.NewCollector(), trace.NewCollector()
+	r1, st1, err := Simulate(context.Background(), m1, Options{Recorder: col1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestRecoveryZeroEventsMatchesPlainRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2, total2, _ := recoverySetup(t, plan2)
-	r2, st2, err := Simulate(context.Background(), m2, Options{Recovery: true})
+	r2, st2, err := Simulate(context.Background(), m2, Options{Recovery: true, Recorder: col2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,6 +96,9 @@ func TestRecoveryZeroEventsMatchesPlainRun(t *testing.T) {
 	if r1.Cycles != r2.Cycles || r1.DRAM != r2.DRAM {
 		t.Errorf("zero-event recovery diverges from the plain run: %d vs %d cycles, DRAM\n%+v\n%+v",
 			r2.Cycles, r1.Cycles, r2.DRAM, r1.DRAM)
+	}
+	if c1, c2 := col1.Report().Channels, col2.Report().Channels; !reflect.DeepEqual(c1, c2) {
+		t.Errorf("zero-event recovery's per-channel DRAM counters diverge from the plain run's:\n%+v\n%+v", c2, c1)
 	}
 }
 

@@ -69,25 +69,14 @@ type Options struct {
 	// DisableNBuffer forces every scratchpad to single buffering,
 	// serialising coarse-grained pipelines (Section 3.5 ablation).
 	DisableNBuffer bool
-	// DRAM overrides the memory-system configuration.
-	DRAM *dram.Config
-
-	// Faults arms memory-system fault injection (latency spikes,
-	// transient retries, downed channels). The mapping's own fault plan
-	// (Mapping.Faults) is used when this is nil.
-	Faults *dram.Faults
 	// MaxCycles aborts the run via the watchdog once the simulated clock
 	// passes this budget (0 = unlimited).
 	MaxCycles int64
-	// StallWindow aborts when no forward progress (resolved activity,
-	// completed burst, or admitted transfer) happens for this many cycles.
-	// 0 uses the built-in default; negative disables the stall detector.
-	StallWindow int64
 
-	// Recorder receives the run's observability events (per-unit slices with
-	// stall attribution, link traffic, DRAM channel counters). Nil disables
-	// tracing at zero cost; see internal/trace.
-	Recorder trace.Recorder
+	// Recorder collects the run's observability events (per-unit slices
+	// with stall attribution, link traffic, DRAM channel counters). Nil
+	// disables tracing at zero cost; see internal/trace.
+	Recorder *trace.Collector
 
 	// Recovery survives the mapping's timed mid-run fault events (drain,
 	// checkpoint, repair, restore — see the recovery protocol in
@@ -99,8 +88,9 @@ type Options struct {
 
 // Simulate runs a compiled program and is the one simulator entry point: the
 // context bounds the run (cancellation surfaces as a *WatchdogError whose
-// Cause is ctx.Err()), and Options selects everything else — ablations,
-// fault injection, watchdog budgets, tracing and the recovery protocol. All
+// Cause is ctx.Err()), the mapping carries the architecture (its DRAM channel
+// count included) and the fault plan, and Options selects everything else —
+// ablations, the cycle budget, tracing and the recovery protocol. All
 // of the program's DRAM buffers must be bound to collections; the
 // functional results land in those collections and the returned state,
 // while the returned Result carries the cycle-level timing.
@@ -142,19 +132,12 @@ func prepare(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*
 	}
 	dcfg := dram.DDR3_1600x4()
 	dcfg.Channels = m.Params.Chip.DDRChannels
-	if opts.DRAM != nil {
-		dcfg = *opts.DRAM
-	}
 	ddr := dram.New(dcfg)
-	faults := opts.Faults
-	if faults == nil && m.Faults != nil {
-		faults = m.Faults.DRAMFaults()
-	}
-	if err := ddr.InjectFaults(faults); err != nil {
+	if err := ddr.InjectFaults(m.Faults.DRAMFaults()); err != nil {
 		return nil, nil, err
 	}
 	return &engine{acts: b.acts, dram: ddr, units: b.units, rec: opts.Recorder,
-		maxCycles: opts.MaxCycles, stallWindow: opts.StallWindow,
+		maxCycles: opts.MaxCycles, stallWindow: defaultStallWindow,
 		loop: lp, insts: simMetrics.Load()}, st, nil
 }
 

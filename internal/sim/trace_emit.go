@@ -10,11 +10,11 @@ import (
 
 // This file is the bridge between the engine and the observability subsystem
 // (internal/trace). Nothing here runs inside the per-cycle loop: when a run
-// finishes, the resolved activity graph is replayed once into the Recorder —
+// finishes, the resolved activity graph is replayed once into the Collector —
 // per-unit slices with stall attribution, link traffic, DRAM channel counters
 // and fabric-wide recovery windows. Cost is O(activities + routes), so even
-// an armed Recorder leaves simulation speed essentially untouched; a nil
-// Recorder skips everything.
+// an armed Collector leaves simulation speed essentially untouched; a nil
+// Collector skips everything.
 
 // depCause maps a dependency edge to the stall cause a unit waiting behind
 // it reports, following the paper's control protocols (Section 3.5):
@@ -65,9 +65,9 @@ func busyOf(a *activity) int64 {
 	return busy
 }
 
-// emitTrace replays a finished run into the engine's Recorder. windows are
+// emitTrace replays a finished run into the engine's Collector. windows are
 // fabric-wide recovery stalls (drain + reconfig per survived fault); pass nil
-// for uninterrupted runs. No-op without a Recorder.
+// for uninterrupted runs. No-op without a Collector.
 func (e *engine) emitTrace(m *compiler.Mapping, windows []trace.Window) {
 	if e.rec == nil {
 		return
@@ -129,12 +129,7 @@ func (e *engine) emitTrace(m *compiler.Mapping, windows []trace.Window) {
 
 	if e.dram != nil {
 		for ci, cs := range e.dram.ChannelStats() {
-			rec.DRAMChannel(ci, trace.DRAMChannelCounters{
-				Reads: cs.Reads, Writes: cs.Writes,
-				RowHits: cs.RowHits, RowMisses: cs.RowMisses,
-				RowConflicts: cs.RowConflicts, Retries: cs.Retries,
-				MaxQueueOcc: cs.MaxQueueOcc,
-			})
+			rec.DRAMChannel(ci, cs)
 		}
 	}
 

@@ -3,6 +3,8 @@ package trace
 import (
 	"fmt"
 	"sort"
+
+	"plasticine/internal/dram"
 )
 
 // BoundClass names the dominant bottleneck of a run.
@@ -60,7 +62,7 @@ func (u *UnitProfile) DominantStall() (StallCause, int64) {
 // ChannelProfile is one DRAM channel's counters plus derived ratios.
 type ChannelProfile struct {
 	Channel int `json:"channel"`
-	DRAMChannelCounters
+	dram.ChanStats
 	RowHitRate float64 `json:"row_hit_rate"`
 }
 
@@ -209,7 +211,7 @@ func (c *Collector) Report() *Report {
 		r.Units = append(r.Units, up)
 	}
 	for i, ch := range c.channels {
-		cp := ChannelProfile{Channel: i, DRAMChannelCounters: ch}
+		cp := ChannelProfile{Channel: i, ChanStats: ch}
 		if n := ch.RowHits + ch.RowMisses + ch.RowConflicts; n > 0 {
 			cp.RowHitRate = float64(ch.RowHits) / float64(n)
 		}

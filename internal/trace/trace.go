@@ -5,13 +5,19 @@
 // every speedup through exactly these numbers) and exportable as Chrome
 // trace-event JSON.
 //
-// The simulator talks to the subsystem through the Recorder interface; a nil
-// Recorder disables tracing entirely and leaves the simulation hot loop
-// unchanged. The package has no dependencies outside the standard library,
-// so every layer (sim, dram, core, cmd) can feed it without import cycles.
+// The simulator feeds the subsystem through a *Collector; a nil Collector
+// disables tracing entirely and leaves the simulation hot loop unchanged.
+// Besides the standard library the package imports only internal/dram,
+// whose per-channel counters it reports as they are, and internal/metrics,
+// whose host spans the Chrome trace draws; so sim, core and cmd can all use
+// it without import cycles.
 package trace
 
-import "fmt"
+import (
+	"fmt"
+
+	"plasticine/internal/dram"
+)
 
 // StallCause classifies why a unit was not doing useful work. The taxonomy
 // follows the paper's control protocols (Section 3.5) plus the recovery
@@ -75,49 +81,11 @@ func (k UnitKind) String() string {
 	return "pcu"
 }
 
-// DRAMChannelCounters is one memory channel's activity, mirrored from the
-// DRAM model (kept as plain fields so this package stays dependency-free).
-type DRAMChannelCounters struct {
-	Reads, Writes int64
-	RowHits       int64
-	RowMisses     int64
-	RowConflicts  int64
-	Retries       int64
-	MaxQueueOcc   int
-}
-
 // Window is a fabric-wide stall interval (recovery drain or reconfiguration)
 // during which no unit makes forward progress.
 type Window struct {
 	Cause    StallCause
 	From, To int64
-}
-
-// Recorder receives observability events from the simulator. All methods are
-// called outside the per-cycle hot loop: unit activity is replayed once from
-// the resolved schedule when a run finishes, so a nil Recorder costs nothing
-// and a live one costs O(activities), not O(cycles).
-type Recorder interface {
-	// RegisterUnit declares a physical unit before any slice referencing it.
-	// origin names the source-level pattern node (or controller) the unit was
-	// compiled from; empty falls back to name.
-	RegisterUnit(id int, name, origin string, kind UnitKind)
-	// Slice records one activity interval [start,end) on a unit. busy is the
-	// portion of the interval spent doing useful work (the remainder is
-	// dram-wait for transfers); gap attributes the idle time between the
-	// unit's previous slice and start (CauseNone = plain idle).
-	Slice(unit int, label string, start, end, busy int64, gap StallCause)
-	// FIFOHighWater records a unit's outstanding-burst FIFO occupancy peak.
-	FIFOHighWater(unit int, depth int)
-	// Link records one switch-fabric link's static route count and the DRAM
-	// traffic bytes that crossed it during the run.
-	Link(name string, routes int, bytes int64, bytesPerCycle float64)
-	// DRAMChannel records one memory channel's counters.
-	DRAMChannel(ch int, c DRAMChannelCounters)
-	// Window records a fabric-wide drain/reconfig stall interval.
-	Window(cause StallCause, from, to int64)
-	// Finish seals the trace with the run's total cycle count (makespan).
-	Finish(totalCycles int64)
 }
 
 // Slice is one recorded activity interval (exported for the Chrome trace).
@@ -146,12 +114,15 @@ type LinkStat struct {
 	BytesPerCycle float64
 }
 
-// Collector is the standard Recorder: it accumulates everything a run emits
-// and rolls it into a Report (and a Chrome trace) on demand.
+// Collector receives a run's observability events from the simulator and
+// rolls them into a Report (and a Chrome trace) on demand. The simulator
+// calls its methods outside the per-cycle hot loop: unit activity is
+// replayed once from the resolved schedule when a run finishes, so a nil
+// Collector costs nothing and a live one costs O(activities), not O(cycles).
 type Collector struct {
 	units    []unitInfo
 	links    []LinkStat
-	channels []DRAMChannelCounters
+	channels []dram.ChanStats
 	windows  []Window
 	total    int64
 	finished bool
@@ -160,9 +131,9 @@ type Collector struct {
 // NewCollector returns an empty Collector.
 func NewCollector() *Collector { return &Collector{} }
 
-var _ Recorder = (*Collector)(nil)
-
-// RegisterUnit implements Recorder.
+// RegisterUnit declares a physical unit before any slice referencing it.
+// origin names the source-level pattern node (or controller) the unit was
+// compiled from; empty falls back to name.
 func (c *Collector) RegisterUnit(id int, name, origin string, kind UnitKind) {
 	for id >= len(c.units) {
 		c.units = append(c.units, unitInfo{})
@@ -175,7 +146,10 @@ func (c *Collector) RegisterUnit(id int, name, origin string, kind UnitKind) {
 	c.units[id].kind = kind
 }
 
-// Slice implements Recorder.
+// Slice records one activity interval [start,end) on a unit. busy is the
+// portion of the interval spent doing useful work (the remainder is dram-wait
+// for transfers); gap attributes the idle time between the unit's previous
+// slice and start (CauseNone = plain idle).
 func (c *Collector) Slice(unit int, label string, start, end, busy int64, gap StallCause) {
 	if unit < 0 || unit >= len(c.units) {
 		return
@@ -190,7 +164,7 @@ func (c *Collector) Slice(unit int, label string, start, end, busy int64, gap St
 		Slice{Unit: unit, Label: label, Start: start, End: end, Busy: busy, Gap: gap})
 }
 
-// FIFOHighWater implements Recorder.
+// FIFOHighWater records a unit's outstanding-burst FIFO occupancy peak.
 func (c *Collector) FIFOHighWater(unit int, depth int) {
 	if unit < 0 || unit >= len(c.units) {
 		return
@@ -200,27 +174,28 @@ func (c *Collector) FIFOHighWater(unit int, depth int) {
 	}
 }
 
-// Link implements Recorder.
+// Link records one switch-fabric link's static route count and the DRAM
+// traffic bytes that crossed it during the run.
 func (c *Collector) Link(name string, routes int, bytes int64, bytesPerCycle float64) {
 	c.links = append(c.links, LinkStat{Name: name, Routes: routes, Bytes: bytes, BytesPerCycle: bytesPerCycle})
 }
 
-// DRAMChannel implements Recorder.
-func (c *Collector) DRAMChannel(ch int, cc DRAMChannelCounters) {
+// DRAMChannel records one memory channel's counters.
+func (c *Collector) DRAMChannel(ch int, cc dram.ChanStats) {
 	for ch >= len(c.channels) {
-		c.channels = append(c.channels, DRAMChannelCounters{})
+		c.channels = append(c.channels, dram.ChanStats{})
 	}
 	c.channels[ch] = cc
 }
 
-// Window implements Recorder.
+// Window records a fabric-wide drain/reconfig stall interval.
 func (c *Collector) Window(cause StallCause, from, to int64) {
 	if to > from {
 		c.windows = append(c.windows, Window{Cause: cause, From: from, To: to})
 	}
 }
 
-// Finish implements Recorder.
+// Finish seals the trace with the run's total cycle count (makespan).
 func (c *Collector) Finish(totalCycles int64) {
 	c.total = totalCycles
 	c.finished = true

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"plasticine/internal/dram"
 )
 
 // checkInvariant asserts the exact cycle-accounting identity for every unit.
@@ -187,11 +189,18 @@ func TestCountersJSON(t *testing.T) {
 	c := NewCollector()
 	c.RegisterUnit(0, "u", "", UnitCompute)
 	c.Slice(0, "a", 0, 10, 10, CauseNone)
-	c.DRAMChannel(0, DRAMChannelCounters{Reads: 5, RowHits: 4, RowMisses: 1})
+	c.DRAMChannel(0, dram.ChanStats{Reads: 5, RowHits: 4, RowMisses: 1})
 	c.Finish(10)
 	data, err := c.CountersJSON("bench")
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A channel's counters appear under dram.ChanStats' field names.
+	for _, key := range []string{`"Reads": 5`, `"Writes": 0`, `"RowHits": 4`, `"RowMisses": 1`,
+		`"RowConflicts": 0`, `"Retries": 0`, `"MaxQueueOcc": 0`, `"row_hit_rate": 0.8`} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("counters JSON lacks %s:\n%s", key, data)
+		}
 	}
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {

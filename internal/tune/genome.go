@@ -4,55 +4,40 @@ import (
 	"fmt"
 
 	"plasticine/internal/arch"
+	"plasticine/internal/dse"
 )
 
 // The genome: the tuned subset of arch.Params, each gene with its value
-// grid. PCU datapath genes follow the Table 3 design space (the same grids
-// the Figure 7 sweeps walk); the chip-organisation genes extend it to grid
-// shape, scratchpad depth and memory channels. Everything else stays at the
-// paper defaults — notably Lanes (and the matching PMU bank count) stays
-// 16, the vector width the whole fabric is provisioned around. Columns are
-// all even so every grid holds an equal number of PCUs and PMUs
-// (arch.Validate's invariant). The product of the grids is ~3x10⁸
-// candidates — far beyond enumeration, which is the point of the search.
+// grid. PCU datapath genes are the Table 3 design space, dse.PCUSpace, in
+// its order (the RNG draws follow the genome's order); the
+// chip-organisation genes extend it to grid shape, scratchpad depth and
+// memory channels. Everything else stays at the paper defaults — notably
+// Lanes (and the matching PMU bank count) stays 16, the vector width the
+// whole fabric is provisioned around. Columns are all even so every grid
+// holds an equal number of PCUs and PMUs (arch.Validate's invariant). The
+// product of the grids is ~3x10⁸ candidates — far beyond enumeration,
+// which is the point of the search.
 type gene struct {
 	name   string
 	values []int
-	get    func(p *arch.Params) int
-	set    func(p *arch.Params, v int)
+	field  func(p *arch.Params) *int
 }
 
-var genome = []gene{
-	{"pcu.stages", []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16},
-		func(p *arch.Params) int { return p.PCU.Stages },
-		func(p *arch.Params, v int) { p.PCU.Stages = v }},
-	{"pcu.registers", []int{2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16},
-		func(p *arch.Params) int { return p.PCU.Registers },
-		func(p *arch.Params, v int) { p.PCU.Registers = v }},
-	{"pcu.scalarIns", []int{1, 2, 3, 4, 5, 6, 8, 10},
-		func(p *arch.Params) int { return p.PCU.ScalarIns },
-		func(p *arch.Params, v int) { p.PCU.ScalarIns = v }},
-	{"pcu.scalarOuts", []int{1, 2, 3, 4, 5, 6},
-		func(p *arch.Params) int { return p.PCU.ScalarOuts },
-		func(p *arch.Params, v int) { p.PCU.ScalarOuts = v }},
-	{"pcu.vectorIns", []int{2, 3, 4, 5, 6, 8, 10},
-		func(p *arch.Params) int { return p.PCU.VectorIns },
-		func(p *arch.Params, v int) { p.PCU.VectorIns = v }},
-	{"pcu.vectorOuts", []int{1, 2, 3, 4, 5, 6},
-		func(p *arch.Params) int { return p.PCU.VectorOuts },
-		func(p *arch.Params, v int) { p.PCU.VectorOuts = v }},
-	{"pmu.bankKB", []int{4, 8, 16, 32, 64},
-		func(p *arch.Params) int { return p.PMU.BankKB },
-		func(p *arch.Params, v int) { p.PMU.BankKB = v }},
-	{"chip.rows", []int{2, 4, 6, 8, 10, 12, 16},
-		func(p *arch.Params) int { return p.Chip.Rows },
-		func(p *arch.Params, v int) { p.Chip.Rows = v }},
-	{"chip.cols", []int{4, 8, 12, 16, 20, 24},
-		func(p *arch.Params) int { return p.Chip.Cols },
-		func(p *arch.Params, v int) { p.Chip.Cols = v }},
-	{"chip.ddr", []int{1, 2, 4, 8},
-		func(p *arch.Params) int { return p.Chip.DDRChannels },
-		func(p *arch.Params, v int) { p.Chip.DDRChannels = v }},
+var genome = append(pcuGenes(),
+	gene{"pmu.bankKB", []int{4, 8, 16, 32, 64}, func(p *arch.Params) *int { return &p.PMU.BankKB }},
+	gene{"chip.rows", []int{2, 4, 6, 8, 10, 12, 16}, func(p *arch.Params) *int { return &p.Chip.Rows }},
+	gene{"chip.cols", []int{4, 8, 12, 16, 20, 24}, func(p *arch.Params) *int { return &p.Chip.Cols }},
+	gene{"chip.ddr", []int{1, 2, 4, 8}, func(p *arch.Params) *int { return &p.Chip.DDRChannels }},
+)
+
+// pcuGenes returns one gene per dse.PCUSpace parameter.
+func pcuGenes() []gene {
+	var out []gene
+	for _, pp := range dse.PCUSpace {
+		out = append(out, gene{"pcu." + pp.Name, pp.Values,
+			func(p *arch.Params) *int { return pp.Field(&p.PCU) }})
+	}
+	return out
 }
 
 // paramKey canonicalises a candidate's tuned genes: the dedup identity, the
@@ -86,7 +71,7 @@ func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 func randomParams(r *rng) arch.Params {
 	p := arch.Default()
 	for _, g := range genome {
-		g.set(&p, g.values[r.intn(len(g.values))])
+		*g.field(&p) = g.values[r.intn(len(g.values))]
 	}
 	return p
 }
@@ -98,7 +83,8 @@ func mutate(r *rng, parent arch.Params) arch.Params {
 	p := parent
 	for n := 1 + r.intn(3); n > 0; n-- {
 		g := genome[r.intn(len(genome))]
-		cur, idx := g.get(&p), -1
+		f, idx := g.field(&p), -1
+		cur := *f
 		for i, v := range g.values {
 			if v == cur {
 				idx = i
@@ -110,10 +96,10 @@ func mutate(r *rng, parent arch.Params) arch.Params {
 			step = -1
 		}
 		if idx < 0 || idx+step < 0 || idx+step >= len(g.values) {
-			g.set(&p, g.values[r.intn(len(g.values))])
+			*f = g.values[r.intn(len(g.values))]
 			continue
 		}
-		g.set(&p, g.values[idx+step])
+		*f = g.values[idx+step]
 	}
 	return p
 }
