@@ -307,7 +307,7 @@ func PushIf(fifo *FIFOMem, cond, val Expr) *Assign {
 	return &Assign{Kind: PushFIFO, FIFO: fifo, Val: val, Cond: cond}
 }
 
-// Build finalizes and returns the program.
+// Build assigns counter depths, validates and returns the program.
 func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -315,6 +315,7 @@ func (b *Builder) Build() (*Program, error) {
 	if len(b.stack) != 1 {
 		return nil, fmt.Errorf("dhdl: unbalanced controller nesting (%d open)", len(b.stack))
 	}
+	b.prog.assignDepths()
 	if err := b.prog.Finalize(); err != nil {
 		return nil, err
 	}

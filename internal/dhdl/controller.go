@@ -200,7 +200,7 @@ type Controller struct {
 	Xfer *Transfer // for transfer kinds
 
 	// Depth is the counter level of this controller's first counter
-	// (set by Finalize; Ctr expressions use these global levels).
+	// (set by Builder.Build; Ctr expressions use these global levels).
 	Depth int
 }
 
@@ -249,11 +249,30 @@ func (p *Program) Leaves() []*Controller {
 	return out
 }
 
-// Finalize assigns counter depths and validates the tree.
+// assignDepths sets every controller's Depth: the number of counters its
+// ancestors own.
+func (p *Program) assignDepths() {
+	var rec func(c *Controller, depth int)
+	rec = func(c *Controller, depth int) {
+		c.Depth = depth
+		for _, ch := range c.Children {
+			rec(ch, depth+len(c.Chain))
+		}
+	}
+	if p.Root != nil {
+		rec(p.Root, 0)
+	}
+}
+
+// Finalize validates the tree, including each controller's Depth, which
+// Builder.Build assigns. It writes nothing, so several goroutines may
+// finalize and compile one program at once.
 func (p *Program) Finalize() error {
 	var rec func(c *Controller, depth int) error
 	rec = func(c *Controller, depth int) error {
-		c.Depth = depth
+		if c.Depth != depth {
+			return fmt.Errorf("dhdl: controller %q has counter depth %d, want %d", c.Name, c.Depth, depth)
+		}
 		next := depth + len(c.Chain)
 		if c.Kind.IsOuter() {
 			if len(c.Children) == 0 {

@@ -302,6 +302,34 @@ func TestCounterTrips(t *testing.T) {
 	}
 }
 
+// TestFinalizeOnlyValidatesDepths: Build assigns each controller's counter
+// depth, and Finalize, which compiles and traces call again on a shared
+// program, checks the depths without writing them.
+func TestFinalizeOnlyValidatesDepths(t *testing.T) {
+	b := NewBuilder("nested", Sequential)
+	s := b.SRAM("s", pattern.I32, 8)
+	b.Seq("outer", []Counter{C(2)}, func([]Expr) {
+		b.Compute("inner", []Counter{C(4)}, func(ix []Expr) []*Assign {
+			return []*Assign{StoreAt(s, ix[0], ix[0])}
+		})
+	})
+	p, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := p.Leaves()[0]
+	if inner.Depth != 1 {
+		t.Fatalf("Build gave inner depth %d, want 1", inner.Depth)
+	}
+	inner.Depth = 0
+	if err := p.Finalize(); err == nil || !strings.Contains(err.Error(), "counter depth 0, want 1") {
+		t.Fatalf("Finalize with a wrong depth = %v, want a depth error", err)
+	}
+	if inner.Depth != 0 {
+		t.Fatalf("Finalize rewrote the depth to %d", inner.Depth)
+	}
+}
+
 func TestFinalizeRejectsMalformed(t *testing.T) {
 	r := &Reg{Name: "r", Elem: pattern.I32, Init: pattern.VI(0)}
 	s := &SRAM{Name: "s", Elem: pattern.F32, Size: 4, NBuf: 1}

@@ -10,6 +10,9 @@ package dram
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 )
 
 // Config describes the memory system. All timings are in fabric clock
@@ -30,6 +33,10 @@ type Config struct {
 
 	QueueDepth int // per-channel request queue capacity
 }
+
+// maxBanks is the most banks per channel the model supports: a channel marks
+// its non-empty bank queues in one 64-bit mask.
+const maxBanks = 64
 
 // DDR3_1600x4 returns the paper's memory system: 4 channels of DDR3-1600
 // (12.8 GB/s each, 51.2 GB/s total), 8 banks per channel, 2 KB rows, 64 B
@@ -63,10 +70,9 @@ type Request struct {
 
 // entry is a request inside the memory system: queued, in flight or
 // backing off before a retry. Bank and row are decoded once at Submit: the
-// FR-FCFS scan revisits every queued entry every tick, and the divisions in
-// bankRowOf dominated the scheduler's profile. They depend only on the
-// address and the geometry, never on fault remapping, so they hold for the
-// entry's whole life.
+// scheduler compares rows every tick, and the divisions in bankRowOf
+// dominated its profile. They depend only on the address and the geometry,
+// never on fault remapping, so they hold for the entry's whole life.
 type entry struct {
 	Request
 	row      int64
@@ -137,17 +143,146 @@ func (q *fifo) remove(gone func(*timed) bool, out []timed) []timed {
 	return out
 }
 
+// queued is an entry waiting in its bank's queue. stamp is its arrival
+// number on the channel: merged by stamp, the bank queues give back the
+// channel's one arrival-ordered queue, by which FR-FCFS ages requests.
+type queued struct {
+	entry
+	stamp uint64
+}
+
+// bankQueue holds one bank's waiting requests in arrival order: the live
+// ones are buf[head:].
+type bankQueue struct {
+	buf  []queued
+	head int
+}
+
+func (q *bankQueue) items() []queued { return q.buf[q.head:] }
+
+func (q *bankQueue) push(r queued) {
+	// As fifo.push: slide down once half the buffer is spent.
+	if len(q.buf) == cap(q.buf) && q.head > 0 && 2*q.head >= len(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, r)
+}
+
+// remove deletes and returns the i-th live request, sliding whichever side
+// of it is shorter; the rest keep their order. It reports whether the queue
+// is now empty.
+func (q *bankQueue) remove(i int) (entry, bool) {
+	live := q.buf[q.head:]
+	e := live[i].entry
+	if i == 0 {
+		q.head++
+	} else if i < len(live)-1-i {
+		copy(live[1:], live[:i])
+		q.head++
+	} else {
+		copy(live[i:], live[i+1:])
+		q.buf = q.buf[:len(q.buf)-1]
+	}
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+		return e, true
+	}
+	return e, false
+}
+
 type bank struct {
 	openRow int64 // -1 = closed
 	readyAt int64 // earliest cycle the bank can accept a command
+	queue   bankQueue
 }
 
+// channel holds its queued requests in one FIFO per bank. queued counts
+// them, waiting marks the banks whose FIFO is non-empty, and stamps is the
+// next arrival stamp. wake is the first cycle a bank in waiting is ready
+// (math.MaxInt64 with nothing queued): before it, schedule has nothing to
+// pick. Every change to waiting or to a waiting bank's readyAt updates it.
 type channel struct {
-	queue   []entry
-	flights fifo // scheduled completions
 	banks   []bank
+	queued  int
+	waiting uint64
+	stamps  uint64
+	wake    int64
+	flights fifo     // scheduled completions
 	busFree int64    // earliest cycle the data bus is free
 	acts    [4]int64 // issue times of the last four row activates (tFAW)
+}
+
+// push appends e to its bank's FIFO with the next arrival stamp.
+func (ch *channel) push(e entry) {
+	bk := &ch.banks[e.bank]
+	bk.queue.push(queued{entry: e, stamp: ch.stamps})
+	ch.stamps++
+	ch.waiting |= 1 << e.bank
+	ch.queued++
+	ch.wake = min(ch.wake, bk.readyAt)
+}
+
+// earliestReady returns the first cycle a bank holding queued requests is
+// ready, math.MaxInt64 when none holds any.
+func (ch *channel) earliestReady() int64 {
+	at := int64(math.MaxInt64)
+	for m := ch.waiting; m != 0; m &= m - 1 {
+		at = min(at, ch.banks[bits.TrailingZeros64(m)].readyAt)
+	}
+	return at
+}
+
+// arrivals returns the queued requests in arrival order: the bank FIFOs
+// merged by stamp.
+func (ch *channel) arrivals() []queued {
+	var out []queued
+	for b := range ch.banks {
+		out = append(out, ch.banks[b].queue.items()...)
+	}
+	slices.SortFunc(out, func(a, b queued) int { return cmp.Compare(a.stamp, b.stamp) })
+	return out
+}
+
+// clearQueues empties every bank FIFO and restarts the arrival stamps.
+func (ch *channel) clearQueues() {
+	for b := range ch.banks {
+		ch.banks[b].queue = bankQueue{buf: ch.banks[b].queue.buf[:0]}
+	}
+	ch.queued, ch.waiting, ch.stamps, ch.wake = 0, 0, 0, math.MaxInt64
+}
+
+// pick is FR-FCFS over the bank FIFOs: among the ready banks, the oldest
+// request that hits its bank's open row, else the oldest request at the
+// head of a ready bank. It returns the bank and the position in its FIFO,
+// or b = -1 when no bank with queued work is ready. A FIFO holds its bank's
+// requests in arrival order, so each bank's scan stops at its first hit, or
+// at the first request younger than the best hit found so far.
+func (ch *channel) pick(now int64) (b, i int) {
+	b = -1
+	hit := false
+	var stamp uint64
+	for m := ch.waiting; m != 0; m &= m - 1 {
+		bi := bits.TrailingZeros64(m)
+		bk := &ch.banks[bi]
+		if bk.readyAt > now {
+			continue
+		}
+		q := bk.queue.items()
+		for qi := range q {
+			if hit && q[qi].stamp > stamp {
+				break
+			}
+			if q[qi].row == bk.openRow {
+				b, i, stamp, hit = bi, qi, q[qi].stamp, true
+				break
+			}
+		}
+		if !hit && (b < 0 || q[0].stamp < stamp) {
+			b, i, stamp = bi, 0, q[0].stamp
+		}
+	}
+	return b, i
 }
 
 // Stats holds the run totals: bytes moved, and the fault model's activity.
@@ -196,11 +331,16 @@ type DRAM struct {
 	retryq  []timed // bursts awaiting retry after transient failures
 }
 
-// New creates a memory system.
+// New creates a memory system. It panics if cfg has more than 64 banks per
+// channel.
 func New(cfg Config) *DRAM {
+	if cfg.BanksPerChan > maxBanks {
+		panic(fmt.Sprintf("dram: %d banks per channel, the model supports at most %d", cfg.BanksPerChan, maxBanks))
+	}
 	d := &DRAM{cfg: cfg, channels: make([]channel, cfg.Channels),
 		chanStats: make([]ChanStats, cfg.Channels), nextRefresh: int64(cfg.TREFI)}
 	for i := range d.channels {
+		d.channels[i].wake = math.MaxInt64
 		d.channels[i].banks = make([]bank, cfg.BanksPerChan)
 		for b := range d.channels[i].banks {
 			d.channels[i].banks[b].openRow = -1
@@ -262,15 +402,15 @@ func (d *DRAM) Submit(r Request) bool {
 // admits returns the channel owning addr and whether its queue has room.
 func (d *DRAM) admits(addr uint64) (int, bool) {
 	ci := d.channelOf(addr)
-	return ci, ci >= 0 && len(d.channels[ci].queue) < d.cfg.QueueDepth
+	return ci, ci >= 0 && d.channels[ci].queued < d.cfg.QueueDepth
 }
 
-// enqueue appends an accepted entry to channel ci's queue.
+// enqueue queues an accepted entry on channel ci.
 func (d *DRAM) enqueue(ci int, e entry) {
 	ch := &d.channels[ci]
-	ch.queue = append(ch.queue, e)
-	if occ := len(ch.queue); occ > d.chanStats[ci].MaxQueueOcc {
-		d.chanStats[ci].MaxQueueOcc = occ
+	ch.push(e)
+	if ch.queued > d.chanStats[ci].MaxQueueOcc {
+		d.chanStats[ci].MaxQueueOcc = ch.queued
 	}
 }
 
@@ -313,32 +453,37 @@ func (d *DRAM) Tick(now int64) []int64 {
 	}
 	d.drainRetries(now)
 
-	// Periodic refresh: every tREFI, each channel's banks are unavailable
-	// for tRFC and rows close.
 	if d.cfg.TREFI > 0 && now >= d.nextRefresh {
 		d.nextRefresh = now + int64(d.cfg.TREFI)
-		for ci := range d.channels {
-			ch := &d.channels[ci]
-			// The refresh occupies the whole channel for tRFC: already-
-			// reserved transfers push out and banks reopen afterwards.
-			if ch.busFree < now {
-				ch.busFree = now
-			}
-			ch.busFree += int64(d.cfg.TRFC)
-			until := ch.busFree
-			for b := range ch.banks {
-				if ch.banks[b].readyAt < until {
-					ch.banks[b].readyAt = until
-				}
-				ch.banks[b].openRow = -1
-			}
-		}
+		d.refresh(now)
 	}
 
 	for ci := range d.channels {
 		d.schedule(ci, now)
 	}
 	return d.landed
+}
+
+// refresh runs the periodic refresh at cycle now: each channel's banks are
+// unavailable for tRFC and rows close.
+func (d *DRAM) refresh(now int64) {
+	for ci := range d.channels {
+		ch := &d.channels[ci]
+		// The refresh occupies the whole channel for tRFC: already-reserved
+		// transfers push out and banks reopen afterwards.
+		if ch.busFree < now {
+			ch.busFree = now
+		}
+		ch.busFree += int64(d.cfg.TRFC)
+		until := ch.busFree
+		for b := range ch.banks {
+			if ch.banks[b].readyAt < until {
+				ch.banks[b].readyAt = until
+			}
+			ch.banks[b].openRow = -1
+		}
+		ch.wake = max(ch.wake, until)
+	}
 }
 
 func (d *DRAM) finish(r *entry) {
@@ -358,37 +503,20 @@ func (d *DRAM) finish(r *entry) {
 
 func (d *DRAM) schedule(ci int, now int64) {
 	ch := &d.channels[ci]
-	if len(ch.queue) == 0 {
+	if now < ch.wake {
 		return
 	}
-	// FR-FCFS: first ready row hit, else oldest whose bank is ready (one
-	// pass; tracking the oldest-ready fallback while scanning for a row hit
-	// picks the same request the two-pass form would).
-	pick, oldestReady := -1, -1
-	for i := range ch.queue {
-		r := &ch.queue[i]
-		bk := &ch.banks[r.bank]
-		if bk.readyAt > now {
-			continue
-		}
-		if bk.openRow == r.row {
-			pick = i
-			break
-		}
-		if oldestReady < 0 {
-			oldestReady = i
-		}
-	}
-	if pick < 0 {
-		pick = oldestReady
-	}
-	if pick < 0 {
+	b, i := ch.pick(now)
+	if b < 0 {
 		return
 	}
-	r := ch.queue[pick]
-	ch.queue = append(ch.queue[:pick], ch.queue[pick+1:]...)
+	bk := &ch.banks[b]
+	r, empty := bk.queue.remove(i)
+	if empty {
+		ch.waiting &^= 1 << b
+	}
+	ch.queued--
 
-	bk := &ch.banks[r.bank]
 	var accessLatency int64
 	switch {
 	case bk.openRow == r.row:
@@ -425,6 +553,7 @@ func (d *DRAM) schedule(ci int, now int64) {
 	// tCCD (~ one burst) plus any activate/precharge work, while this
 	// request's data is still in flight.
 	bk.readyAt = start + int64(d.cfg.BurstCycle) + (accessLatency - int64(d.cfg.TCAS))
+	ch.wake = ch.earliestReady()
 	ch.flights.push(timed{entry: r, at: done, seq: d.seq})
 	d.seq++
 }
@@ -435,7 +564,7 @@ func (d *DRAM) Idle() bool {
 		return false
 	}
 	for i := range d.channels {
-		if len(d.channels[i].queue) > 0 || d.channels[i].flights.len() > 0 {
+		if d.channels[i].queued > 0 || d.channels[i].flights.len() > 0 {
 			return false
 		}
 	}
@@ -486,17 +615,10 @@ func (d *DRAM) NextEventAt(now int64) int64 {
 		if next == now+1 {
 			return next
 		}
-		ch := &d.channels[ci]
-		if len(ch.queue) == 0 {
-			continue
-		}
-		// FR-FCFS can issue a command the first cycle any queued request's
-		// bank is ready; before that every schedule() pass picks nothing.
-		for i := range ch.queue {
-			consider(ch.banks[ch.queue[i].bank].readyAt)
-			if next == now+1 {
-				return next
-			}
+		// FR-FCFS can issue a command the first cycle a bank holding queued
+		// requests is ready; before that every schedule() pass picks nothing.
+		if ch := &d.channels[ci]; ch.queued > 0 {
+			consider(ch.wake)
 		}
 	}
 	return next
@@ -516,7 +638,7 @@ func (d *DRAM) QueueSlack(ci int) int {
 	if ci < 0 || ci >= len(d.channels) {
 		return 0
 	}
-	return d.cfg.QueueDepth - len(d.channels[ci].queue)
+	return d.cfg.QueueDepth - d.channels[ci].queued
 }
 
 // ChannelIndex returns the (fault-remapped) channel owning addr, -1 when

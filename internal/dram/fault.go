@@ -166,10 +166,10 @@ func (d *DRAM) KillChannel(c int, lost func(tag int64)) (int, error) {
 		}
 	}
 	ch := &d.channels[c]
-	for _, e := range ch.queue {
-		drop(e.Tag)
+	for _, q := range ch.arrivals() {
+		drop(q.Tag)
 	}
-	ch.queue = ch.queue[:0]
+	ch.clearQueues()
 	owned := func(t *timed) bool { return d.channelOf(t.Addr) == c }
 	var gone []timed
 	for ci := range d.channels {
@@ -203,7 +203,7 @@ func (d *DRAM) KillChannel(c int, lost func(tag int64)) (int, error) {
 func (d *DRAM) QueueOccupancy() []int {
 	out := make([]int, len(d.channels))
 	for i := range d.channels {
-		out[i] = len(d.channels[i].queue)
+		out[i] = d.channels[i].queued
 	}
 	return out
 }

@@ -57,7 +57,7 @@ type MemState struct {
 	BusFree []int64     // per channel
 	Acts    []int64     // Channels * 4 recent activate times, channel-major
 
-	Queued  [][]ReqState // per channel, queue order
+	Queued  [][]ReqState // per channel, arrival order
 	Pending []ReqState   // scheduled completions, in landing order; At = finish cycle
 	Retry   []ReqState   // retry queue, in order; At = resubmit cycle
 }
@@ -88,8 +88,8 @@ func (d *DRAM) Snapshot() *MemState {
 		}
 		st.BusFree = append(st.BusFree, ch.busFree)
 		st.Acts = append(st.Acts, ch.acts[:]...)
-		for i := range ch.queue {
-			st.Queued[ci] = append(st.Queued[ci], ch.queue[i].state(0))
+		for _, q := range ch.arrivals() {
+			st.Queued[ci] = append(st.Queued[ci], q.state(0))
 		}
 		pending = append(pending, ch.flights.items()...)
 	}
@@ -105,7 +105,8 @@ func (d *DRAM) Snapshot() *MemState {
 
 // Restore loads a snapshot into a fresh memory system of the same
 // configuration (and, if faults were armed when the snapshot was taken, with
-// InjectFaults already applied). Each pending completion goes back on the
+// InjectFaults already applied). Queued requests are stamped in list order,
+// so they keep their arrival order. Each pending completion goes back on the
 // channel that owns its address, in list order. A list that is out of cycle
 // order for a channel, or that lands a burst after its channel's bus frees,
 // is rejected: the channel would land its bursts out of order.
@@ -135,9 +136,9 @@ func (d *DRAM) Restore(st *MemState) error {
 		}
 		ch.busFree = st.BusFree[ci]
 		copy(ch.acts[:], st.Acts[ci*4:ci*4+4])
-		ch.queue = ch.queue[:0]
+		ch.clearQueues()
 		for _, rs := range st.Queued[ci] {
-			ch.queue = append(ch.queue, d.revive(rs))
+			ch.push(d.revive(rs))
 		}
 		ch.flights = fifo{}
 	}

@@ -2,10 +2,8 @@ package sim
 
 import (
 	"container/heap"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"slices"
 
 	"plasticine/internal/dram"
@@ -69,13 +67,14 @@ type Checkpoint struct {
 // graphFingerprint hashes the static shape of an activity graph: ids, kinds,
 // durations, burst lists and dependency edges. Two graphs built from the
 // same program by the same builder hash identically; any structural drift
-// (different program, changed coalescing) is caught at restore time.
+// (different program, changed coalescing) is caught at restore time. The
+// hash never leaves the process, so it folds whole words: FNV-1a's step
+// with a 64-bit word for a byte, then a shift that carries high bits down.
 func graphFingerprint(acts []*activity) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	h := uint64(14695981039346656037) // FNV-64 offset basis
 	w := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
+		h = (h ^ v) * 1099511628211 // FNV-64 prime
+		h ^= h >> 29
 	}
 	w(uint64(len(acts)))
 	for _, a := range acts {
@@ -98,7 +97,7 @@ func graphFingerprint(acts []*activity) uint64 {
 			w(uint64(d.kind))
 		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // checkpoint captures the engine at a loop boundary (between cycles). Every
