@@ -572,7 +572,7 @@ func cmdBitstream(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	p, err := b.Build()
+	p, err := b.Program()
 	if err != nil {
 		return err
 	}

@@ -9,12 +9,12 @@ import (
 	"plasticine/internal/workloads"
 )
 
-// TestConcurrentCompilesShareOneProgram compiles one built program from
-// several goroutines at once. Compiling must only read the program: under
+// TestConcurrentCompilesShareOneProgram compiles one program from several
+// goroutines at once. Compiling must only read the program: under
 // -race, any write to it fails this test, as Finalize's assignment of every
 // controller's Depth once did. Every compile must also map it the same way.
 func TestConcurrentCompilesShareOneProgram(t *testing.T) {
-	p, err := workloads.NewInnerProduct().Build()
+	p, err := workloads.NewInnerProduct().Program()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"plasticine/internal/arch"
 	"plasticine/internal/dhdl"
+	"plasticine/internal/dse"
 	"plasticine/internal/pattern"
 	"plasticine/internal/workloads"
 )
@@ -133,6 +136,42 @@ func TestSessionExplainHonoursCancel(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v (explanation %+v)", err, ex)
 	}
+}
+
+// TestCompileOnlyCallsGenerateNoInputs: explaining a benchmark and loading
+// it for the design-space sweeps read only its program, so neither pays for
+// its inputs or golden reference (Build allocates 1 MB for GEMM and 34 MB
+// for OuterProduct).
+func TestCompileOnlyCallsGenerateNoInputs(t *testing.T) {
+	const limit = 256 << 10
+	sess := NewSession()
+	for _, name := range []string{"GEMM", "TPCHQ6", "OuterProduct"} {
+		b := mustBench(t, name)
+		if got := allocated(t, func() error { _, err := dse.LoadBench(name); return err }); got >= limit {
+			t.Errorf("dse.LoadBench(%s) allocated %d B, want < %d", name, got, limit)
+		}
+		if got := allocated(t, func() error { _, err := sess.Explain(context.Background(), b); return err }); got >= limit {
+			t.Errorf("Session.Explain(%s) allocated %d B, want < %d", name, got, limit)
+		}
+	}
+}
+
+// allocated is the least heap f allocates, by runtime.MemStats.TotalAlloc,
+// over three calls, so that a background allocation cannot fail a caller.
+func allocated(t *testing.T, f func() error) uint64 {
+	t.Helper()
+	least := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := f()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
 }
 
 func TestRunBenchmarkReportsCompileErrors(t *testing.T) {

@@ -343,7 +343,7 @@ func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileR
 // A canceled ctx yields an error wrapping ctx.Err(), never a no-fit report.
 func (s *Session) Explain(ctx context.Context, b workloads.Benchmark) (*compiler.Explanation, error) {
 	_, span := metrics.Start(ctx, "build")
-	p, err := b.Build()
+	p, err := b.Program()
 	span.EndWith("", nil, err)
 	if err != nil {
 		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)

@@ -51,7 +51,7 @@ func LoadBench(name string) (*Bench, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := b.Build()
+	p, err := b.Program()
 	if err != nil {
 		return nil, fmt.Errorf("dse: %s: %w", b.Name(), err)
 	}

@@ -365,7 +365,7 @@ func (s *Server) runCompile(ctx context.Context, r *http.Request) (any, error) {
 		return nil, err
 	}
 	_, span := metrics.Start(ctx, "build")
-	p, err := b.Build()
+	p, err := b.Program()
 	span.EndWith("", nil, err)
 	if err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ func (w *InnerProduct) ScaleNote() string {
 	return fmt.Sprintf("paper 768,000,000 elements; simulated %d", w.N)
 }
 
-func (w *InnerProduct) Build() (*dhdl.Program, error) {
+func (w *InnerProduct) Program() (*dhdl.Program, error) {
 	// The benchmark is fold(a zip b)(+ of *); origins carry that source-level
 	// shape so profiles and fit reports speak pattern, not unit, vocabulary.
 	b := dhdl.NewBuilder("innerproduct", dhdl.Sequential)
@@ -59,11 +59,14 @@ func (w *InnerProduct) Build() (*dhdl.Program, error) {
 			return []*dhdl.Assign{dhdl.SetReg(total, dhdl.Add(dhdl.Rd(total), dhdl.Rd(partial)))}
 		})
 	})
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *InnerProduct) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
 	r := newRNG(0xA11CE)
 	w.want = 0
 	w.data[0] = make([]float32, w.N)
@@ -73,13 +76,7 @@ func (w *InnerProduct) Build() (*dhdl.Program, error) {
 		w.data[1][i] = r.float() - 0.5
 		w.want += float64(w.data[0][i]) * float64(w.data[1][i])
 	}
-	if err := a.Bind(pattern.FromF32("a", w.data[0])); err != nil {
-		return nil, err
-	}
-	if err := bb.Bind(pattern.FromF32("b", w.data[1])); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return bind(p, pattern.FromF32("a", w.data[0]), pattern.FromF32("b", w.data[1]))
 }
 
 func (w *InnerProduct) Check(st *dhdl.State) error {
@@ -118,7 +115,7 @@ func (w *OuterProduct) ScaleNote() string {
 	return fmt.Sprintf("paper 76,800 x 76,800; simulated %d x %d", w.N, w.N)
 }
 
-func (w *OuterProduct) Build() (*dhdl.Program, error) {
+func (w *OuterProduct) Program() (*dhdl.Program, error) {
 	n, t := w.N, w.Tile
 	// map2d(a, b)(*) with an explicit tiled store: origins follow the
 	// two-level Map the loop nest lowers from.
@@ -157,11 +154,15 @@ func (w *OuterProduct) Build() (*dhdl.Program, error) {
 			})
 		})
 	})
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *OuterProduct) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	n := w.N
 	r := newRNG(0x0F7E12)
 	w.a = make([]float32, n)
 	w.bv = make([]float32, n)
@@ -176,16 +177,7 @@ func (w *OuterProduct) Build() (*dhdl.Program, error) {
 			w.want[i*n+j] = w.a[i] * w.bv[j]
 		}
 	}
-	if err := a.Bind(pattern.FromF32("a", w.a)); err != nil {
-		return nil, err
-	}
-	if err := bb.Bind(pattern.FromF32("b", w.bv)); err != nil {
-		return nil, err
-	}
-	if err := c.Bind(pattern.FromF32("c", w.c)); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return bind(p, pattern.FromF32("a", w.a), pattern.FromF32("b", w.bv), pattern.FromF32("c", w.c))
 }
 
 func (w *OuterProduct) Check(st *dhdl.State) error {
@@ -233,7 +225,7 @@ const (
 	q6QtyMax = 24
 )
 
-func (w *TPCHQ6) Build() (*dhdl.Program, error) {
+func (w *TPCHQ6) Program() (*dhdl.Program, error) {
 	n, t := w.N, w.Tile
 	// Q6 is fold(filter(lineitem, predicates))(+ of price*disc); origins name
 	// the Fold's per-column loads, the filtering body, and the combine.
@@ -284,11 +276,15 @@ func (w *TPCHQ6) Build() (*dhdl.Program, error) {
 			return []*dhdl.Assign{dhdl.SetReg(revenue, dhdl.Add(dhdl.Rd(revenue), dhdl.Rd(partial)))}
 		})
 	})
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *TPCHQ6) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	n := w.N
 	r := newRNG(0x79C6)
 	w.dates = make([]int32, n)
 	w.qtys = make([]int32, n)
@@ -306,20 +302,8 @@ func (w *TPCHQ6) Build() (*dhdl.Program, error) {
 			w.want += float64(w.prices[i]) * float64(w.discounts[i])
 		}
 	}
-	for _, bind := range []struct {
-		d *dhdl.DRAMBuf
-		c *pattern.Collection
-	}{
-		{dDate, pattern.FromI32("date", w.dates)},
-		{dQty, pattern.FromI32("qty", w.qtys)},
-		{dPrice, pattern.FromF32("price", w.prices)},
-		{dDisc, pattern.FromF32("disc", w.discounts)},
-	} {
-		if err := bind.d.Bind(bind.c); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return bind(p, pattern.FromI32("date", w.dates), pattern.FromI32("qty", w.qtys),
+		pattern.FromF32("price", w.prices), pattern.FromF32("disc", w.discounts))
 }
 
 func (w *TPCHQ6) Check(st *dhdl.State) error {
@@ -391,7 +375,7 @@ func cndfHost(d float64) float64 {
 	return pdf * poly
 }
 
-func (w *BlackScholes) Build() (*dhdl.Program, error) {
+func (w *BlackScholes) Program() (*dhdl.Program, error) {
 	n, t := w.N, w.Tile
 	// map(options)(price): one Map whose body is the deep Black-Scholes
 	// pipeline; origins name the per-column loads, the body, and the store.
@@ -450,11 +434,15 @@ func (w *BlackScholes) Build() (*dhdl.Program, error) {
 		b.SetOrigin("Map/store:call")
 		b.Store("stOut", dOut, ix[0], tOut, t)
 	})
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *BlackScholes) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	n := w.N
 	rg := newRNG(0xB5C401E5)
 	w.s = make([]float32, n)
 	w.k = make([]float32, n)
@@ -475,19 +463,9 @@ func (w *BlackScholes) Build() (*dhdl.Program, error) {
 		d2 := d1 - vSqrtT
 		w.want[i] = float32(s*cndfHost(d1) - k*math.Exp(-r*tt)*cndfHost(d2))
 	}
-	for _, bind := range []struct {
-		d *dhdl.DRAMBuf
-		c *pattern.Collection
-	}{
-		{dS, pattern.FromF32("S", w.s)}, {dK, pattern.FromF32("K", w.k)},
-		{dT, pattern.FromF32("T", w.t)}, {dR, pattern.FromF32("r", w.r)},
-		{dV, pattern.FromF32("v", w.v)}, {dOut, pattern.FromF32("call", w.out)},
-	} {
-		if err := bind.d.Bind(bind.c); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return bind(p, pattern.FromF32("S", w.s), pattern.FromF32("K", w.k),
+		pattern.FromF32("T", w.t), pattern.FromF32("r", w.r),
+		pattern.FromF32("v", w.v), pattern.FromF32("call", w.out))
 }
 
 func (w *BlackScholes) Check(st *dhdl.State) error {

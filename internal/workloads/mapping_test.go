@@ -16,15 +16,11 @@ import (
 func TestMappingProperties(t *testing.T) {
 	compileOf := func(t *testing.T, b Benchmark) *compiler.Mapping {
 		t.Helper()
-		p, err := b.Build()
+		p, err := b.Program()
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+		return compileDefault(t, p)
 	}
 	leafII := func(m *compiler.Mapping, name string) int {
 		for leaf, lm := range m.Leaves {
@@ -136,7 +132,7 @@ func TestBitstreamsGenerateForAllBenchmarks(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
-			p, err := b.Build()
+			p, err := b.Program()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +162,7 @@ func TestBitstreamsGenerateForAllBenchmarks(t *testing.T) {
 // the program keeps the mode it was declared with; the choice lives in the
 // mapping and reaches the bitstream from there.
 func TestCompileLeavesProgramBanking(t *testing.T) {
-	p, err := NewBFS().Build()
+	p, err := NewBFS().Program()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func (w *GEMM) ScaleNote() string {
 	return fmt.Sprintf("paper 47x7680 * 7680x3840; simulated %dx%d * %dx%d", w.M, w.N, w.N, w.P)
 }
 
-func (w *GEMM) Build() (*dhdl.Program, error) {
+func (w *GEMM) Program() (*dhdl.Program, error) {
 	M, N, P, TM, TN, TP := w.M, w.N, w.P, w.TM, w.TN, w.TP
 	b := dhdl.NewBuilder("gemm", dhdl.Sequential)
 	dA := b.DRAMF32("A", M, N)
@@ -71,11 +71,15 @@ func (w *GEMM) Build() (*dhdl.Program, error) {
 			})
 		})
 	})
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *GEMM) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	M, N, P := w.M, w.N, w.P
 	r := newRNG(0x6E44)
 	w.a = make([]float32, M*N)
 	w.bm = make([]float32, N*P)
@@ -86,27 +90,18 @@ func (w *GEMM) Build() (*dhdl.Program, error) {
 	for i := range w.bm {
 		w.bm[i] = r.float() - 0.5
 	}
+	// i-k-j order walks rows of B. Each element still sums over k in
+	// ascending order from 0, so every word equals its dot product's.
 	w.want = make([]float32, M*P)
 	for i := 0; i < M; i++ {
-		for j := 0; j < P; j++ {
-			var s float32
-			for k := 0; k < N; k++ {
-				s += w.a[i*N+k] * w.bm[k*P+j]
+		row := w.want[i*P : (i+1)*P]
+		for k, aik := range w.a[i*N : (i+1)*N] {
+			for j, bkj := range w.bm[k*P : (k+1)*P] {
+				row[j] += aik * bkj
 			}
-			w.want[i*P+j] = s
 		}
 	}
-	for _, bind := range []struct {
-		d *dhdl.DRAMBuf
-		c *pattern.Collection
-	}{
-		{dA, pattern.FromF32("A", w.a)}, {dB, pattern.FromF32("B", w.bm)}, {dC, pattern.FromF32("C", w.c)},
-	} {
-		if err := bind.d.Bind(bind.c); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return bind(p, pattern.FromF32("A", w.a), pattern.FromF32("B", w.bm), pattern.FromF32("C", w.c))
 }
 
 func (w *GEMM) Check(st *dhdl.State) error {
@@ -147,7 +142,7 @@ func (w *GDA) ScaleNote() string {
 	return fmt.Sprintf("paper 3,840,000 points x 96 dims; simulated %d x %d", w.N, w.D)
 }
 
-func (w *GDA) Build() (*dhdl.Program, error) {
+func (w *GDA) Program() (*dhdl.Program, error) {
 	n, d, tp := w.N, w.D, w.TP
 	b := dhdl.NewBuilder("gda", dhdl.Sequential)
 	dX := b.DRAMF32("x", n, d)
@@ -198,11 +193,15 @@ func (w *GDA) Build() (*dhdl.Program, error) {
 	})
 	b.Store("stMu", dMu, dhdl.CI(0), mu, 2*d)
 	b.Store("stSig", dSig, dhdl.CI(0), sigma, d*d)
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *GDA) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	n, d := w.N, w.D
 	r := newRNG(0x6DA5)
 	w.x = make([]float32, n*d)
 	w.y = make([]int32, n)
@@ -237,18 +236,8 @@ func (w *GDA) Build() (*dhdl.Program, error) {
 			}
 		}
 	}
-	for _, bind := range []struct {
-		d *dhdl.DRAMBuf
-		c *pattern.Collection
-	}{
-		{dX, pattern.FromF32("x", w.x)}, {dY, pattern.FromI32("y", w.y)},
-		{dMu, pattern.FromF32("mu", w.muOut)}, {dSig, pattern.FromF32("sig", w.sigOut)},
-	} {
-		if err := bind.d.Bind(bind.c); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return bind(p, pattern.FromF32("x", w.x), pattern.FromI32("y", w.y),
+		pattern.FromF32("mu", w.muOut), pattern.FromF32("sigma", w.sigOut))
 }
 
 func (w *GDA) Check(st *dhdl.State) error {
@@ -291,7 +280,7 @@ func (w *LogReg) ScaleNote() string {
 
 const logRegLR = 0.1
 
-func (w *LogReg) Build() (*dhdl.Program, error) {
+func (w *LogReg) Program() (*dhdl.Program, error) {
 	n, d := w.N, w.D
 	b := dhdl.NewBuilder("logreg", dhdl.Sequential)
 	dX := b.DRAMF32("x", n, d)
@@ -336,11 +325,15 @@ func (w *LogReg) Build() (*dhdl.Program, error) {
 		})
 	})
 	b.Store("stW", dW, dhdl.CI(0), tw, d)
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *LogReg) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	n, d := w.N, w.D
 	r := newRNG(0x106)
 	w.x = make([]float32, n*d)
 	w.y = make([]float32, n)
@@ -371,17 +364,7 @@ func (w *LogReg) Build() (*dhdl.Program, error) {
 		}
 	}
 	w.want = wv
-	for _, bind := range []struct {
-		d *dhdl.DRAMBuf
-		c *pattern.Collection
-	}{
-		{dX, pattern.FromF32("x", w.x)}, {dY, pattern.FromF32("y", w.y)}, {dW, pattern.FromF32("w", w.wOut)},
-	} {
-		if err := bind.d.Bind(bind.c); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return bind(p, pattern.FromF32("x", w.x), pattern.FromF32("y", w.y), pattern.FromF32("w", w.wOut))
 }
 
 func (w *LogReg) Check(st *dhdl.State) error {
@@ -428,7 +411,7 @@ func (w *SGD) ScaleNote() string {
 
 const sgdLR = 0.05
 
-func (w *SGD) Build() (*dhdl.Program, error) {
+func (w *SGD) Program() (*dhdl.Program, error) {
 	n, d, bsz := w.N, w.D, w.Batch
 	b := dhdl.NewBuilder("sgd", dhdl.Sequential)
 	dX := b.DRAMF32("x", n, d)
@@ -470,11 +453,15 @@ func (w *SGD) Build() (*dhdl.Program, error) {
 		})
 	})
 	b.Store("stW", dW, dhdl.CI(0), tw, d)
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *SGD) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	n, d, bsz := w.N, w.D, w.Batch
 	r := newRNG(0x56D)
 	w.x = make([]float32, n*d)
 	w.y = make([]float32, n)
@@ -512,17 +499,7 @@ func (w *SGD) Build() (*dhdl.Program, error) {
 		}
 	}
 	w.want = wv
-	for _, bind := range []struct {
-		d *dhdl.DRAMBuf
-		c *pattern.Collection
-	}{
-		{dX, pattern.FromF32("x", w.x)}, {dY, pattern.FromF32("y", w.y)}, {dW, pattern.FromF32("w", w.wOut)},
-	} {
-		if err := bind.d.Bind(bind.c); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return bind(p, pattern.FromF32("x", w.x), pattern.FromF32("y", w.y), pattern.FromF32("w", w.wOut))
 }
 
 func (w *SGD) Check(st *dhdl.State) error {
@@ -565,7 +542,7 @@ func (w *Kmeans) ScaleNote() string {
 		w.Iters, w.N, w.D, w.K)
 }
 
-func (w *Kmeans) Build() (*dhdl.Program, error) {
+func (w *Kmeans) Program() (*dhdl.Program, error) {
 	n, d, k := w.N, w.D, w.K
 	b := dhdl.NewBuilder("kmeans", dhdl.Sequential)
 	dX := b.DRAMF32("x", n, d)
@@ -633,11 +610,15 @@ func (w *Kmeans) Build() (*dhdl.Program, error) {
 		})
 	})
 	b.Store("stC", dC, dhdl.CI(0), cent, k*d)
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *Kmeans) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	n, d, k := w.N, w.D, w.K
 	r := newRNG(0x4EA25)
 	w.x = make([]float32, n*d)
 	for i := 0; i < n; i++ {
@@ -685,13 +666,7 @@ func (w *Kmeans) Build() (*dhdl.Program, error) {
 		}
 	}
 	w.want = cents
-	if err := dX.Bind(pattern.FromF32("x", w.x)); err != nil {
-		return nil, err
-	}
-	if err := dC.Bind(pattern.FromF32("cent", w.centOut)); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return bind(p, pattern.FromF32("x", w.x), pattern.FromF32("cent", w.centOut))
 }
 
 func (w *Kmeans) Check(st *dhdl.State) error {
@@ -733,7 +708,7 @@ func (w *CNN) ScaleNote() string {
 		w.InCh, w.OutCh, w.K, w.K, w.Img, w.Img)
 }
 
-func (w *CNN) Build() (*dhdl.Program, error) {
+func (w *CNN) Program() (*dhdl.Program, error) {
 	ic, oc, img, k := w.InCh, w.OutCh, w.Img, w.K
 	outW := img - k + 1
 	b := dhdl.NewBuilder("cnn", dhdl.Sequential)
@@ -768,11 +743,16 @@ func (w *CNN) Build() (*dhdl.Program, error) {
 		})
 	})
 	b.Store("stOut", dOut, dhdl.CI(0), tOut, oc*outW*outW)
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *CNN) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	ic, oc, img, k := w.InCh, w.OutCh, w.Img, w.K
+	outW := img - k + 1
 	r := newRNG(0xC44)
 	w.in = make([]float32, ic*img*img)
 	w.wts = make([]float32, oc*ic*k*k)
@@ -799,17 +779,8 @@ func (w *CNN) Build() (*dhdl.Program, error) {
 			}
 		}
 	}
-	for _, bind := range []struct {
-		d *dhdl.DRAMBuf
-		c *pattern.Collection
-	}{
-		{dIn, pattern.FromF32("in", w.in)}, {dWt, pattern.FromF32("wt", w.wts)}, {dOut, pattern.FromF32("out", w.out)},
-	} {
-		if err := bind.d.Bind(bind.c); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return bind(p, pattern.FromF32("in", w.in), pattern.FromF32("wt", w.wts),
+		pattern.FromF32("out", w.out))
 }
 
 func (w *CNN) Check(st *dhdl.State) error {

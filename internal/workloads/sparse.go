@@ -28,7 +28,7 @@ func (w *SMDV) ScaleNote() string {
 	return fmt.Sprintf("paper 3840x3840 E[nnz/row]=60; simulated %dx%d nnz/row=%d", w.N, w.N, w.NNZPerRow)
 }
 
-func (w *SMDV) Build() (*dhdl.Program, error) {
+func (w *SMDV) Program() (*dhdl.Program, error) {
 	n, tk := w.N, w.TK
 	nnz := n * w.NNZPerRow
 	b := dhdl.NewBuilder("smdv", dhdl.Sequential)
@@ -58,11 +58,15 @@ func (w *SMDV) Build() (*dhdl.Program, error) {
 		})
 	})
 	b.Store("stY", dY, dhdl.CI(0), tY, n)
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *SMDV) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	n, nnz := w.N, w.N*w.NNZPerRow
 	r := newRNG(0x53D5)
 	w.rows = make([]int32, nnz)
 	w.cols = make([]int32, nnz)
@@ -80,19 +84,8 @@ func (w *SMDV) Build() (*dhdl.Program, error) {
 		w.rows[i], w.cols[i], w.vals[i] = row, col, v
 		w.want[row] += v * w.x[col]
 	}
-	for _, bind := range []struct {
-		d *dhdl.DRAMBuf
-		c *pattern.Collection
-	}{
-		{dRow, pattern.FromI32("row", w.rows)}, {dCol, pattern.FromI32("col", w.cols)},
-		{dVal, pattern.FromF32("val", w.vals)}, {dX, pattern.FromF32("x", w.x)},
-		{dY, pattern.FromF32("y", w.y)},
-	} {
-		if err := bind.d.Bind(bind.c); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return bind(p, pattern.FromI32("row", w.rows), pattern.FromI32("col", w.cols),
+		pattern.FromF32("val", w.vals), pattern.FromF32("x", w.x), pattern.FromF32("y", w.y))
 }
 
 func (w *SMDV) Check(st *dhdl.State) error {
@@ -134,7 +127,7 @@ func (w *PageRank) ScaleNote() string {
 
 const prDamp = 0.85
 
-func (w *PageRank) Build() (*dhdl.Program, error) {
+func (w *PageRank) Program() (*dhdl.Program, error) {
 	n, tk := w.N, w.TK
 	edges := n * w.Deg
 	b := dhdl.NewBuilder("pagerank", dhdl.Sequential)
@@ -171,11 +164,15 @@ func (w *PageRank) Build() (*dhdl.Program, error) {
 		})
 		b.Store("stRank", dRank, dhdl.CI(0), tNew, n)
 	})
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *PageRank) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	n, edges := w.N, w.N*w.Deg
 	r := newRNG(0x9A6E)
 	w.src = make([]int32, edges)
 	w.dst = make([]int32, edges)
@@ -208,18 +205,8 @@ func (w *PageRank) Build() (*dhdl.Program, error) {
 		}
 	}
 	w.want = ranks
-	for _, bind := range []struct {
-		d *dhdl.DRAMBuf
-		c *pattern.Collection
-	}{
-		{dSrc, pattern.FromI32("src", w.src)}, {dDst, pattern.FromI32("dst", w.dst)},
-		{dRank, pattern.FromF32("rank", w.ranks)},
-	} {
-		if err := bind.d.Bind(bind.c); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return bind(p, pattern.FromI32("src", w.src), pattern.FromI32("dst", w.dst),
+		pattern.FromF32("rank", w.ranks))
 }
 
 func (w *PageRank) Check(st *dhdl.State) error {
@@ -264,7 +251,7 @@ func (w *BFS) ScaleNote() string {
 		w.N, w.Deg, w.Layers)
 }
 
-func (w *BFS) Build() (*dhdl.Program, error) {
+func (w *BFS) Program() (*dhdl.Program, error) {
 	n, deg, mf := w.N, w.Deg, w.MaxFront
 	b := dhdl.NewBuilder("bfs", dhdl.Sequential)
 	dAdj := b.DRAMI32("adj", n*deg)
@@ -332,11 +319,15 @@ func (w *BFS) Build() (*dhdl.Program, error) {
 			return []*dhdl.Assign{dhdl.SetReg(fsz, dhdl.Rd(nNext))}
 		})
 	})
-	p, err := b.Build()
+	return b.Build()
+}
+
+func (w *BFS) Build() (*dhdl.Program, error) {
+	p, err := w.Program()
 	if err != nil {
 		return nil, err
 	}
-
+	n, deg, mf := w.N, w.Deg, w.MaxFront
 	// Layered graph: layer sizes grow geometrically and then saturate so a
 	// 10-layer traversal covers the graph.
 	sizes := []int{1, 7, 56, 200, 256, 320, 320, 320, 320, 248}
@@ -395,13 +386,7 @@ func (w *BFS) Build() (*dhdl.Program, error) {
 		w.levels[i] = -1
 	}
 	w.levels[0] = 0 // seed's level is written on chip before any scatter
-	if err := dAdj.Bind(pattern.FromI32("adj", w.adj)); err != nil {
-		return nil, err
-	}
-	if err := dLev.Bind(pattern.FromI32("levels", w.levels)); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return bind(p, pattern.FromI32("adj", w.adj), pattern.FromI32("levels", w.levels))
 }
 
 func (w *BFS) Check(st *dhdl.State) error {

@@ -3,6 +3,12 @@
 // GEMM, GDA, LogReg, SGD, Kmeans, CNN, SMDV, PageRank and BFS — as DHDL
 // programs with deterministic data generators and golden CPU references.
 //
+// Each benchmark separates its program from its data. Program builds the
+// DHDL program alone, which is all that compiling, allocating or explaining
+// it reads. Build is Program followed by input generation, the host golden
+// reference and binding every DRAM buffer, which running and checking it
+// need.
+//
 // The paper's data sizes (e.g. 768 M-element vectors) are scaled down so
 // cycle-level simulation fits in test time; each benchmark records its
 // scale factor, and the Table 7 harness compares ratios (speedup, perf/W),
@@ -13,8 +19,10 @@ package workloads
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"plasticine/internal/dhdl"
+	"plasticine/internal/pattern"
 )
 
 // Profile carries the workload characteristics the FPGA baseline model and
@@ -58,11 +66,16 @@ type Profile struct {
 type Benchmark interface {
 	// Name is the benchmark's Table 4 name.
 	Name() string
-	// Build constructs the DHDL program with all DRAM buffers bound to
-	// freshly generated data.
+	// Program constructs the DHDL program with every DRAM buffer declared
+	// and none bound. It generates no data: running the program fails with
+	// an unbound-buffer error, while compiling it maps it as Build's would.
+	// It records the handles Check reads, as Build does.
+	Program() (*dhdl.Program, error)
+	// Build is Program followed by input generation, the host golden
+	// reference Check reads, and binding every DRAM buffer to its data.
 	Build() (*dhdl.Program, error)
-	// Check validates the outputs (DRAM contents and final state) against
-	// the golden reference computed on the host.
+	// Check validates the outputs (DRAM contents and final state) of the
+	// latest Build's program against the golden reference it computed.
 	Check(st *dhdl.State) error
 	// Profile reports workload characteristics for the scaled instance.
 	Profile() Profile
@@ -97,6 +110,21 @@ func ByName(name string) (Benchmark, error) {
 		}
 	}
 	return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
+}
+
+// bind attaches each collection to p's DRAM buffer of the same name and
+// returns p, or an error if a name matches no buffer or a binding fails.
+func bind(p *dhdl.Program, cs ...*pattern.Collection) (*dhdl.Program, error) {
+	for _, c := range cs {
+		i := slices.IndexFunc(p.DRAMs, func(d *dhdl.DRAMBuf) bool { return d.Name == c.Name })
+		if i < 0 {
+			return nil, fmt.Errorf("workloads: %s has no DRAM buffer %q", p.Name, c.Name)
+		}
+		if err := p.DRAMs[i].Bind(c); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // rng is a small deterministic generator (xorshift32) so benchmarks are

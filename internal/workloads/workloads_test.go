@@ -37,9 +37,9 @@ func TestCompiles(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.Name(), func(t *testing.T) {
-			p, err := b.Build()
+			p, err := b.Program()
 			if err != nil {
-				t.Fatalf("build: %v", err)
+				t.Fatalf("program: %v", err)
 			}
 			m, err := compiler.CompileOpts(context.Background(), p, compiler.Options{Params: arch.Default()})
 			if err != nil {
@@ -151,6 +151,38 @@ func TestRNGDeterministic(t *testing.T) {
 		}
 		if v := r.intn(13); v < 0 || v >= 13 {
 			t.Fatalf("intn out of range: %v", v)
+		}
+	}
+}
+
+// BenchmarkPhases times each benchmark's program construction, its full
+// Build (program, inputs, reference and binding), and compiling and
+// allocating the program, one sub-benchmark each (EXPERIMENTS.md,
+// Programs without inputs).
+func BenchmarkPhases(b *testing.B) {
+	ctx, opts := context.Background(), compiler.Options{Params: arch.Default()}
+	for _, w := range All() {
+		p, err := w.Program()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ph := range []struct {
+			name string
+			run  func() error
+		}{
+			{"program", func() error { _, err := w.Program(); return err }},
+			{"build", func() error { _, err := w.Build(); return err }},
+			{"compile", func() error { _, err := compiler.CompileOpts(ctx, p, opts); return err }},
+			{"allocate", func() error { _, err := compiler.Allocate(p); return err }},
+		} {
+			b.Run(w.Name()+"/"+ph.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := ph.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
