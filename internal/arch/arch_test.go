@@ -30,7 +30,7 @@ func TestDefaultMatchesTable3(t *testing.T) {
 	if p.NumPCUs() != 64 || p.NumPMUs() != 64 {
 		t.Errorf("array = %d PCUs, %d PMUs; want 64/64", p.NumPCUs(), p.NumPMUs())
 	}
-	if got := p.TotalScratchpadBytes(); got != 16*1024*1024 {
+	if got := p.ScratchpadBytes() * p.NumPMUs(); got != 16*1024*1024 {
 		t.Errorf("total scratchpad = %d bytes, want 16MB (Section 4.2)", got)
 	}
 }

@@ -181,12 +181,6 @@ const (
 	asicSRAMFraction = 0.75 // exact-sized single-mode SRAM macro
 )
 
-// FUArea returns the area of one reconfigurable functional unit.
-func FUArea() float64 { return areaFU }
-
-// PipelineRegArea returns the area of one pipeline register.
-func PipelineRegArea() float64 { return areaPipelineReg }
-
 // ScalarALUArea returns the area of one scalar address-datapath ALU.
 func ScalarALUArea() float64 { return areaScalarALU }
 
@@ -195,9 +189,6 @@ func SRAMAreaPerKB() float64 { return areaSRAMPerKB }
 
 // ControlArea returns the area of one unit's control block.
 func ControlArea() float64 { return areaControl }
-
-// PCUFIFOWordArea returns the area of one buffered word of PCU input FIFO.
-func PCUFIFOWordArea() float64 { return areaPCUFIFOWord }
 
 // ASICFUArea returns the area of a fixed-function 32-bit datapath op.
 func ASICFUArea() float64 { return areaFU * asicFUFraction }

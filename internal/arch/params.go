@@ -103,9 +103,6 @@ func (p Params) NumAGs() int { return 2 * p.Chip.AGsPerSide }
 // ScratchpadBytes returns the scratchpad capacity of one PMU in bytes.
 func (p Params) ScratchpadBytes() int { return p.PMU.BankKB * 1024 * p.PMU.Banks }
 
-// TotalScratchpadBytes returns the on-chip scratchpad capacity of the chip.
-func (p Params) TotalScratchpadBytes() int { return p.ScratchpadBytes() * p.NumPMUs() }
-
 // PeakFLOPS returns the peak single-precision floating point throughput in
 // FLOP/s: every FU can retire one operation per cycle.
 func (p Params) PeakFLOPS() float64 {

@@ -324,15 +324,6 @@ func (b *Bitstream) Encode(w io.Writer) error {
 	return enc.Encode(b)
 }
 
-// DecodeBitstream reads a JSON bitstream.
-func DecodeBitstream(r io.Reader) (*Bitstream, error) {
-	var b Bitstream
-	if err := json.NewDecoder(r).Decode(&b); err != nil {
-		return nil, fmt.Errorf("compiler: decoding bitstream: %w", err)
-	}
-	return &b, nil
-}
-
 // Assembly renders the bitstream as a readable listing.
 func (b *Bitstream) Assembly() string {
 	var s strings.Builder

@@ -3,11 +3,9 @@ package compiler
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"plasticine/internal/arch"
 	"plasticine/internal/fault"
-	"plasticine/internal/stats"
 )
 
 // ErrNoRoute is wrapped when a netlist edge cannot be routed because fault-
@@ -195,31 +193,4 @@ func xyRoute(x1, y1, x2, y2 int) [][2]int {
 		hops = append(hops, [2]int{x, y})
 	}
 	return hops
-}
-
-// CongestionReport renders the busiest links.
-func (rt *RouteTable) CongestionReport(top int) string {
-	type lu struct {
-		link string
-		n    int
-	}
-	var all []lu
-	for l, n := range rt.LinkUse {
-		all = append(all, lu{l, n})
-	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].n != all[j].n {
-			return all[i].n > all[j].n
-		}
-		return all[i].link < all[j].link
-	})
-	if top > len(all) {
-		top = len(all)
-	}
-	t := stats.New(fmt.Sprintf("interconnect: %d routes, %.1f avg hops, busiest links",
-		len(rt.Routes), rt.AvgHops()), "Link", "Routes")
-	for _, e := range all[:top] {
-		t.Add(e.link, fmt.Sprint(e.n))
-	}
-	return t.String()
 }

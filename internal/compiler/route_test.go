@@ -1,7 +1,6 @@
 package compiler
 
 import (
-	"strings"
 	"testing"
 
 	"plasticine/internal/arch"
@@ -53,10 +52,6 @@ func TestRouteAllCoversEdges(t *testing.T) {
 	}
 	if rt.MaxLinkUse() < 1 {
 		t.Error("no link usage recorded")
-	}
-	rep := rt.CongestionReport(3)
-	if !strings.Contains(rep, "routes") || !strings.Contains(rep, "Link") {
-		t.Errorf("report malformed:\n%s", rep)
 	}
 }
 

@@ -145,11 +145,6 @@ func FormatPatternProfile(pr *trace.PatternReport) string {
 	return b.String()
 }
 
-// PatternJSON exports the per-pattern rollup as indented JSON.
-func (p *ProfileResult) PatternJSON() ([]byte, error) {
-	return json.MarshalIndent(p.Pattern, "", "  ")
-}
-
 // BenchSchema versions the BENCH_sim.json document (see EXPERIMENTS.md).
 const BenchSchema = "plasticine-bench-sim/v1"
 

@@ -78,9 +78,6 @@ func (b *Builder) fail(format string, args ...any) {
 // from Build; later ones are dropped.
 func (b *Builder) Errf(format string, args ...any) { b.fail(format, args...) }
 
-// Err returns the first error recorded so far, without finalizing.
-func (b *Builder) Err() error { return b.err }
-
 func (b *Builder) top() *Controller { return b.stack[len(b.stack)-1] }
 
 func (b *Builder) add(c *Controller) {
@@ -90,18 +87,6 @@ func (b *Builder) add(c *Controller) {
 		return
 	}
 	t.Children = append(t.Children, c)
-}
-
-// Level returns the number of counter levels currently in scope.
-func (b *Builder) Level() int { return b.level }
-
-// idxExprs returns Ctr expressions for a newly opened chain of n counters.
-func (b *Builder) idxExprs(n int) []Expr {
-	ix := make([]Expr, n)
-	for i := range ix {
-		ix[i] = Idx(b.level + i)
-	}
-	return ix
 }
 
 // DRAMF32 declares an off-chip float32 buffer.

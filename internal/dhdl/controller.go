@@ -69,15 +69,6 @@ func (k Kind) IsOuter() bool {
 	return false
 }
 
-// IsTransfer reports whether the kind moves data between DRAM and the chip.
-func (k Kind) IsTransfer() bool {
-	switch k {
-	case LoadKind, StoreKind, GatherKind, ScatterKind:
-		return true
-	}
-	return false
-}
-
 // Counter is one level of a reconfigurable counter chain: it iterates
 // from Min to Max (exclusive) in steps of Step. Par is the parallelization
 // factor: Par consecutive iterations execute together (SIMD lanes for inner

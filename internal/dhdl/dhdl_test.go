@@ -452,16 +452,13 @@ func TestExprHelpers(t *testing.T) {
 
 func TestKindPredicates(t *testing.T) {
 	for _, k := range []Kind{Sequential, Pipeline, Stream, Parallel} {
-		if !k.IsOuter() || k.IsTransfer() {
-			t.Errorf("%v should be outer, not transfer", k)
+		if !k.IsOuter() {
+			t.Errorf("%v should be outer", k)
 		}
 	}
-	for _, k := range []Kind{LoadKind, StoreKind, GatherKind, ScatterKind} {
-		if k.IsOuter() || !k.IsTransfer() {
-			t.Errorf("%v should be transfer, not outer", k)
+	for _, k := range []Kind{LoadKind, StoreKind, GatherKind, ScatterKind, ComputeKind} {
+		if k.IsOuter() {
+			t.Errorf("%v should not be outer", k)
 		}
-	}
-	if ComputeKind.IsOuter() || ComputeKind.IsTransfer() {
-		t.Error("Compute is neither outer nor transfer")
 	}
 }

@@ -120,33 +120,9 @@ type FIFOMem struct {
 }
 
 // Provenance returns Origin, or Name when no origin was recorded.
-func (d *DRAMBuf) Provenance() string {
-	if d.Origin != "" {
-		return d.Origin
-	}
-	return d.Name
-}
-
-// Provenance returns Origin, or Name when no origin was recorded.
 func (s *SRAM) Provenance() string {
 	if s.Origin != "" {
 		return s.Origin
 	}
 	return s.Name
-}
-
-// Provenance returns Origin, or Name when no origin was recorded.
-func (r *Reg) Provenance() string {
-	if r.Origin != "" {
-		return r.Origin
-	}
-	return r.Name
-}
-
-// Provenance returns Origin, or Name when no origin was recorded.
-func (f *FIFOMem) Provenance() string {
-	if f.Origin != "" {
-		return f.Origin
-	}
-	return f.Name
 }

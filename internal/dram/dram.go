@@ -352,9 +352,6 @@ func New(cfg Config) *DRAM {
 	return d
 }
 
-// Config returns the configuration.
-func (d *DRAM) Config() Config { return d.cfg }
-
 // Stats returns a snapshot of activity counters.
 func (d *DRAM) Stats() Stats { return d.stats }
 
@@ -653,11 +650,6 @@ func (d *DRAM) EventCount() int {
 		n += d.channels[i].flights.len()
 	}
 	return n
-}
-
-// PeakBandwidth returns bytes/cycle at full bus utilisation.
-func (c Config) PeakBandwidth() float64 {
-	return float64(c.Channels) * float64(c.BurstBytes) / float64(c.BurstCycle)
 }
 
 func (c Config) String() string {

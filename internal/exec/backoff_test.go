@@ -8,14 +8,14 @@ import (
 // TestRetryDelaySchedule pins the whole schedule: exponential doubling, cap
 // saturation, and jitter bounded to [½d, d] of the raw (capped) delay.
 func TestRetryDelaySchedule(t *testing.T) {
-	p := JobPolicy{Backoff: 100 * time.Millisecond, BackoffCap: 800 * time.Millisecond}
+	p := JobPolicy{Backoff: BackoffCap / 8}
 	raw := []time.Duration{
-		100 * time.Millisecond, // retry 1
-		200 * time.Millisecond, // retry 2
-		400 * time.Millisecond, // retry 3
-		800 * time.Millisecond, // retry 4: hits the cap
-		800 * time.Millisecond, // retry 5: stays there
-		800 * time.Millisecond, // retry 6
+		BackoffCap / 8, // retry 1
+		BackoffCap / 4, // retry 2
+		BackoffCap / 2, // retry 3
+		BackoffCap,     // retry 4: hits the cap
+		BackoffCap,     // retry 5: stays there
+		BackoffCap,     // retry 6
 	}
 	for r, want := range raw {
 		got := p.RetryDelay("job", r+1)
@@ -26,7 +26,7 @@ func TestRetryDelaySchedule(t *testing.T) {
 }
 
 func TestRetryDelayDeterministic(t *testing.T) {
-	p := JobPolicy{Backoff: 50 * time.Millisecond, Seed: 7}
+	p := JobPolicy{Backoff: 50 * time.Millisecond}
 	for r := 1; r <= 8; r++ {
 		a, b := p.RetryDelay("GEMM", r), p.RetryDelay("GEMM", r)
 		if a != b {
@@ -50,20 +50,6 @@ func TestRetryDelayDecorrelatesJobs(t *testing.T) {
 	}
 }
 
-func TestRetryDelaySeedChangesSchedule(t *testing.T) {
-	a := JobPolicy{Backoff: time.Second, Seed: 1}
-	b := JobPolicy{Backoff: time.Second, Seed: 2}
-	same := 0
-	for r := 1; r <= 8; r++ {
-		if a.RetryDelay("job", r) == b.RetryDelay("job", r) {
-			same++
-		}
-	}
-	if same == 8 {
-		t.Fatal("seeds 1 and 2 produce identical schedules; Seed is not feeding the jitter")
-	}
-}
-
 func TestRetryDelayZeroBackoff(t *testing.T) {
 	var p JobPolicy
 	if d := p.RetryDelay("job", 3); d != 0 {
@@ -71,11 +57,11 @@ func TestRetryDelayZeroBackoff(t *testing.T) {
 	}
 }
 
-// TestRetryDelayDefaultCap checks an uncapped-looking policy still
-// saturates at DefaultBackoffCap instead of doubling forever.
+// TestRetryDelayDefaultCap checks a policy far past the cap's retry count
+// still saturates at BackoffCap instead of doubling forever.
 func TestRetryDelayDefaultCap(t *testing.T) {
 	p := JobPolicy{Backoff: time.Second}
-	if d := p.RetryDelay("job", 40); d > DefaultBackoffCap {
-		t.Fatalf("retry 40 delay %v exceeds the default cap %v", d, DefaultBackoffCap)
+	if d := p.RetryDelay("job", 40); d > BackoffCap {
+		t.Fatalf("retry 40 delay %v exceeds the cap %v", d, BackoffCap)
 	}
 }

@@ -28,9 +28,6 @@ func NewKey(parts ...string) Key {
 	return Key{hash: h.Sum64(), str: s}
 }
 
-// Hash returns the 64-bit fingerprint.
-func (k Key) Hash() uint64 { return k.hash }
-
 // String returns the full canonical key string.
 func (k Key) String() string { return k.str }
 
@@ -87,7 +84,8 @@ func (s CacheStats) String() string {
 // panics, and one that fails with an error wrapping context.Canceled or
 // context.DeadlineExceeded. Its entry is discarded, the outcome goes to its
 // own requester, and blocked and later requesters recompute under their
-// own contexts. A nil *Cache disables caching: Do simply calls compute.
+// own contexts. A nil *Cache disables caching: CachedJSON simply calls
+// compute.
 type Cache struct {
 	mu      sync.Mutex
 	buckets map[uint64][]*cacheEntry
@@ -107,7 +105,7 @@ type cacheEntry struct {
 }
 
 // codec translates cached values to and from the persistent tier's byte
-// payloads. Entries without a codec (plain Do/Cached) stay memory-only.
+// payloads.
 type codec struct {
 	encode func(any) ([]byte, error)
 	decode func([]byte) (any, error)
@@ -118,9 +116,9 @@ func NewCache() *Cache {
 	return &Cache{buckets: map[uint64][]*cacheEntry{}}
 }
 
-// AttachDisk puts a persistent tier under the cache: codec-carrying lookups
-// (CachedJSON) that miss in memory consult disk before computing, and
-// successful results are written through. Attach before use; nil detaches.
+// AttachDisk puts a persistent tier under the cache: lookups that miss in
+// memory consult disk before computing, and successful results are written
+// through. Attach before use; nil detaches.
 // Nil-safe on a nil cache (no-op).
 func (c *Cache) AttachDisk(d *DiskCache) {
 	if c == nil {
@@ -141,15 +139,7 @@ func (c *Cache) Disk() *DiskCache {
 	return c.disk
 }
 
-// Do returns the cached value for k, computing and storing it on first use.
-// Memory-only: Do carries no codec, so the persistent tier is not consulted
-// (use CachedJSON for values that should survive the process). Nil-safe: a
-// nil cache just runs compute.
-func (c *Cache) Do(k Key, compute func() (any, error)) (any, error) {
-	return c.do(k, nil, compute)
-}
-
-func (c *Cache) do(k Key, cod *codec, compute func() (any, error)) (any, error) {
+func (c *Cache) do(k Key, cod codec, compute func() (any, error)) (any, error) {
 	if c == nil {
 		return compute()
 	}
@@ -199,7 +189,7 @@ func (c *Cache) do(k Key, cod *codec, compute func() (any, error)) (any, error) 
 // with its requester's cancellation, the entry is un-published first, so
 // the outcome is never memoized: the owner gets the panic (recovered into a
 // PanicError by Pool.Map) or the error, and everyone else recomputes.
-func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, cod *codec, compute func() (any, error)) (val any, err error) {
+func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, cod codec, compute func() (any, error)) (val any, err error) {
 	completed := false
 	defer func() {
 		if !completed {
@@ -208,7 +198,7 @@ func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, cod *codec, compute 
 			close(e.done)
 		}
 	}()
-	if cod != nil {
+	if disk != nil {
 		if data, ok := disk.Get(k); ok {
 			if v, derr := cod.decode(data); derr == nil {
 				e.val, e.err = v, nil
@@ -227,7 +217,7 @@ func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, cod *codec, compute 
 	e.val, e.err = val, err
 	completed = true
 	close(e.done)
-	if cod != nil && err == nil {
+	if disk != nil && err == nil {
 		// Write-through, best-effort; errors are never persisted — a
 		// failure observed in one process must not veto re-evaluation in
 		// the next.
@@ -272,23 +262,14 @@ func (c *Cache) Stats() CacheStats {
 	return s
 }
 
-// Cached is the typed convenience wrapper over Cache.Do (memory-only).
-func Cached[T any](c *Cache, k Key, compute func() (T, error)) (T, error) {
-	v, err := c.Do(k, func() (any, error) { return compute() })
-	if v == nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), err
-}
-
-// CachedJSON is Cached plus persistence: when the cache has a disk tier, a
-// memory miss consults it before computing, and successful values are
-// written through as JSON. T must JSON round-trip exactly (exported fields,
-// no NaN/Inf — encode infeasibility as a flag); errors are never persisted.
-// Nil-safe: a nil cache just runs compute.
+// CachedJSON returns the cached value for k, computing and storing it on
+// first use. When the cache has a disk tier, a memory miss consults it
+// before computing, and successful values are written through as JSON. T
+// must JSON round-trip exactly (exported fields, no NaN/Inf — encode
+// infeasibility as a flag); errors are never persisted. Nil-safe: a nil
+// cache just runs compute.
 func CachedJSON[T any](c *Cache, k Key, compute func() (T, error)) (T, error) {
-	cod := &codec{
+	cod := codec{
 		encode: func(v any) ([]byte, error) { return json.Marshal(v) },
 		decode: func(data []byte) (any, error) {
 			var v T

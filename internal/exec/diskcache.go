@@ -145,14 +145,6 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 	return d, nil
 }
 
-// Dir returns the tier's root directory. Nil-safe (empty for a nil tier).
-func (d *DiskCache) Dir() string {
-	if d == nil {
-		return ""
-	}
-	return d.dir
-}
-
 // path names k's entry file: the 64-bit fingerprint plus a crc32 of the
 // full key string, so colliding fingerprints land in different files; the
 // full key stored inside the entry catches the residual collisions.

@@ -15,16 +15,16 @@ var ErrQueueFull = errors.New("exec: queue full")
 // (the serving layer closes it during drain, after the dispatchers stop).
 var ErrQueueClosed = errors.New("exec: queue closed")
 
-// FairQueue is a bounded multi-tenant queue with weighted fair dequeue:
-// each tenant gets its own FIFO, and Pop picks across tenants by stride
-// scheduling, so a tenant flooding the queue cannot starve the others — a
-// tenant with weight w receives a w-proportional share of dequeues while
-// backlogged, and an idle tenant's first request is served promptly rather
+// FairQueue is a bounded multi-tenant queue with fair dequeue: each tenant
+// gets its own FIFO, and Pop picks the backlogged tenant with the smallest
+// pass, which advances by one per dequeue, so a tenant flooding the queue
+// cannot starve the others — backlogged tenants receive equal shares of
+// dequeues, and an idle tenant's first request is served promptly rather
 // than waiting behind a flood. Within one tenant, order is strictly FIFO.
 //
 // Safe for concurrent use. Determinism: dequeue order is a pure function of
-// the (tenant, weight, push-order) history — ties in virtual time break by
-// tenant name — which the schedule tests rely on.
+// the (tenant, push-order) history — ties in virtual time break by tenant
+// name — which the schedule tests rely on.
 type FairQueue struct {
 	mu      sync.Mutex
 	tenants map[string]*tenantFIFO
@@ -43,14 +43,9 @@ type FairQueue struct {
 	done   chan struct{}
 }
 
-// strideScale is the numerator of the per-dequeue stride: stride = scale/w.
-// Large enough that weights up to 10^6 still get distinct strides.
-const strideScale = 1 << 20
-
 type tenantFIFO struct {
-	items  []any
-	pass   uint64 // virtual time at which this tenant's next item is served
-	stride uint64
+	items []any
+	pass  uint64 // virtual time at which this tenant's next item is served
 }
 
 // NewFairQueue returns a queue bounded at capacity items (minimum 1).
@@ -65,14 +60,9 @@ func NewFairQueue(capacity int) *FairQueue {
 	}
 }
 
-// Push enqueues item for tenant with the given scheduling weight (minimum
-// 1; a weight-2 tenant is dequeued twice as often as a weight-1 tenant
-// while both are backlogged). Returns ErrQueueFull at capacity and
+// Push enqueues item for tenant. Returns ErrQueueFull at capacity and
 // ErrQueueClosed after Close; never blocks.
-func (q *FairQueue) Push(tenant string, weight int, item any) error {
-	if weight < 1 {
-		weight = 1
-	}
+func (q *FairQueue) Push(tenant string, item any) error {
 	q.mu.Lock()
 	if q.closed {
 		q.mu.Unlock()
@@ -87,7 +77,6 @@ func (q *FairQueue) Push(tenant string, weight int, item any) error {
 		t = &tenantFIFO{}
 		q.tenants[tenant] = t
 	}
-	t.stride = strideScale / uint64(weight)
 	if len(t.items) == 0 && t.pass < q.vtime {
 		t.pass = q.vtime
 	}
@@ -133,7 +122,7 @@ func (q *FairQueue) Pop(ctx context.Context) (any, error) {
 		best.items = nil
 	}
 	q.vtime = best.pass
-	best.pass += best.stride
+	best.pass++
 	q.depth--
 	return item, nil
 }

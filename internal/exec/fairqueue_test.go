@@ -13,7 +13,7 @@ import (
 func TestFairQueueFIFOWithinTenant(t *testing.T) {
 	q := NewFairQueue(8)
 	for i := 0; i < 5; i++ {
-		if err := q.Push("t", 1, i); err != nil {
+		if err := q.Push("t", i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -27,50 +27,47 @@ func TestFairQueueFIFOWithinTenant(t *testing.T) {
 
 func TestFairQueueBounded(t *testing.T) {
 	q := NewFairQueue(2)
-	if err := q.Push("a", 1, 1); err != nil {
+	if err := q.Push("a", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Push("b", 1, 2); err != nil {
+	if err := q.Push("b", 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Push("c", 1, 3); !errors.Is(err, ErrQueueFull) {
+	if err := q.Push("c", 3); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("Push over capacity = %v, want ErrQueueFull", err)
 	}
 	if _, err := q.Pop(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := q.Push("c", 1, 3); err != nil {
+	if err := q.Push("c", 3); err != nil {
 		t.Fatalf("Push after Pop freed a slot = %v", err)
 	}
 }
 
-// TestFairQueueWeightedShare floods the queue from two tenants and checks
-// the dequeue interleaving: a weight-2 tenant drains twice as fast as a
-// weight-1 tenant while both are backlogged.
-func TestFairQueueWeightedShare(t *testing.T) {
+// TestFairQueueEqualShare floods the queue from two tenants and checks
+// the dequeue interleaving: backlogged tenants drain at the same rate.
+func TestFairQueueEqualShare(t *testing.T) {
 	q := NewFairQueue(64)
 	for i := 0; i < 12; i++ {
-		if err := q.Push("heavy", 2, "heavy"); err != nil {
+		if err := q.Push("a", "a"); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.Push("light", 1, "light"); err != nil {
+		if err := q.Push("b", "b"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	heavy := 0
-	for i := 0; i < 9; i++ {
+	a := 0
+	for i := 0; i < 10; i++ {
 		v, err := q.Pop(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.(string) == "heavy" {
-			heavy++
+		if v.(string) == "a" {
+			a++
 		}
 	}
-	// Stride scheduling gives heavy 2 of every 3 dequeues: exactly 6 of the
-	// first 9.
-	if heavy != 6 {
-		t.Fatalf("weight-2 tenant got %d of the first 9 dequeues, want 6", heavy)
+	if a != 5 {
+		t.Fatalf("tenant a got %d of the first 10 dequeues, want 5", a)
 	}
 }
 
@@ -80,7 +77,7 @@ func TestFairQueueWeightedShare(t *testing.T) {
 func TestFairQueueFloodCannotStarve(t *testing.T) {
 	q := NewFairQueue(64)
 	for i := 0; i < 20; i++ {
-		if err := q.Push("flooder", 1, "flooder"); err != nil {
+		if err := q.Push("flooder", "flooder"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +87,7 @@ func TestFairQueueFloodCannotStarve(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := q.Push("newcomer", 1, "newcomer"); err != nil {
+	if err := q.Push("newcomer", "newcomer"); err != nil {
 		t.Fatal(err)
 	}
 	v, err := q.Pop(context.Background())
@@ -106,10 +103,10 @@ func TestFairQueueDeterministicTieBreak(t *testing.T) {
 	// Two fresh tenants share pass 0; the tie must break by name, every time.
 	for trial := 0; trial < 10; trial++ {
 		q := NewFairQueue(8)
-		if err := q.Push("zeta", 1, "zeta"); err != nil {
+		if err := q.Push("zeta", "zeta"); err != nil {
 			t.Fatal(err)
 		}
-		if err := q.Push("alpha", 1, "alpha"); err != nil {
+		if err := q.Push("alpha", "alpha"); err != nil {
 			t.Fatal(err)
 		}
 		v, err := q.Pop(context.Background())
@@ -127,7 +124,7 @@ func TestFairQueuePopBlocksAndUnblocks(t *testing.T) {
 		got <- v
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if err := q.Push("t", 1, "late"); err != nil {
+	if err := q.Push("t", "late"); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -159,7 +156,7 @@ func TestFairQueueClose(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Close never woke the blocked Pop")
 	}
-	if err := q.Push("t", 1, 1); !errors.Is(err, ErrQueueClosed) {
+	if err := q.Push("t", 1); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("Push after Close = %v, want ErrQueueClosed", err)
 	}
 }
@@ -175,9 +172,9 @@ func TestFairQueuePopHonorsContext(t *testing.T) {
 
 func TestFairQueueDepths(t *testing.T) {
 	q := NewFairQueue(8)
-	q.Push("a", 1, 1)
-	q.Push("a", 1, 2)
-	q.Push("b", 1, 3)
+	q.Push("a", 1)
+	q.Push("a", 2)
+	q.Push("b", 3)
 	d := q.Depths()
 	if d["a"] != 2 || d["b"] != 1 || len(d) != 2 {
 		t.Fatalf("Depths = %v", d)

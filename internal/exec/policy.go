@@ -48,17 +48,6 @@ type JobPolicy struct {
 	// lockstep. 0 retries immediately. See RetryDelay for the exact schedule.
 	Backoff time.Duration
 
-	// BackoffCap bounds the exponential growth of the pause (pre-jitter).
-	// 0 means DefaultBackoffCap; a cap below Backoff clamps every pause.
-	BackoffCap time.Duration
-
-	// Seed decorrelates the jitter of policies that share labels (e.g. one
-	// seed per serving tenant). The schedule is a pure function of
-	// (Seed, label, retry number), so retries are deterministic — two
-	// processes with the same policy draw the same pauses — without being
-	// synchronized across labels.
-	Seed uint64
-
 	// OnRetry observes every retry decision before the backoff pause:
 	// attempt is the 1-based retry number and err the transient failure
 	// being retried. The CLI wires this to stderr for deterministic retry
@@ -123,17 +112,17 @@ func (p JobPolicy) Run(ctx context.Context, label string, fn func(context.Contex
 	return err
 }
 
-// DefaultBackoffCap bounds exponential backoff growth when JobPolicy leaves
-// BackoffCap zero: past it, every further retry waits the cap (jittered).
-const DefaultBackoffCap = 30 * time.Second
+// BackoffCap bounds exponential backoff growth: past it, every further
+// retry waits the cap (jittered).
+const BackoffCap = 30 * time.Second
 
 // RetryDelay is the pause before retry r (1-based) of the job named label:
 // capped exponential backoff with deterministic jitter.
 //
 // The raw delay doubles from Backoff — Backoff, 2·Backoff, 4·Backoff, … —
-// and saturates at BackoffCap (DefaultBackoffCap when zero). Jitter then
-// scales it by a factor in [½, 1] drawn from an FNV-1a hash of
-// (Seed, label, r): deterministic, so a retry schedule is reproducible and
+// and saturates at BackoffCap; a Backoff above the cap clamps every pause.
+// Jitter then scales it by a factor in [½, 1] drawn from an FNV-1a hash of
+// (label, r): deterministic, so a retry schedule is reproducible and
 // testable, but decorrelated across labels, so the retry storm after a
 // shared transient failure (many queued jobs timing out together) fans out
 // instead of hammering the same instant. Returns 0 when Backoff is 0.
@@ -141,27 +130,22 @@ func (p JobPolicy) RetryDelay(label string, retry int) time.Duration {
 	if p.Backoff <= 0 || retry < 1 {
 		return 0
 	}
-	ceil := p.BackoffCap
-	if ceil <= 0 {
-		ceil = DefaultBackoffCap
-	}
 	d := p.Backoff
-	for i := 1; i < retry && d < ceil; i++ {
-		if d > ceil/2 {
-			d = ceil
+	for i := 1; i < retry && d < BackoffCap; i++ {
+		if d > BackoffCap/2 {
+			d = BackoffCap
 		} else {
 			d *= 2
 		}
 	}
-	if d > ceil {
-		d = ceil
+	if d > BackoffCap {
+		d = BackoffCap
 	}
 	// Deterministic jitter in [½d, d]: hash → uniform fraction in [0, 1).
 	h := fnv.New64a()
-	var buf [16]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(p.Seed >> (8 * i))
-		buf[8+i] = byte(uint64(retry) >> (8 * i))
+	var buf [8]byte
+	for i := range buf {
+		buf[i] = byte(uint64(retry) >> (8 * i))
 	}
 	h.Write(buf[:])
 	h.Write([]byte(label))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -160,7 +161,7 @@ func TestCacheNeverMemoizesPanic(t *testing.T) {
 	c := NewCache()
 	k := NewKey("explosive")
 	var calls atomic.Int64
-	compute := func() (any, error) {
+	compute := func() (string, error) {
 		if calls.Add(1) == 1 {
 			panic("first compute dies")
 		}
@@ -169,20 +170,20 @@ func TestCacheNeverMemoizesPanic(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("first Do did not propagate the panic")
+				t.Fatal("first lookup did not propagate the panic")
 			}
 		}()
-		c.Do(k, compute)
+		CachedJSON(c, k, compute)
 	}()
-	v, err := c.Do(k, compute)
+	v, err := CachedJSON(c, k, compute)
 	if err != nil || v != "recovered" {
-		t.Fatalf("Do after panic = (%v, %v), want (recovered, nil)", v, err)
+		t.Fatalf("lookup after panic = (%v, %v), want (recovered, nil)", v, err)
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("compute ran %d times, want 2 (panic not memoized, success memoized)", calls.Load())
 	}
-	if v, err := c.Do(k, compute); err != nil || v != "recovered" {
-		t.Fatalf("third Do = (%v, %v), want the memoized success", v, err)
+	if v, err := CachedJSON(c, k, compute); err != nil || v != "recovered" {
+		t.Fatalf("third lookup = (%v, %v), want the memoized success", v, err)
 	}
 }
 
@@ -196,7 +197,7 @@ func TestCacheWaitersRecomputeAfterPanic(t *testing.T) {
 	inFirst.Add(1)
 	go func() {
 		defer func() { recover() }()
-		c.Do(k, func() (any, error) {
+		CachedJSON(c, k, func() (string, error) {
 			inFirst.Done()
 			<-release
 			panic("owner dies")
@@ -204,13 +205,13 @@ func TestCacheWaitersRecomputeAfterPanic(t *testing.T) {
 	}()
 	inFirst.Wait()
 	const waiters = 4
-	results := make([]any, waiters)
+	results := make([]string, waiters)
 	var wg sync.WaitGroup
 	for w := 0; w < waiters; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			v, err := c.Do(k, func() (any, error) { return "fresh", nil })
+			v, err := CachedJSON(c, k, func() (string, error) { return "fresh", nil })
 			if err != nil {
 				t.Errorf("waiter %d: %v", w, err)
 			}
@@ -222,7 +223,7 @@ func TestCacheWaitersRecomputeAfterPanic(t *testing.T) {
 	wg.Wait()
 	for w, v := range results {
 		if v != "fresh" {
-			t.Fatalf("waiter %d got %v, want a recomputed value", w, v)
+			t.Fatalf("waiter %d got %q, want a recomputed value", w, v)
 		}
 	}
 }
@@ -235,17 +236,17 @@ func TestCacheNeverMemoizesCancellation(t *testing.T) {
 		k := NewKey("deadline")
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		defer cancel()
-		_, err := c.Do(k, func() (any, error) {
+		_, err := CachedJSON(c, k, func() (string, error) {
 			<-ctx.Done()
-			return nil, fmt.Errorf("run abandoned: %w", ctx.Err())
+			return "", fmt.Errorf("run abandoned: %w", ctx.Err())
 		})
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("owner Do = %v, want its own deadline", err)
+			t.Fatalf("owner lookup = %v, want its own deadline", err)
 		}
 		calls := 0
-		v, err := c.Do(k, func() (any, error) { calls++; return "fresh", nil })
+		v, err := CachedJSON(c, k, func() (string, error) { calls++; return "fresh", nil })
 		if err != nil || v != "fresh" || calls != 1 {
-			t.Fatalf("later Do = (%v, %v) after %d computes, want a recomputed value", v, err, calls)
+			t.Fatalf("later lookup = (%v, %v) after %d computes, want a recomputed value", v, err, calls)
 		}
 	})
 	t.Run("blocked waiter recomputes after the owner is canceled", func(t *testing.T) {
@@ -255,35 +256,35 @@ func TestCacheNeverMemoizesCancellation(t *testing.T) {
 		started := make(chan struct{})
 		ownerErr := make(chan error, 1)
 		go func() {
-			_, err := c.Do(k, func() (any, error) {
+			_, err := CachedJSON(c, k, func() (string, error) {
 				close(started)
 				<-ctx.Done()
-				return nil, fmt.Errorf("run abandoned: %w", ctx.Err())
+				return "", fmt.Errorf("run abandoned: %w", ctx.Err())
 			})
 			ownerErr <- err
 		}()
 		<-started
 		type result struct {
-			v   any
+			v   string
 			err error
 		}
 		waiter := make(chan result, 1)
 		go func() {
-			v, err := c.Do(k, func() (any, error) { return "fresh", nil })
+			v, err := CachedJSON(c, k, func() (string, error) { return "fresh", nil })
 			waiter <- result{v, err}
 		}()
 		time.Sleep(10 * time.Millisecond) // let the waiter block on the entry
 		cancel()
 		if err := <-ownerErr; !errors.Is(err, context.Canceled) {
-			t.Fatalf("owner Do = %v, want its own cancellation", err)
+			t.Fatalf("owner lookup = %v, want its own cancellation", err)
 		}
 		if r := <-waiter; r.err != nil || r.v != "fresh" {
-			t.Fatalf("waiter Do = (%v, %v), want a recomputed value", r.v, r.err)
+			t.Fatalf("waiter lookup = (%v, %v), want a recomputed value", r.v, r.err)
 		}
 		// The waiter's success is an ordinary result and stays memoized.
-		v, err := c.Do(k, func() (any, error) { return nil, errors.New("recomputed a memoized success") })
+		v, err := CachedJSON(c, k, func() (string, error) { return "", errors.New("recomputed a memoized success") })
 		if err != nil || v != "fresh" {
-			t.Fatalf("third Do = (%v, %v), want the memoized success", v, err)
+			t.Fatalf("third lookup = (%v, %v), want the memoized success", v, err)
 		}
 	})
 }
@@ -569,6 +570,32 @@ func TestCachedJSONPersistsAcrossCaches(t *testing.T) {
 	}
 	if s := c2.Stats(); s.DiskHits != 1 {
 		t.Fatalf("Stats.DiskHits = %d, want 1", s.DiskHits)
+	}
+}
+
+// countedValue counts its JSON encodings through a shared counter.
+type countedValue struct {
+	N       int
+	encodes *atomic.Int64
+}
+
+func (v countedValue) MarshalJSON() ([]byte, error) {
+	v.encodes.Add(1)
+	return json.Marshal(v.N)
+}
+
+// TestCachedJSONWithoutDiskSkipsEncoding checks that a cache with no disk
+// tier never pays for the JSON encoding only the tier reads.
+func TestCachedJSONWithoutDiskSkipsEncoding(t *testing.T) {
+	var encodes atomic.Int64
+	v, err := CachedJSON(NewCache(), NewKey("memory", "only"), func() (countedValue, error) {
+		return countedValue{N: 7, encodes: &encodes}, nil
+	})
+	if err != nil || v.N != 7 {
+		t.Fatalf("CachedJSON = (%+v, %v), want N=7", v, err)
+	}
+	if n := encodes.Load(); n != 0 {
+		t.Fatalf("memory-only lookup encoded the value %d times, want 0", n)
 	}
 }
 

@@ -331,11 +331,6 @@ func (p *Plan) HasSwitchFaults() bool {
 	return p != nil && len(p.disabledSw) > 0
 }
 
-// HasFabricFaults reports whether any fabric resource is disabled. Nil-safe.
-func (p *Plan) HasFabricFaults() bool {
-	return p != nil && (len(p.disabledPCU) > 0 || len(p.disabledPMU) > 0 || len(p.disabledSw) > 0)
-}
-
 // DRAMFaults derives the memory-system fault configuration, or nil when the
 // plan injects no DRAM faults (so the unfaulted DRAM path stays untouched).
 // Nil-safe.

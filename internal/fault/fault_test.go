@@ -113,7 +113,7 @@ func TestNilPlanIsPristine(t *testing.T) {
 	if p.NumDisabledPCUs() != 0 || p.NumDisabledPMUs() != 0 {
 		t.Error("nil plan reports nonzero counts")
 	}
-	if p.HasSwitchFaults() || p.HasFabricFaults() {
+	if p.HasSwitchFaults() {
 		t.Error("nil plan reports faults")
 	}
 	if p.DRAMFaults() != nil {

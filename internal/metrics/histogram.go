@@ -10,10 +10,9 @@ import (
 // bounds run from 2^-20 s (~0.95 µs) to 2^9 s (512 s), which spans every
 // latency this service produces — a cache hit (~µs) through a CNN
 // simulation under -race on a loaded CI box (~minutes). One extra
-// overflow bucket catches anything slower. Power-of-two bounds make the
-// bucket-for-value computation branch-free-ish and guarantee any
-// quantile estimate is within 2× of the true value (each bucket's upper
-// bound is exactly twice its lower bound).
+// overflow bucket catches anything slower. Each bucket's upper bound is
+// exactly twice its lower bound, so a bucket places a value within a
+// factor of 2.
 const (
 	numBuckets = 30
 	histExpLo  = -20 // exponent of the first bucket's upper bound
@@ -32,14 +31,6 @@ var bucketBounds = func() [numBuckets]float64 {
 	}
 	return b
 }()
-
-// BucketBounds returns the histogram's upper bounds in seconds,
-// excluding the implicit +Inf overflow bucket.
-func BucketBounds() []float64 {
-	out := make([]float64, numBuckets)
-	copy(out, bucketBounds[:])
-	return out
-}
 
 // histState is the shared storage behind one histogram series. Counts
 // are per-bucket (not cumulative; the exposition writer accumulates),
@@ -75,49 +66,6 @@ func (h *histState) observe(v float64) {
 	h.count.Add(1)
 }
 
-// quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear interpolation
-// inside the containing bucket. Bounds guarantee the estimate is within
-// a factor of 2 of the true value. Returns 0 for an empty histogram.
-func (h *histState) quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := 0; i <= numBuckets; i++ {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		if float64(cum+c) >= rank {
-			if i == numBuckets {
-				// Overflow bucket has no upper bound; report the
-				// highest finite bound.
-				return bucketBounds[numBuckets-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = bucketBounds[i-1]
-			}
-			hi := bucketBounds[i]
-			within := (rank - float64(cum)) / float64(c)
-			return lo + (hi-lo)*within
-		}
-		cum += c
-	}
-	return bucketBounds[numBuckets-1]
-}
-
 // Histogram records durations in seconds. All methods are nil-safe.
 type Histogram struct{ s *series }
 
@@ -151,13 +99,4 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return float64(h.s.h.sumNs.Load()) / float64(time.Second)
-}
-
-// Quantile estimates the q-quantile of recorded values in seconds; the
-// estimate is within 2× of the true value. Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil || h.s == nil || h.s.h == nil {
-		return 0
-	}
-	return h.s.h.quantile(q)
 }

@@ -262,14 +262,6 @@ func (g *Gauge) Set(n int64) {
 	g.s.n.Store(n)
 }
 
-// Add moves the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil || g.s == nil {
-		return
-	}
-	g.s.n.Add(n)
-}
-
 // Value reports the current gauge value.
 func (g *Gauge) Value() int64 {
 	if g == nil || g.s == nil {
@@ -287,17 +279,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 		return nil
 	}
 	return &Counter{s: v.f.get(values)}
-}
-
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil || v.f == nil {
-		return nil
-	}
-	return &Gauge{s: v.f.get(values)}
 }
 
 // Counter registers (or finds) an unlabeled counter.
@@ -322,14 +303,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 		return nil
 	}
 	return &Gauge{s: r.lookup(name, help, kindGauge, nil).get(nil)}
-}
-
-// GaugeVec registers (or finds) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.lookup(name, help, kindGauge, labels)}
 }
 
 // GaugeFunc registers a gauge whose value is sampled from fn at

@@ -80,6 +80,3 @@ func (c *Collection) F32Data() []float32 { return c.f32 }
 
 // I32Data exposes the backing int32 slice (row-major).
 func (c *Collection) I32Data() []int32 { return c.i32 }
-
-// Bytes returns the collection's size in bytes (4-byte words).
-func (c *Collection) Bytes() int { return 4 * c.Len() }

@@ -72,15 +72,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// IsBinary reports whether the op takes two operands.
-func (o Op) IsBinary() bool {
-	switch o {
-	case Not, Neg, Abs, Exp, Log, Sqrt, Rcp:
-		return false
-	}
-	return true
-}
-
 // IsComparison reports whether the op produces a Bool from two numerics.
 func (o Op) IsComparison() bool {
 	switch o {

@@ -331,7 +331,4 @@ func TestCollectionLayoutRowMajor(t *testing.T) {
 	if c.F32Data()[1*3+2] != 42 {
 		t.Error("collection is not row-major")
 	}
-	if c.Bytes() != 24 {
-		t.Errorf("Bytes = %d, want 24", c.Bytes())
-	}
 }

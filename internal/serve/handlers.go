@@ -270,8 +270,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, class reqClass, r
 	// The queue phase runs from Push to the dispatcher picking the job up.
 	j := &job{ctx: ctx, run: run, tenant: tenant, enq: s.cfg.now(), done: make(chan struct{})}
 	_, j.queue = metrics.Start(ctx, "queue")
-	weight := s.cfg.TenantWeights[tenant]
-	if err := s.queue.Push(tenant, weight, j); err != nil {
+	if err := s.queue.Push(tenant, j); err != nil {
 		switch {
 		case errors.Is(err, exec.ErrQueueFull):
 			s.shedRequest(tenant)

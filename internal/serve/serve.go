@@ -8,9 +8,9 @@
 // The robustness spine, in request order:
 //
 //   - Admission: every request consumes from its tenant's token bucket
-//     (quota), then queues into a bounded weighted-fair queue; dispatchers
-//     dequeue across tenants by stride scheduling onto the execution slots,
-//     so no tenant's flood starves another.
+//     (quota), then queues into a bounded fair queue; dispatchers dequeue
+//     across tenants in equal shares onto the execution slots, so no
+//     tenant's flood starves another.
 //   - Load shedding: when the queue crosses its shed watermark (heavy
 //     requests) or its bound (all requests), the server answers 429 with a
 //     Retry-After estimate instead of accepting work it cannot finish.
@@ -75,11 +75,6 @@ type Config struct {
 	// Cheap requests cost CheapCost tokens instead of 1.
 	TenantRate  float64
 	TenantBurst float64
-
-	// TenantWeights sets per-tenant fair-share weights for the dispatch
-	// queue (default 1 each); a weight-2 tenant gets twice the dequeues of
-	// a weight-1 tenant while both are backlogged.
-	TenantWeights map[string]int
 
 	// DefaultDeadline applies when the client sends no timeout (default
 	// 60s); MaxDeadline clamps client-supplied timeouts (default 10m).

@@ -226,7 +226,7 @@ func blockDispatchers(t *testing.T, s *Server, depth int) (release func()) {
 	// the pushes never race the Pops past the queue bound...
 	for i := 0; i < s.cfg.Concurrency; i++ {
 		j := &job{ctx: ctx, run: park, done: make(chan struct{})}
-		if err := s.queue.Push("blocker", 1, j); err != nil {
+		if err := s.queue.Push("blocker", j); err != nil {
 			t.Fatalf("slot blocker %d: %v", i, err)
 		}
 	}
@@ -240,7 +240,7 @@ func blockDispatchers(t *testing.T, s *Server, depth int) (release func()) {
 	// ...then fill the queue itself to the requested depth.
 	for i := 0; i < depth; i++ {
 		j := &job{ctx: ctx, run: park, done: make(chan struct{})}
-		if err := s.queue.Push("blocker", 1, j); err != nil {
+		if err := s.queue.Push("blocker", j); err != nil {
 			t.Fatalf("queue blocker %d: %v", i, err)
 		}
 	}

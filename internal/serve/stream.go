@@ -128,7 +128,7 @@ func (s *Server) streamRequest(w http.ResponseWriter, r *http.Request, kind stri
 		return run(ctx)
 	}
 	_, j.queue = metrics.Start(ctx, "queue")
-	if err := s.queue.Push(tenant, s.cfg.TenantWeights[tenant], j); err != nil {
+	if err := s.queue.Push(tenant, j); err != nil {
 		if errors.Is(err, exec.ErrQueueFull) {
 			s.shedRequest(tenant)
 			writeError(w, http.StatusTooManyRequests, "queue full; retry later", s.estimatedWait())

@@ -368,21 +368,6 @@ type QuiesceState struct {
 	DRAMQueues []int
 }
 
-// Quiescent reports whether nothing is mid-flight.
-func (q QuiesceState) Quiescent() bool {
-	for _, t := range q.InFlight {
-		if t.InFlight > 0 {
-			return false
-		}
-	}
-	for _, n := range q.DRAMQueues {
-		if n > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // quiesceState snapshots the engine's in-flight work.
 func (e *engine) quiesceState() QuiesceState {
 	q := QuiesceState{Cycle: e.clock}

@@ -31,9 +31,6 @@ type RecoveryEvent struct {
 	ReconfigCycles int64
 }
 
-// Overhead is the stall this event added on top of lost throughput.
-func (e *RecoveryEvent) Overhead() int64 { return e.DrainCycles + e.ReconfigCycles }
-
 // RecoveryStats aggregates every survived fault of a run.
 type RecoveryStats struct {
 	Events []RecoveryEvent
@@ -42,12 +39,6 @@ type RecoveryStats struct {
 	ReconfigCycles int64 // total reconfiguration stall
 	LostBursts     int   // total dropped-and-reissued DRAM bursts
 }
-
-// Overhead is the total stall cycles spent recovering. The remaining
-// recovery cost — re-executing lost work and running on a degraded fabric —
-// shows up as extra makespan beyond this stall and is measured by comparing
-// against an event-free run of the same plan.
-func (s *RecoveryStats) Overhead() int64 { return s.DrainCycles + s.ReconfigCycles }
 
 // runRecovery simulates a compiled program whose fault plan schedules
 // timed mid-run events (Simulate guarantees there is at least one),

@@ -36,22 +36,6 @@ type Result struct {
 	WallTime time.Duration
 }
 
-// Perf returns useful work per second given a work amount (e.g. FLOPs).
-func (r *Result) Perf(work float64) float64 {
-	if r.Seconds == 0 {
-		return 0
-	}
-	return work / r.Seconds
-}
-
-// PerfPerWatt returns work per second per watt.
-func (r *Result) PerfPerWatt(work float64) float64 {
-	if r.PowerW == 0 {
-		return 0
-	}
-	return r.Perf(work) / r.PowerW
-}
-
 // EffectiveBandwidth returns achieved DRAM bandwidth in bytes/second.
 func (r *Result) EffectiveBandwidth() float64 {
 	if r.Seconds == 0 {

@@ -304,15 +304,9 @@ func TestSimSequentialDependencyOrdering(t *testing.T) {
 }
 
 func TestSimResultDerivedMetrics(t *testing.T) {
-	r := &Result{Cycles: 1000, Seconds: 1e-6, PowerW: 10}
+	r := &Result{Seconds: 1e-6}
 	r.DRAM.BytesRead = 512
 	r.DRAM.BytesWritten = 512
-	if got := r.Perf(2e6); got != 2e12 {
-		t.Errorf("Perf = %g", got)
-	}
-	if got := r.PerfPerWatt(2e6); got != 2e11 {
-		t.Errorf("PerfPerWatt = %g", got)
-	}
 	if got := r.EffectiveBandwidth(); got != 1024/1e-6 {
 		t.Errorf("EffectiveBandwidth = %g", got)
 	}

@@ -30,57 +30,9 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRow appends a row from an explicit cell slice — the unambiguous way to
-// add cells whose values may themselves contain "|". Cells beyond the header
+// AddRow appends a row from an explicit cell slice. Cells beyond the header
 // count are dropped, short rows are padded, exactly as Add.
 func (t *Table) AddRow(cells []string) { t.Add(cells...) }
-
-// Addf appends a row of formatted values, one cell per "|"-separated segment
-// of the format string. The format is split before formatting and each
-// segment consumes its own verbs in order, so a "|" inside a formatted value
-// (e.g. a label like "a|b") stays within its cell instead of splitting the
-// row.
-func (t *Table) Addf(format string, args ...any) {
-	segs := strings.Split(format, "|")
-	cells := make([]string, 0, len(segs))
-	next := 0
-	for _, seg := range segs {
-		hi := next + countVerbs(seg)
-		if hi > len(args) {
-			hi = len(args)
-		}
-		cells = append(cells, fmt.Sprintf(seg, args[next:hi]...))
-		next = hi
-	}
-	t.Add(cells...)
-}
-
-// countVerbs counts the arguments a format segment consumes: one per verb
-// ("%%" escapes none) plus one per "*" width/precision.
-func countVerbs(s string) int {
-	n := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] != '%' {
-			continue
-		}
-		if i+1 < len(s) && s[i+1] == '%' {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(s) && strings.ContainsRune("+-# 0123456789.*", rune(s[j])) {
-			if s[j] == '*' {
-				n++
-			}
-			j++
-		}
-		if j < len(s) {
-			n++
-		}
-		i = j
-	}
-	return n
-}
 
 // String renders the table with aligned columns.
 func (t *Table) String() string {

@@ -32,32 +32,6 @@ func TestTableAddTruncatesExtraCells(t *testing.T) {
 	}
 }
 
-func TestTableAddfSplitsOnPipe(t *testing.T) {
-	tb := New("", "A", "B")
-	tb.Addf("%d|%s", 7, "x")
-	if tb.Rows[0][0] != "7" || tb.Rows[0][1] != "x" {
-		t.Errorf("row = %v", tb.Rows[0])
-	}
-}
-
-func TestTableAddfValueWithPipeStaysInCell(t *testing.T) {
-	// The format splits into cells before formatting, so a "|" inside a
-	// formatted value must not shift the row.
-	tb := New("", "A", "B")
-	tb.Addf("%s|%d", "a|b", 3)
-	if tb.Rows[0][0] != "a|b" || tb.Rows[0][1] != "3" {
-		t.Errorf("row = %v, want [a|b 3]", tb.Rows[0])
-	}
-}
-
-func TestTableAddfEscapedPercentAndStar(t *testing.T) {
-	tb := New("", "A", "B", "C")
-	tb.Addf("100%%|%*d|%s", 4, 7, "x")
-	if tb.Rows[0][0] != "100%" || tb.Rows[0][1] != "   7" || tb.Rows[0][2] != "x" {
-		t.Errorf("row = %v", tb.Rows[0])
-	}
-}
-
 func TestTableAddRow(t *testing.T) {
 	tb := New("", "A", "B")
 	tb.AddRow([]string{"x|y", "2", "dropped"})
