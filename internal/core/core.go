@@ -60,8 +60,8 @@ type BenchResult struct {
 // the given parameters, checks its functional output, and models the FPGA
 // baseline on the same instance. Faults degrade timing, never results: the
 // functional check must still pass, or the run fails. A plan with timed
-// mid-run events goes through the recovery controller (checkpoint, repair,
-// resume); without events the flow is bit-identical to the plain
+// mid-run events goes through the recovery controller (drain, repair,
+// stall, resume); without events the flow is bit-identical to the plain
 // simulation pipeline. Compilation checks ctx between passes and the
 // simulator polls it periodically, so a parallel suite can abandon
 // in-flight work when a sibling fails or the user interrupts.

@@ -61,25 +61,25 @@ func FormatProfile(rep *trace.Report) string {
 		if dom != trace.CauseNone {
 			domStr = dom.String()
 		}
-		t.AddRow([]string{u.Name, u.Origin, u.Kind,
-			stats.Pct(float64(u.Busy) / tot),
-			stats.Pct(float64(u.StallTotal()) / tot),
-			stats.Pct(float64(u.Idle) / tot),
+		t.Add(u.Name, u.Origin, u.Kind,
+			stats.Pct(float64(u.Busy)/tot),
+			stats.Pct(float64(u.StallTotal())/tot),
+			stats.Pct(float64(u.Idle)/tot),
 			fmt.Sprint(u.Stalls[trace.CauseInputStarved]),
 			fmt.Sprint(u.Stalls[trace.CauseOutputBackpressure]),
 			fmt.Sprint(u.Stalls[trace.CauseDRAMWait]),
 			fmt.Sprint(u.Stalls[trace.CauseDrain]),
 			fmt.Sprint(u.Stalls[trace.CauseReconfig]),
-			fmt.Sprint(u.FIFOHighWater), domStr})
+			fmt.Sprint(u.FIFOHighWater), domStr)
 	}
 	b.WriteString(t.String())
 	if len(rep.Channels) > 0 {
 		ct := stats.New("DRAM channels",
 			"Ch", "Reads", "Writes", "Row hit%", "Conflicts", "Retries", "Max queue")
 		for _, c := range rep.Channels {
-			ct.AddRow([]string{fmt.Sprint(c.Channel), fmt.Sprint(c.Reads), fmt.Sprint(c.Writes),
+			ct.Add(fmt.Sprint(c.Channel), fmt.Sprint(c.Reads), fmt.Sprint(c.Writes),
 				stats.Pct(c.RowHitRate), fmt.Sprint(c.RowConflicts),
-				fmt.Sprint(c.Retries), fmt.Sprint(c.MaxQueueOcc)})
+				fmt.Sprint(c.Retries), fmt.Sprint(c.MaxQueueOcc))
 		}
 		b.WriteString("\n")
 		b.WriteString(ct.String())
@@ -90,7 +90,7 @@ func FormatProfile(rep *trace.Report) string {
 			if i == maxLinksShown {
 				break
 			}
-			lt.AddRow([]string{l.Name, fmt.Sprint(l.Routes), fmt.Sprint(l.Bytes), stats.Pct(l.Util)})
+			lt.Add(l.Name, fmt.Sprint(l.Routes), fmt.Sprint(l.Bytes), stats.Pct(l.Util))
 		}
 		b.WriteString("\n")
 		b.WriteString(lt.String())
@@ -127,17 +127,17 @@ func FormatPatternProfile(pr *trace.PatternReport) string {
 		if dom != trace.CauseNone {
 			domStr = dom.String()
 		}
-		t.AddRow([]string{r.Origin, fmt.Sprint(r.Units),
-			fmt.Sprint(r.Attributed), stats.Pct(float64(r.Attributed) / tot),
+		t.Add(r.Origin, fmt.Sprint(r.Units),
+			fmt.Sprint(r.Attributed), stats.Pct(float64(r.Attributed)/tot),
 			fmt.Sprint(r.AttrBusy), fmt.Sprint(r.AttrStall),
-			fmt.Sprint(r.Busy), fmt.Sprint(r.StallTotal()), domStr})
+			fmt.Sprint(r.Busy), fmt.Sprint(r.StallTotal()), domStr)
 	}
 	if pr.Recovery > 0 {
-		t.AddRow([]string{"(recovery)", "-", fmt.Sprint(pr.Recovery),
-			stats.Pct(float64(pr.Recovery) / tot), "-", "-", "-", "-", "-"})
+		t.Add("(recovery)", "-", fmt.Sprint(pr.Recovery),
+			stats.Pct(float64(pr.Recovery)/tot), "-", "-", "-", "-", "-")
 	}
-	t.AddRow([]string{"(idle)", "-", fmt.Sprint(pr.Idle),
-		stats.Pct(float64(pr.Idle) / tot), "-", "-", "-", "-", "-"})
+	t.Add("(idle)", "-", fmt.Sprint(pr.Idle),
+		stats.Pct(float64(pr.Idle)/tot), "-", "-", "-", "-", "-")
 	b.WriteString(t.String())
 	fmt.Fprintf(&b, "\nattributed %d + recovery %d + idle %d = %d cycles (makespan %d)\n",
 		pr.AttributedTotal()-pr.Recovery-pr.Idle, pr.Recovery, pr.Idle,
@@ -172,8 +172,8 @@ func BenchJSON(results []BenchSim) ([]byte, error) {
 func FormatBench(results []BenchSim) string {
 	t := stats.New("Simulator throughput", "Benchmark", "Cycles", "Wall s", "Cycles/s")
 	for _, r := range results {
-		t.AddRow([]string{r.Benchmark, fmt.Sprint(r.Cycles),
-			fmt.Sprintf("%.3f", r.SimWallSeconds), fmt.Sprintf("%.0f", r.CyclesPerSec)})
+		t.Add(r.Benchmark, fmt.Sprint(r.Cycles),
+			fmt.Sprintf("%.3f", r.SimWallSeconds), fmt.Sprintf("%.0f", r.CyclesPerSec))
 	}
 	return t.String()
 }

@@ -36,6 +36,42 @@ func TestRecoveryReportInnerProduct(t *testing.T) {
 	}
 }
 
+// TestRecoveryDecompositionPinned pins the recovery -seed 4 InnerProduct
+// report: the makespans, the overhead decomposition and each event's pause
+// cycle, drain and reconfiguration stall. A stall that shifted the clock but
+// not the DRAM refresh schedule would move the recovered makespan.
+func TestRecoveryDecompositionPinned(t *testing.T) {
+	spec := fault.Spec{Seed: 4, Events: DefaultRecoveryEvents()}
+	rep, err := NewSession().Recovery(context.Background(), benchByName(t, "InnerProduct"), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type run struct{ base, cycles, drain, reconfig, reExec int64 }
+	got := run{rep.BaselineCycles, rep.Cycles, rep.DrainCycles, rep.ReconfigCycles, rep.ReExecCycles}
+	if want := (run{42097, 59464, 1100, 4195, 12072}); got != want {
+		t.Errorf("baseline, recovered, drain, reconfig, re-execution = %+v, want %+v", got, want)
+	}
+	wantEvents := []struct {
+		prefix              string
+		at, drain, reconfig int64
+	}{
+		{"kill-pcu@1000 ", 1000, 512, 91},
+		{"kill-pmu@2500 ", 2500, 588, 4104},
+		{"kill-chan@4000 ", 7192, 0, 0},
+	}
+	if len(rep.Events) != len(wantEvents) {
+		t.Fatalf("%d events survived, want %d: %+v", len(rep.Events), len(wantEvents), rep.Events)
+	}
+	for i, w := range wantEvents {
+		ev := rep.Events[i]
+		if !strings.HasPrefix(ev.Event, w.prefix) || ev.At != w.at ||
+			ev.DrainCycles != w.drain || ev.ReconfigCycles != w.reconfig {
+			t.Errorf("event %d: %s fired at %d, drain %d, reconfig %d; want %sfired at %d, drain %d, reconfig %d",
+				i, ev.Event, ev.At, ev.DrainCycles, ev.ReconfigCycles, w.prefix, w.at, w.drain, w.reconfig)
+		}
+	}
+}
+
 func TestRecoveryRejectsEventFreeSpec(t *testing.T) {
 	_, err := NewSession().Recovery(context.Background(), benchByName(t, "InnerProduct"), fault.Spec{Seed: 1})
 	if err == nil {

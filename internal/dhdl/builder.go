@@ -37,13 +37,13 @@ type Builder struct {
 	level int
 	err   error
 
-	// curOrigin is stamped onto every controller and memory declared until
-	// the next SetOrigin call (see Controller.Origin).
+	// curOrigin is stamped onto every controller and scratchpad declared
+	// until the next SetOrigin call (see Controller.Origin).
 	curOrigin string
 }
 
 // SetOrigin sets the source-level origin stamped onto subsequently declared
-// controllers and memories, until the next call. An empty string clears it
+// controllers and scratchpads, until the next call. An empty string clears it
 // (declarations then fall back to their Name for provenance). It returns the
 // previous origin so callers can scope an origin and restore it:
 //
@@ -91,14 +91,14 @@ func (b *Builder) add(c *Controller) {
 
 // DRAMF32 declares an off-chip float32 buffer.
 func (b *Builder) DRAMF32(name string, dims ...int) *DRAMBuf {
-	d := &DRAMBuf{Name: name, Origin: b.curOrigin, Elem: pattern.F32, Dims: dims}
+	d := &DRAMBuf{Name: name, Elem: pattern.F32, Dims: dims}
 	b.prog.DRAMs = append(b.prog.DRAMs, d)
 	return d
 }
 
 // DRAMI32 declares an off-chip int32 buffer.
 func (b *Builder) DRAMI32(name string, dims ...int) *DRAMBuf {
-	d := &DRAMBuf{Name: name, Origin: b.curOrigin, Elem: pattern.I32, Dims: dims}
+	d := &DRAMBuf{Name: name, Elem: pattern.I32, Dims: dims}
 	b.prog.DRAMs = append(b.prog.DRAMs, d)
 	return d
 }
@@ -119,14 +119,14 @@ func (b *Builder) SRAMBanked(name string, elem pattern.Type, size int, mode Bank
 
 // Reg declares a scalar register with an initial value.
 func (b *Builder) Reg(name string, init pattern.Value) *Reg {
-	r := &Reg{Name: name, Origin: b.curOrigin, Elem: init.T, Init: init}
+	r := &Reg{Name: name, Elem: init.T, Init: init}
 	b.prog.Regs = append(b.prog.Regs, r)
 	return r
 }
 
 // FIFO declares a streaming FIFO.
 func (b *Builder) FIFO(name string, elem pattern.Type, depth int) *FIFOMem {
-	f := &FIFOMem{Name: name, Origin: b.curOrigin, Elem: elem, Depth: depth}
+	f := &FIFOMem{Name: name, Elem: elem, Depth: depth}
 	b.prog.FIFOs = append(b.prog.FIFOs, f)
 	return f
 }

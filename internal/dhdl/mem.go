@@ -51,11 +51,8 @@ func (m BankingMode) String() string {
 // pattern.Collection when a program runs.
 type DRAMBuf struct {
 	Name string
-	// Origin names the source collection or pattern node this buffer holds
-	// (empty = fall back to Name; see Controller.Origin).
-	Origin string
-	Elem   pattern.Type
-	Dims   []int
+	Elem pattern.Type
+	Dims []int
 
 	// Data is the live backing store, bound with Bind.
 	Data *pattern.Collection
@@ -104,19 +101,15 @@ type SRAM struct {
 // (e.g. the result of a Fold).
 type Reg struct {
 	Name string
-	// Origin names the source node this register carries (empty = Name).
-	Origin string
-	Elem   pattern.Type
-	Init   pattern.Value
+	Elem pattern.Type
+	Init pattern.Value
 }
 
 // FIFOMem is a streaming FIFO connecting controllers under a Stream parent.
 type FIFOMem struct {
-	Name string
-	// Origin names the source node this FIFO streams (empty = Name).
-	Origin string
-	Elem   pattern.Type
-	Depth  int // words
+	Name  string
+	Elem  pattern.Type
+	Depth int // words
 }
 
 // Provenance returns Origin, or Name when no origin was recorded.

@@ -64,7 +64,7 @@ type Request struct {
 	Write bool
 	// Tag is the owner's name for the request: Tick reports it when the
 	// burst lands (data returned for reads, write committed for writes),
-	// KillChannel when the burst is lost, and checkpoints carry it.
+	// KillChannel when the burst is lost.
 	Tag int64
 }
 
@@ -105,8 +105,6 @@ func (q *fifo) len() int { return len(q.buf) - q.head }
 func (q *fifo) items() []timed { return q.buf[q.head:] }
 
 func (q *fifo) front() *timed { return &q.buf[q.head] }
-
-func (q *fifo) back() *timed { return &q.buf[len(q.buf)-1] }
 
 func (q *fifo) push(t timed) {
 	// Slide the live entries down once at least half the buffer is spent,
@@ -316,8 +314,7 @@ type DRAM struct {
 	channels []channel
 	// seq numbers scheduled bursts. Completions fire in (cycle, seq) order:
 	// same-cycle landings on different channels fire in the order they were
-	// scheduled, which fixes the fault PRNG's draw sequence — and therefore
-	// every checkpoint.
+	// scheduled, which fixes the fault PRNG's draw sequence.
 	seq         uint64
 	landed      []int64 // tags of the bursts the last Tick landed
 	stats       Stats
@@ -351,6 +348,10 @@ func New(cfg Config) *DRAM {
 	}
 	return d
 }
+
+// Delay moves the refresh schedule cycles later: the memory system idles
+// while the fabric around it stalls for a reconfiguration.
+func (d *DRAM) Delay(cycles int64) { d.nextRefresh += cycles }
 
 // Stats returns a snapshot of activity counters.
 func (d *DRAM) Stats() Stats { return d.stats }
@@ -568,15 +569,7 @@ func (d *DRAM) Idle() bool {
 	return true
 }
 
-// landingOrder and schedulingOrder order scheduled completions the way
-// Tick fires them and the way they were scheduled.
-func landingOrder(a, b timed) int {
-	if c := cmp.Compare(a.at, b.at); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.seq, b.seq)
-}
-
+// schedulingOrder orders scheduled completions the way they were scheduled.
 func schedulingOrder(a, b timed) int { return cmp.Compare(a.seq, b.seq) }
 
 // NextEventAt returns the earliest cycle strictly after now at which a Tick

@@ -35,6 +35,22 @@ type Faults struct {
 	Down []bool
 }
 
+// prng is a splitmix64 generator: one word of state, so the fault model's
+// draws depend on nothing but the seed and the order of the draws.
+type prng struct{ state uint64 }
+
+func newPRNG(seed int64) prng { return prng{state: uint64(seed)} }
+
+// Float64 returns the next draw in [0, 1).
+func (p *prng) Float64() float64 {
+	p.state += 0x9E3779B97F4A7C15
+	z := p.state
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	z ^= z >> 31
+	return float64(z>>11) / (1 << 53)
+}
+
 // InjectFaults arms the fault model. Must be called before the first Submit.
 func (d *DRAM) InjectFaults(f *Faults) error {
 	if f == nil {

@@ -180,3 +180,32 @@ func TestFaultDeterminism(t *testing.T) {
 		t.Errorf("fault machinery idle under nonzero probabilities: %+v", a)
 	}
 }
+
+func TestKillChannelDropsInFlight(t *testing.T) {
+	cfg := DDR3_1600x4()
+	d := New(cfg)
+	d.Tick(0)
+	// One burst per channel: burst i maps to channel i.
+	for i := 0; i < cfg.Channels; i++ {
+		d.Submit(Request{Addr: uint64(i * cfg.BurstBytes), Tag: int64(i)})
+	}
+	var lost []int64
+	dropped, err := d.KillChannel(1, func(tag int64) { lost = append(lost, tag) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped != 1 || len(lost) != 1 || lost[0] != 1 {
+		t.Fatalf("dropped=%d lost=%v, want exactly channel 1's burst", dropped, lost)
+	}
+	if _, err := d.KillChannel(1, nil); err == nil {
+		t.Error("killing an already-down channel must fail")
+	}
+	if _, err := d.KillChannel(99, nil); err == nil {
+		t.Error("killing an out-of-range channel must fail")
+	}
+	// New traffic for the dead channel remaps to a healthy one.
+	if ci := d.channelOf(uint64(1 * cfg.BurstBytes)); ci == 1 || ci < 0 {
+		t.Errorf("channel 1 traffic remapped to %d", ci)
+	}
+	drain(d, 0, nil)
+}

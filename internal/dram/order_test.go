@@ -1,17 +1,18 @@
 package dram
 
 import (
+	"cmp"
 	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
 )
 
-// These tests pin the order in which the memory system lands bursts, lists
-// them in snapshots and reports them lost. The fault PRNG draws once per
-// landing, so the order fixes every faulted run's counters and checkpoint
-// bytes: completions fire by cycle, and same-cycle completions on different
-// channels fire in the order they were scheduled.
+// These tests pin the order in which the memory system lands bursts and
+// reports them lost. The fault PRNG draws once per landing, so the order
+// fixes every faulted run's counters: completions fire by cycle, and
+// same-cycle completions on different channels fire in the order they were
+// scheduled.
 
 // tickUntil ticks d from cycle from+1 through to, returning each landed tag
 // with its cycle in firing order.
@@ -67,19 +68,32 @@ func loaded(seed int64) (*DRAM, int64) {
 	return d, now - 1
 }
 
+// landingOrder orders scheduled completions the way Tick fires them: by
+// cycle, then by scheduling sequence.
+func landingOrder(a, b timed) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// TestSnapshotPendingInLandingOrder takes the bursts in flight at one
+// instant and requires Tick to land them by cycle, same-cycle landings on
+// different channels in scheduling order.
 func TestSnapshotPendingInLandingOrder(t *testing.T) {
 	d, now := loaded(3)
-	snap := d.Snapshot()
-	if len(snap.Pending) < 8 {
-		t.Fatalf("only %d bursts in flight; load the system harder", len(snap.Pending))
+	var pending []timed
+	for ci := range d.channels {
+		pending = append(pending, d.channels[ci].flights.items()...)
 	}
+	if len(pending) < 8 {
+		t.Fatalf("only %d bursts in flight; load the system harder", len(pending))
+	}
+	slices.SortFunc(pending, landingOrder)
 	crossTies := 0
-	for i := 1; i < len(snap.Pending); i++ {
-		a, b := snap.Pending[i-1], snap.Pending[i]
-		if b.At < a.At {
-			t.Fatalf("Pending[%d] lands at %d after Pending[%d] at %d", i, b.At, i-1, a.At)
-		}
-		if a.At == b.At && d.channelOf(a.Addr) != d.channelOf(b.Addr) {
+	for i := 1; i < len(pending); i++ {
+		a, b := pending[i-1], pending[i]
+		if a.at == b.at && d.channelOf(a.Addr) != d.channelOf(b.Addr) {
 			crossTies++
 		}
 	}
@@ -87,63 +101,22 @@ func TestSnapshotPendingInLandingOrder(t *testing.T) {
 		t.Fatal("no same-cycle landings on different channels; the test checks nothing")
 	}
 
-	// Restore then Snapshot reproduces the list, and the restored system
-	// lands the bursts in exactly that order, as the original does.
-	r := New(DDR3_1600x4())
-	if err := r.Restore(snap); err != nil {
-		t.Fatal(err)
+	want := make([]int64, len(pending))
+	for i, p := range pending {
+		want[i] = p.Tag
 	}
-	if again := r.Snapshot(); !reflect.DeepEqual(snap, again) {
-		t.Fatalf("snapshot of the restored system differs:\n%+v\n%+v", snap, again)
-	}
-	want := make([]int64, len(snap.Pending))
-	for i, rs := range snap.Pending {
-		want[i] = rs.Tag
-	}
-	last := snap.Pending[len(snap.Pending)-1].At
-	for _, sys := range []*DRAM{d, r} {
-		got, _ := tickUntil(sys, now, last)
-		// Queued bursts scheduled after the snapshot may land in the same
-		// window; the snapshot's bursts must come first, in list order.
-		var pendingOnly []int64
-		for _, tag := range got {
-			if slices.Contains(want, tag) {
-				pendingOnly = append(pendingOnly, tag)
-			}
-		}
-		if !reflect.DeepEqual(pendingOnly, want) {
-			t.Fatalf("landing order %v, snapshot order %v", pendingOnly, want)
+	got, _ := tickUntil(d, now, pending[len(pending)-1].at)
+	// Queued bursts scheduled after that instant may land in the same
+	// window; the bursts in flight must come first, in landing order.
+	var pendingOnly []int64
+	for _, tag := range got {
+		if slices.Contains(want, tag) {
+			pendingOnly = append(pendingOnly, tag)
 		}
 	}
-}
-
-func TestRestoreRejectsOutOfOrderPending(t *testing.T) {
-	d, _ := loaded(5)
-	snap := d.Snapshot()
-	// Find two bursts in flight on one channel that land on different
-	// cycles and swap them.
-	for i := range snap.Pending {
-		for j := i + 1; j < len(snap.Pending); j++ {
-			a, b := snap.Pending[i], snap.Pending[j]
-			if d.channelOf(a.Addr) != d.channelOf(b.Addr) || a.At == b.At {
-				continue
-			}
-			snap.Pending[i], snap.Pending[j] = b, a
-			if err := New(DDR3_1600x4()).Restore(snap); err == nil {
-				t.Fatal("Restore accepted a channel's completions out of cycle order")
-			}
-			// In order, but landing after the channel's bus frees: a burst
-			// the channel schedules next would land first.
-			snap = d.Snapshot()
-			last := &snap.Pending[len(snap.Pending)-1]
-			last.At = snap.BusFree[d.channelOf(last.Addr)] + 1
-			if err := New(DDR3_1600x4()).Restore(snap); err == nil {
-				t.Fatal("Restore accepted a completion after its channel's bus frees")
-			}
-			return
-		}
+	if !reflect.DeepEqual(pendingOnly, want) {
+		t.Fatalf("landing order %v, (cycle, seq) order %v", pendingOnly, want)
 	}
-	t.Fatal("no channel has two bursts in flight on different cycles")
 }
 
 func TestKillChannelReportsQueuedThenInFlightThenRetries(t *testing.T) {

@@ -137,12 +137,6 @@ func AnalyticalArea(b *Bench, p arch.PCUParams, chip arch.ChipParams) float64 {
 	return total
 }
 
-// benchPCUArea is AnalyticalArea under its historical internal name; the
-// sweeps' cached paths still call it.
-func benchPCUArea(b *Bench, p arch.PCUParams, chip arch.ChipParams) float64 {
-	return AnalyticalArea(b, p, chip)
-}
-
 // CheckFeasible reports whether a benchmark can map onto params at all,
 // without simulation: every virtual unit must partition under the PCU/PMU
 // parameters, and the resulting physical unit demand must fit the chip's

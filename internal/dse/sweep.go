@@ -77,7 +77,7 @@ type minPoint struct {
 	Infeasible bool    `json:",omitempty"`
 }
 
-// benchArea is benchPCUArea through the design-point cache (and, when
+// benchArea is AnalyticalArea through the design-point cache (and, when
 // attached, the persistent tier), keyed by the bench's name plus every PCU
 // and chip parameter. Infeasible points are cached like any other value, so
 // a point that cannot map fails exactly once.
@@ -85,7 +85,7 @@ func (s *Sweep) benchArea(b *Bench, p arch.PCUParams) float64 {
 	k := exec.NewKey("dse/pcu-area", b.Name, fmt.Sprintf("%+v", p), fmt.Sprintf("%+v", s.Chip))
 	v, _ := exec.CachedJSON(s.Engine.Cache(), k, func() (areaPoint, error) {
 		s.mPoints.Inc()
-		a := benchPCUArea(b, p, s.Chip)
+		a := AnalyticalArea(b, p, s.Chip)
 		if math.IsInf(a, 1) {
 			s.mInfeasible.Inc()
 			return areaPoint{Infeasible: true}, nil

@@ -335,9 +335,7 @@ func lowerFold(p *pattern.FoldPat, n int, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.SetOrigin(sm.Path(sm.IDOf(p.F)))
 	partial := b.Reg("partial", ident)
-	b.SetOrigin(sm.PatternName + "/combine")
 	total := b.Reg("total", zero)
 
 	b.SetOrigin(sm.PatternName + "/tiles")
@@ -379,7 +377,6 @@ func lowerFilter(p *pattern.FlatMapPat, n int, opts Options) (*Result, error) {
 		return nil, err
 	}
 	elem := p.F.Type()
-	b.SetOrigin(sm.PatternName + "/store:out")
 	var out *dhdl.DRAMBuf
 	var outData *pattern.Collection
 	if elem == pattern.I32 {
@@ -390,7 +387,6 @@ func lowerFilter(p *pattern.FlatMapPat, n int, opts Options) (*Result, error) {
 		outData = pattern.NewF32("out", n)
 	}
 	kept := b.FIFO("kept", elem, n)
-	b.SetOrigin(sm.PatternName + "/count")
 	tileCnt := b.Reg("tileCnt", pattern.VI(0))
 	total := b.Reg("count", pattern.VI(0))
 	written := b.Reg("written", pattern.VI(0))

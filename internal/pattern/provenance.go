@@ -8,7 +8,7 @@ import (
 // SourceID is the stable identifier of one node in a pattern's source tree:
 // the pattern itself and every expression node, numbered in a deterministic
 // pre-order walk. The same pattern structure always yields the same IDs, so
-// provenance survives re-compilation, repair and checkpoint round trips.
+// provenance survives re-compilation and repair.
 type SourceID int
 
 // NoSource marks the absence of a source node.

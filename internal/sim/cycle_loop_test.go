@@ -67,19 +67,18 @@ func (e *engine) issueBursts() {
 }
 
 // drainInFlightCycle is drainInFlight one cycle at a time.
-func (e *engine) drainInFlightCycle() (QuiesceState, int64, error) {
-	q := e.quiesceState()
+func (e *engine) drainInFlightCycle() (int64, error) {
 	from := e.clock
 	for !e.quiescent() {
 		e.clock++
 		e.tick()
 		if err := e.checkWatchdog(); err != nil {
-			return q, e.clock - from, err
+			return e.clock - from, err
 		}
 		e.retire()
 	}
-	// Transfers finishing exactly at the drain boundary retire here so the
-	// checkpoint sees them resolved.
+	// Transfers finishing exactly at the drain boundary retire here, so the
+	// engine resumes with them resolved.
 	e.retire()
-	return q, e.clock - from, nil
+	return e.clock - from, nil
 }

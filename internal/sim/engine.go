@@ -80,8 +80,7 @@ func (h *startHeap) Push(x any)        { *h = append(*h, x.(*activity)) }
 func (h *startHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
 
 // burstTag packs an activity id and burst index into a dram.Request tag, so
-// landings, lost-work accounting and checkpoint restore can identify any
-// in-flight burst.
+// landings and lost-work accounting can identify any in-flight burst.
 func burstTag(actID, burst int) int64 { return int64(actID)<<32 | int64(uint32(burst)) }
 
 func splitTag(tag int64) (actID, burst int) { return int(tag >> 32), int(uint32(tag)) }
@@ -124,7 +123,7 @@ type engine struct {
 	bursts int64 // completed bursts (watchdog progress signal)
 
 	// Run state, held in fields (not loop locals) so a run can pause at a
-	// fault event, be checkpointed, and resume.
+	// fault event, drain, stall and resume.
 	started        bool
 	resolvedCount  int
 	makespan       int64
@@ -334,7 +333,7 @@ func (e *engine) checkWatchdog() error {
 // same seam (see simulate).
 type loop struct {
 	runUntil      func(e *engine, stopAt int64) (bool, error)
-	drainInFlight func(e *engine) (QuiesceState, int64, error)
+	drainInFlight func(e *engine) (int64, error)
 }
 
 // eventLoop is the discrete-event scheduling core.
@@ -343,8 +342,8 @@ var eventLoop = loop{(*engine).runUntilEvent, (*engine).drainInFlightEvent}
 // runUntil advances the schedule until every activity resolves or the clock
 // reaches stopAt (>= 0; pass a negative stopAt to run to completion). It
 // returns true when the schedule finished. On a stop the engine is at a loop
-// boundary — between cycles — which is exactly where a checkpoint or fault
-// event may be applied.
+// boundary — between cycles — which is exactly where a fault event may be
+// applied.
 func (e *engine) runUntil(stopAt int64) (bool, error) { return e.loop.runUntil(e, stopAt) }
 
 // run resolves every activity and returns the makespan in cycles.
@@ -356,33 +355,6 @@ func (e *engine) run() (int64, error) {
 		return 0, e.diagnostic("deadlock (dependency cycle)")
 	}
 	return e.makespan, nil
-}
-
-// QuiesceState reports in-flight work at one instant: transfers mid-burst
-// and per-channel DRAM queue occupancy. The watchdog's diagnostic dump and
-// the checkpoint drain both derive from this one helper, so their numbers
-// always agree.
-type QuiesceState struct {
-	Cycle      int64
-	InFlight   []StuckTransfer
-	DRAMQueues []int
-}
-
-// quiesceState snapshots the engine's in-flight work.
-func (e *engine) quiesceState() QuiesceState {
-	q := QuiesceState{Cycle: e.clock}
-	for _, rx := range e.running {
-		q.InFlight = append(q.InFlight, StuckTransfer{
-			Name:      actLabel(rx.act),
-			Completed: rx.completed,
-			Total:     len(rx.act.bursts),
-			InFlight:  rx.inFlight,
-		})
-	}
-	if e.dram != nil {
-		q.DRAMQueues = e.dram.QueueOccupancy()
-	}
-	return q
 }
 
 // quiescent reports whether no burst is queued or in flight anywhere.
@@ -397,9 +369,20 @@ func (e *engine) quiescent() bool {
 
 // drainInFlight ticks the memory system until every outstanding burst lands,
 // admitting no new transfers and issuing no new bursts — the quiescence
-// protocol run when a fault event fires. It returns the pre-drain state
-// (identical to what a watchdog dump at the same instant would report) and
-// the number of cycles the drain took; that cost is part of the recovery
-// overhead. The watchdog stays armed, so a drain that cannot finish (e.g.
-// every channel down) aborts instead of spinning.
-func (e *engine) drainInFlight() (QuiesceState, int64, error) { return e.loop.drainInFlight(e) }
+// protocol run when a fault event fires. It returns the number of cycles the
+// drain took; that cost is part of the recovery overhead. The watchdog stays
+// armed, so a drain that cannot finish (e.g. every channel down) aborts
+// instead of spinning.
+func (e *engine) drainInFlight() (int64, error) { return e.loop.drainInFlight(e) }
+
+// stall holds the drained engine still for cycles while the fabric
+// reconfigures, then readies it to resume: the clock and the watchdog's
+// progress mark move on, and the memory system, idle through the stall,
+// shifts its refresh schedule with them. The event core re-attempts every
+// running transfer at the resume cycle, as the cycle loop does.
+func (e *engine) stall(cycles int64) {
+	e.clock += cycles
+	e.lastProgressAt = e.clock
+	e.dram.Delay(cycles)
+	e.rebuildEventState()
+}

@@ -12,9 +12,9 @@ import (
 // their reference oracle (cycle_loop_test.go), but instead of
 // ticking every cycle it computes the next state-changing cycle and jumps
 // straight to it. Byte-identity with the legacy loop is the contract — same
-// cycle counts, same DRAM counters, equal checkpoints, same watchdog
-// trip cycles — and rests on one invariant: every cycle skipped over is
-// provably a no-op under the legacy loop's per-cycle step sequence
+// cycle counts, same DRAM counters, same recovery decompositions, same
+// watchdog trip cycles — and rests on one invariant: every cycle skipped
+// over is provably a no-op under the legacy loop's per-cycle step sequence
 // [admit, issue, tick, watchdog, retire, drainReady]. A rejected submission
 // changes nothing in the memory system, so a cycle whose only work would be
 // rejected attempts is such a no-op.
@@ -226,8 +226,7 @@ func (e *engine) runUntilEvent(stopAt int64) (bool, error) {
 // drainInFlightEvent is drainInFlight's discrete-event implementation: jump
 // between memory-system events until quiescent, issuing nothing, with the
 // watchdog's deadlines still armed.
-func (e *engine) drainInFlightEvent() (QuiesceState, int64, error) {
-	q := e.quiesceState()
+func (e *engine) drainInFlightEvent() (int64, error) {
 	from := e.clock
 	for !e.quiescent() {
 		next := e.nextDeadline()
@@ -238,17 +237,17 @@ func (e *engine) drainInFlightEvent() (QuiesceState, int64, error) {
 		e.steps++
 		e.tick()
 		if err := e.checkWatchdog(); err != nil {
-			return q, e.clock - from, err
+			return e.clock - from, err
 		}
 		if e.retireNeeded {
 			e.retireNeeded = false
 			e.retire()
 		}
 	}
-	// Transfers finishing exactly at the drain boundary retire here so the
-	// checkpoint sees them resolved.
+	// Transfers finishing exactly at the drain boundary retire here, so the
+	// engine resumes with them resolved.
 	e.retire()
-	return q, e.clock - from, nil
+	return e.clock - from, nil
 }
 
 // nextDeadline returns the earliest watchdog deadline: the stall window's
@@ -265,8 +264,8 @@ func (e *engine) nextDeadline() int64 {
 	return next
 }
 
-// rebuildEventState re-derives the event core's indexes after a checkpoint
-// restore: every running transfer starts active, so the first issue pass
+// rebuildEventState re-derives the event core's indexes after a recovery
+// stall: every running transfer starts active, so the first issue pass
 // attempts them all at the resume cycle — exactly what the legacy loop does
 // — and re-parks the ones that cannot act.
 func (e *engine) rebuildEventState() {

@@ -14,8 +14,8 @@ import (
 
 // This file is the event core's byte-identity contract, enforced: every
 // Table 4 benchmark runs through both scheduling cores and every observable
-// — cycle count, DRAM counters, trace report, pattern rollup, checkpoint
-// bytes, recovery decomposition — must match exactly. The legacy cycle loop
+// — cycle count, DRAM counters, trace report, pattern rollup, recovery
+// decomposition — must match exactly. The legacy cycle loop
 // is the oracle; any divergence is an event-core bug by definition.
 
 // goldenRun executes one benchmark under the given engine with a collector
@@ -100,12 +100,12 @@ func TestEngineGoldenFaultedIdentity(t *testing.T) {
 	}
 }
 
-// TestEngineGoldenCheckpoint pauses both engines at the same mid-run cycle,
-// drains, and requires equal checkpoints — the strictest equivalence the
-// simulator can express, covering every clock, counter, queue, bank, PRNG
-// and in-flight request field.
-func TestEngineGoldenCheckpoint(t *testing.T) {
-	snap := func(kind engineKind) *Checkpoint {
+// TestEngineGoldenStall pauses both engines at the same mid-run cycle,
+// drains, stalls them as a reconfiguration would and runs them on: the
+// makespan, every activity's [start, end] and the DRAM counters (run totals
+// and per channel) must match.
+func TestEngineGoldenStall(t *testing.T) {
+	run := func(kind engineKind) *engine {
 		m, _, _ := recoverySetup(t, nil)
 		eng, _, err := prepare(context.Background(), m, Options{}, kind.loop)
 		if err != nil {
@@ -116,14 +116,29 @@ func TestEngineGoldenCheckpoint(t *testing.T) {
 		} else if fin {
 			t.Fatalf("%v engine: finished before the pause cycle", kind)
 		}
-		if _, _, err := eng.drainInFlight(); err != nil {
+		if _, err := eng.drainInFlight(); err != nil {
 			t.Fatalf("%v engine: drain: %v", kind, err)
 		}
-		return eng.checkpoint()
+		eng.stall(5000)
+		if _, err := eng.run(); err != nil {
+			t.Fatalf("%v engine: %v", kind, err)
+		}
+		return eng
 	}
-	ev, cy := snap(eventEngine), snap(cycleEngine)
-	if !reflect.DeepEqual(ev, cy) {
-		t.Fatalf("checkpoints diverge:\nevent %+v\ncycle %+v", ev, cy)
+	ev, cy := run(eventEngine), run(cycleEngine)
+	if ev.makespan != cy.makespan {
+		t.Errorf("makespan: event %d, cycle %d", ev.makespan, cy.makespan)
+	}
+	for i, a := range ev.acts {
+		if b := cy.acts[i]; a.start != b.start || a.end != b.end {
+			t.Errorf("%s: event [%d,%d], cycle [%d,%d]", actLabel(a), a.start, a.end, b.start, b.end)
+		}
+	}
+	if ev.dram.Stats() != cy.dram.Stats() {
+		t.Errorf("dram stats diverge:\nevent %+v\ncycle %+v", ev.dram.Stats(), cy.dram.Stats())
+	}
+	if got, want := ev.dram.ChannelStats(), cy.dram.ChannelStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("per-channel dram counters diverge:\nevent %+v\ncycle %+v", got, want)
 	}
 }
 

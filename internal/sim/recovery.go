@@ -16,10 +16,10 @@ type RecoveryEvent struct {
 	At    int64  // cycle execution actually paused (>= the scheduled cycle)
 
 	// DrainCycles is the quiescence protocol's cost: cycles spent letting
-	// every outstanding burst land before the checkpoint.
+	// every outstanding burst land before the repair.
 	DrainCycles int64
 	// LostBursts counts in-flight requests dropped by the fault (killed
-	// channel); each is reissued after the restore.
+	// channel); each is reissued after the stall.
 	LostBursts int
 
 	// Repair outcome (zero for memory-channel faults, which need no
@@ -48,10 +48,9 @@ type RecoveryStats struct {
 //  2. land the fault — a killed DRAM channel drops its queued and in-flight
 //     bursts, which are accounted and marked for reissue;
 //  3. drain the remaining in-flight work to quiescence;
-//  4. checkpoint: take the engine's state as a plain value;
-//  5. repair the mapping incrementally around the dead resource (fabric
-//     faults only) and charge the reconfiguration stall;
-//  6. restore into a fresh engine and continue.
+//  4. repair the mapping incrementally around the dead resource (fabric
+//     faults only);
+//  5. stall the drained engine for the reconfiguration and continue.
 //
 // A fault the mapping cannot be repaired around (wrapping
 // compiler.ErrInsufficient or compiler.ErrNoRoute) fails the run.
@@ -94,13 +93,11 @@ func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options, lp loop
 			return nil, nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
 		}
 
-		_, drain, err := eng.drainInFlight()
+		drain, err := eng.drainInFlight()
 		if err != nil {
 			return nil, nil, fmt.Errorf("sim: recovery at cycle %d: %s: drain: %w", eng.clock, ev, err)
 		}
 		re.DrainCycles = drain
-
-		cp := eng.checkpoint()
 
 		if ev.Kind != fault.KillChan {
 			rep, err := compiler.Repair(ctx, m, plan)
@@ -112,23 +109,9 @@ func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options, lp loop
 			re.ReconfigCycles = m.Params.ReconfigCycles(rep.MovedPCUs, rep.MovedPMUs, rep.ReroutedEdges)
 		}
 
-		// The fabric stalls for the reconfiguration; everything resumes on
-		// the shifted clock. The memory system idles through the stall, so
-		// its refresh schedule shifts with it.
-		cp.Clock += re.ReconfigCycles
-		cp.LastProgressAt = cp.Clock
-		if cp.DRAM != nil {
-			cp.DRAM.NextRefresh += re.ReconfigCycles
-		}
-		fresh := &engine{acts: eng.acts, dram: eng.dram,
-			units: eng.units, rec: eng.rec,
-			maxCycles: eng.maxCycles, stallWindow: eng.stallWindow,
-			ctx: eng.ctx, nextCtxCheck: eng.nextCtxCheck,
-			loop: eng.loop, insts: eng.insts, steps: eng.steps}
-		if err := fresh.restore(cp); err != nil {
-			return nil, nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
-		}
-		eng = fresh
+		// Every event stalls, a memory-channel kill for 0 cycles, so the
+		// event core re-attempts every running transfer at the resume cycle.
+		eng.stall(re.ReconfigCycles)
 
 		rec.Events = append(rec.Events, re)
 		rec.DrainCycles += re.DrainCycles

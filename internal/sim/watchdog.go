@@ -150,18 +150,24 @@ func actLabel(a *activity) string {
 	return fmt.Sprintf("barrier%d", a.id)
 }
 
-// diagnostic snapshots the engine into a WatchdogError. In-flight transfer
-// and DRAM queue numbers come from the same quiesceState helper the
-// checkpoint drain uses, so the two always report identical figures.
+// diagnostic snapshots the engine into a WatchdogError.
 func (e *engine) diagnostic(reason string) *WatchdogError {
-	q := e.quiesceState()
 	w := &WatchdogError{
-		Reason:     reason,
-		Cycle:      e.clock,
-		Resolved:   e.resolvedCount,
-		Total:      len(e.acts),
-		InFlight:   q.InFlight,
-		DRAMQueues: q.DRAMQueues,
+		Reason:   reason,
+		Cycle:    e.clock,
+		Resolved: e.resolvedCount,
+		Total:    len(e.acts),
+	}
+	for _, rx := range e.running {
+		w.InFlight = append(w.InFlight, StuckTransfer{
+			Name:      actLabel(rx.act),
+			Completed: rx.completed,
+			Total:     len(rx.act.bursts),
+			InFlight:  rx.inFlight,
+		})
+	}
+	if e.dram != nil {
+		w.DRAMQueues = e.dram.QueueOccupancy()
 	}
 	for _, a := range e.acts {
 		if a.resolved {

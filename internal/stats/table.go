@@ -30,10 +30,6 @@ func (t *Table) Add(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddRow appends a row from an explicit cell slice. Cells beyond the header
-// count are dropped, short rows are padded, exactly as Add.
-func (t *Table) AddRow(cells []string) { t.Add(cells...) }
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	width := make([]int, len(t.Headers))

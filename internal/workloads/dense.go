@@ -37,9 +37,7 @@ func (w *InnerProduct) Program() (*dhdl.Program, error) {
 	b.SetOrigin("Fold/load:b")
 	bb := b.DRAMF32("b", w.N)
 	tb := b.SRAM("tb", pattern.F32, w.Tile)
-	b.SetOrigin("Fold/F")
 	partial := b.Reg("partial", pattern.VF(0))
-	b.SetOrigin("Fold/combine")
 	total := b.Reg("total", pattern.VF(0))
 	w.total = total
 
@@ -126,7 +124,6 @@ func (w *OuterProduct) Program() (*dhdl.Program, error) {
 	b.SetOrigin("Map/load:b")
 	bb := b.DRAMF32("b", n)
 	tb := b.SRAM("tb", pattern.F32, t)
-	b.SetOrigin("Map/store:c")
 	c := b.DRAMF32("c", n, n)
 	b.SetOrigin("Map/F")
 	tc := b.SRAM("tc", pattern.F32, t*t)
@@ -242,9 +239,7 @@ func (w *TPCHQ6) Program() (*dhdl.Program, error) {
 	b.SetOrigin("Fold/load:disc")
 	dDisc := b.DRAMF32("disc", n)
 	tDisc := b.SRAM("tdisc", pattern.F32, t)
-	b.SetOrigin("Fold/F")
 	partial := b.Reg("partial", pattern.VF(0))
-	b.SetOrigin("Fold/combine")
 	revenue := b.Reg("revenue", pattern.VF(0))
 	w.revenue = revenue
 
@@ -395,7 +390,6 @@ func (w *BlackScholes) Program() (*dhdl.Program, error) {
 	b.SetOrigin("Map/load:v")
 	dV := b.DRAMF32("v", n)
 	tV := b.SRAM("tV", pattern.F32, t)
-	b.SetOrigin("Map/store:call")
 	dOut := b.DRAMF32("call", n)
 	b.SetOrigin("Map/F")
 	tOut := b.SRAM("tOut", pattern.F32, t)
