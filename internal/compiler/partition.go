@@ -175,7 +175,10 @@ func reorderForPressure(u *VirtualPCU) {
 
 // PartitionPCU splits a virtual PCU into physical PCUs under the given
 // parameters using the paper's greedy heuristic with a cost metric of
-// physical stages, live values per stage, and IO buses (Section 3.6).
+// physical stages, live values per stage, and IO buses (Section 3.6): each
+// partition takes ops in schedule order until the next op would break a
+// constraint. A grower keeps the metrics current as the partition grows,
+// so one call costs O(n·L) for n ops and partitions of at most L ops.
 //
 // PartitionPCU is read-only with respect to u (pressure-aware op ordering
 // happens once, in Allocate), so many goroutines may partition the same
@@ -185,38 +188,7 @@ func PartitionPCU(u *VirtualPCU, p arch.PCUParams) ([]*PhysPCU, error) {
 	if u.Lanes > p.Lanes {
 		return nil, fmt.Errorf("compiler: %s needs %d lanes, PCU has %d", originTag(u.Name, u.Origin), u.Lanes, p.Lanes)
 	}
-	// Use positions: op results carry a def position and last use; input
-	// streams carry every use position (a stream enters each partition
-	// that uses it directly from its source PMU/FIFO — it does not pass
-	// through partitions that ignore it). Output sources count as a use
-	// at position n.
 	n := len(u.Ops)
-	resUses := map[int][]int{}  // op result -> use positions
-	vecUses := map[int][]int{}  // vec input -> use positions
-	scalUses := map[int][]int{} // scal input -> use positions
-	for i, op := range u.Ops {
-		for _, a := range op.Args {
-			switch a.Kind {
-			case OpResult:
-				resUses[a.ID] = append(resUses[a.ID], i)
-			case VecIn:
-				vecUses[a.ID] = append(vecUses[a.ID], i)
-			case ScalIn:
-				scalUses[a.ID] = append(scalUses[a.ID], i)
-			}
-		}
-	}
-	for _, o := range u.Outs {
-		switch o.Src.Kind {
-		case OpResult:
-			resUses[o.Src.ID] = append(resUses[o.Src.ID], n)
-		case VecIn:
-			vecUses[o.Src.ID] = append(vecUses[o.Src.ID], n)
-		case ScalIn:
-			scalUses[o.Src.ID] = append(scalUses[o.Src.ID], n)
-		}
-	}
-
 	// A unit with no ops (pure data movement) still occupies one stage.
 	if n == 0 {
 		vi, si := len(u.VecIns), len(u.ScalIns)
@@ -228,124 +200,173 @@ func PartitionPCU(u *VirtualPCU, p arch.PCUParams) ([]*PhysPCU, error) {
 		return []*PhysPCU{part}, nil
 	}
 
+	var tables [512]int32 // the grower's tables for units of up to ~100 ops
+	g := newGrower(u, tables[:])
 	var parts []*PhysPCU
-	start := 0
-	for start < n {
+	for start := 0; start < n; {
 		// Extend the current partition as far as constraints allow.
-		end := start
-		var best *PhysPCU
-		for end < n {
-			cand := buildPart(u, start, end+1, n, resUses, vecUses, scalUses)
-			if violates(cand, p) {
+		g.reset(start)
+		best := g.grow()
+		if violates(&best, p) {
+			return nil, fmt.Errorf("compiler: %s: op %d alone violates PCU constraints (stages=%d live=%d vecIn=%d scalIn=%d vecOut=%d scalOut=%d vs %+v)",
+				originTag(u.Name, u.Origin), start, best.StagesUsed, best.MaxLive, best.VecIns, best.ScalIns, best.VecOuts, best.ScalOuts, p)
+		}
+		for g.end < n {
+			cand := g.grow()
+			if violates(&cand, p) {
 				break
 			}
 			best = cand
-			end++
 		}
-		if best == nil {
-			cand := buildPart(u, start, start+1, n, resUses, vecUses, scalUses)
-			return nil, fmt.Errorf("compiler: %s: op %d alone violates PCU constraints (stages=%d live=%d vecIn=%d scalIn=%d vecOut=%d scalOut=%d vs %+v)",
-				originTag(u.Name, u.Origin), start, cand.StagesUsed, cand.MaxLive, cand.VecIns, cand.ScalIns, cand.VecOuts, cand.ScalOuts, p)
-		}
-		parts = append(parts, best)
-		start = end
+		parts = append(parts, &best)
+		start += len(best.Ops)
 	}
 	return parts, nil
 }
 
-// usedIn reports whether any use position falls in [start,end), treating a
-// use at n (an output) as belonging to the final partition (end == n).
-func usedIn(uses []int, start, end, n int) bool {
-	for _, u := range uses {
-		if u >= start && u < end {
-			return true
-		}
-		if u == n && end == n {
-			return true
-		}
-	}
-	return false
+// grower grows one partition [start, end) of a virtual PCU an op at a time
+// and keeps its cost metrics current: stages, live values, and IO buses.
+// Values cross between partitions point-to-point over the vector network:
+// a result produced in one partition enters exactly the partitions that
+// consume it (it does not pass through unrelated partitions), costing the
+// producer one vector output and each consumer one vector input. An input
+// stream likewise enters each partition that uses it directly from its
+// source PMU or FIFO. Program outputs are uses at position n, so they count
+// only in the final partition, the one that reaches n: an earlier result
+// that feeds only a program output enters that partition as a vector input.
+//
+// The tables are indexed by op ID, which is the op's position in u.Ops.
+type grower struct {
+	u *VirtualPCU
+	// lastUse is the last position that uses each op's result (n for a
+	// program output, -1 for none); lastOpUse counts op uses only.
+	lastUse, lastOpUse []int32
+	// outVec and outScal count the program outputs each op sources; inVec
+	// and inScal count those sourced from anything but an op, which leave
+	// from the final partition.
+	outVec, outScal []int32
+	inVec, inScal   int
+	// resMark, vecMark and scalMark hold start+1 for each earlier result,
+	// vector input and scalar input already counted as an input of the
+	// partition that begins at start.
+	resMark, vecMark, scalMark []int32
+
+	start, end                                 int
+	stages, vecIns, scalIns, vecOuts, scalOuts int
+	maxLive                                    int // live op results, inputs excluded
 }
 
-// buildPart materialises the partition [start,end) and computes its cost
-// metrics: stages, live values, and IO buses. Values cross between
-// partitions point-to-point over the vector network: a result produced in
-// one partition enters exactly the partitions that consume it (it does not
-// pass through unrelated partitions), costing the producer one vector
-// output and each consumer one vector input.
-func buildPart(u *VirtualPCU, start, end, n int,
-	resUses, vecUses, scalUses map[int][]int) *PhysPCU {
+// newGrower builds the tables for u in one slice: scratch, which must be
+// all zero, when it is large enough, a new slice otherwise.
+func newGrower(u *VirtualPCU, scratch []int32) grower {
+	n, nv, ns := len(u.Ops), len(u.VecIns), len(u.ScalIns)
+	buf := scratch
+	if size := 5*n + nv + ns; size <= len(buf) {
+		buf = buf[:size]
+	} else {
+		buf = make([]int32, size)
+	}
+	g := grower{u: u,
+		lastUse: buf[:n], lastOpUse: buf[n : 2*n],
+		outVec: buf[2*n : 3*n], outScal: buf[3*n : 4*n],
+		resMark: buf[4*n : 5*n], vecMark: buf[5*n : 5*n+nv], scalMark: buf[5*n+nv:],
+	}
+	for id := range g.lastUse {
+		g.lastUse[id], g.lastOpUse[id] = -1, -1
+	}
+	for i, op := range u.Ops {
+		for _, a := range op.Args {
+			if a.Kind == OpResult {
+				g.lastUse[a.ID], g.lastOpUse[a.ID] = int32(i), int32(i)
+			}
+		}
+	}
+	for _, o := range u.Outs {
+		if o.Src.Kind != OpResult {
+			if o.Kind == OutScalReg {
+				g.inScal++
+			} else {
+				g.inVec++
+			}
+			continue
+		}
+		g.lastUse[o.Src.ID] = int32(n)
+		if o.Kind == OutScalReg {
+			g.outScal[o.Src.ID]++
+		} else {
+			g.outVec[o.Src.ID]++
+		}
+	}
+	return g
+}
 
-	part := &PhysPCU{Ops: u.Ops[start:end]}
-	for _, op := range part.Ops {
-		part.StagesUsed += opStageCost(op, u.Lanes)
+// reset empties the partition and starts it at op start.
+func (g *grower) reset(start int) {
+	g.start, g.end = start, start
+	g.stages, g.vecIns, g.scalIns, g.vecOuts, g.scalOuts, g.maxLive = 0, 0, 0, 0, 0, 0
+}
+
+// grow adds op end to the partition and returns the partition's metrics.
+func (g *grower) grow() PhysPCU {
+	u, op := g.u, g.u.Ops[g.end]
+	g.stages += opStageCost(op, u.Lanes)
+	for _, a := range op.Args {
+		g.use(a)
 	}
-	// Vector inputs: external streams used here plus results produced by
-	// earlier partitions and consumed here.
-	for _, uses := range vecUses {
-		if usedIn(uses, start, end, n) {
-			part.VecIns++
+	g.vecOuts += int(g.outVec[g.end])
+	g.scalOuts += int(g.outScal[g.end])
+	g.end++
+	if g.end == len(u.Ops) {
+		for _, o := range u.Outs {
+			g.use(o.Src)
 		}
+		g.vecOuts += g.inVec
+		g.scalOuts += g.inScal
 	}
-	crossIn := 0
-	for id, uses := range resUses {
-		if id < start && usedIn(uses, start, end, n) {
-			crossIn++
+	// Results defined here are live while a later position still needs
+	// them, and cross out once each when a later partition's op does.
+	live, crossOut, end := 0, 0, int32(g.end)
+	for id := g.start; id < g.end; id++ {
+		if g.lastUse[id] >= end {
+			live++
 		}
-	}
-	part.VecIns += crossIn
-	// Scalar inputs used in this range.
-	for _, uses := range scalUses {
-		if usedIn(uses, start, end, n) {
-			part.ScalIns++
-		}
-	}
-	// Outputs: values defined here and consumed by a later partition's op
-	// cross out once each (program outputs at position n leave from the
-	// defining partition and are counted by outCounts below).
-	crossOut := 0
-	lastOpUseOf := func(id int) int {
-		last := -1
-		for _, p := range resUses[id] {
-			if p < n && p > last {
-				last = p
-			}
-		}
-		return last
-	}
-	lastUseOf := func(id int) int {
-		last := -1
-		for _, p := range resUses[id] {
-			if p > last {
-				last = p
-			}
-		}
-		return last
-	}
-	for id := start; id < end; id++ {
-		if lastOpUseOf(id) >= end {
+		if g.lastOpUse[id] >= end {
 			crossOut++
 		}
 	}
-	vo, so := outCounts(u, start, end)
-	part.VecOuts = vo + crossOut
-	part.ScalOuts = so
-	// Live values: results in flight inside this partition (defined here,
-	// still needed at a later position) plus everything entering it.
-	maxLive := 0
-	for i := start + 1; i <= end; i++ {
-		c := 0
-		for id := start; id < i; id++ {
-			if _, ok := resUses[id]; ok && lastUseOf(id) >= i {
-				c++
-			}
+	g.maxLive = max(g.maxLive, live)
+	return PhysPCU{
+		Ops:        u.Ops[g.start:g.end],
+		StagesUsed: g.stages,
+		MaxLive:    g.maxLive + g.vecIns,
+		VecIns:     g.vecIns,
+		ScalIns:    g.scalIns,
+		VecOuts:    g.vecOuts + crossOut,
+		ScalOuts:   g.scalOuts,
+	}
+}
+
+// use counts the first use of a in the partition that makes it an input:
+// an input stream, or a result of an earlier partition.
+func (g *grower) use(a Operand) {
+	mark := int32(g.start + 1)
+	switch a.Kind {
+	case OpResult:
+		if a.ID < g.start && g.resMark[a.ID] != mark {
+			g.resMark[a.ID] = mark
+			g.vecIns++
 		}
-		if c > maxLive {
-			maxLive = c
+	case VecIn:
+		if g.vecMark[a.ID] != mark {
+			g.vecMark[a.ID] = mark
+			g.vecIns++
+		}
+	case ScalIn:
+		if g.scalMark[a.ID] != mark {
+			g.scalMark[a.ID] = mark
+			g.scalIns++
 		}
 	}
-	part.MaxLive = maxLive + part.VecIns
-	return part
 }
 
 // outCounts returns program-level vector/scalar outputs sourced from ops in

@@ -166,8 +166,8 @@ type Panel struct {
 	// Overhead[bench][valueIdx] is AreaPCU/MinPCU - 1, or Infeasible.
 	Benchmarks []string
 	Overhead   [][]float64
-	// Average[valueIdx] is the geometric-mean overhead over feasible
-	// benchmarks.
+	// Average[valueIdx] is the arithmetic-mean overhead over the
+	// benchmarks feasible at that value, or Infeasible if none is.
 	Average []float64
 }
 

@@ -93,3 +93,40 @@ func TestTable6ResumesFromDiskTier(t *testing.T) {
 			s2.Engine.CacheStats().DiskHits)
 	}
 }
+
+// TestTable3ResumesFromPartialDiskTier resumes from a tier that holds only
+// the start of a run, as a kill after Figure 7's panel a leaves it. Table 3
+// over that tier must read what a memory-only run computes, serving panel
+// a's points from disk and computing and persisting the rest.
+func TestTable3ResumesFromPartialDiskTier(t *testing.T) {
+	benches := benches(t)[:1] // every computed point is an fsynced file
+	chip := arch.Default().Chip
+	dir := t.TempDir()
+	ctx := context.Background()
+
+	if _, err := NewSweep(benches, chip, newDiskEngine(t, dir, 2)).Figure7(ctx, "a"); err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewSweep(benches, chip, exec.NewEngine(2)).Table3(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := NewSweep(benches, chip, newDiskEngine(t, dir, 2))
+	got, err := s.Table3(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, w := FormatTable3(got), FormatTable3(want); g != w {
+		t.Fatalf("resumed Table 3 differs from a memory-only run:\n%s\nvs\n%s", g, w)
+	}
+	st := s.Engine.CacheStats()
+	if st.DiskHits == 0 || st.DiskWrites == 0 {
+		t.Fatalf("resumed run: %d disk hits, %d disk writes; want both above 0", st.DiskHits, st.DiskWrites)
+	}
+	// Every memory miss is either read from the tier or computed and
+	// written to it: nothing the tier holds is computed again.
+	if st.DiskHits+st.DiskWrites != st.Misses {
+		t.Fatalf("resumed run: %d misses, %d disk hits, %d disk writes", st.Misses, st.DiskHits, st.DiskWrites)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"plasticine/internal/arch"
@@ -19,14 +20,18 @@ import (
 // each panel's grid — so sharing one cache means no design point is ever
 // partitioned twice.
 //
-// Benches must be treated as immutable once the sweep starts: jobs on many
-// goroutines partition the same virtual units concurrently (PartitionPCU is
-// read-only by contract), and cache keys assume a Bench's name uniquely
-// identifies its unit set. A nil Engine runs sequentially and uncached.
+// Benches and Chip must be treated as immutable once the sweep starts: jobs
+// on many goroutines partition the same virtual units concurrently
+// (PartitionPCU is read-only by contract), cache keys assume a Bench's name
+// uniquely identifies its unit set, and NewSweep renders Chip into the keys
+// once. A nil Engine runs sequentially and uncached.
 type Sweep struct {
 	Benches []*Bench
 	Chip    arch.ChipParams
 	Engine  *exec.Engine
+
+	// chipKey is Chip rendered for cache keys, once per sweep.
+	chipKey string
 
 	// Design-point counters installed by SetMetrics; nil collectors
 	// no-op, so an unmetered sweep pays nothing. Side-channel only:
@@ -38,7 +43,7 @@ type Sweep struct {
 // NewSweep builds a sweep over benches on chip, evaluated by eng (nil means
 // sequential and uncached).
 func NewSweep(benches []*Bench, chip arch.ChipParams, eng *exec.Engine) *Sweep {
-	return &Sweep{Benches: benches, Chip: chip, Engine: eng}
+	return &Sweep{Benches: benches, Chip: chip, Engine: eng, chipKey: fmt.Sprintf("%+v", chip)}
 }
 
 // SetMetrics installs design-point counters on the sweep: points counts
@@ -77,13 +82,38 @@ type minPoint struct {
 	Infeasible bool    `json:",omitempty"`
 }
 
+// areaKey is the cache key of a bench's PCU area under p: the bench's name
+// plus every PCU and chip parameter.
+func (s *Sweep) areaKey(b *Bench, p arch.PCUParams) exec.Key {
+	return exec.NewKey("dse/pcu-area", b.Name, pcuString(p), s.chipKey)
+}
+
+// pcuString renders p exactly as fmt's %+v does, without reflection. A
+// persistent tier names each entry by its key's hash, so the string must
+// never change.
+func pcuString(p arch.PCUParams) string {
+	fields := [...]struct {
+		label string
+		v     int
+	}{
+		{"{Lanes:", p.Lanes}, {" Stages:", p.Stages}, {" Registers:", p.Registers},
+		{" ScalarIns:", p.ScalarIns}, {" ScalarOuts:", p.ScalarOuts},
+		{" VectorIns:", p.VectorIns}, {" VectorOuts:", p.VectorOuts},
+	}
+	b := make([]byte, 0, 96)
+	for _, f := range fields {
+		b = append(b, f.label...)
+		b = strconv.AppendInt(b, int64(f.v), 10)
+	}
+	return string(append(b, '}'))
+}
+
 // benchArea is AnalyticalArea through the design-point cache (and, when
-// attached, the persistent tier), keyed by the bench's name plus every PCU
-// and chip parameter. Infeasible points are cached like any other value, so
-// a point that cannot map fails exactly once.
+// attached, the persistent tier), keyed by areaKey. Infeasible points are
+// cached like any other value, so a point that cannot map fails exactly
+// once.
 func (s *Sweep) benchArea(b *Bench, p arch.PCUParams) float64 {
-	k := exec.NewKey("dse/pcu-area", b.Name, fmt.Sprintf("%+v", p), fmt.Sprintf("%+v", s.Chip))
-	v, _ := exec.CachedJSON(s.Engine.Cache(), k, func() (areaPoint, error) {
+	v, _ := exec.CachedJSON(s.Engine.Cache(), s.areaKey(b, p), func() (areaPoint, error) {
 		s.mPoints.Inc()
 		a := AnalyticalArea(b, p, s.Chip)
 		if math.IsInf(a, 1) {
@@ -118,7 +148,7 @@ func canonFixed(fixed map[string]int) string {
 // result persists as one entry, so a resumed sweep skips not just the grid
 // points but the descents themselves.
 func (s *Sweep) minimizeArea(b *Bench, fixed map[string]int) (arch.PCUParams, float64, error) {
-	k := exec.NewKey("dse/minimize", b.Name, canonFixed(fixed), fmt.Sprintf("%+v", s.Chip))
+	k := exec.NewKey("dse/minimize", b.Name, canonFixed(fixed), s.chipKey)
 	v, err := exec.CachedJSON(s.Engine.Cache(), k, func() (minPoint, error) {
 		s.mPoints.Inc()
 		p, area, err := s.minimizeAreaUncached(b, fixed)
@@ -237,21 +267,14 @@ func (s *Sweep) Figure7(ctx context.Context, panelID string) (*Panel, error) {
 	panel.Average = make([]float64, nV)
 	for i := range values {
 		sum, n := 0.0, 0
-		feasibleForAll := true
 		for _, row := range panel.Overhead {
-			if math.IsInf(row[i], 1) {
-				feasibleForAll = false
-				continue
+			if !math.IsInf(row[i], 1) {
+				sum += row[i]
+				n++
 			}
-			sum += row[i]
-			n++
 		}
-		if n == 0 || !feasibleForAll {
-			panel.Average[i] = Infeasible
-			if n > 0 {
-				panel.Average[i] = sum / float64(n) // average of feasible ones
-			}
-		} else {
+		panel.Average[i] = Infeasible
+		if n > 0 {
 			panel.Average[i] = sum / float64(n)
 		}
 	}

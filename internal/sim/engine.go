@@ -318,7 +318,7 @@ func (e *engine) checkWatchdog() error {
 		// down, nothing in flight — leaves the DRAM idle and still trips
 		// here, at the same cycle and with the same classification as
 		// before (Cause nil, Transient() false).
-		if e.dram != nil && !e.dram.Idle() {
+		if !e.dram.Idle() {
 			e.lastProgressAt = e.clock
 		} else {
 			return e.diagnostic(fmt.Sprintf("no forward progress for %d cycles (livelock)", e.stallWindow))
@@ -364,7 +364,7 @@ func (e *engine) quiescent() bool {
 			return false
 		}
 	}
-	return e.dram == nil || e.dram.Idle()
+	return e.dram.Idle()
 }
 
 // drainInFlight ticks the memory system until every outstanding burst lands,

@@ -127,10 +127,8 @@ func (e *engine) emitTrace(m *compiler.Mapping, windows []trace.Window) {
 		}
 	}
 
-	if e.dram != nil {
-		for ci, cs := range e.dram.ChannelStats() {
-			rec.DRAMChannel(ci, cs)
-		}
+	for ci, cs := range e.dram.ChannelStats() {
+		rec.DRAMChannel(ci, cs)
 	}
 
 	for _, w := range windows {

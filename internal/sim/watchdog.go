@@ -166,9 +166,7 @@ func (e *engine) diagnostic(reason string) *WatchdogError {
 			InFlight:  rx.inFlight,
 		})
 	}
-	if e.dram != nil {
-		w.DRAMQueues = e.dram.QueueOccupancy()
-	}
+	w.DRAMQueues = e.dram.QueueOccupancy()
 	for _, a := range e.acts {
 		if a.resolved {
 			continue
