@@ -185,31 +185,55 @@ func reorderForPressure(u *VirtualPCU) {
 // virtual unit against different candidate parameters concurrently — the
 // access pattern of a parallel design-space sweep.
 func PartitionPCU(u *VirtualPCU, p arch.PCUParams) ([]*PhysPCU, error) {
+	var parts []*PhysPCU
+	if n, bad := partitionPCU(u, p, func(part PhysPCU) { parts = append(parts, &part) }); n < 0 {
+		return nil, partitionError(u, p, &bad)
+	}
+	return parts, nil
+}
+
+// CountPCUParts is len(PartitionPCU(u, p)), and false where PartitionPCU
+// fails, from the same greedy without building a part or an error: the
+// design-point probe's form, which only prices the parts. It allocates
+// nothing for units of up to about 100 ops.
+func CountPCUParts(u *VirtualPCU, p arch.PCUParams) (int, bool) {
+	n, _ := partitionPCU(u, p, nil)
+	return n, n >= 0
+}
+
+// partitionPCU runs the greedy behind PartitionPCU and CountPCUParts: it
+// hands each accepted partition to add, when add is non-nil, and returns
+// how many there are. Where u cannot map it returns -1 and the partition
+// that breaks a constraint: the op-less unit, or the op that breaks one
+// alone (empty on a lane mismatch).
+func partitionPCU(u *VirtualPCU, p arch.PCUParams, add func(PhysPCU)) (int, PhysPCU) {
 	if u.Lanes > p.Lanes {
-		return nil, fmt.Errorf("compiler: %s needs %d lanes, PCU has %d", originTag(u.Name, u.Origin), u.Lanes, p.Lanes)
+		return -1, PhysPCU{}
 	}
 	n := len(u.Ops)
 	// A unit with no ops (pure data movement) still occupies one stage.
 	if n == 0 {
 		vi, si := len(u.VecIns), len(u.ScalIns)
 		vo, so := outCounts(u, 0, 0)
-		part := &PhysPCU{StagesUsed: 1, VecIns: vi, ScalIns: si, VecOuts: vo, ScalOuts: so, MaxLive: vi}
-		if err := checkPart(u, part, p); err != nil {
-			return nil, err
+		part := PhysPCU{StagesUsed: 1, VecIns: vi, ScalIns: si, VecOuts: vo, ScalOuts: so, MaxLive: vi}
+		if violates(&part, p) {
+			return -1, part
 		}
-		return []*PhysPCU{part}, nil
+		if add != nil {
+			add(part)
+		}
+		return 1, PhysPCU{}
 	}
 
 	var tables [512]int32 // the grower's tables for units of up to ~100 ops
 	g := newGrower(u, tables[:])
-	var parts []*PhysPCU
-	for start := 0; start < n; {
+	count := 0
+	for start := 0; start < n; count++ {
 		// Extend the current partition as far as constraints allow.
 		g.reset(start)
 		best := g.grow()
 		if violates(&best, p) {
-			return nil, fmt.Errorf("compiler: %s: op %d alone violates PCU constraints (stages=%d live=%d vecIn=%d scalIn=%d vecOut=%d scalOut=%d vs %+v)",
-				originTag(u.Name, u.Origin), start, best.StagesUsed, best.MaxLive, best.VecIns, best.ScalIns, best.VecOuts, best.ScalOuts, p)
+			return -1, best
 		}
 		for g.end < n {
 			cand := g.grow()
@@ -218,10 +242,25 @@ func PartitionPCU(u *VirtualPCU, p arch.PCUParams) ([]*PhysPCU, error) {
 			}
 			best = cand
 		}
-		parts = append(parts, &best)
+		if add != nil {
+			add(best)
+		}
 		start += len(best.Ops)
 	}
-	return parts, nil
+	return count, PhysPCU{}
+}
+
+// partitionError describes why partitionPCU could not map u, from the
+// partition it returned.
+func partitionError(u *VirtualPCU, p arch.PCUParams, bad *PhysPCU) error {
+	switch {
+	case u.Lanes > p.Lanes:
+		return fmt.Errorf("compiler: %s needs %d lanes, PCU has %d", originTag(u.Name, u.Origin), u.Lanes, p.Lanes)
+	case len(bad.Ops) == 0:
+		return checkPart(u, bad, p)
+	}
+	return fmt.Errorf("compiler: %s: op %d alone violates PCU constraints (stages=%d live=%d vecIn=%d scalIn=%d vecOut=%d scalOut=%d vs %+v)",
+		originTag(u.Name, u.Origin), bad.Ops[0].ID, bad.StagesUsed, bad.MaxLive, bad.VecIns, bad.ScalIns, bad.VecOuts, bad.ScalOuts, p)
 }
 
 // grower grows one partition [start, end) of a virtual PCU an op at a time

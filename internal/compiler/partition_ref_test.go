@@ -253,7 +253,8 @@ func referenceParams(rng *rand.Rand, n int) []arch.PCUParams {
 }
 
 // comparePartitions partitions every case under every parameter set with
-// both PartitionPCU and the reference, and returns how many results were
+// both PartitionPCU and the reference, checks that CountPCUParts gives the
+// reference's part count and verdict, and returns how many results were
 // infeasible.
 func comparePartitions(t *testing.T, cases []partitionCase, params []arch.PCUParams) (infeasible int) {
 	t.Helper()
@@ -263,6 +264,9 @@ func comparePartitions(t *testing.T, cases []partitionCase, params []arch.PCUPar
 			want, wantErr := partitionPCURef(c.u, p)
 			if d := diffPartitions(got, want, gotErr, wantErr); d != "" {
 				t.Fatalf("%s under %+v: %s", c.name, p, d)
+			}
+			if n, ok := CountPCUParts(c.u, p); ok != (wantErr == nil) || ok && n != len(want) {
+				t.Fatalf("%s under %+v: CountPCUParts = (%d, %t), reference %d parts, error %v", c.name, p, n, ok, len(want), wantErr)
 			}
 			if wantErr != nil {
 				infeasible++
@@ -372,6 +376,23 @@ func TestPartitionPCUMatchesReferenceOnRandomUnits(t *testing.T) {
 	}
 	if inf := comparePartitions(t, long, params[:30]); inf == len(long)*30 {
 		t.Fatal("every long unit was infeasible")
+	}
+}
+
+// TestCountPCUPartsAllocatesNothing pins the probe's count-only partition
+// at zero allocations on every benchmark unit (the longest, BlackScholes's,
+// has 60 ops) and on a random unit of 100 ops, under the default PCU and
+// under one too small for most units.
+func TestCountPCUPartsAllocatesNothing(t *testing.T) {
+	tight := arch.Default().PCU
+	tight.Stages, tight.Registers = 4, 3
+	cases := append(benchmarkUnits(t), partitionCase{"random unit", randomOutputsUnit(rand.New(rand.NewSource(3)), 100)})
+	for _, c := range cases {
+		for _, p := range []arch.PCUParams{arch.Default().PCU, tight} {
+			if n := testing.AllocsPerRun(20, func() { CountPCUParts(c.u, p) }); n != 0 {
+				t.Fatalf("%s (%d ops) under %+v: %v allocations, want 0", c.name, len(c.u.Ops), p, n)
+			}
+		}
 	}
 }
 

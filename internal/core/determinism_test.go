@@ -103,9 +103,6 @@ func TestSessionCacheCountsRepeatedRuns(t *testing.T) {
 	if second.Hits != first.Hits+int64(len(fastBenches)) {
 		t.Errorf("second identical run: hits = %d, want %d", second.Hits, first.Hits+int64(len(fastBenches)))
 	}
-	if second.Collisions != 0 {
-		t.Errorf("fingerprint collisions on %d entries: %d", second.Misses, second.Collisions)
-	}
 }
 
 // TestCachedResultsSharedAcrossSuites pins the cross-suite guarantee: a

@@ -247,7 +247,9 @@ func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fau
 }
 
 // RunBenchmark evaluates one Table 4 benchmark under the session's plan and
-// options, through the cache.
+// options, through the cache. A benchmark is known by its name: one whose
+// name the registry holds runs, and is cached, as the registry's default
+// instance, so a GEMM with a larger N returns the default GEMM's result.
 func (s *Session) RunBenchmark(ctx context.Context, b workloads.Benchmark) (*BenchResult, error) {
 	return s.evaluate(ctx, b, s.plan, s.simOpts)
 }

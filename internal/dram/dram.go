@@ -444,8 +444,8 @@ func (d *DRAM) Tick(now int64) []int64 {
 			break
 		}
 		f := d.channels[ci].flights.pop()
-		if !d.maybeRetry(f.entry, now) {
-			d.finish(&f.entry)
+		if !d.maybeRetry(ci, f.entry, now) {
+			d.finish(ci, &f.entry)
 			d.landed = append(d.landed, f.Tag)
 		}
 	}
@@ -484,18 +484,14 @@ func (d *DRAM) refresh(now int64) {
 	}
 }
 
-func (d *DRAM) finish(r *entry) {
-	ci := d.channelOf(r.Addr)
+// finish lands a burst that channel ci served.
+func (d *DRAM) finish(ci int, r *entry) {
 	if r.Write {
 		d.stats.BytesWritten += int64(d.cfg.BurstBytes)
-		if ci >= 0 {
-			d.chanStats[ci].Writes++
-		}
+		d.chanStats[ci].Writes++
 	} else {
 		d.stats.BytesRead += int64(d.cfg.BurstBytes)
-		if ci >= 0 {
-			d.chanStats[ci].Reads++
-		}
+		d.chanStats[ci].Reads++
 	}
 }
 

@@ -99,10 +99,10 @@ func (d *DRAM) spikeLatency() int64 {
 	return 0
 }
 
-// maybeRetry rolls the transient-failure die for a completed burst. If the
-// burst must retry, it is re-queued after an exponential backoff and true is
-// returned; the caller must not land it.
-func (d *DRAM) maybeRetry(e entry, now int64) bool {
+// maybeRetry rolls the transient-failure die for a burst that channel ci
+// completed. If the burst must retry, it is re-queued after an exponential
+// backoff and true is returned; the caller must not land it.
+func (d *DRAM) maybeRetry(ci int, e entry, now int64) bool {
 	f := d.faults
 	if f == nil || f.TransientProb <= 0 {
 		return false
@@ -116,9 +116,7 @@ func (d *DRAM) maybeRetry(e entry, now int64) bool {
 	}
 	e.attempts++
 	d.stats.Retries++
-	if ci := d.channelOf(e.Addr); ci >= 0 {
-		d.chanStats[ci].Retries++
-	}
+	d.chanStats[ci].Retries++
 	backoff := int64(f.RetryBackoff) << (e.attempts - 1)
 	d.retryq = append(d.retryq, timed{entry: e, at: now + backoff})
 	return true

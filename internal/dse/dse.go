@@ -122,17 +122,17 @@ func maxParams() arch.PCUParams {
 // AnalyticalArea returns the total PCU area of a benchmark under p, or
 // Infeasible if any unit cannot be partitioned. This is the simulation-free
 // area model the sweeps minimise and the auto-tuner prunes with: the cost is
-// one partitioning pass per virtual unit — no placement, routing or
-// simulation is ever paid.
+// one count-only partitioning pass per virtual unit — no part, placement,
+// routing or simulation is ever paid.
 func AnalyticalArea(b *Bench, p arch.PCUParams, chip arch.ChipParams) float64 {
 	unitArea := arch.PCUArea(p, chip)
 	total := 0.0
 	for _, u := range b.PCUs {
-		parts, err := compiler.PartitionPCU(u, p)
-		if err != nil {
+		parts, ok := compiler.CountPCUParts(u, p)
+		if !ok {
 			return Infeasible
 		}
-		total += float64(len(parts)*u.Unroll) * unitArea
+		total += float64(parts*u.Unroll) * unitArea
 	}
 	return total
 }

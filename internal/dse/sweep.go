@@ -83,15 +83,21 @@ type minPoint struct {
 }
 
 // areaKey is the cache key of a bench's PCU area under p: the bench's name
-// plus every PCU and chip parameter.
+// plus every PCU and chip parameter. It is exec.NewKey("dse/pcu-area",
+// b.Name, p as %+v renders it, s.chipKey), built on the stack and copied
+// into the key, its one allocation.
 func (s *Sweep) areaKey(b *Bench, p arch.PCUParams) exec.Key {
-	return exec.NewKey("dse/pcu-area", b.Name, pcuString(p), s.chipKey)
+	var buf [320]byte
+	k := append(buf[:0], "dse/pcu-area\x00"...)
+	k = append(k, b.Name...)
+	k = append(appendPCU(append(k, 0), p), 0)
+	return exec.Key(append(k, s.chipKey...))
 }
 
-// pcuString renders p exactly as fmt's %+v does, without reflection. A
-// persistent tier names each entry by its key's hash, so the string must
-// never change.
-func pcuString(p arch.PCUParams) string {
+// appendPCU appends p to dst exactly as fmt's %+v renders it, without
+// reflection. A persistent tier names each entry by its key's hash, so the
+// rendering must never change.
+func appendPCU(dst []byte, p arch.PCUParams) []byte {
 	fields := [...]struct {
 		label string
 		v     int
@@ -100,12 +106,11 @@ func pcuString(p arch.PCUParams) string {
 		{" ScalarIns:", p.ScalarIns}, {" ScalarOuts:", p.ScalarOuts},
 		{" VectorIns:", p.VectorIns}, {" VectorOuts:", p.VectorOuts},
 	}
-	b := make([]byte, 0, 96)
 	for _, f := range fields {
-		b = append(b, f.label...)
-		b = strconv.AppendInt(b, int64(f.v), 10)
+		dst = append(dst, f.label...)
+		dst = strconv.AppendInt(dst, int64(f.v), 10)
 	}
-	return string(append(b, '}'))
+	return append(dst, '}')
 }
 
 // benchArea is AnalyticalArea through the design-point cache (and, when

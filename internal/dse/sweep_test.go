@@ -6,18 +6,19 @@ import (
 	"testing"
 
 	"plasticine/internal/arch"
+	"plasticine/internal/exec"
 )
 
 // TestPCUStringMatchesFmt checks the reflection-free rendering of PCU
-// parameters against fmt's %+v at every point of Table 3's design space,
-// and at zero and negative values.
+// parameters that areaKey uses against fmt's %+v at every point of Table 3's
+// design space, and at zero and negative values.
 func TestPCUStringMatchesFmt(t *testing.T) {
 	points := 0
 	var walk func(i int, p arch.PCUParams)
 	walk = func(i int, p arch.PCUParams) {
 		if i == len(PCUSpace) {
-			if got, want := pcuString(p), fmt.Sprintf("%+v", p); got != want {
-				t.Fatalf("pcuString = %q, %%+v gives %q", got, want)
+			if got, want := string(appendPCU(nil, p)), fmt.Sprintf("%+v", p); got != want {
+				t.Fatalf("appendPCU gives %q, %%+v gives %q", got, want)
 			}
 			points++
 			return
@@ -32,8 +33,8 @@ func TestPCUStringMatchesFmt(t *testing.T) {
 		t.Fatalf("walked %d points of the grid", points)
 	}
 	for _, p := range []arch.PCUParams{{}, {Lanes: -1, Stages: -16, VectorOuts: -1234567}} {
-		if got, want := pcuString(p), fmt.Sprintf("%+v", p); got != want {
-			t.Fatalf("pcuString = %q, %%+v gives %q", got, want)
+		if got, want := string(appendPCU(nil, p)), fmt.Sprintf("%+v", p); got != want {
+			t.Fatalf("appendPCU gives %q, %%+v gives %q", got, want)
 		}
 	}
 }
@@ -69,5 +70,37 @@ func BenchmarkAnalyticalArea(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestAreaProbeAllocs pins what one design-point probe allocates through a
+// session's cache: a warm hit builds only its key, and a miss that stores
+// a point adds only the entry it stores, since the count-only partition
+// allocates nothing.
+func TestAreaProbeAllocs(t *testing.T) {
+	b, err := LoadBench("BlackScholes") // the longest units
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSweep([]*Bench{b}, arch.Default().Chip, exec.NewEngine(1))
+	var points []arch.PCUParams
+	for st := 5; st <= 16; st++ {
+		for r := 2; r <= 16; r++ {
+			p := maxParams()
+			p.Stages, p.Registers = st, r
+			points = append(points, p)
+		}
+	}
+	next := 0
+	miss := testing.AllocsPerRun(len(points)-1, func() {
+		s.benchArea(b, points[next])
+		next++
+	})
+	hit := testing.AllocsPerRun(100, func() { s.benchArea(b, points[0]) })
+	if st := s.Engine.CacheStats(); st.Misses != int64(len(points)) {
+		t.Fatalf("%d misses, want %d", st.Misses, len(points))
+	}
+	if hit != 1 || miss != 2 {
+		t.Fatalf("a probe allocates %v times on a hit and %v on a miss, want 1 and 2", hit, miss)
 	}
 }

@@ -4,41 +4,28 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// Key is a content-addressed cache key: an FNV-1a fingerprint over a
-// canonical string. The full string is kept alongside the hash so the cache
-// can disambiguate fingerprint collisions instead of silently returning the
-// wrong entry.
-type Key struct {
-	hash uint64
-	str  string
-}
+// Key is a canonical cache key: the parts of a design point's identity
+// joined with NUL separators. The memory tier compares whole keys; the disk
+// tier names its files by the key's fingerprint.
+type Key string
 
-// NewKey fingerprints the canonical parts of a cache key. Parts are joined
-// with a NUL separator so ("ab", "c") and ("a", "bc") hash differently.
-func NewKey(parts ...string) Key {
-	s := strings.Join(parts, "\x00")
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return Key{hash: h.Sum64(), str: s}
-}
+// NewKey joins the canonical parts of a cache key. Parts are joined with a
+// NUL separator so ("ab", "c") and ("a", "bc") stay distinct.
+func NewKey(parts ...string) Key { return Key(strings.Join(parts, "\x00")) }
 
 // String returns the full canonical key string.
-func (k Key) String() string { return k.str }
+func (k Key) String() string { return string(k) }
 
 // CacheStats is a point-in-time cache counter snapshot. Misses equals the
 // number of distinct keys ever computed, so for a fixed job set it is
 // deterministic regardless of worker count or arrival order.
 type CacheStats struct {
 	Hits, Misses int64
-	// Collisions counts distinct keys that shared a 64-bit fingerprint with
-	// an earlier key; they are stored and served correctly, just counted.
-	Collisions int64
 
 	// Persistent-tier counters, zero when no disk tier is attached. DiskHits
 	// are misses in memory that were served from disk without recomputing —
@@ -66,17 +53,14 @@ func (s CacheStats) String() string {
 	if s.Evictions > 0 {
 		out += fmt.Sprintf(", %d evicted", s.Evictions)
 	}
-	if s.Collisions > 0 {
-		out += fmt.Sprintf(", %d fingerprint collisions", s.Collisions)
-	}
 	return out
 }
 
 // Cache is a content-addressed in-memory result cache, safe for concurrent
 // use, with an optional disk-backed persistent tier underneath (AttachDisk).
-// Entries are bucketed by 64-bit fingerprint and verified against the full
-// key string, so colliding fingerprints coexist. Each key computes at most
-// once: concurrent requesters of an in-flight key block until the first
+// The memory tier is one map from the full key to a typed entry, so a stored
+// point costs its entry and its key. Each key computes at most once:
+// concurrent requesters of an in-flight key block until the first
 // computation finishes. Deterministic errors are cached too (a no-fit, a
 // failed check, a watchdog abort), so a failing point fails once,
 // identically, for every requester. Two outcomes are never memoized, since
@@ -88,32 +72,26 @@ func (s CacheStats) String() string {
 // compute.
 type Cache struct {
 	mu      sync.Mutex
-	buckets map[uint64][]*cacheEntry
+	entries map[Key]any // *entry[T] for the T its CachedJSON calls use
 	disk    *DiskCache
 
-	hits       atomic.Int64
-	misses     atomic.Int64
-	collisions atomic.Int64
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
-type cacheEntry struct {
-	key       string
-	done      chan struct{} // closed once val/err are set, or when abandoned
-	abandoned bool          // set (before close) if the owner panicked or was canceled
-	val       any
+// entry is one key's slot in the memory tier. Its owner fills val and err
+// (or marks it abandoned) and then releases done; requesters that found the
+// entry wait on done before reading anything else.
+type entry[T any] struct {
+	done      sync.WaitGroup
+	abandoned bool // the owner panicked or was canceled; the entry is gone
+	val       T
 	err       error
-}
-
-// codec translates cached values to and from the persistent tier's byte
-// payloads.
-type codec struct {
-	encode func(any) ([]byte, error)
-	decode func([]byte) (any, error)
 }
 
 // NewCache returns an empty cache with no persistent tier.
 func NewCache() *Cache {
-	return &Cache{buckets: map[uint64][]*cacheEntry{}}
+	return &Cache{entries: map[Key]any{}}
 }
 
 // AttachDisk puts a persistent tier under the cache: lookups that miss in
@@ -139,42 +117,41 @@ func (c *Cache) Disk() *DiskCache {
 	return c.disk
 }
 
-func (c *Cache) do(k Key, cod codec, compute func() (any, error)) (any, error) {
+// CachedJSON returns the cached value for k, computing and storing it on
+// first use. When the cache has a disk tier, a memory miss consults it
+// before computing, and successful values are written through as JSON. T
+// must JSON round-trip exactly (exported fields, no NaN/Inf — encode
+// infeasibility as a flag); errors are never persisted. Every call for one
+// key must use the same T. Nil-safe: a nil cache just runs compute.
+func CachedJSON[T any](c *Cache, k Key, compute func() (T, error)) (T, error) {
 	if c == nil {
 		return compute()
 	}
 	first := true
 	for {
 		c.mu.Lock()
-		var e *cacheEntry
-		for _, cand := range c.buckets[k.hash] {
-			if cand.key == k.str {
-				e = cand
-				break
-			}
-		}
-		owner := e == nil
-		if owner {
-			if first && len(c.buckets[k.hash]) > 0 {
-				c.collisions.Add(1)
-			}
-			e = &cacheEntry{key: k.str, done: make(chan struct{})}
-			c.buckets[k.hash] = append(c.buckets[k.hash], e)
+		slot, found := c.entries[k]
+		if !found {
+			e := &entry[T]{}
+			e.done.Add(1)
+			c.entries[k] = e
+			slot = e
 		}
 		disk := c.disk
 		c.mu.Unlock()
 		if first {
-			if owner {
-				c.misses.Add(1)
-			} else {
+			if found {
 				c.hits.Add(1)
+			} else {
+				c.misses.Add(1)
 			}
 			first = false
 		}
-		if owner {
-			return c.fill(k, e, disk, cod, compute)
+		e := slot.(*entry[T])
+		if !found {
+			return fill(c, k, e, disk, compute)
 		}
-		<-e.done
+		e.done.Wait()
 		if e.abandoned {
 			// The owner's computation panicked or was canceled and the
 			// entry was dropped; start over and compute for ourselves.
@@ -189,21 +166,22 @@ func (c *Cache) do(k Key, cod codec, compute func() (any, error)) (any, error) {
 // with its requester's cancellation, the entry is un-published first, so
 // the outcome is never memoized: the owner gets the panic (recovered into a
 // PanicError by Pool.Map) or the error, and everyone else recomputes.
-func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, cod codec, compute func() (any, error)) (val any, err error) {
+func fill[T any](c *Cache, k Key, e *entry[T], disk *DiskCache, compute func() (T, error)) (val T, err error) {
 	completed := false
 	defer func() {
 		if !completed {
 			e.abandoned = true
 			c.drop(k, e)
-			close(e.done)
+			e.done.Done()
 		}
 	}()
 	if disk != nil {
 		if data, ok := disk.Get(k); ok {
-			if v, derr := cod.decode(data); derr == nil {
-				e.val, e.err = v, nil
+			var v T
+			if json.Unmarshal(data, &v) == nil {
+				e.val = v
 				completed = true
-				close(e.done)
+				e.done.Done()
 				return v, nil
 			}
 			// Valid envelope, undecodable payload (e.g. the value type
@@ -216,42 +194,34 @@ func (c *Cache) fill(k Key, e *cacheEntry, disk *DiskCache, cod codec, compute f
 	}
 	e.val, e.err = val, err
 	completed = true
-	close(e.done)
+	e.done.Done()
 	if disk != nil && err == nil {
 		// Write-through, best-effort; errors are never persisted — a
 		// failure observed in one process must not veto re-evaluation in
 		// the next.
-		if data, eerr := cod.encode(val); eerr == nil {
+		if data, eerr := json.Marshal(val); eerr == nil {
 			disk.Put(k, data)
 		}
 	}
 	return val, err
 }
 
-// drop removes e from k's bucket if still published there.
-func (c *Cache) drop(k Key, e *cacheEntry) {
+// drop removes e from the memory tier if it is still k's entry.
+func (c *Cache) drop(k Key, e any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	bucket := c.buckets[k.hash]
-	for i, cand := range bucket {
-		if cand == e {
-			c.buckets[k.hash] = append(bucket[:i], bucket[i+1:]...)
-			return
-		}
+	if c.entries[k] == e {
+		delete(c.entries, k)
 	}
 }
 
-// Stats snapshots the hit/miss/collision counters, merged with the
-// persistent tier's counters when one is attached. Nil-safe.
+// Stats snapshots the hit and miss counters, merged with the persistent
+// tier's counters when one is attached. Nil-safe.
 func (c *Cache) Stats() CacheStats {
 	if c == nil {
 		return CacheStats{}
 	}
-	s := CacheStats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Collisions: c.collisions.Load(),
-	}
+	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 	if d := c.Disk(); d != nil {
 		ds := d.Stats()
 		s.DiskHits = ds.Hits
@@ -260,31 +230,6 @@ func (c *Cache) Stats() CacheStats {
 		s.Evictions = ds.Evicted
 	}
 	return s
-}
-
-// CachedJSON returns the cached value for k, computing and storing it on
-// first use. When the cache has a disk tier, a memory miss consults it
-// before computing, and successful values are written through as JSON. T
-// must JSON round-trip exactly (exported fields, no NaN/Inf — encode
-// infeasibility as a flag); errors are never persisted. Nil-safe: a nil
-// cache just runs compute.
-func CachedJSON[T any](c *Cache, k Key, compute func() (T, error)) (T, error) {
-	cod := codec{
-		encode: func(v any) ([]byte, error) { return json.Marshal(v) },
-		decode: func(data []byte) (any, error) {
-			var v T
-			if err := json.Unmarshal(data, &v); err != nil {
-				return nil, err
-			}
-			return v, nil
-		},
-	}
-	v, err := c.do(k, cod, func() (any, error) { return compute() })
-	if v == nil {
-		var zero T
-		return zero, err
-	}
-	return v.(T), err
 }
 
 // Engine bundles the worker pool, the cache and the job policy — the handle

@@ -43,26 +43,38 @@ const (
 // DefaultDiskCacheBytes is the persistent tier's default LRU size cap.
 const DefaultDiskCacheBytes int64 = 256 << 20
 
+// fingerprint is the 64-bit FNV-1a hash of a key, which names the key's
+// entry file and heads its envelope.
+func fingerprint(k Key) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for i := 0; i < len(k); i++ {
+		h ^= uint64(k[i])
+		h *= prime64
+	}
+	return h
+}
+
 // encodeDiskEntry serialises one cache entry to its on-disk form.
 func encodeDiskEntry(k Key, val []byte) []byte {
-	b := make([]byte, 0, diskEntryMinLen+len(k.str)+len(val))
+	b := make([]byte, 0, diskEntryMinLen+len(k)+len(val))
 	b = binary.LittleEndian.AppendUint32(b, diskMagic)
 	b = binary.LittleEndian.AppendUint32(b, DiskEntryVersion)
-	b = binary.LittleEndian.AppendUint64(b, k.hash)
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(k.str)))
-	b = append(b, k.str...)
+	b = binary.LittleEndian.AppendUint64(b, fingerprint(k))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(k)))
+	b = append(b, k...)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(val)))
 	b = append(b, val...)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 // decodeDiskEntry parses an on-disk entry, validating checksum, magic,
-// version and both length fields before trusting any of it. Corrupt or
-// truncated input yields an error — never a panic, an unbounded allocation,
-// or a silently wrong value.
-func decodeDiskEntry(data []byte) (key string, hash uint64, val []byte, err error) {
-	fail := func(format string, args ...any) (string, uint64, []byte, error) {
-		return "", 0, nil, fmt.Errorf("exec: bad cache entry: "+format, args...)
+// version, both length fields and the key's fingerprint before trusting any
+// of it. Corrupt or truncated input yields an error — never a panic, an
+// unbounded allocation, or a silently wrong value.
+func decodeDiskEntry(data []byte) (key Key, val []byte, err error) {
+	fail := func(format string, args ...any) (Key, []byte, error) {
+		return "", nil, fmt.Errorf("exec: bad cache entry: "+format, args...)
 	}
 	if len(data) < diskEntryMinLen {
 		return fail("%d bytes is shorter than any entry", len(data))
@@ -77,20 +89,23 @@ func decodeDiskEntry(data []byte) (key string, hash uint64, val []byte, err erro
 	if v := binary.LittleEndian.Uint32(body[4:]); v != DiskEntryVersion {
 		return fail("version %d, this build reads %d", v, DiskEntryVersion)
 	}
-	hash = binary.LittleEndian.Uint64(body[8:])
+	hash := binary.LittleEndian.Uint64(body[8:])
 	keyLen := int(binary.LittleEndian.Uint32(body[16:]))
 	rest := body[20:]
 	if keyLen < 0 || keyLen > len(rest)-4 {
 		return fail("key length %d exceeds remaining %d bytes", keyLen, len(rest))
 	}
-	key = string(rest[:keyLen])
+	key = Key(rest[:keyLen])
+	if fp := fingerprint(key); fp != hash {
+		return fail("fingerprint %016x does not match the key's %016x", hash, fp)
+	}
 	rest = rest[keyLen:]
 	valLen := int(binary.LittleEndian.Uint32(rest))
 	rest = rest[4:]
 	if valLen < 0 || valLen != len(rest) {
 		return fail("value length %d does not match remaining %d bytes", valLen, len(rest))
 	}
-	return key, hash, rest, nil
+	return key, rest, nil
 }
 
 // DiskStats is a point-in-time snapshot of the persistent tier's counters.
@@ -150,7 +165,7 @@ func OpenDiskCache(dir string, maxBytes int64) (*DiskCache, error) {
 // full key stored inside the entry catches the residual collisions.
 func (d *DiskCache) path(k Key) string {
 	return filepath.Join(d.dir,
-		fmt.Sprintf("%016x-%08x%s", k.hash, crc32.ChecksumIEEE([]byte(k.str)), diskEntryExt))
+		fmt.Sprintf("%016x-%08x%s", fingerprint(k), crc32.ChecksumIEEE([]byte(k)), diskEntryExt))
 }
 
 // Get returns the stored payload for k. Any defect — truncation, bit
@@ -166,12 +181,12 @@ func (d *DiskCache) Get(k Key) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	key, _, val, err := decodeDiskEntry(data)
+	key, val, err := decodeDiskEntry(data)
 	if err != nil {
 		d.quarantine(path)
 		return nil, false
 	}
-	if key != k.str {
+	if key != k {
 		// A filename collision with a different key: that entry is valid,
 		// just not ours. Leave it alone and miss.
 		return nil, false
@@ -337,10 +352,10 @@ func InspectDiskCache(dir string) ([]DiskEntryInfo, error) {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			info.Err = err
-		} else if key, _, val, derr := decodeDiskEntry(data); derr != nil {
+		} else if key, val, derr := decodeDiskEntry(data); derr != nil {
 			info.Err = derr
 		} else {
-			info.Key, info.Bytes = key, len(val)
+			info.Key, info.Bytes = string(key), len(val)
 		}
 		out = append(out, info)
 	}

@@ -1,9 +1,14 @@
 package exec
 
 import (
+	"bytes"
 	"context"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -171,33 +176,66 @@ func TestCacheCachesErrors(t *testing.T) {
 	}
 }
 
-func TestCacheFingerprintCollision(t *testing.T) {
-	// Force two distinct keys onto the same 64-bit fingerprint. The cache
-	// must keep both entries separate (matched by full key string), serve
-	// the right value for each, and count the collision.
-	c := NewCache()
-	ka := Key{hash: 42, str: "point-a"}
-	kb := Key{hash: 42, str: "point-b"}
-	va, err := CachedJSON(c, ka, func() (string, error) { return "value-a", nil })
-	if err != nil || va != "value-a" {
-		t.Fatalf("ka: %q, %v", va, err)
+// TestDiskTierFilenameCollision forges a collision of two keys' entry
+// files: point-b's file holds a valid entry for point-a, as it would if the
+// two keys shared both the fingerprint and the key checksum that name the
+// file. The tier tells them apart by the full key inside the entry: point-b
+// misses without quarantining point-a's entry, is computed, and its
+// write-through then serves it to a fresh cache.
+func TestDiskTierFilenameCollision(t *testing.T) {
+	d, err := OpenDiskCache(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ka, kb := NewKey("point-a"), NewKey("point-b")
+	if err := os.WriteFile(d.path(kb), encodeDiskEntry(ka, []byte(`"value-a"`)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := d.Get(kb); ok {
+		t.Fatalf("point-b was served %s from point-a's entry", v)
+	}
+	if s := d.Stats(); s.Quarantined != 0 {
+		t.Fatalf("a valid entry for another key was quarantined: %+v", s)
+	}
+	c := NewCache()
+	c.AttachDisk(d)
 	vb, err := CachedJSON(c, kb, func() (string, error) { return "value-b", nil })
 	if err != nil || vb != "value-b" {
-		t.Fatalf("kb first use computed %q, %v — collision served the wrong entry?", vb, err)
+		t.Fatalf("kb computed %q, %v — the collision served the wrong entry?", vb, err)
 	}
-	// Re-reads hit the right entries.
-	va, _ = CachedJSON(c, ka, func() (string, error) { return "WRONG", nil })
-	vb, _ = CachedJSON(c, kb, func() (string, error) { return "WRONG", nil })
-	if va != "value-a" || vb != "value-b" {
-		t.Fatalf("collision re-read: got %q/%q, want value-a/value-b", va, vb)
+	fresh := NewCache()
+	fresh.AttachDisk(d)
+	vb, err = CachedJSON(fresh, kb, func() (string, error) { return "WRONG", nil })
+	if err != nil || vb != "value-b" {
+		t.Fatalf("kb from disk = %q, %v, want value-b", vb, err)
 	}
-	s := c.Stats()
-	if s.Collisions != 1 {
-		t.Fatalf("collisions = %d, want 1", s.Collisions)
+	if s := fresh.Stats(); s.Misses != 1 || s.DiskHits != 1 || s.DiskWrites != 1 {
+		t.Fatalf("stats = %+v, want 1 miss served from disk and 1 write", s)
 	}
-	if s.Misses != 2 || s.Hits != 2 {
-		t.Fatalf("stats = %+v, want 2 misses / 2 hits", s)
+}
+
+// TestDiskEntryLayoutPinned pins one key's entry file name and envelope as
+// earlier builds wrote them, so their tiers stay readable, and checks that
+// the fingerprint is FNV-1a over the full key.
+func TestDiskEntryLayoutPinned(t *testing.T) {
+	k := NewKey("dse/pcu-area", "GEMM")
+	if got, want := filepath.Base((&DiskCache{dir: "tier"}).path(k)), "094ee0557e09fc5c-87689a01.plde"; got != want {
+		t.Fatalf("entry file %s, want %s", got, want)
+	}
+	want, err := hex.DecodeString("45444c50010000005cfc097e55e04e09110000006473652f7063752d61726561" +
+		"0047454d4d0c0000007b2241726561223a312e357d8afa7dba")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeDiskEntry(k, []byte(`{"Area":1.5}`)); !bytes.Equal(got, want) {
+		t.Fatalf("entry bytes\n%x\nwant\n%x", got, want)
+	}
+	for _, s := range []string{"", "a", "point\x00b", k.String()} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got := fingerprint(Key(s)); got != h.Sum64() {
+			t.Fatalf("fingerprint(%q) = %016x, FNV-1a gives %016x", s, got, h.Sum64())
+		}
 	}
 }
 

@@ -28,13 +28,12 @@ func FuzzDiskEntryDecode(f *testing.F) {
 	f.Add(whole[:len(whole)-3])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		key, hash, val, err := decodeDiskEntry(data)
+		key, val, err := decodeDiskEntry(data)
 		if err == nil {
 			// Anything the decoder accepts must round-trip byte-for-byte
 			// through the encoder; otherwise corrupt input is being
 			// normalised into a "valid" entry.
-			k := Key{hash: hash, str: key}
-			if re := encodeDiskEntry(k, val); !bytes.Equal(re, data) {
+			if re := encodeDiskEntry(key, val); !bytes.Equal(re, data) {
 				t.Fatalf("decode accepted bytes that re-encode differently:\n in: %x\nout: %x", data, re)
 			}
 		}
@@ -54,14 +53,14 @@ func FuzzDiskEntryDecode(f *testing.F) {
 		if ok {
 			// A hit must be the exact payload of a well-formed entry for
 			// this very key — anything else is a silently wrong hit.
-			ek, _, ev, eerr := decodeDiskEntry(data)
-			if eerr != nil || ek != probe.String() || !bytes.Equal(got, ev) {
+			ek, ev, eerr := decodeDiskEntry(data)
+			if eerr != nil || ek != probe || !bytes.Equal(got, ev) {
 				t.Fatalf("Get returned %q from bytes that are not a valid entry for the probed key", got)
 			}
 		} else if _, err := os.Stat(d.path(probe)); err == nil {
 			// A miss on existing-but-defective bytes must quarantine unless
 			// the entry was valid for a different key (left in place).
-			if _, _, _, derr := decodeDiskEntry(data); derr != nil {
+			if _, _, derr := decodeDiskEntry(data); derr != nil {
 				t.Fatal("defective entry was neither served nor quarantined")
 			}
 		} else if q, _ := filepath.Glob(filepath.Join(dir, "*"+quarantineExt)); len(data) > 0 && len(q) == 0 {

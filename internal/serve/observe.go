@@ -117,8 +117,6 @@ func (s *Server) registerMetrics(reg *metrics.Registry) *serverMetrics {
 		"disk", func(c exec.CacheStats) int64 { return c.Evictions })
 	tiered("plasticine_cache_quarantined_total", "Corrupt cache entries quarantined, by tier.",
 		"disk", func(c exec.CacheStats) int64 { return c.Quarantined })
-	tiered("plasticine_cache_collisions_total", "Cache fingerprint collisions, by tier.",
-		"memory", func(c exec.CacheStats) int64 { return c.Collisions })
 
 	// Pre-register the tuner's and the DSE driver's families so the very
 	// first scrape shows them (at zero) instead of them popping into

@@ -134,14 +134,16 @@ type engine struct {
 	// Event-core state (unused by the legacy cycle loop). active is the
 	// subset of running transfers that may issue a burst next cycle, kept in
 	// admission (seq) order; activeDirty marks out-of-order wakeups that
-	// require a re-sort. parked maps a DRAM channel index (-1 = every
-	// channel down) to the transfers blocked on it. retireNeeded is set by
+	// require a re-sort. parked holds the transfers blocked on each DRAM
+	// channel at index channel+1, and at 0 those blocked because every
+	// channel is down; nParked counts them all. retireNeeded is set by
 	// the completion callback when a transfer lands its last burst, so the
 	// O(running) retire scan only runs on cycles where something can retire.
 	nextSeq      int64
 	active       []*runningXfer
 	activeDirty  bool
-	parked       map[int][]*runningXfer
+	parked       [][]*runningXfer
+	nParked      int
 	retireNeeded bool
 	steps        int64 // event-loop iterations (events-per-cycle metric)
 

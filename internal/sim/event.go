@@ -93,10 +93,12 @@ func (e *engine) parkBlocked(rx *runningXfer, down bool) {
 		ci = e.dram.ChannelIndex(rx.act.bursts[idx])
 	}
 	rx.state = rxBlocked
-	if e.parked == nil {
-		e.parked = make(map[int][]*runningXfer)
+	slot := ci + 1
+	if slot >= len(e.parked) {
+		e.parked = append(e.parked, make([][]*runningXfer, slot+1-len(e.parked))...)
 	}
-	e.parked[ci] = append(e.parked[ci], rx)
+	e.parked[slot] = append(e.parked[slot], rx)
+	e.nParked++
 }
 
 // wakeParked reactivates blocked transfers whose target channel freed queue
@@ -106,32 +108,29 @@ func (e *engine) parkBlocked(rx *runningXfer, down bool) {
 // active lower-seq transfer claims it first) simply fails its real attempt
 // and re-parks, which is what the legacy loop's attempt would have done.
 func (e *engine) wakeParked() {
-	if len(e.parked) == 0 {
+	if e.nParked == 0 {
 		return
 	}
-	for ci, group := range e.parked {
-		if ci < 0 {
-			continue // a downed channel never heals mid-run
+	// Slot 0 holds transfers blocked with every channel down, which never
+	// heals mid-run.
+	for slot := 1; slot < len(e.parked); slot++ {
+		group := e.parked[slot]
+		if len(group) == 0 {
+			continue
 		}
-		free := e.dram.QueueSlack(ci)
+		free := e.dram.QueueSlack(slot - 1)
 		if free <= 0 {
 			continue
 		}
 		slices.SortFunc(group, bySeq)
-		n := free
-		if n > len(group) {
-			n = len(group)
-		}
+		n := min(free, len(group))
 		for _, rx := range group[:n] {
 			rx.state = rxActive
 			e.active = append(e.active, rx)
 			e.activeDirty = true
 		}
-		if rest := group[n:]; len(rest) == 0 {
-			delete(e.parked, ci)
-		} else {
-			e.parked[ci] = rest
-		}
+		e.nParked -= n
+		e.parked[slot] = append(group[:0], group[n:]...)
 	}
 }
 
@@ -270,7 +269,10 @@ func (e *engine) nextDeadline() int64 {
 // — and re-parks the ones that cannot act.
 func (e *engine) rebuildEventState() {
 	e.active = e.active[:0]
-	e.parked = nil
+	for slot := range e.parked {
+		e.parked[slot] = e.parked[slot][:0]
+	}
+	e.nParked = 0
 	e.activeDirty = false
 	e.retireNeeded = false
 	e.nextSeq = 0

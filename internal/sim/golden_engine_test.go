@@ -103,10 +103,21 @@ func TestEngineGoldenFaultedIdentity(t *testing.T) {
 // TestEngineGoldenStall pauses both engines at the same mid-run cycle,
 // drains, stalls them as a reconfiguration would and runs them on: the
 // makespan, every activity's [start, end] and the DRAM counters (run totals
-// and per channel) must match.
+// and per channel) must match. InnerProduct on one DDR channel has
+// transfers parked on the full channel queue at the pause, so the event
+// core passes only if the stall rebuilds its indexes.
 func TestEngineGoldenStall(t *testing.T) {
+	params := arch.Default()
+	params.Chip.DDRChannels = 1
 	run := func(kind engineKind) *engine {
-		m, _, _ := recoverySetup(t, nil)
+		prog, err := workloads.NewInnerProduct().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := compiler.CompileOpts(context.Background(), prog, compiler.Options{Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
 		eng, _, err := prepare(context.Background(), m, Options{}, kind.loop)
 		if err != nil {
 			t.Fatal(err)
@@ -118,6 +129,9 @@ func TestEngineGoldenStall(t *testing.T) {
 		}
 		if _, err := eng.drainInFlight(); err != nil {
 			t.Fatalf("%v engine: drain: %v", kind, err)
+		}
+		if kind.name == eventEngine.name && eng.nParked == 0 {
+			t.Fatal("event engine: no transfer is parked at the pause; the stall's rebuild goes untested")
 		}
 		eng.stall(5000)
 		if _, err := eng.run(); err != nil {
@@ -212,4 +226,68 @@ func memoryFaultPlan(t *testing.T, spec fault.Spec) *fault.Plan {
 		t.Fatal(err)
 	}
 	return plan
+}
+
+// TestChannelCountersBalance checks every never-killed DRAM channel's
+// counters under kill-chan plans, on both scheduling cores: each burst the
+// channel scheduled (a row hit, miss or conflict) either landed (a read or
+// a write) or retried, so Reads + Writes = RowHits + RowMisses +
+// RowConflicts − Retries. Crediting a landing to the channel its address
+// maps to, rather than the one that served it, breaks this once a kill
+// shrinks the healthy set under an address whose home channel is down.
+func TestChannelCountersBalance(t *testing.T) {
+	specs := []string{
+		"seed=3,chan=1,retry=0.01,spike=0.02,kill-chan@4000",
+		"seed=2,chan=1,kill-chan@3000",
+		"seed=5,retry=0.02,kill-chan@2000,kill-chan@5000",
+		"seed=9,chan=2,kill-chan@2500",
+	}
+	for _, s := range specs {
+		spec, err := fault.ParseSpec(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := memoryFaultPlan(t, spec)
+		down := append([]bool(nil), plan.DRAMFaults().Down...)
+		down = append(down, make([]bool, arch.Default().Chip.DDRChannels-len(down))...)
+		for _, ev := range plan.Events() {
+			down[ev.Chan] = true
+		}
+		for _, kind := range []engineKind{eventEngine, cycleEngine} {
+			b := workloads.NewSMDV()
+			prog, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := compiler.CompileOpts(context.Background(), prog, compiler.Options{Params: arch.Default(), Faults: plan.Clone()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			col := trace.NewCollector()
+			res, st, err := simulate(context.Background(), m, Options{Recovery: true, Recorder: col}, kind.loop)
+			if err != nil {
+				t.Fatalf("%s, %v engine: %v", s, kind, err)
+			}
+			if err := b.Check(st); err != nil {
+				t.Fatalf("%s, %v engine: %v", s, kind, err)
+			}
+			if res.Recovery == nil || len(res.Recovery.Events) == 0 {
+				t.Fatalf("%s, %v engine: no kill fired", s, kind)
+			}
+			checked := 0
+			for _, c := range col.Report().Channels {
+				if down[c.Channel] {
+					continue
+				}
+				checked++
+				if landed, served := c.Reads+c.Writes, c.RowHits+c.RowMisses+c.RowConflicts-c.Retries; landed != served {
+					t.Errorf("%s, %v engine: channel %d landed %d bursts (reads+writes) but served %d (row outcomes - retries)",
+						s, kind, c.Channel, landed, served)
+				}
+			}
+			if checked == 0 {
+				t.Fatalf("%s: every channel went down", s)
+			}
+		}
+	}
 }
