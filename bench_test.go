@@ -116,73 +116,92 @@ func BenchmarkFig7(b *testing.B) {
 	}
 }
 
-// ablate runs a benchmark compiled for params under simulator options and
-// reports the slowdown relative to the full-featured configuration (the
-// paper's architecture, default options).
-func ablate(b *testing.B, mk func() workloads.Benchmark, params arch.Params, opts sim.Options) {
-	b.Helper()
-	ctx := context.Background()
-	opt := compiler.Options{Params: arch.Default()}
-	var slowdown float64
-	for i := 0; i < b.N; i++ {
-		w := mk()
-		p, err := w.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := compiler.CompileOpts(ctx, p, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base, _, err := sim.Simulate(ctx, m, sim.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		w2 := mk()
-		p2, err := w2.Build()
-		if err != nil {
-			b.Fatal(err)
-		}
-		m2, err := compiler.CompileOpts(ctx, p2, compiler.Options{Params: params})
-		if err != nil {
-			b.Fatal(err)
-		}
-		abl, _, err := sim.Simulate(ctx, m2, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		slowdown = float64(abl.Cycles) / float64(base.Cycles)
-	}
-	b.ReportMetric(slowdown, "slowdown")
+// ablation is one design choice Section 3 motivates: a benchmark compiled
+// for the paper's chip and simulated with default options, against the
+// same benchmark compiled for params and simulated under opts, with the
+// feature taken away. base and ablated are the two runs' cycles.
+type ablation struct {
+	name          string
+	mk            func() workloads.Benchmark
+	params        arch.Params
+	opts          sim.Options
+	base, ablated int64
 }
 
-// BenchmarkAblation quantifies the design choices Section 3 motivates:
-// the coalescing unit (sparse traffic), N-buffered scratchpads
-// (coarse-grained pipelining), and DRAM channel count.
-func BenchmarkAblation(b *testing.B) {
-	b.Run("CoalescingOff-PageRank", func(b *testing.B) {
-		ablate(b, func() workloads.Benchmark { return workloads.NewPageRank() }, arch.Default(), sim.Options{CoalesceWindow: 1})
-	})
-	b.Run("CoalescingOff-SMDV", func(b *testing.B) {
-		ablate(b, func() workloads.Benchmark { return workloads.NewSMDV() }, arch.Default(), sim.Options{CoalesceWindow: 1})
-	})
-	b.Run("NBufferOff-BlackScholes", func(b *testing.B) {
-		ablate(b, func() workloads.Benchmark { return workloads.NewBlackScholes() }, arch.Default(), sim.Options{DisableNBuffer: true})
-	})
-	b.Run("NBufferOff-InnerProduct-NoUnroll", func(b *testing.B) {
+// ablations are the coalescing unit (sparse traffic), N-buffered
+// scratchpads (coarse-grained pipelining) and the DRAM channel count.
+func ablations() []ablation {
+	oneChannel := arch.Default()
+	oneChannel.Chip.DDRChannels = 1
+	return []ablation{
+		{"CoalescingOff-PageRank", func() workloads.Benchmark { return workloads.NewPageRank() },
+			arch.Default(), sim.Options{CoalesceWindow: 1}, 72493, 126334},
+		{"CoalescingOff-SMDV", func() workloads.Benchmark { return workloads.NewSMDV() },
+			arch.Default(), sim.Options{CoalesceWindow: 1}, 30464, 52063},
+		{"NBufferOff-BlackScholes", func() workloads.Benchmark { return workloads.NewBlackScholes() },
+			arch.Default(), sim.Options{DisableNBuffer: true}, 15904, 19472},
 		// With outer unrolling, duplicate tile copies already overlap
 		// loads with compute; at Par=1 double buffering is the only
 		// overlap mechanism, which is the textbook case (Section 3.5).
-		mk := func() workloads.Benchmark {
+		{"NBufferOff-InnerProduct-NoUnroll", func() workloads.Benchmark {
 			w := workloads.NewInnerProduct()
 			w.Par = 1
 			return w
-		}
-		ablate(b, mk, arch.Default(), sim.Options{DisableNBuffer: true})
-	})
-	b.Run("OneDDRChannel-TPCHQ6", func(b *testing.B) {
-		one := arch.Default()
-		one.Chip.DDRChannels = 1
-		ablate(b, func() workloads.Benchmark { return workloads.NewTPCHQ6() }, one, sim.Options{})
-	})
+		}, arch.Default(), sim.Options{DisableNBuffer: true}, 55361, 78508},
+		{"OneDDRChannel-TPCHQ6", func() workloads.Benchmark { return workloads.NewTPCHQ6() },
+			oneChannel, sim.Options{}, 84010, 335785},
+	}
+}
+
+// run simulates both sides, each from a fresh instance.
+func (a ablation) run(tb testing.TB) (base, ablated int64) {
+	tb.Helper()
+	return cycles(tb, a.mk(), arch.Default(), sim.Options{}), cycles(tb, a.mk(), a.params, a.opts)
+}
+
+// cycles builds w, compiles it for params and simulates it under opts.
+func cycles(tb testing.TB, w workloads.Benchmark, params arch.Params, opts sim.Options) int64 {
+	tb.Helper()
+	ctx := context.Background()
+	p, err := w.Build()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: params})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, _, err := sim.Simulate(ctx, m, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Cycles
+}
+
+// TestAblationCycles pins both sides of every ablation: the graph
+// builder's N-buffer ring, its coalescing window and the memory system's
+// channel count each decide one of them.
+func TestAblationCycles(t *testing.T) {
+	for _, a := range ablations() {
+		t.Run(a.name, func(t *testing.T) {
+			if base, abl := a.run(t); base != a.base || abl != a.ablated {
+				t.Errorf("%d cycles with the feature, %d without; want %d and %d", base, abl, a.base, a.ablated)
+			}
+		})
+	}
+}
+
+// BenchmarkAblation reports each ablation's slowdown: the cycles without
+// the feature over the cycles with it.
+func BenchmarkAblation(b *testing.B) {
+	for _, a := range ablations() {
+		b.Run(a.name, func(b *testing.B) {
+			var slowdown float64
+			for i := 0; i < b.N; i++ {
+				base, abl := a.run(b)
+				slowdown = float64(abl) / float64(base)
+			}
+			b.ReportMetric(slowdown, "slowdown")
+		})
+	}
 }

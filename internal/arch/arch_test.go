@@ -2,6 +2,7 @@ package arch
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,6 +13,25 @@ func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 func TestDefaultValidates(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatalf("default params invalid: %v", err)
+	}
+}
+
+// TestKeyNamesEveryField: cache keys render params with Key, so two
+// designs that differ in any one field must render differently. String,
+// a summary, fails this for register, port, AG and FIFO counts.
+func TestKeyNamesEveryField(t *testing.T) {
+	base := Default()
+	groups := reflect.ValueOf(&base).Elem()
+	for g := 0; g < groups.NumField(); g++ {
+		for f := 0; f < groups.Field(g).NumField(); f++ {
+			p := base
+			field := reflect.ValueOf(&p).Elem().Field(g).Field(f)
+			field.SetInt(field.Int() + 1)
+			name := groups.Type().Field(g).Name + "." + groups.Field(g).Type().Field(f).Name
+			if p.Key() == base.Key() {
+				t.Errorf("changing %s leaves Key unchanged: %s", name, p.Key())
+			}
+		}
 	}
 }
 

@@ -5,7 +5,10 @@
 // results (Table 5, Section 4.2).
 package arch
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // PCUParams are the tunable Pattern Compute Unit parameters (Table 3).
 type PCUParams struct {
@@ -155,6 +158,15 @@ func (p Params) Validate() error {
 			p.Chip.VectorFIFODepth, p.Chip.ScalarFIFODepth)
 	}
 	return nil
+}
+
+// Key renders every field of the configuration, for cache keys: its JSON
+// encoding. String would not do: it summarises, leaving out register and
+// port counts among others, so designs that differ only there would share
+// a key.
+func (p Params) Key() string {
+	b, _ := json.Marshal(p) // nested structs of ints always encode
+	return string(b)
 }
 
 // String summarises the configuration.

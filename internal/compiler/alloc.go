@@ -395,93 +395,31 @@ func raiseNBuffers(p *dhdl.Program, pmus map[*dhdl.SRAM]*VirtualPMU) {
 		}
 		writeStage := map[*dhdl.SRAM]int{}
 		for i, ch := range c.Children {
-			for _, s := range leafWrites(ch) {
+			subtreeSRAMs(ch, (*dhdl.Controller).Writes, func(s *dhdl.SRAM) {
 				if _, ok := writeStage[s]; !ok {
 					writeStage[s] = i
 				}
-			}
+			})
 		}
 		for j, ch := range c.Children {
-			for _, s := range leafReads(ch) {
+			subtreeSRAMs(ch, (*dhdl.Controller).Reads, func(s *dhdl.SRAM) {
 				if i, ok := writeStage[s]; ok && j > i {
 					if m := pmus[s]; m != nil && j-i+1 > m.NBuf {
 						m.NBuf = j - i + 1
 					}
 				}
-			}
+			})
 		}
 	})
 }
 
-// leafWrites returns SRAMs a subtree writes.
-func leafWrites(c *dhdl.Controller) []*dhdl.SRAM {
-	var out []*dhdl.SRAM
-	var rec func(c *dhdl.Controller)
-	rec = func(c *dhdl.Controller) {
-		for _, ch := range c.Children {
-			rec(ch)
-		}
-		switch c.Kind {
-		case dhdl.ComputeKind:
-			for _, a := range c.Body {
-				if (a.Kind == dhdl.WriteSRAM || a.Kind == dhdl.ReduceSRAM) && a.SRAM != nil {
-					out = append(out, a.SRAM)
-				}
-			}
-		case dhdl.LoadKind, dhdl.GatherKind:
-			if c.Xfer.SRAM != nil {
-				out = append(out, c.Xfer.SRAM)
+// subtreeSRAMs calls f with each SRAM in mems of every leaf under c.
+func subtreeSRAMs(c *dhdl.Controller, mems func(*dhdl.Controller) []any, f func(*dhdl.SRAM)) {
+	c.Walk(func(l *dhdl.Controller) {
+		for _, m := range mems(l) {
+			if s, ok := m.(*dhdl.SRAM); ok {
+				f(s)
 			}
 		}
-	}
-	rec(c)
-	return out
-}
-
-// leafReads returns SRAMs a subtree reads.
-func leafReads(c *dhdl.Controller) []*dhdl.SRAM {
-	seen := map[*dhdl.SRAM]bool{}
-	var out []*dhdl.SRAM
-	add := func(s *dhdl.SRAM) {
-		if s != nil && !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	var rec func(c *dhdl.Controller)
-	rec = func(c *dhdl.Controller) {
-		for _, ch := range c.Children {
-			rec(ch)
-		}
-		switch c.Kind {
-		case dhdl.ComputeKind:
-			for _, a := range c.Body {
-				exprs := []dhdl.Expr{a.Val}
-				if a.Addr != nil {
-					exprs = append(exprs, a.Addr)
-				}
-				if a.Cond != nil {
-					exprs = append(exprs, a.Cond)
-				}
-				for _, e := range exprs {
-					for _, s := range dhdl.ReadSRAMs(e) {
-						add(s)
-					}
-				}
-				// ReduceSRAM also reads its destination.
-				if a.Kind == dhdl.ReduceSRAM {
-					add(a.SRAM)
-				}
-			}
-		case dhdl.StoreKind:
-			add(c.Xfer.SRAM)
-		case dhdl.GatherKind:
-			add(c.Xfer.AddrMem)
-		case dhdl.ScatterKind:
-			add(c.Xfer.AddrMem)
-			add(c.Xfer.DataMem)
-		}
-	}
-	rec(c)
-	return out
+	})
 }

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"plasticine/internal/arch"
+	"plasticine/internal/compiler"
 	"plasticine/internal/fault"
+	"plasticine/internal/sim"
 )
 
 func TestRecoveryReportInnerProduct(t *testing.T) {
@@ -68,6 +71,38 @@ func TestRecoveryDecompositionPinned(t *testing.T) {
 			ev.DrainCycles != w.drain || ev.ReconfigCycles != w.reconfig {
 			t.Errorf("event %d: %s fired at %d, drain %d, reconfig %d; want %sfired at %d, drain %d, reconfig %d",
 				i, ev.Event, ev.At, ev.DrainCycles, ev.ReconfigCycles, w.prefix, w.at, w.drain, w.reconfig)
+		}
+	}
+}
+
+// TestOnePlanBacksTwoRecoveredRuns: recovery extends its own copy of the
+// fault plan, so a caller may compile and simulate twice from one plan and
+// get the same recovered run each time, with the plan as it was.
+func TestOnePlanBacksTwoRecoveredRuns(t *testing.T) {
+	ctx := context.Background()
+	plan, err := fault.NewPlan(fault.Spec{Seed: 4, Events: DefaultRecoveryEvents()}, arch.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := plan.String()
+	for run := 1; run <= 2; run++ {
+		p, err := benchByName(t, "InnerProduct").Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: arch.Default(), Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _, err := sim.Simulate(ctx, m, sim.Options{Recovery: true})
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if res.Cycles != 59464 {
+			t.Errorf("run %d: %d cycles, want 59464", run, res.Cycles)
+		}
+		if got := plan.String(); got != before {
+			t.Fatalf("run %d changed the plan from %q to %q", run, before, got)
 		}
 	}
 }

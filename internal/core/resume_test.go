@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"plasticine/internal/arch"
 	"plasticine/internal/exec"
 )
 
@@ -48,6 +49,37 @@ func TestBenchmarkResultResumesFromDiskTier(t *testing.T) {
 		r2.Util != r1.Util || r2.Speedup != r1.Speedup ||
 		r2.DRAMReadMB != r1.DRAMReadMB || r2.DRAMWriteMB != r1.DRAMWriteMB {
 		t.Fatalf("resumed result differs:\n%+v\nvs\n%+v", r2, r1)
+	}
+}
+
+// TestDiskTierKeysNameTheWholeArchitecture: a session on a chip that
+// differs from the default only where Params.String does not look (one
+// more PMU stage) shares a disk tier with a default session, and must
+// simulate its own point rather than be served the default's cycles.
+func TestDiskTierKeysNameTheWholeArchitecture(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	run := func(p arch.Params) (int64, exec.CacheStats) {
+		d, err := exec.OpenDiskCache(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSession(WithArch(p), WithDiskCache(d))
+		defer s.Close()
+		r, err := s.RunBenchmark(ctx, mustBench(t, "InnerProduct"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Cycles, s.CacheStats()
+	}
+	if cycles, _ := run(arch.Default()); cycles != 42097 {
+		t.Fatalf("default chip: %d cycles, want 42097", cycles)
+	}
+	deeper := arch.Default()
+	deeper.PMU.Stages++
+	cycles, st := run(deeper)
+	if st.DiskHits != 0 || cycles != 42099 {
+		t.Fatalf("one more PMU stage: %d cycles with %d disk hits, want its own 42099 cycles and 0 hits", cycles, st.DiskHits)
 	}
 }
 

@@ -10,16 +10,16 @@ package core
 // Determinism: every Session method returns byte-identical results at any
 // worker count. Jobs write only their own index-addressed result slots, all
 // shared inputs (benchmark definitions, params, the base fault plan) are
-// treated as immutable — mutable fault plans are cloned per job — and merge
-// order is fixed by job index, never completion order.
+// treated as immutable — recovery extends its own copy of a plan — and
+// merge order is fixed by job index, never completion order.
 //
 // Concurrency: one Session may serve many goroutines at once — the serving
 // layer (internal/serve) drives exactly this pattern, mixing Run, Profile,
 // Explain and the sweeps through one shared handle. The audit behind that
-// claim: configuration (params, plan, simOpts, policy, disk) is written only
-// during NewSession and read-only afterwards; the engine (pool, cache,
-// retry counter) is concurrency-safe by construction; per-call mutable
-// state (fault-plan clones, fresh benchmark instances, trace collectors) is
+// claim: configuration (params and their key, plan, simOpts, policy, disk)
+// is written only during NewSession and read-only afterwards; the engine
+// (pool, cache, retry counter) is concurrency-safe by construction;
+// per-call mutable state (fresh benchmark instances, trace collectors) is
 // private to the call; and the lazily-built DSE driver is guarded by
 // dseOnce. TestSessionConcurrentMixedUse locks the property in under -race.
 
@@ -52,6 +52,9 @@ type Session struct {
 	policy  exec.JobPolicy
 	disk    *exec.DiskCache
 
+	// paramsKey is params rendered for cache keys, once per session.
+	paramsKey string
+
 	// dseOnce lazily allocates benchmark virtual units exactly once per
 	// session; every DSE entry point shares the result, so a Table 3 run
 	// after a Figure 7 panel re-derives nothing.
@@ -80,8 +83,8 @@ func WithArch(p arch.Params) SessionOption {
 }
 
 // WithFaults sets the fault plan benchmark runs compile and simulate under
-// (default: pristine fabric). The session treats the plan as immutable and
-// clones it per run, so one plan may back many parallel jobs.
+// (default: pristine fabric). No run writes the plan, so one plan may back
+// many parallel jobs.
 func WithFaults(plan *fault.Plan) SessionOption {
 	return func(s *Session) { s.plan = plan }
 }
@@ -128,6 +131,7 @@ func NewSession(opts ...SessionOption) *Session {
 	// replaces the engine) does not matter.
 	s.engine.AttachDisk(s.disk)
 	s.engine.SetPolicy(s.policy)
+	s.paramsKey = s.params.Key()
 	return s
 }
 
@@ -170,7 +174,7 @@ func (s *Session) Close() error {
 // Run compiles and simulates one program under the session's plan and
 // options (uncached: arbitrary programs have no stable identity).
 func (s *Session) Run(ctx context.Context, p *dhdl.Program) (*sim.Result, *dhdl.State, error) {
-	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: s.params, Faults: s.plan.Clone()})
+	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: s.params, Faults: s.plan})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -210,18 +214,17 @@ func freshInstance(b workloads.Benchmark) workloads.Benchmark {
 
 // evaluate is the cached benchmark evaluation every suite-level method funnels
 // through: one compile+simulate per distinct (benchmark, params, plan, opts)
-// point per session. The plan is cloned and the benchmark re-instantiated
-// inside the compute so parallel jobs share no mutable state; profiled runs
-// (non-nil Recorder) bypass the cache entirely. The compute runs under the
+// point per session. The benchmark is re-instantiated inside the compute
+// so parallel jobs share no mutable state; profiled runs (non-nil
+// Recorder) bypass the cache entirely. The compute runs under the
 // session's job policy (deadline + transient retries), and its result
 // persists to the disk tier when one is attached.
 func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
 	b = freshInstance(b)
 	if opts.Recorder != nil {
-		return runBenchmark(ctx, s.params, b, plan.Clone(), opts)
+		return runBenchmark(ctx, s.params, b, plan, opts)
 	}
-	k := exec.NewKey("core/bench", b.Name(),
-		fmt.Sprintf("%+v", s.params), planKey(plan), optsKey(opts))
+	k := exec.NewKey("core/bench", b.Name(), s.paramsKey, planKey(plan), optsKey(opts))
 	// Span attribution: when this call computes the point itself, the
 	// build/compile/sim/check spans recorded inside runBenchmark tell the
 	// story and no "cache" span is recorded. When the result came from the
@@ -235,7 +238,7 @@ func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fau
 		var r *BenchResult
 		err := s.engine.RunJob(ctx, b.Name(), func(ctx context.Context) error {
 			var rerr error
-			r, rerr = runBenchmark(ctx, s.params, b, plan.Clone(), opts)
+			r, rerr = runBenchmark(ctx, s.params, b, plan, opts)
 			return rerr
 		})
 		return r, err
@@ -322,14 +325,14 @@ func (s *Session) Bench(ctx context.Context, names []string) ([]BenchSim, error)
 // but safe to invoke from parallel jobs. The evaluation records under a
 // "profile" span, which the result keeps.
 func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileResult, error) {
-	// The collector is private to this call; route the session's plan
-	// through a clone and a fresh benchmark instance like every other run.
+	// The collector is private to this call, and the benchmark instance
+	// is fresh like every other run's.
 	b = freshInstance(b)
 	col := trace.NewCollector()
 	opts := s.simOpts
 	opts.Recorder = col
 	ctx, span := metrics.Start(ctx, "profile")
-	r, err := runBenchmark(ctx, s.params, b, s.plan.Clone(), opts)
+	r, err := runBenchmark(ctx, s.params, b, s.plan, opts)
 	span.EndWith(b.Name(), nil, err)
 	if err != nil {
 		return nil, err

@@ -292,7 +292,8 @@ func PushIf(fifo *FIFOMem, cond, val Expr) *Assign {
 	return &Assign{Kind: PushFIFO, FIFO: fifo, Val: val, Cond: cond}
 }
 
-// Build assigns counter depths, validates and returns the program.
+// Build assigns counter depths, validates, records every leaf's memory
+// footprint and returns the program.
 func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -304,6 +305,11 @@ func (b *Builder) Build() (*Program, error) {
 	if err := b.prog.Finalize(); err != nil {
 		return nil, err
 	}
+	b.prog.Walk(func(c *Controller) {
+		if !c.Kind.IsOuter() {
+			c.reads, c.writes = c.footprint()
+		}
+	})
 	return b.prog, nil
 }
 

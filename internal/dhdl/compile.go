@@ -525,24 +525,9 @@ func fused(evals []func() bool, commits, steps []func()) func() {
 func conflicts(body []*Assign) bool {
 	written := map[any]bool{}
 	for _, a := range body {
-		for _, e := range []Expr{a.Cond, a.Val, a.Addr} {
-			if e == nil {
-				continue
-			}
-			for _, m := range ReadSRAMs(e) {
-				if written[m] {
-					return true
-				}
-			}
-			for _, m := range ReadRegs(e) {
-				if written[m] {
-					return true
-				}
-			}
-			for _, m := range ReadFIFOs(e) {
-				if written[m] {
-					return true
-				}
+		for _, m := range a.reads(nil) {
+			if written[m] {
+				return true
 			}
 		}
 		switch a.Kind {

@@ -193,6 +193,10 @@ type Controller struct {
 	// Depth is the counter level of this controller's first counter
 	// (set by Builder.Build; Ctr expressions use these global levels).
 	Depth int
+
+	// reads and writes are a leaf's memory footprint, set by
+	// Builder.Build (see Reads and Writes).
+	reads, writes []any
 }
 
 // Provenance is the controller's source attribution: Origin when set, the
@@ -215,17 +219,18 @@ type Program struct {
 	FIFOs []*FIFOMem
 }
 
+// Walk visits c and every controller below it, pre-order.
+func (c *Controller) Walk(visit func(c *Controller)) {
+	visit(c)
+	for _, ch := range c.Children {
+		ch.Walk(visit)
+	}
+}
+
 // Walk visits every controller pre-order.
 func (p *Program) Walk(visit func(c *Controller)) {
-	var rec func(c *Controller)
-	rec = func(c *Controller) {
-		visit(c)
-		for _, ch := range c.Children {
-			rec(ch)
-		}
-	}
 	if p.Root != nil {
-		rec(p.Root)
+		p.Root.Walk(visit)
 	}
 }
 

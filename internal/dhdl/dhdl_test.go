@@ -2,6 +2,7 @@ package dhdl
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -439,14 +440,8 @@ func TestExprHelpers(t *testing.T) {
 	if got := MaxCtrLevel(e); got != 0 {
 		t.Errorf("MaxCtrLevel = %d, want 0", got)
 	}
-	if got := ReadSRAMs(e); len(got) != 1 || got[0] != s {
-		t.Errorf("ReadSRAMs = %v", got)
-	}
-	if got := ReadFIFOs(e); len(got) != 1 || got[0] != f {
-		t.Errorf("ReadFIFOs = %v", got)
-	}
-	if got := ReadRegs(e); len(got) != 1 || got[0] != r {
-		t.Errorf("ReadRegs = %v", got)
+	if got := addReads(nil, e); !slices.Equal(got, []any{s, f, r}) {
+		t.Errorf("addReads = %v, want [s f r]", got)
 	}
 }
 

@@ -164,42 +164,3 @@ func MaxCtrLevel(e Expr) int {
 	})
 	return max
 }
-
-// ReadSRAMs returns the set of SRAMs an expression reads.
-func ReadSRAMs(e Expr) []*SRAM {
-	seen := map[*SRAM]bool{}
-	var out []*SRAM
-	Walk(e, func(x Expr) {
-		if r, ok := x.(*SRAMRd); ok && !seen[r.Mem] {
-			seen[r.Mem] = true
-			out = append(out, r.Mem)
-		}
-	})
-	return out
-}
-
-// ReadFIFOs returns the set of FIFOs an expression pops.
-func ReadFIFOs(e Expr) []*FIFOMem {
-	seen := map[*FIFOMem]bool{}
-	var out []*FIFOMem
-	Walk(e, func(x Expr) {
-		if r, ok := x.(*FIFORd); ok && !seen[r.Mem] {
-			seen[r.Mem] = true
-			out = append(out, r.Mem)
-		}
-	})
-	return out
-}
-
-// ReadRegs returns the set of registers an expression reads.
-func ReadRegs(e Expr) []*Reg {
-	seen := map[*Reg]bool{}
-	var out []*Reg
-	Walk(e, func(x Expr) {
-		if r, ok := x.(*RegRd); ok && !seen[r.Reg] {
-			seen[r.Reg] = true
-			out = append(out, r.Reg)
-		}
-	})
-	return out
-}

@@ -49,25 +49,14 @@ func laneEligible(ctl *Controller) bool {
 			return false
 		}
 	}
-	ok := true
 	for _, a := range ctl.Body {
-		for _, e := range []Expr{a.Cond, a.Val, a.Addr} {
-			if e == nil {
-				continue
+		for _, m := range a.reads(nil) {
+			if _, pop := m.(*FIFOMem); pop || written[m] {
+				return false
 			}
-			Walk(e, func(x Expr) {
-				switch n := x.(type) {
-				case *FIFORd:
-					ok = false
-				case *SRAMRd:
-					ok = ok && !written[n.Mem]
-				case *RegRd:
-					ok = ok && !written[n.Reg]
-				}
-			})
 		}
 	}
-	return ok
+	return true
 }
 
 // blockLanes is how many iterations the block starting at counter value i

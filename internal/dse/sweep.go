@@ -349,7 +349,7 @@ func (s *Sweep) RatioStudy(ctx context.Context, params arch.Params) ([]RatioRow,
 	demands := make([]unitDemand, len(s.Benches))
 	err := s.Engine.Pool().Map(ctx, len(s.Benches), func(_ context.Context, i int) error {
 		b := s.Benches[i]
-		k := exec.NewKey("dse/demand", b.Name, fmt.Sprintf("%+v", params))
+		k := exec.NewKey("dse/demand", b.Name, params.Key())
 		d, err := exec.CachedJSON(s.Engine.Cache(), k, func() (unitDemand, error) {
 			part, err := demand(b, params)
 			if err != nil {

@@ -264,11 +264,9 @@ func ManualPlan(pcus, pmus, sws []Coord, downChans []bool) *Plan {
 	return plan
 }
 
-// Clone returns a deep copy of the plan. The recovery controller mutates a
-// plan in place as timed events fire (Extend marks victims statically
-// dead), so concurrent evaluation jobs must each run against their own
-// copy; sharing one plan across a worker pool is a data race and breaks
-// run-to-run determinism. Nil-safe.
+// Clone returns a deep copy of the plan. Recovery extends a copy as timed
+// events fire (Extend marks victims statically dead), so the plan a
+// mapping was compiled under stays as it was. Nil-safe.
 func (p *Plan) Clone() *Plan {
 	if p == nil {
 		return nil

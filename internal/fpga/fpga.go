@@ -58,11 +58,8 @@ func StratixV() Model {
 // Workload are the inputs the runtime estimate needs; they mirror
 // workloads.Profile but keep this package dependency-free.
 type Workload struct {
-	Flops      float64
-	DenseBytes float64
-	// WriteBytes is the portion of DenseBytes written to DRAM; soft-logic
-	// write paths achieve lower burst efficiency than reads.
-	WriteBytes     float64
+	Flops          float64
+	DenseBytes     float64
 	SparseAccesses float64
 	OpsPerLane     int
 	// HeavyOpsPerLane counts transcendental/divide ops per lane; soft
@@ -115,16 +112,10 @@ func (m Model) ComputeTime(w Workload) float64 {
 	return elements / (m.Lanes(w) * m.ClockHz)
 }
 
-// WriteEfficiency derates soft-logic DRAM write streams relative to reads.
-const WriteEfficiency = 0.5
-
 // MemoryTime returns the memory-bound runtime in seconds.
 func (m Model) MemoryTime(w Workload) float64 {
 	bw := m.BandwidthBps * m.MemEfficiency
-	t := (w.DenseBytes - w.WriteBytes) / bw
-	t += w.WriteBytes / (bw * WriteEfficiency)
-	t += w.SparseAccesses * m.RandomAccessBytes / m.BandwidthBps
-	return t
+	return w.DenseBytes/bw + w.SparseAccesses*m.RandomAccessBytes/m.BandwidthBps
 }
 
 // Runtime estimates the benchmark's runtime in seconds. Designs that

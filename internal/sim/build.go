@@ -58,9 +58,6 @@ type builder struct {
 	// Sequential subtree are independent instances).
 	seq map[string]*seqState
 
-	// Static access sets per leaf.
-	reads, writes map[*dhdl.Controller][]any
-
 	// Physical-unit registry: one entry per distinct unit key, in discovery
 	// order. Activities store indices into units.
 	units  []simUnit
@@ -100,8 +97,6 @@ func newBuilder(m *compiler.Mapping) *builder {
 		mems:           map[memKey]*memVersions{},
 		copyOf:         map[string]int{},
 		seq:            map[string]*seqState{},
-		reads:          map[*dhdl.Controller][]any{},
-		writes:         map[*dhdl.Controller][]any{},
 		unitOf:         map[string]int{},
 		window:         map[uint64]bool{},
 		coalesceWindow: 64,
@@ -217,7 +212,7 @@ func (b *builder) handle(ev *dhdl.ExecEvent) {
 	// Memory dependencies, privatised per unroll copy.
 	copyID := b.copyIndex(ev)
 	streamParent := directParent(ev.Path)
-	for _, mm := range b.leafReads(ev.Ctrl) {
+	for _, mm := range ev.Ctrl.Reads() {
 		mv := b.memState(mm, copyID)
 		for _, w := range mv.writers {
 			kind := endToStart
@@ -229,7 +224,7 @@ func (b *builder) handle(ev *dhdl.ExecEvent) {
 		mv.readers[0] = append(mv.readers[0], a)
 		mv.readSinceWrite = true
 	}
-	for _, mm := range b.leafWrites(ev.Ctrl) {
+	for _, mm := range ev.Ctrl.Writes() {
 		mv := b.memState(mm, copyID)
 		if mv.readSinceWrite && !b.isRMW(ev.Ctrl, mm) {
 			// New version: rotate the buffer ring; the slot being reused
@@ -400,168 +395,6 @@ func sameParentLeaf(w *activity, ev *dhdl.ExecEvent, parent *dhdl.Controller) bo
 		}
 	}
 	return false
-}
-
-// leafReads returns the memory objects a leaf reads (SRAMs, Regs, FIFOs,
-// DRAM buffers), cached per leaf.
-func (b *builder) leafReads(c *dhdl.Controller) []any {
-	if r, ok := b.reads[c]; ok {
-		return r
-	}
-	var out []any
-	seen := map[any]bool{}
-	add := func(m any) {
-		switch v := m.(type) {
-		case *dhdl.SRAM:
-			if v == nil {
-				return
-			}
-		case *dhdl.Reg:
-			if v == nil {
-				return
-			}
-		case *dhdl.FIFOMem:
-			if v == nil {
-				return
-			}
-		case *dhdl.DRAMBuf:
-			if v == nil {
-				return
-			}
-		}
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	for _, ctr := range c.Chain {
-		if ctr.MaxReg != nil {
-			add(ctr.MaxReg)
-		}
-	}
-	switch c.Kind {
-	case dhdl.ComputeKind:
-		for _, as := range c.Body {
-			exprs := []dhdl.Expr{as.Val}
-			if as.Addr != nil {
-				exprs = append(exprs, as.Addr)
-			}
-			if as.Cond != nil {
-				exprs = append(exprs, as.Cond)
-			}
-			for _, e := range exprs {
-				for _, s := range dhdl.ReadSRAMs(e) {
-					add(s)
-				}
-				for _, f := range dhdl.ReadFIFOs(e) {
-					add(f)
-				}
-				for _, r := range dhdl.ReadRegs(e) {
-					add(r)
-				}
-			}
-			if as.Kind == dhdl.ReduceSRAM {
-				add(as.SRAM)
-			}
-		}
-	default:
-		x := c.Xfer
-		if x.CountReg != nil {
-			add(x.CountReg)
-		}
-		switch c.Kind {
-		case dhdl.LoadKind:
-			add(x.DRAM)
-		case dhdl.StoreKind:
-			add(x.SRAM)
-			add(x.FIFO)
-		case dhdl.GatherKind:
-			add(x.AddrMem)
-			add(x.AddrFIFO)
-			add(x.DRAM)
-		case dhdl.ScatterKind:
-			add(x.AddrMem)
-			add(x.AddrFIFO)
-			add(x.DataMem)
-			add(x.DataFIFO)
-		}
-	}
-	out = dropTypedNils(out)
-	b.reads[c] = out
-	return out
-}
-
-// leafWrites returns the memory objects a leaf writes.
-func (b *builder) leafWrites(c *dhdl.Controller) []any {
-	if w, ok := b.writes[c]; ok {
-		return w
-	}
-	var out []any
-	seen := map[any]bool{}
-	add := func(m any) {
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	switch c.Kind {
-	case dhdl.ComputeKind:
-		for _, as := range c.Body {
-			switch as.Kind {
-			case dhdl.WriteSRAM, dhdl.ReduceSRAM:
-				add(as.SRAM)
-			case dhdl.WriteReg, dhdl.ReduceReg:
-				add(as.Reg)
-			case dhdl.PushFIFO:
-				add(as.FIFO)
-			}
-		}
-	default:
-		x := c.Xfer
-		switch c.Kind {
-		case dhdl.LoadKind:
-			add(x.SRAM)
-			add(x.FIFO)
-		case dhdl.StoreKind:
-			add(x.DRAM)
-		case dhdl.GatherKind:
-			add(x.SRAM)
-			add(x.FIFO)
-		case dhdl.ScatterKind:
-			add(x.DRAM)
-		}
-	}
-	out = dropTypedNils(out)
-	b.writes[c] = out
-	return out
-}
-
-// dropTypedNils removes typed-nil entries ((*SRAM)(nil) etc.) that slip in
-// through optional transfer fields.
-func dropTypedNils(in []any) []any {
-	out := in[:0]
-	for _, m := range in {
-		switch v := m.(type) {
-		case *dhdl.SRAM:
-			if v == nil {
-				continue
-			}
-		case *dhdl.Reg:
-			if v == nil {
-				continue
-			}
-		case *dhdl.FIFOMem:
-			if v == nil {
-				continue
-			}
-		case *dhdl.DRAMBuf:
-			if v == nil {
-				continue
-			}
-		}
-		out = append(out, m)
-	}
-	return out
 }
 
 // burstsFor appends a transfer event's burst-aligned DRAM addresses to dst.

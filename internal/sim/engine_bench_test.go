@@ -44,7 +44,7 @@ func benchEngine(b *testing.B, name, faults string, kind engineKind) {
 			b.Fatal(err)
 		}
 		m, err := compiler.CompileOpts(context.Background(), prog,
-			compiler.Options{Params: arch.Default(), Faults: plan.Clone()})
+			compiler.Options{Params: arch.Default(), Faults: plan})
 		if err != nil {
 			b.Fatal(err)
 		}

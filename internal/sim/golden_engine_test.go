@@ -259,7 +259,7 @@ func TestChannelCountersBalance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := compiler.CompileOpts(context.Background(), prog, compiler.Options{Params: arch.Default(), Faults: plan.Clone()})
+			m, err := compiler.CompileOpts(context.Background(), prog, compiler.Options{Params: arch.Default(), Faults: plan})
 			if err != nil {
 				t.Fatal(err)
 			}

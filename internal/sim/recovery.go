@@ -3,10 +3,8 @@ package sim
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"plasticine/internal/compiler"
-	"plasticine/internal/dhdl"
 	"plasticine/internal/fault"
 )
 
@@ -40,9 +38,9 @@ type RecoveryStats struct {
 	LostBursts     int   // total dropped-and-reissued DRAM bursts
 }
 
-// runRecovery simulates a compiled program whose fault plan schedules
-// timed mid-run events (Simulate guarantees there is at least one),
-// surviving each one:
+// survive runs the engine through the timed fault events of m's plan,
+// surviving each one, and returns their overheads (nil when the plan
+// schedules none):
 //
 //  1. run to the event's cycle (a loop boundary);
 //  2. land the fault — a killed DRAM channel drops its queued and in-flight
@@ -52,22 +50,22 @@ type RecoveryStats struct {
 //     faults only);
 //  5. stall the drained engine for the reconfiguration and continue.
 //
-// A fault the mapping cannot be repaired around (wrapping
-// compiler.ErrInsufficient or compiler.ErrNoRoute) fails the run.
-func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*Result, *dhdl.State, error) {
+// Each event extends a copy of the plan, taken before the first, so the
+// caller's plan is never written and may back another compile and run;
+// the repaired mapping carries the copy. A fault the mapping cannot be
+// repaired around (wrapping compiler.ErrInsufficient or
+// compiler.ErrNoRoute) fails the run.
+func (eng *engine) survive(ctx context.Context, m *compiler.Mapping) (*RecoveryStats, error) {
 	events := m.Faults.Events()
-	eng, st, err := prepare(ctx, m, opts, lp)
-	if err != nil {
-		return nil, nil, err
+	if len(events) == 0 {
+		return nil, nil
 	}
-	t0 := time.Now()
-	eng.ctx = ctx
-	plan := m.Faults
+	plan := m.Faults.Clone()
 	rec := &RecoveryStats{}
 	for _, ev := range events {
 		finished, err := eng.runUntil(ev.Cycle)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if finished {
 			break // the program completed before this fault could land
@@ -85,24 +83,24 @@ func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options, lp loop
 				}
 			})
 			if err != nil {
-				return nil, nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
+				return nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
 			}
 			re.LostBursts = lost
 		}
 		if err := plan.Extend(ev); err != nil {
-			return nil, nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
+			return nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
 		}
 
 		drain, err := eng.drainInFlight()
 		if err != nil {
-			return nil, nil, fmt.Errorf("sim: recovery at cycle %d: %s: drain: %w", eng.clock, ev, err)
+			return nil, fmt.Errorf("sim: recovery at cycle %d: %s: drain: %w", eng.clock, ev, err)
 		}
 		re.DrainCycles = drain
 
 		if ev.Kind != fault.KillChan {
 			rep, err := compiler.Repair(ctx, m, plan)
 			if err != nil {
-				return nil, nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
+				return nil, fmt.Errorf("sim: recovery at cycle %d: %s: %w", eng.clock, ev, err)
 			}
 			re.MovedPCUs, re.MovedPMUs = rep.MovedPCUs, rep.MovedPMUs
 			re.ReroutedEdges, re.FullRecompile = rep.ReroutedEdges, rep.FullRecompile
@@ -118,13 +116,5 @@ func runRecovery(ctx context.Context, m *compiler.Mapping, opts Options, lp loop
 		rec.ReconfigCycles += re.ReconfigCycles
 		rec.LostBursts += re.LostBursts
 	}
-	cycles, err := eng.run()
-	if err != nil {
-		return nil, nil, err
-	}
-	eng.observeRun(cycles)
-	eng.emitTrace(m, recoveryWindows(rec))
-	res := buildResult(m, eng, cycles, t0)
-	res.Recovery = rec
-	return res, st, nil
+	return rec, nil
 }

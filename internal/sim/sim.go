@@ -85,25 +85,42 @@ func Simulate(ctx context.Context, m *compiler.Mapping, opts Options) (*Result, 
 // simulate is Simulate on an explicit scheduling core. Production passes
 // eventLoop; the golden identity tests also pass the cycle-by-cycle
 // reference loop, so both cores run the same plain, faulted and recovery
-// paths.
+// runs. Every run is one sequence: prepare, survive the plan's timed
+// events (none unless opts.Recovery is set), run to the end, observe and
+// emit, and build the result.
 func simulate(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*Result, *dhdl.State, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.Recovery && len(m.Faults.Events()) > 0 {
-		return runRecovery(ctx, m, opts, lp)
+	eng, st, err := prepare(ctx, m, opts, lp)
+	if err != nil {
+		return nil, nil, err
 	}
-	return runPlain(ctx, m, opts, lp)
+	t0 := time.Now()
+	eng.ctx = ctx
+	var rec *RecoveryStats
+	if opts.Recovery {
+		if rec, err = eng.survive(ctx, m); err != nil {
+			return nil, nil, err
+		}
+	}
+	cycles, err := eng.run()
+	if err != nil {
+		return nil, nil, err
+	}
+	eng.observeRun(cycles)
+	eng.emitTrace(m, recoveryWindows(rec))
+	res := buildResult(m, eng, cycles, t0)
+	res.Recovery = rec
+	return res, st, nil
 }
 
 // prepare runs the functional trace, builds the timed activity graph, and
 // constructs the memory system — everything up to (but excluding) advancing
-// the clock. runPlain and runRecovery share it, so the uninterrupted and
-// recovering paths simulate the identical graph against the identical DRAM.
-// The trace mutates the program's bound collections in place, so prepare
-// must run exactly once per simulation; recovery resumes the engine it
-// built rather than re-tracing. The trace polls ctx, so a canceled run
-// stops there too, with an error wrapping ctx.Err().
+// the clock. The trace mutates the program's bound collections in place,
+// so prepare must run exactly once per simulation; recovery resumes the
+// engine it built rather than re-tracing. The trace polls ctx, so a
+// canceled run stops there too, with an error wrapping ctx.Err().
 func prepare(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*engine, *dhdl.State, error) {
 	b := newBuilder(m)
 	if opts.CoalesceWindow > 0 {
@@ -143,24 +160,4 @@ func buildResult(m *compiler.Mapping, e *engine, cycles int64, t0 time.Time) *Re
 		FUUtil:  m.Util.FUFrac,
 	})
 	return res
-}
-
-// runPlain simulates an uninterrupted run: the engine polls ctx periodically
-// (see ctxCheckInterval) and a canceled run aborts with a *WatchdogError
-// whose Cause is the context error, so errors.Is(err, context.Canceled)
-// holds.
-func runPlain(ctx context.Context, m *compiler.Mapping, opts Options, lp loop) (*Result, *dhdl.State, error) {
-	eng, st, err := prepare(ctx, m, opts, lp)
-	if err != nil {
-		return nil, nil, err
-	}
-	t0 := time.Now()
-	eng.ctx = ctx
-	cycles, err := eng.run()
-	if err != nil {
-		return nil, nil, err
-	}
-	eng.observeRun(cycles)
-	eng.emitTrace(m, nil)
-	return buildResult(m, eng, cycles, t0), st, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -292,14 +291,7 @@ func (s *search) evaluate(ctx context.Context, survivors []candidate) error {
 // computed locally — the outcome is a pure function of (params, benchmark),
 // so stolen work is byte-identical to waited-for work.
 func (s *search) benchEval(ctx context.Context, c candidate, bench string, owned bool) (EvalOutcome, error) {
-	// Full-fidelity identity: %v would go through Params.String, which
-	// summarises (no port counts, no register count) and would collapse
-	// distinct designs onto one cache entry.
-	pb, err := json.Marshal(c.params)
-	if err != nil {
-		return EvalOutcome{}, fmt.Errorf("tune: cache key for %s: %w", c.key, err)
-	}
-	k := exec.NewKey("tune/eval", bench, string(pb))
+	k := exec.NewKey("tune/eval", bench, c.params.Key())
 	if !owned {
 		if out, ok := s.pollSibling(ctx, k); ok {
 			return out, nil

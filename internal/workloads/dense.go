@@ -186,7 +186,6 @@ func (w *OuterProduct) Profile() Profile {
 	return Profile{
 		Flops:         n * n,
 		DenseBytes:    4 * (n*n + 2*n*float64(w.N/w.Tile)),
-		WriteBytes:    4 * n * n,
 		OpsPerLane:    1,
 		FPGALogicUtil: 0.382, FPGAMemUtil: 0.714,
 		PaperSpeedup: 6.7, PaperPerfWatt: 6.1,

@@ -33,8 +33,6 @@ type Profile struct {
 	Flops float64
 	// DenseBytes is DRAM traffic from dense (burst) transfers.
 	DenseBytes float64
-	// WriteBytes is the written portion of DenseBytes.
-	WriteBytes float64
 	// SparseAccesses is the number of 4-byte random DRAM accesses.
 	SparseAccesses float64
 	// OpsPerLane is the pipeline depth per parallel lane in a spatial
