@@ -31,7 +31,7 @@ func AnalyzeAffine(e Expr) (Affine, bool) {
 
 // LaneStride says how an i32 expression varies across the lanes of the
 // counter at level lane: the SIMD lanes a PCU runs its innermost counter
-// on, which the interpreter mirrors a block of lanes at a time. Subtrees
+// on, which the interpreter mirrors a tile of lanes at a time. Subtrees
 // that do not read that counter count as constants, even data-dependent
 // ones like a per-point class id times a row length. The answer is one of
 //
@@ -42,8 +42,9 @@ func AnalyzeAffine(e Expr) (Affine, bool) {
 //     per-lane gather, the lane times a data-dependent value).
 //
 // The compiler banks scratchpads and sets initiation intervals by it; the
-// interpreter evaluates lane-invariant subtrees once per block and
-// lane-affine ones as a base and a stride.
+// interpreter asks it about the innermost counter and the one above, and
+// evaluates invariant subtrees once per tile or row and affine ones as a
+// base and strides.
 func LaneStride(e Expr, lane int) (stride int64, ok bool) {
 	if e == nil || !readsLevel(e, lane) {
 		return 0, true

@@ -313,17 +313,12 @@ func (b *Builder) Build() (*Program, error) {
 	return b.prog, nil
 }
 
-// MustBuild is Build for tests and examples with known-good programs.
-// Unlike its name suggests, it no longer panics: a build failure is
-// accumulated in the builder's error field (visible via Err, and returned
-// again by Build or any later Finalize/Run on the program), and the
-// partially built program is returned so the error surfaces at the next
-// checked boundary instead of crashing the process.
+// MustBuild is Build for tests and examples with known-good programs: it
+// panics with the build error.
 func (b *Builder) MustBuild() *Program {
 	p, err := b.Build()
 	if err != nil {
-		b.fail("%v", err)
-		return b.prog
+		panic(err)
 	}
 	return p
 }

@@ -381,9 +381,11 @@ func (r *affineRegs) start(env []int32) {
 // assign writes, committing each assign right after evaluating it is
 // indistinguishable, and the body runs that way.
 //
-// A body that laneEligible admits runs its innermost counter a block of
-// lanes at a time instead (see lanes.go); a block that faults reruns its
-// lanes here, one iteration at a time.
+// A body that laneEligible admits runs a tile of lanes at a time instead
+// (see lanes.go): whole rows of its next-outer counter where they fit,
+// blocks of its innermost counter otherwise. A tile that faults reruns its
+// rows one at a time, and a block that faults reruns its lanes here, one
+// iteration at a time.
 func (c *progCompiler) compute(ctl *Controller) func() {
 	env := c.env
 	aff, regs := c.affineAddrs(ctl)
@@ -406,7 +408,7 @@ func (c *progCompiler) compute(ctl *Controller) func() {
 	}
 	var lanes *laneBody
 	if laneEligible(ctl) {
-		lanes = c.laneBody(ctl, ec, accs)
+		lanes = c.laneBody(ctl, ec, accs, aff)
 	}
 	iter := fused(evals, commits, steps)
 	if conflicts(ctl.Body) {
@@ -422,6 +424,12 @@ func (c *progCompiler) compute(ctl *Controller) func() {
 			}
 		}
 	}
+	observe := func(index, rows int, faulted bool) {}
+	if c.onTile != nil {
+		observe = func(index, rows int, faulted bool) {
+			c.onTile(ctl, laneTile{index: index, rows: rows, fused: lanes.fused, faulted: faulted})
+		}
+	}
 
 	var iters int64
 	var loop func(j int)
@@ -431,14 +439,48 @@ func (c *progCompiler) compute(ctl *Controller) func() {
 			aff.vals[s.to] = aff.vals[s.to-1] + s.d
 		}
 		shifts, last := aff.step[j], j == len(loops)-1
-		if last && lanes != nil {
-			for b, i, max := 0, lp.min, lp.limit(); i < max; b++ {
-				n := blockLanes(i, max, lp.step)
-				iters += int64(n)
-				replay := !lanes.eval(i, n)
-				if c.onBlock != nil {
-					c.onBlock(ctl, b, n, replay)
+		switch {
+		case lanes != nil && lanes.tile > 1 && j == len(loops)-2:
+			// Tiles of whole rows; a last row alone, and the rows of a
+			// tile that faulted, run one at a time below.
+			in, cols := &loops[j+1], lanes.rowLen
+			for t, i, max := 0, lp.min, lp.limit(); i < max; t++ {
+				rows := span(i, max, lp.step, lanes.tile)
+				if rows > 1 {
+					env[lp.level], env[in.level] = i, in.min
+					for _, s := range aff.enter[j+1] {
+						aff.vals[s.to] = aff.vals[s.to-1] + s.d
+					}
+					ok := lanes.eval(rows, cols)
+					observe(t, rows, !ok)
+					if ok {
+						lanes.commit()
+						iters += int64(rows * cols)
+						env[lp.level] = i + int32(rows-1)*lp.step
+						env[in.level] = in.min + int32(cols-1)*in.step
+						for _, s := range shifts {
+							aff.vals[s.to] += s.d * int32(rows)
+						}
+						i += int32(rows) * lp.step
+						continue
+					}
 				}
+				for r := 0; r < rows; r++ {
+					env[lp.level] = i
+					loop(j + 1)
+					for _, s := range shifts {
+						aff.vals[s.to] += s.d
+					}
+					i += lp.step
+				}
+			}
+		case last && lanes != nil:
+			for b, i, max := 0, lp.min, lp.limit(); i < max; b++ {
+				n := span(i, max, lp.step, laneBlock)
+				iters += int64(n)
+				env[lp.level] = i
+				replay := !lanes.eval(1, n)
+				observe(b, 1, replay)
 				if replay {
 					for k := 0; k < n; k++ {
 						env[lp.level] = i
@@ -457,18 +499,18 @@ func (c *progCompiler) compute(ctl *Controller) func() {
 				}
 				i += int32(n) * lp.step
 			}
-			return
-		}
-		for i, max := lp.min, lp.limit(); i < max; i += lp.step {
-			env[lp.level] = i
-			if last {
-				iters++
-				iter()
-			} else {
-				loop(j + 1)
-			}
-			for _, s := range shifts {
-				aff.vals[s.to] += s.d
+		default:
+			for i, max := lp.min, lp.limit(); i < max; i += lp.step {
+				env[lp.level] = i
+				if last {
+					iters++
+					iter()
+				} else {
+					loop(j + 1)
+				}
+				for _, s := range shifts {
+					aff.vals[s.to] += s.d
+				}
 			}
 		}
 	}

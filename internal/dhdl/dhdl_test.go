@@ -368,6 +368,33 @@ func TestFinalizeRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestMustBuildPanicsOnFailedBuild: a build error reaches the caller as a
+// panic carrying Build's error, never as a program without footprints.
+func TestMustBuildPanicsOnFailedBuild(t *testing.T) {
+	newBuilder := func() *Builder {
+		b := NewBuilder("broken", Sequential)
+		r := b.Reg("r", pattern.VI(0))
+		b.Compute("c", []Counter{C(4)}, func(ix []Expr) []*Assign { return []*Assign{SetReg(r, ix[0])} })
+		b.Errf("cannot translate %q", "x")
+		return b
+	}
+	_, want := newBuilder().Build()
+	if want == nil {
+		t.Fatal("Build accepted a builder with a recorded error")
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		newBuilder().MustBuild()
+		return nil
+	}()
+	if got == nil {
+		t.Fatal("MustBuild returned a program from a failed build")
+	}
+	if err, ok := got.(error); !ok || err.Error() != want.Error() {
+		t.Fatalf("MustBuild panicked with %v, want Build's error %q", got, want)
+	}
+}
+
 // TestNegativeStepIsRejected: Trips counts a counter with a step below 1
 // as zero iterations, so the interpreter must refuse it up front rather
 // than count towards the limit through 2^31 wrapped iterations.

@@ -61,10 +61,13 @@ func CheckAgainstOracle(t testing.TB, p *Program) (*State, error) {
 
 // LaneStats counts what the lane path did in one compiled run.
 type LaneStats struct {
-	Eligible   int // compute leaves whose bodies run in lane blocks
-	Blocks     int // lane blocks evaluated
-	MultiBlock int // innermost loop runs that spanned more than one block
-	Replayed   int // blocks that faulted and reran one lane at a time
+	Eligible     int // compute leaves whose bodies run in lane tiles
+	Blocks       int // tiles evaluated, of one row or several
+	MultiBlock   int // loops whose tiles, or innermost loop runs whose blocks, numbered more than one
+	Replayed     int // one-row blocks that faulted and reran one lane at a time
+	Tiles        int // tiles that spanned several rows
+	FaultedTiles int // tiles of several rows that faulted and reran row by row
+	Fused        int // fused multiply-accumulates in the bodies that ran
 }
 
 func (s *LaneStats) add(o LaneStats) {
@@ -72,6 +75,9 @@ func (s *LaneStats) add(o LaneStats) {
 	s.Blocks += o.Blocks
 	s.MultiBlock += o.MultiBlock
 	s.Replayed += o.Replayed
+	s.Tiles += o.Tiles
+	s.FaultedTiles += o.FaultedTiles
+	s.Fused += o.Fused
 }
 
 // CheckLanesAgainstOracle is CheckAgainstOracle that also reports the
@@ -84,26 +90,37 @@ func CheckLanesAgainstOracle(t testing.TB, p *Program) (LaneStats, error) {
 			st.Eligible++
 		}
 	}
-	_, err := checkAgainstOracle(t, p, func(_ *Controller, index, _ int, replayed bool) {
+	fused := map[*Controller]int{}
+	_, err := checkAgainstOracle(t, p, func(c *Controller, tile laneTile) {
 		st.Blocks++
-		if index == 1 {
+		if tile.index == 1 {
 			st.MultiBlock++
 		}
-		if replayed {
+		switch {
+		case tile.rows > 1 && tile.faulted:
+			st.Tiles++
+			st.FaultedTiles++
+		case tile.rows > 1:
+			st.Tiles++
+		case tile.faulted:
 			st.Replayed++
 		}
+		fused[c] = tile.fused
 	})
+	for _, n := range fused {
+		st.Fused += n
+	}
 	return st, err
 }
 
-func checkAgainstOracle(t testing.TB, p *Program, onBlock func(*Controller, int, int, bool)) (*State, error) {
+func checkAgainstOracle(t testing.TB, p *Program, onTile func(*Controller, laneTile)) (*State, error) {
 	t.Helper()
 	inputs := SnapshotDRAM(p)
 	var refEvents, gotEvents []ExecEvent
 	ref, refErr := traceReference(p, func(ev *ExecEvent) { refEvents = append(refEvents, *ev) })
 	refDRAM := SnapshotDRAM(p)
 	RestoreDRAM(p, inputs)
-	got, gotErr := trace(context.Background(), p, func(ev *ExecEvent) { gotEvents = append(gotEvents, *ev) }, onBlock)
+	got, gotErr := trace(context.Background(), p, func(ev *ExecEvent) { gotEvents = append(gotEvents, *ev) }, onTile)
 
 	if (refErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: oracle error %v, compiled error %v", p.Name, refErr, gotErr)

@@ -195,8 +195,8 @@ func Trace(p *Program, hook ExecHook) (*State, error) {
 // every expression becomes a closure specialised to its static type, and
 // every affine SRAM address becomes a register that steps by a constant
 // stride as the counters advance. A compute body whose iterations are
-// independent runs its innermost counter a block of lanes at a time, with
-// the same results, errors and events. A program that is not well typed
+// independent runs a tile of lanes at a time, with the same results,
+// errors and events. A program that is not well typed
 // (an f32 value stored into an i32 SRAM, a comparison used as a number,
 // an i32 counter limit read from an f32 register) is rejected with an
 // error before anything executes.
@@ -204,8 +204,8 @@ func TraceContext(ctx context.Context, p *Program, hook ExecHook) (*State, error
 	return trace(ctx, p, hook, nil)
 }
 
-// trace is TraceContext with an observer of lane blocks (see progCompiler).
-func trace(ctx context.Context, p *Program, hook ExecHook, onBlock func(*Controller, int, int, bool)) (st *State, err error) {
+// trace is TraceContext with an observer of lane tiles (see progCompiler).
+func trace(ctx context.Context, p *Program, hook ExecHook, onTile func(*Controller, laneTile)) (st *State, err error) {
 	if ferr := p.Finalize(); ferr != nil {
 		return nil, ferr
 	}
@@ -231,7 +231,7 @@ func trace(ctx context.Context, p *Program, hook ExecHook, onBlock func(*Control
 		}
 	}()
 	st = newState(p)
-	c := &progCompiler{st: st, hook: hook, env: make([]int32, maxLevels(p.Root)), ctx: ctx, onBlock: onBlock}
+	c := &progCompiler{st: st, hook: hook, env: make([]int32, maxLevels(p.Root)), ctx: ctx, onTile: onTile}
 	c.ctrl(p.Root)()
 	return st, nil
 }
@@ -254,9 +254,17 @@ type progCompiler struct {
 	path []*Controller
 	ctx  context.Context
 
-	// onBlock, when set, observes every lane block: its index in its loop,
-	// its lanes, and whether it faulted and reran one lane at a time.
-	onBlock func(ctl *Controller, index, lanes int, replayed bool)
+	// onTile, when set, observes every lane tile a compute body evaluates.
+	onTile func(*Controller, laneTile)
+}
+
+// laneTile describes one tile of lanes that a compute body evaluated (see
+// lanes.go), for tests that measure what the lane path covered.
+type laneTile struct {
+	index   int  // in its loop: the row loop for a tile of rows, the innermost loop for a block
+	rows    int  // rows of the next-outer counter; 1 for a block
+	fused   int  // fused multiply-accumulates in the body
+	faulted bool // it faulted and reran row by row, or lane by lane
 }
 
 func (c *progCompiler) sram(m *SRAM) []uint32 {

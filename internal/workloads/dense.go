@@ -101,7 +101,6 @@ type OuterProduct struct {
 	N, Tile int
 
 	a, bv, c []float32
-	want     []float32
 }
 
 // NewOuterProduct returns the benchmark at simulation scale.
@@ -168,17 +167,26 @@ func (w *OuterProduct) Build() (*dhdl.Program, error) {
 		w.bv[i] = r.float() - 0.5
 	}
 	w.c = make([]float32, n*n)
-	w.want = make([]float32, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			w.want[i*n+j] = w.a[i] * w.bv[j]
-		}
-	}
 	return bind(p, pattern.FromF32("a", w.a), pattern.FromF32("b", w.bv), pattern.FromF32("c", w.c))
 }
 
+// Check compares each word c[i·n+j] with a[i]·b[j], computed here one row
+// at a time: a stored reference would be as large as the output.
 func (w *OuterProduct) Check(st *dhdl.State) error {
-	return checkF32Slice("outerproduct.c", w.c, w.want, 1e-5)
+	n := w.N
+	if len(w.c) != n*n {
+		return fmt.Errorf("outerproduct.c: length %d, want %d", len(w.c), n*n)
+	}
+	want := make([]float32, n)
+	for i, ai := range w.a {
+		for j, bj := range w.bv {
+			want[j] = ai * bj
+		}
+		if err := checkF32Words("outerproduct.c", i*n, w.c[i*n:(i+1)*n], want, 1e-5); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func (w *OuterProduct) Profile() Profile {

@@ -227,12 +227,20 @@ func (w *GDA) Build() (*dhdl.Program, error) {
 			w.wantMu[c*d+j] /= cnt[c]
 		}
 	}
+	// Each point's deviation from its class mean is computed once; every
+	// word takes the same float32 operations in the same order as
+	// (x[i,j]-mu[c,j])·(x[i,k]-mu[c,k]) summed over i.
 	w.wantSg = make([]float32, d*d)
+	dev := make([]float32, d)
 	for i := 0; i < n; i++ {
 		c := int(w.y[i])
-		for j := 0; j < d; j++ {
-			for k := 0; k < d; k++ {
-				w.wantSg[j*d+k] += (w.x[i*d+j] - w.wantMu[c*d+j]) * (w.x[i*d+k] - w.wantMu[c*d+k])
+		for j := range dev {
+			dev[j] = w.x[i*d+j] - w.wantMu[c*d+j]
+		}
+		for j, dj := range dev {
+			row := w.wantSg[j*d : (j+1)*d]
+			for k, dk := range dev {
+				row[k] += dj * dk
 			}
 		}
 	}

@@ -91,6 +91,31 @@ func TestGEMMReferenceIsDotProducts(t *testing.T) {
 	}
 }
 
+// TestGDAReferenceIsTripleLoop pins GDA's reference covariance, which
+// computes each point's deviation once, to the triple loop that recomputes
+// (x[i,j]-mu[c,j])·(x[i,k]-mu[c,k]) for every k: bit for bit.
+func TestGDAReferenceIsTripleLoop(t *testing.T) {
+	w := NewGDA()
+	if _, err := w.Build(); err != nil {
+		t.Fatal(err)
+	}
+	n, d := w.N, w.D
+	want := make([]float32, d*d)
+	for i := 0; i < n; i++ {
+		c := int(w.y[i])
+		for j := 0; j < d; j++ {
+			for k := 0; k < d; k++ {
+				want[j*d+k] += (w.x[i*d+j] - w.wantMu[c*d+j]) * (w.x[i*d+k] - w.wantMu[c*d+k])
+			}
+		}
+	}
+	for i, s := range want {
+		if got := w.wantSg[i]; math.Float32bits(got) != math.Float32bits(s) {
+			t.Fatalf("wantSg[%d] = %x, triple loop %x", i, math.Float32bits(got), math.Float32bits(s))
+		}
+	}
+}
+
 // TestCheckRejectsWrongAnswer: each benchmark's Check passes the
 // interpreter's answer and fails it once one word is wrong. A DRAM result
 // has one output word changed after the run. InnerProduct's and TPCHQ6's

@@ -160,9 +160,17 @@ func checkF32Slice(name string, got, want []float32, rel float64) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%s: length %d, want %d", name, len(got), len(want))
 	}
-	for i := range got {
-		if !almostEq(float64(got[i]), float64(want[i]), rel) {
-			return fmt.Errorf("%s[%d] = %g, want %g", name, i, got[i], want[i])
+	return checkF32Words(name, 0, got, want, rel)
+}
+
+// checkF32Words compares got with want word by word, naming got[i] as
+// word off+i of the result. Equal finite words pass almostEq whatever the
+// tolerance, so only the others take its float64 test.
+func checkF32Words(name string, off int, got, want []float32, rel float64) error {
+	want = want[:len(got)]
+	for i, g := range got {
+		if w := want[i]; !(g == w && g-g == 0) && !almostEq(float64(g), float64(w), rel) {
+			return fmt.Errorf("%s[%d] = %g, want %g", name, off+i, g, w)
 		}
 	}
 	return nil
