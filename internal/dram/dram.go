@@ -38,6 +38,10 @@ type Config struct {
 // its non-empty bank queues in one 64-bit mask.
 const maxBanks = 64
 
+// maxAttempts is the most transient-failure retries a burst may take: an
+// entry counts them in one byte.
+const maxAttempts = math.MaxUint8
+
 // DDR3_1600x4 returns the paper's memory system: 4 channels of DDR3-1600
 // (12.8 GB/s each, 51.2 GB/s total), 8 banks per channel, 2 KB rows, 64 B
 // bursts. Timings are DDR3-1600 CL11 expressed in 1 ns fabric cycles.
@@ -72,12 +76,23 @@ type Request struct {
 // backing off before a retry. Bank and row are decoded once at Submit: the
 // scheduler compares rows every tick, and the divisions in bankRowOf
 // dominated its profile. They depend only on the address and the geometry,
-// never on fault remapping, so they hold for the entry's whole life.
+// never on fault remapping, so they hold for the entry's whole life. The
+// fields are as narrow as their ranges allow, so an entry is 24 bytes and
+// the queues that copy it stay small.
 type entry struct {
-	Request
-	row      int64
-	bank     int32
-	attempts int32 // transient-failure retries so far
+	Addr uint64
+	Tag  int64
+	// row is the address's row in its bank, Addr / (Channels·RowBytes)
+	// when a row holds whole bursts: below 2^31 for every address below
+	// 2^31·Channels·RowBytes (16 TiB under DDR3_1600x4). The simulator lays
+	// its buffers out from 1 MiB up, each of them allocated on the host.
+	row int32
+	// bank is row mod BanksPerChan, below maxBanks (New enforces it).
+	bank uint8
+	// attempts counts transient-failure retries so far, at most
+	// Faults.MaxRetries, which InjectFaults holds to maxAttempts.
+	attempts uint8
+	Write    bool
 }
 
 // timed is an entry bound to a cycle: when it lands while in flight, when
@@ -190,7 +205,7 @@ func (q *bankQueue) remove(i int) (entry, bool) {
 }
 
 type bank struct {
-	openRow int64 // -1 = closed
+	openRow int32 // -1 = closed
 	readyAt int64 // earliest cycle the bank can accept a command
 	queue   bankQueue
 }
@@ -315,7 +330,12 @@ type DRAM struct {
 	// seq numbers scheduled bursts. Completions fire in (cycle, seq) order:
 	// same-cycle landings on different channels fire in the order they were
 	// scheduled, which fixes the fault PRNG's draw sequence.
-	seq         uint64
+	seq uint64
+	// head is the channel holding the next completion to fire, -1 when
+	// nothing is in flight. schedule moves it when a push into an empty
+	// flight queue lands strictly earlier (its seq is the newest, so it
+	// loses every tie); a pop and a channel kill rescan (findHead).
+	head        int
 	landed      []int64 // tags of the bursts the last Tick landed
 	stats       Stats
 	chanStats   []ChanStats
@@ -334,7 +354,7 @@ func New(cfg Config) *DRAM {
 	if cfg.BanksPerChan > maxBanks {
 		panic(fmt.Sprintf("dram: %d banks per channel, the model supports at most %d", cfg.BanksPerChan, maxBanks))
 	}
-	d := &DRAM{cfg: cfg, channels: make([]channel, cfg.Channels),
+	d := &DRAM{cfg: cfg, channels: make([]channel, cfg.Channels), head: -1,
 		chanStats: make([]ChanStats, cfg.Channels), nextRefresh: int64(cfg.TREFI)}
 	for i := range d.channels {
 		d.channels[i].wake = math.MaxInt64
@@ -373,34 +393,22 @@ func (d *DRAM) channelOf(addr uint64) int {
 }
 
 // bankRowOf maps an address to (bank, row) within its channel.
-func (d *DRAM) bankRowOf(addr uint64) (int, int64) {
+func (d *DRAM) bankRowOf(addr uint64) (uint8, int32) {
 	block := addr / uint64(d.cfg.BurstBytes) / uint64(d.cfg.Channels)
-	row := int64(block * uint64(d.cfg.BurstBytes) / uint64(d.cfg.RowBytes))
-	b := int(row) % d.cfg.BanksPerChan
-	return b, row
-}
-
-// newEntry decodes a request's bank and row.
-func (d *DRAM) newEntry(r Request, attempts int32) entry {
-	b, row := d.bankRowOf(r.Addr)
-	return entry{Request: r, row: row, bank: int32(b), attempts: attempts}
+	row := int32(block * uint64(d.cfg.BurstBytes) / uint64(d.cfg.RowBytes))
+	return uint8(int(row) % d.cfg.BanksPerChan), row
 }
 
 // Submit enqueues a request; it returns false (and drops the request) if
 // no healthy channel owns the address or the owning channel's queue is full
 // — callers must retry.
 func (d *DRAM) Submit(r Request) bool {
-	ci, ok := d.admits(r.Addr)
+	ci, ok := d.Accepts(r.Addr)
 	if ok {
-		d.enqueue(ci, d.newEntry(r, 0))
+		b, row := d.bankRowOf(r.Addr)
+		d.enqueue(ci, entry{Addr: r.Addr, Tag: r.Tag, row: row, bank: b, Write: r.Write})
 	}
 	return ok
-}
-
-// admits returns the channel owning addr and whether its queue has room.
-func (d *DRAM) admits(addr uint64) (int, bool) {
-	ci := d.channelOf(addr)
-	return ci, ci >= 0 && d.channels[ci].queued < d.cfg.QueueDepth
 }
 
 // enqueue queues an accepted entry on channel ci.
@@ -412,11 +420,11 @@ func (d *DRAM) enqueue(ci int, e entry) {
 	}
 }
 
-// nextLanding returns the channel holding the next completion to fire —
-// the earliest cycle, ties to the earliest scheduled — or -1 when nothing
-// is in flight.
-func (d *DRAM) nextLanding() int {
-	best := -1
+// findHead rescans the channels for the next completion to fire — the
+// earliest cycle, ties to the earliest scheduled — and caches its channel
+// in head (-1 when nothing is in flight).
+func (d *DRAM) findHead() {
+	d.head = -1
 	var at int64
 	var seq uint64
 	for ci := range d.channels {
@@ -424,11 +432,10 @@ func (d *DRAM) nextLanding() int {
 		if q.len() == 0 {
 			continue
 		}
-		if f := q.front(); best < 0 || f.at < at || f.at == at && f.seq < seq {
-			best, at, seq = ci, f.at, f.seq
+		if f := q.front(); d.head < 0 || f.at < at || f.at == at && f.seq < seq {
+			d.head, at, seq = ci, f.at, f.seq
 		}
 	}
-	return best
 }
 
 // Tick advances the memory system to cycle now: lands due bursts, then
@@ -438,12 +445,10 @@ func (d *DRAM) nextLanding() int {
 func (d *DRAM) Tick(now int64) []int64 {
 	d.landed = d.landed[:0]
 	// Land completions; bursts hit by a transient fault re-queue instead.
-	for {
-		ci := d.nextLanding()
-		if ci < 0 || d.channels[ci].flights.front().at > now {
-			break
-		}
+	for d.head >= 0 && d.channels[d.head].flights.front().at <= now {
+		ci := d.head
 		f := d.channels[ci].flights.pop()
+		d.findHead()
 		if !d.maybeRetry(ci, f.entry, now) {
 			d.finish(ci, &f.entry)
 			d.landed = append(d.landed, f.Tag)
@@ -550,6 +555,9 @@ func (d *DRAM) schedule(ci int, now int64) {
 	ch.wake = ch.earliestReady()
 	ch.flights.push(timed{entry: r, at: done, seq: d.seq})
 	d.seq++
+	if ch.flights.len() == 1 && (d.head < 0 || done < d.channels[d.head].flights.front().at) {
+		d.head = ci
+	}
 }
 
 // Idle reports whether no requests are queued or in flight.
@@ -588,8 +596,8 @@ func (d *DRAM) NextEventAt(now int64) int64 {
 	}
 	// now+1 is the floor; once a candidate hits it, nothing can be earlier,
 	// so the remaining (and costlier) scans are skipped.
-	if ci := d.nextLanding(); ci >= 0 {
-		consider(d.channels[ci].flights.front().at)
+	if d.head >= 0 {
+		consider(d.channels[d.head].flights.front().at)
 	}
 	for _, c := range d.retryq {
 		consider(c.at)
@@ -611,12 +619,12 @@ func (d *DRAM) NextEventAt(now int64) int64 {
 }
 
 // Accepts probes whether Submit would succeed for addr right now, with no
-// side effects. down reports the rejection kind when ok is false: true when
-// no healthy channel owns the address, false when the owning channel's queue
-// is full.
-func (d *DRAM) Accepts(addr uint64) (ok, down bool) {
-	ci, ok := d.admits(addr)
-	return ok, ci < 0
+// side effects. It returns the (fault-remapped) channel owning addr, -1
+// when every candidate channel is down, and whether that channel's queue
+// has room.
+func (d *DRAM) Accepts(addr uint64) (ci int, ok bool) {
+	ci = d.channelOf(addr)
+	return ci, ci >= 0 && d.channels[ci].queued < d.cfg.QueueDepth
 }
 
 // QueueSlack returns the free request-queue slots on channel ci.
@@ -626,10 +634,6 @@ func (d *DRAM) QueueSlack(ci int) int {
 	}
 	return d.cfg.QueueDepth - d.channels[ci].queued
 }
-
-// ChannelIndex returns the (fault-remapped) channel owning addr, -1 when
-// every candidate channel is down.
-func (d *DRAM) ChannelIndex(addr uint64) int { return d.channelOf(addr) }
 
 // EventCount returns scheduled future events (pending completions plus
 // retrying bursts) — the event-queue depth the observability gauge samples.

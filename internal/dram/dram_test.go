@@ -161,8 +161,8 @@ func TestQueueFullBackpressure(t *testing.T) {
 	if accepted != 4 {
 		t.Errorf("accepted %d requests into depth-4 queue, want 4", accepted)
 	}
-	if ok, down := d.Accepts(0); ok || down {
-		t.Errorf("Accepts(0) = %v, %v with the channel queue full, want false, false", ok, down)
+	if ci, ok := d.Accepts(0); ok || ci != 0 {
+		t.Errorf("Accepts(0) = %d, %v with the channel queue full, want 0, false", ci, ok)
 	}
 }
 

@@ -24,6 +24,8 @@ type Faults struct {
 	// exponential backoff: RetryBackoff << attempt cycles, at most
 	// MaxRetries times; a burst that exhausts its retries completes anyway
 	// (higher-level ECC recovery) and is counted in Stats.RetriesExhausted.
+	// With TransientProb set, MaxRetries is at most 255: InjectFaults
+	// rejects a larger one.
 	TransientProb float64
 	MaxRetries    int
 	RetryBackoff  int
@@ -59,6 +61,9 @@ func (d *DRAM) InjectFaults(f *Faults) error {
 	}
 	if len(f.Down) > d.cfg.Channels {
 		return fmt.Errorf("dram: fault plan marks %d channels, memory system has %d", len(f.Down), d.cfg.Channels)
+	}
+	if f.TransientProb > 0 && f.MaxRetries > maxAttempts {
+		return fmt.Errorf("dram: fault plan allows %d retries per burst, the model counts at most %d", f.MaxRetries, maxAttempts)
 	}
 	d.faults = f
 	d.rng = newPRNG(f.Seed)
@@ -140,7 +145,7 @@ func (d *DRAM) drainRetries(now int64) {
 // resubmit enqueues a retried entry, attempt count and all, if its channel
 // has room.
 func (d *DRAM) resubmit(e entry) bool {
-	ci, ok := d.admits(e.Addr)
+	ci, ok := d.Accepts(e.Addr)
 	if ok {
 		d.enqueue(ci, e)
 	}
@@ -189,6 +194,7 @@ func (d *DRAM) KillChannel(c int, lost func(tag int64)) (int, error) {
 	for ci := range d.channels {
 		gone = d.channels[ci].flights.remove(owned, gone)
 	}
+	d.findHead()
 	slices.SortFunc(gone, schedulingOrder)
 	for _, t := range gone {
 		drop(t.Tag)

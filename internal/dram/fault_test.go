@@ -40,8 +40,8 @@ func TestAllChannelsDownRejectsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Tick(0)
-	if ok, down := d.Accepts(0); ok || !down {
-		t.Errorf("Accepts(0) = %v, %v with every channel down, want false, true", ok, down)
+	if ci, ok := d.Accepts(0); ok || ci != -1 {
+		t.Errorf("Accepts(0) = %d, %v with every channel down, want -1, false", ci, ok)
 	}
 	if d.Submit(Request{Addr: 0}) {
 		t.Error("Submit with every channel down")
@@ -72,6 +72,27 @@ func TestTransientRetries(t *testing.T) {
 	}
 	if st.RetriesExhausted != int64(n) {
 		t.Errorf("exhausted = %d, want %d", st.RetriesExhausted, n)
+	}
+}
+
+// TestMaxRetriesFitsTheAttemptCounter pins the retry bound an entry's
+// one-byte attempt counter sets: the largest bound it can count runs to
+// exhaustion, one more is refused, unless no burst can fail.
+func TestMaxRetriesFitsTheAttemptCounter(t *testing.T) {
+	d := New(DDR3_1600x4())
+	if err := d.InjectFaults(&Faults{TransientProb: 1, MaxRetries: maxAttempts + 1}); err == nil {
+		t.Errorf("InjectFaults accepted MaxRetries %d, above the %d an entry counts", maxAttempts+1, maxAttempts)
+	}
+	if err := d.InjectFaults(&Faults{MaxRetries: maxAttempts + 1}); err != nil {
+		t.Errorf("InjectFaults refused MaxRetries %d with no transient failures: %v", maxAttempts+1, err)
+	}
+	if err := d.InjectFaults(&Faults{TransientProb: 1, MaxRetries: maxAttempts}); err != nil {
+		t.Fatal(err)
+	}
+	d.Submit(Request{Addr: 0})
+	drain(d, 0, nil)
+	if st := d.Stats(); st.Retries != maxAttempts || st.RetriesExhausted != 1 {
+		t.Errorf("%d retries, %d exhausted; want %d and 1", st.Retries, st.RetriesExhausted, maxAttempts)
 	}
 }
 

@@ -47,7 +47,7 @@ func quietConfig() Config {
 
 // queueOn enqueues a request for (bank, row) on channel 0, tagged tag.
 func queueOn(d *DRAM, b int, row int64, tag int64) entry {
-	e := entry{Request: Request{Tag: tag}, row: row, bank: int32(b)}
+	e := entry{Tag: tag, row: int32(row), bank: uint8(b)}
 	d.enqueue(0, e)
 	return e
 }
@@ -104,7 +104,7 @@ func TestPickMatchesLinearScan(t *testing.T) {
 		for b := range ch.banks {
 			ch.banks[b].readyAt = int64(rng.Intn(100))
 			if rng.Intn(4) > 0 {
-				ch.banks[b].openRow = int64(rng.Intn(4))
+				ch.banks[b].openRow = int32(rng.Intn(4))
 			}
 		}
 		spread := 1 + rng.Intn(cfg.BanksPerChan) // banks in use

@@ -310,8 +310,11 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 func TestSweepStreamsNDJSONWithHeartbeats(t *testing.T) {
-	_, ts := newTestServer(t, func(cfg *Config) { cfg.Heartbeat = 5 * time.Millisecond })
-	resp, err := http.Get(ts.URL + "/v1/sweep?kind=fig7&panel=f&timeout=5m")
+	// Table 3 takes tens of milliseconds on a fresh session, several of the
+	// scheduler's 10 ms preemption slices, so the handler gets to run while
+	// the sweep does and a 1 ms heartbeat must fire before it ends.
+	_, ts := newTestServer(t, func(cfg *Config) { cfg.Heartbeat = time.Millisecond })
+	resp, err := http.Get(ts.URL + "/v1/sweep?kind=table3&timeout=5m")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -65,10 +66,9 @@ type builder struct {
 
 	// Coalescing-unit state survives across sparse transfers of the same
 	// leaf only; a fresh cache per activity is a close, simpler model.
-	// window and order hold that cache; their storage is reused.
+	// window holds that cache; its storage is reused.
 	coalesceWindow int
-	window         map[uint64]bool
-	order          []uint64
+	window         burstSet
 	// disableNBuffer forces single buffering everywhere (ablation).
 	disableNBuffer bool
 }
@@ -98,7 +98,6 @@ func newBuilder(m *compiler.Mapping) *builder {
 		copyOf:         map[string]int{},
 		seq:            map[string]*seqState{},
 		unitOf:         map[string]int{},
-		window:         map[uint64]bool{},
 		coalesceWindow: 64,
 	}
 	var addr uint64 = 1 << 20 // leave page 0 unmapped
@@ -415,24 +414,80 @@ func (b *builder) burstsFor(dst []uint64, ev *dhdl.ExecEvent) []uint64 {
 		}
 		return dst
 	}
-	// Coalescing cache: recent-burst window keyed by burst address, fresh
-	// for every transfer; order[head:] is the window, oldest first.
-	clear(b.window)
-	order, head := b.order[:0], 0
+	// Coalescing cache: the last coalesceWindow distinct bursts, fresh for
+	// every transfer. They are the bursts this call appended, so dst[oldest:]
+	// is the window, oldest first, and b.window answers membership; it holds
+	// one more while a new burst joins before the oldest leaves.
+	oldest := len(dst)
+	b.window.reset(min(b.coalesceWindow, len(ev.SparseAddrs)) + 1)
 	for _, idx := range ev.SparseAddrs {
 		addr := (base + uint64(ev.DenseOff)*4 + uint64(idx)*4) &^ (burstBytes - 1)
-		if b.window[addr] {
+		if !b.window.add(addr) {
 			continue
 		}
 		dst = append(dst, addr)
-		b.window[addr] = true
-		order = append(order, addr)
-		if len(order)-head > b.coalesceWindow {
-			// Evict the oldest entry.
-			delete(b.window, order[head])
-			head++
+		if len(dst)-oldest > b.coalesceWindow {
+			b.window.remove(dst[oldest])
+			oldest++
 		}
 	}
-	b.order = order
 	return dst
+}
+
+// burstSet is the coalescing window's membership test: an open-addressed
+// set of burst addresses with linear probing. A slot holds addr|1, which
+// no empty slot (0) equals, as bursts are 64-byte aligned.
+type burstSet struct {
+	slots []uint64
+	shift uint // 64 - log2(len(slots)): home slots take a hash's top bits
+}
+
+// reset empties the set and sizes it so that n members fill at most half
+// its slots, reusing its storage.
+func (s *burstSet) reset(n int) {
+	size := 16
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(s.slots) < size {
+		s.slots = make([]uint64, size)
+	} else {
+		s.slots = s.slots[:size]
+		clear(s.slots)
+	}
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+func (s *burstSet) home(key uint64) int { return int((key * 0x9E3779B97F4A7C15) >> s.shift) }
+
+// add inserts addr and reports whether it was absent.
+func (s *burstSet) add(addr uint64) bool {
+	key, mask := addr|1, len(s.slots)-1
+	for i := s.home(key); ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case key:
+			return false
+		case 0:
+			s.slots[i] = key
+			return true
+		}
+	}
+}
+
+// remove deletes addr, a member. Rather than leave a hole that would cut a
+// later probe short, it shifts back each member of the run after it whose
+// home lies at or before the hole.
+func (s *burstSet) remove(addr uint64) {
+	key, mask := addr|1, len(s.slots)-1
+	i := s.home(key)
+	for s.slots[i] != key {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
+		if (j-s.home(s.slots[j]))&mask >= (j-i)&mask {
+			s.slots[i] = s.slots[j]
+			i = j
+		}
+	}
+	s.slots[i] = 0
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"plasticine/internal/arch"
@@ -72,6 +74,88 @@ func TestCoalescingDedupesWithinWindow(t *testing.T) {
 	if got := len(b.burstsFor(nil, alt)); got != 6 {
 		t.Errorf("window=1 produced %d bursts, want 6", got)
 	}
+
+	// Random sparse streams through one builder, so its window's storage is
+	// reused across transfers and sizes, must emit what the map-based window
+	// emits, burst by burst, after whatever bursts dst already holds.
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 3000; n++ {
+		b.coalesceWindow = []int{1, 2, 63, 64, 65, 200}[n%6]
+		ev := &dhdl.ExecEvent{Ctrl: m.Prog.Leaves()[0], Buf: buf,
+			DenseOff: rng.Intn(64), SparseAddrs: sparseStream(rng, b.coalesceWindow)}
+		prefix := []uint64{uint64(rng.Intn(1 << 20))}[:rng.Intn(2)]
+		got := b.burstsFor(slices.Clone(prefix), ev)
+		want := mapWindowBursts(b, slices.Clone(prefix), ev)
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("stream %d, window %d, %d addresses: %d bursts, the map-based window gives %d; first difference at burst %d",
+				n, b.coalesceWindow, len(ev.SparseAddrs), len(got), len(want), i)
+		}
+	}
+}
+
+// sparseStream draws a gather's word indices: repeats from a small pool,
+// strided sweeps, cyclic runs over a few bursts more or fewer than the
+// window, or a mix of them.
+func sparseStream(rng *rand.Rand, window int) []int32 {
+	n := rng.Intn(1500)
+	out := make([]int32, 0, n)
+	for len(out) < n {
+		run := 1 + rng.Intn(400)
+		switch rng.Intn(4) {
+		case 0: // repeats from a pool of words
+			pool := 1 + rng.Intn(40*window)
+			for i := 0; i < run; i++ {
+				out = append(out, int32(rng.Intn(pool)))
+			}
+		case 1: // a strided sweep
+			start, stride := rng.Intn(1<<16), 1+rng.Intn(40)
+			for i := 0; i < run; i++ {
+				out = append(out, int32(start+i*stride))
+			}
+		case 2: // a cyclic run over window-2 .. window+2 bursts
+			bursts := max(1, window-2+rng.Intn(5))
+			start := rng.Intn(1 << 16)
+			for i := 0; i < run; i++ {
+				out = append(out, int32(start+i%bursts*burstBytes/4+rng.Intn(burstBytes/4)))
+			}
+		default: // one word again and again
+			w := int32(rng.Intn(1 << 16))
+			for i := 0; i < run; i++ {
+				out = append(out, w)
+			}
+		}
+	}
+	return out[:n]
+}
+
+// mapWindowBursts is burstsFor's sparse path with the map-based coalescing
+// window it had before the open-addressed one, kept as the reference.
+func mapWindowBursts(b *builder, dst []uint64, ev *dhdl.ExecEvent) []uint64 {
+	base := b.base[ev.Buf]
+	window := map[uint64]bool{}
+	var order []uint64
+	// Coalescing cache: recent-burst window keyed by burst address, fresh
+	// for every transfer; order[head:] is the window, oldest first.
+	head := 0
+	for _, idx := range ev.SparseAddrs {
+		addr := (base + uint64(ev.DenseOff)*4 + uint64(idx)*4) &^ (burstBytes - 1)
+		if window[addr] {
+			continue
+		}
+		dst = append(dst, addr)
+		window[addr] = true
+		order = append(order, addr)
+		if len(order)-head > b.coalesceWindow {
+			// Evict the oldest entry.
+			delete(window, order[head])
+			head++
+		}
+	}
+	return dst
 }
 
 func TestDenseBurstsCoverRange(t *testing.T) {

@@ -44,7 +44,7 @@ type runningXfer struct {
 	completed int
 	// requeue holds burst indices whose requests were dropped by a mid-run
 	// fault (e.g. a killed DRAM channel) and must be reissued. act.bursts is
-	// never mutated, so the graph fingerprint stays valid across recovery.
+	// never mutated, so those indices name the same bursts across recovery.
 	requeue []int
 
 	// Event-core bookkeeping (untouched by the legacy cycle loop). seq is
@@ -229,14 +229,22 @@ func (e *engine) tick() {
 			rx.markBusy(e.clock)
 		}
 		if rx.state == rxSat {
-			rx.state = rxActive
-			e.active = append(e.active, rx)
-			e.activeDirty = true
+			e.activate(rx)
 		}
 		if rx.completed == len(rx.act.bursts) {
 			e.retireNeeded = true
 		}
 	}
+}
+
+// activate puts a woken transfer back on the active list, marking the list
+// for a re-sort only when rx lands out of admission order.
+func (e *engine) activate(rx *runningXfer) {
+	rx.state = rxActive
+	if n := len(e.active); n > 0 && e.active[n-1].seq > rx.seq {
+		e.activeDirty = true
+	}
+	e.active = append(e.active, rx)
 }
 
 // issueInto attempts one cycle's worth of burst submissions for one
@@ -299,6 +307,7 @@ func (e *engine) checkWatchdog() error {
 	}
 	if e.ctx != nil && e.clock >= e.nextCtxCheck {
 		e.nextCtxCheck = e.clock + ctxCheckInterval
+		e.sampleQueueDepth()
 		if err := e.ctx.Err(); err != nil {
 			w := e.diagnostic("run canceled")
 			w.Cause = err

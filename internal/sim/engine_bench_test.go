@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,26 +12,35 @@ import (
 	"plasticine/internal/workloads"
 )
 
-// benchEngine times one simulation of a benchmark per iteration: the
-// functional trace, the graph build and the engine. Building and compiling
-// the program, which every iteration needs afresh because the trace writes
-// into its bound collections, stay outside the timer. A non-empty faults
-// spec compiles each iteration against a fresh copy of its plan and
-// simulates with Recovery on, so timed events are survived. cyc/s is
-// simulated cycles per second of engine time alone (with recovery, of the
-// whole recovered run after the graph build).
-func benchEngine(b *testing.B, name, faults string, kind engineKind) {
-	w, err := workloads.ByName(name)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var plan *fault.Plan
-	if faults != "" {
-		spec, err := fault.ParseSpec(faults)
+// engineRun is one simulation a benchmark iteration times: a Table 4
+// benchmark under a fault spec ("" for a pristine fabric).
+type engineRun struct{ name, faults string }
+
+// benchEngine times one simulation per run per iteration: the functional
+// trace, the graph build and the engine. Building and compiling each
+// program, which every iteration needs afresh because the trace writes into
+// its bound collections, stay outside the timer. A non-empty faults spec
+// compiles against its plan, which recovery never writes, and simulates
+// with Recovery on, so timed events are survived. cyc/s is simulated cycles
+// per second of engine time alone (with recovery, of the whole recovered
+// run after the graph build).
+func benchEngine(b *testing.B, kind engineKind, runs ...engineRun) {
+	ws := make([]workloads.Benchmark, len(runs))
+	plans := make([]*fault.Plan, len(runs))
+	for i, r := range runs {
+		w, err := workloads.ByName(r.name)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if plan, err = fault.NewPlan(spec, arch.Default()); err != nil {
+		ws[i] = w
+		if r.faults == "" {
+			continue
+		}
+		spec, err := fault.ParseSpec(r.faults)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if plans[i], err = fault.NewPlan(spec, arch.Default()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -38,40 +48,62 @@ func benchEngine(b *testing.B, name, faults string, kind engineKind) {
 	var cycles int64
 	var wall time.Duration
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		prog, err := w.Build()
-		if err != nil {
-			b.Fatal(err)
+		for k, w := range ws {
+			plan := plans[k]
+			b.StopTimer()
+			prog, err := w.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, err := compiler.CompileOpts(context.Background(), prog,
+				compiler.Options{Params: arch.Default(), Faults: plan})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			res, _, err := simulate(context.Background(), m, Options{Recovery: plan != nil}, kind.loop)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if plan != nil && len(plan.Events()) > 0 && (res.Recovery == nil || len(res.Recovery.Events) == 0) {
+				b.Fatalf("%s under %s: no timed fault fired, the run never recovered", runs[k].name, runs[k].faults)
+			}
+			cycles += res.Cycles
+			wall += res.WallTime
 		}
-		m, err := compiler.CompileOpts(context.Background(), prog,
-			compiler.Options{Params: arch.Default(), Faults: plan})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		res, _, err := simulate(context.Background(), m, Options{Recovery: plan != nil}, kind.loop)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if plan != nil && len(plan.Events()) > 0 && (res.Recovery == nil || len(res.Recovery.Events) == 0) {
-			b.Fatal("no timed fault fired: the run never recovered")
-		}
-		cycles += res.Cycles
-		wall += res.WallTime
 	}
 	b.ReportMetric(float64(cycles)/wall.Seconds(), "cyc/s")
 }
 
-func BenchmarkEngineEventIP(b *testing.B) { benchEngine(b, "InnerProduct", "", eventEngine) }
-func BenchmarkEngineCycleIP(b *testing.B) { benchEngine(b, "InnerProduct", "", cycleEngine) }
+func BenchmarkEngineEventIP(b *testing.B) { benchEngine(b, eventEngine, engineRun{"InnerProduct", ""}) }
+func BenchmarkEngineCycleIP(b *testing.B) { benchEngine(b, cycleEngine, engineRun{"InnerProduct", ""}) }
 
 // OuterProduct is the burst-heavy case: about 500 bursts per transfer.
-func BenchmarkEngineEventOP(b *testing.B) { benchEngine(b, "OuterProduct", "", eventEngine) }
-func BenchmarkEngineCycleOP(b *testing.B) { benchEngine(b, "OuterProduct", "", cycleEngine) }
+func BenchmarkEngineEventOP(b *testing.B) { benchEngine(b, eventEngine, engineRun{"OuterProduct", ""}) }
+func BenchmarkEngineCycleOP(b *testing.B) { benchEngine(b, cycleEngine, engineRun{"OuterProduct", ""}) }
+
+// sparseFaultSpec is a faulted memory system: a channel down, transient
+// retries, latency spikes, and a PCU and a channel killed mid-run and
+// survived by recovery.
+func sparseFaultSpec(seed int) string {
+	return fmt.Sprintf("seed=%d,chan=1,retry=0.002,spike=0.02,kill-pcu@8000,kill-chan@20000", seed)
+}
 
 // SMDV under a faulted memory system is the sparse case: gathers spread over
-// every bank, with a channel down, transient retries, latency spikes, and a
-// PCU and a channel killed mid-run and survived by recovery.
+// every bank.
 func BenchmarkEngineEventSMDVFaulted(b *testing.B) {
-	benchEngine(b, "SMDV", "seed=3,chan=1,retry=0.002,spike=0.02,kill-pcu@8000,kill-chan@20000", eventEngine)
+	benchEngine(b, eventEngine, engineRun{"SMDV", sparseFaultSpec(3)})
+}
+
+// BenchmarkEngineEventSparseFaulted is the sparse and DRAM-bound set under
+// the faulted memory system, one simulation of each per fault seed: the
+// engine's share of a sparse and faulted evaluation, in process.
+func BenchmarkEngineEventSparseFaulted(b *testing.B) {
+	var runs []engineRun
+	for seed := 1; seed <= 3; seed++ {
+		for _, name := range []string{"InnerProduct", "TPCHQ6", "SMDV", "PageRank", "BFS"} {
+			runs = append(runs, engineRun{name, sparseFaultSpec(seed)})
+		}
+	}
+	benchEngine(b, eventEngine, runs...)
 }

@@ -62,11 +62,11 @@ func (e *engine) issueBurstsEvent() bool {
 			if len(rx.requeue) > 0 {
 				idx = rx.requeue[0]
 			}
-			if ok, down := e.dram.Accepts(rx.act.bursts[idx]); ok {
+			if ci, ok := e.dram.Accepts(rx.act.bursts[idx]); ok {
 				rx.state = rxActive
 				kept = append(kept, rx)
 			} else {
-				e.parkBlocked(rx, down)
+				e.parkBlocked(rx, ci)
 			}
 		}
 	}
@@ -82,22 +82,17 @@ func (e *engine) issueBurstsEvent() bool {
 func bySeq(a, b *runningXfer) int { return cmp.Compare(a.seq, b.seq) }
 
 // parkBlocked benches a transfer whose next submission would be rejected,
-// against its target channel, or against -1 when every channel is down.
-func (e *engine) parkBlocked(rx *runningXfer, down bool) {
-	ci := -1
-	if !down {
-		idx := rx.nextBurst
-		if len(rx.requeue) > 0 {
-			idx = rx.requeue[0]
-		}
-		ci = e.dram.ChannelIndex(rx.act.bursts[idx])
-	}
+// against its target channel ci, or against -1 when every channel is down.
+// Each group stays in admission order, so a wake takes its head.
+func (e *engine) parkBlocked(rx *runningXfer, ci int) {
 	rx.state = rxBlocked
 	slot := ci + 1
 	if slot >= len(e.parked) {
 		e.parked = append(e.parked, make([][]*runningXfer, slot+1-len(e.parked))...)
 	}
-	e.parked[slot] = append(e.parked[slot], rx)
+	group := e.parked[slot]
+	i, _ := slices.BinarySearchFunc(group, rx, bySeq)
+	e.parked[slot] = slices.Insert(group, i, rx)
 	e.nParked++
 }
 
@@ -122,12 +117,9 @@ func (e *engine) wakeParked() {
 		if free <= 0 {
 			continue
 		}
-		slices.SortFunc(group, bySeq)
 		n := min(free, len(group))
 		for _, rx := range group[:n] {
-			rx.state = rxActive
-			e.active = append(e.active, rx)
-			e.activeDirty = true
+			e.activate(rx)
 		}
 		e.nParked -= n
 		e.parked[slot] = append(group[:0], group[n:]...)
@@ -215,9 +207,6 @@ func (e *engine) runUntilEvent(stopAt int64) (bool, error) {
 			e.retire()
 		}
 		e.drainReady()
-		if e.insts != nil {
-			e.insts.queueDepth.Set(int64(e.dram.EventCount() + len(e.waiting)))
-		}
 	}
 	return true, nil
 }
