@@ -51,8 +51,9 @@ type BenchResult struct {
 	Recovery *sim.RecoveryStats `json:",omitempty"`
 
 	// SimWallSec is the event engine's host time, sim.Result.WallTime: the
-	// timed schedule alone, not the functional trace, graph build or repair
-	// inside the sim span (simulator throughput, not a modelled quantity).
+	// timed schedule with the recoveries it survives, not the functional
+	// phase or the sim span's graph build (simulator throughput, not a
+	// modelled quantity).
 	SimWallSec float64 `json:",omitempty"`
 }
 
@@ -62,33 +63,53 @@ type BenchResult struct {
 // functional check must still pass, or the run fails. A plan with timed
 // mid-run events goes through the recovery controller (drain, repair,
 // stall, resume); without events the flow is bit-identical to the plain
-// simulation pipeline. Compilation checks ctx between passes and the
-// simulator polls it periodically, so a parallel suite can abandon
+// simulation pipeline. Compilation checks ctx between passes, and the
+// interpreter and the engine poll it, so a parallel suite can abandon
 // in-flight work when a sibling fails or the user interrupts.
-func runBenchmark(ctx context.Context, params arch.Params, b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
-	_, span := metrics.Start(ctx, "build")
-	p, err := b.Build()
-	span.EndWith("", nil, err)
+//
+// The run is two phases: the functional phase (Build, the interpreter and
+// Check) and the timing phase (compile and replay its log). With a memo,
+// the functional result comes from it when it holds b's (a hit: Program()
+// stands in for Build, and nothing else of the phase runs); with keep set,
+// a miss claims b's slot, so concurrent callers compute it once, and keeps
+// the outcome unless the run's context ended first. Without a memo — the
+// instance may not be the registry's — every phase runs. The design point
+// compiles before the functional phase, so one that does not fit pays for
+// no trace, and errors keep their order: Build, compile, the interpreter,
+// the engine, then Check.
+func runBenchmark(ctx context.Context, params arch.Params, b workloads.Benchmark, plan *fault.Plan, opts sim.Options, memo *funcMemo, keep bool) (*BenchResult, error) {
+	name := b.Name()
+	fail := func(err error) (*BenchResult, error) { return nil, fmt.Errorf("core: %s: %w", name, err) }
+	lk, err := memo.lookup(ctx, name, keep)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
+		return fail(err)
+	}
+	defer lk.release()
+	p, err := lk.program(ctx, b)
+	if err != nil {
+		return fail(err)
 	}
 	// The compiler records its own compile span, passes below it.
 	m, err := compiler.CompileOpts(ctx, p, compiler.Options{Params: params, Faults: plan})
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
+		return fail(err)
 	}
+	fn, err := lk.functional(ctx, b, p)
+	if err != nil {
+		return fail(err)
+	}
+	// Nothing here holds the log past the graph build, so the collector may
+	// take a log the memo does not keep while the engine runs.
+	checkErr := fn.check
 	simCtx, span := metrics.Start(ctx, "sim")
 	opts.Recovery = true
-	res, st, err := sim.Simulate(simCtx, m, opts)
+	res, err := sim.Replay(simCtx, m, fn.log, opts)
 	span.EndWith("", nil, err)
 	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", b.Name(), err)
+		return fail(err)
 	}
-	_, span = metrics.Start(ctx, "check")
-	err = b.Check(st)
-	span.EndWith("", nil, err)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: functional check failed: %w", b.Name(), err)
+	if checkErr != nil {
+		return nil, fmt.Errorf("core: %s: functional check failed: %w", name, checkErr)
 	}
 	prof := b.Profile()
 	w := fpga.Workload{

@@ -156,35 +156,51 @@ func TestProfileByPatternRendering(t *testing.T) {
 }
 
 // TestProfileCarriesCompilePasses: a profiled run keeps its evaluation's
-// span tree — build, the compile span with its passes, sim, check — and
-// ships it on the Chrome trace's compiler track.
+// span tree — build, the compile span with its passes, the functional
+// phase (interpret and check) on the session's first profile of the
+// benchmark or one memo span on a later one, and sim with the graph build
+// and the engine below it — and ships it on the Chrome trace's compiler
+// track.
 func TestProfileCarriesCompilePasses(t *testing.T) {
-	p, err := NewSession().Profile(context.Background(), workloads.NewInnerProduct())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, sp := range p.Spans.Children {
-		names = append(names, sp.Name)
-	}
-	if p.Spans.Name != "profile" || strings.Join(names, ",") != "build,compile,sim,check" {
-		t.Fatalf("profile span %q holds %v, want build,compile,sim,check", p.Spans.Name, names)
-	}
-	if n := len(p.Spans.Children[1].Children); n != 8 {
-		t.Fatalf("compile span holds %d passes, want 8", n)
-	}
-	data, err := p.ChromeTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := string(data)
-	for _, want := range []string{`"compiler"`, `"allocate"`, `"route"`} {
-		if !strings.Contains(s, want) {
-			t.Errorf("chrome trace lacks %s on the compiler track", want)
+	sess := NewSession()
+	for _, want := range []string{"build,compile,interpret,check,sim", "memo,build,compile,sim"} {
+		p, err := sess.Profile(context.Background(), workloads.NewInnerProduct())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rows := compiler.FormatPasses(p.Spans); !strings.Contains(rows, "  route ") {
-		t.Errorf("pass table lacks the route row:\n%s", rows)
+		var names []string
+		var compile, sim *metrics.Span
+		for _, sp := range p.Spans.Children {
+			names = append(names, sp.Name)
+			switch sp.Name {
+			case "compile":
+				compile = sp
+			case "sim":
+				sim = sp
+			}
+		}
+		if p.Spans.Name != "profile" || strings.Join(names, ",") != want {
+			t.Fatalf("profile span %q holds %v, want %s", p.Spans.Name, names, want)
+		}
+		if n := len(compile.Children); n != 8 {
+			t.Fatalf("compile span holds %d passes, want 8", n)
+		}
+		if got := spanNames(sim); got != "graph,engine" {
+			t.Fatalf("sim span holds %s, want graph,engine", got)
+		}
+		data, err := p.ChromeTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := string(data)
+		for _, want := range []string{`"compiler"`, `"allocate"`, `"route"`} {
+			if !strings.Contains(s, want) {
+				t.Errorf("chrome trace lacks %s on the compiler track", want)
+			}
+		}
+		if rows := compiler.FormatPasses(p.Spans); !strings.Contains(rows, "  route ") {
+			t.Errorf("pass table lacks the route row:\n%s", rows)
+		}
 	}
 }
 

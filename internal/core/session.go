@@ -20,7 +20,8 @@ package core
 // is written only during NewSession and read-only afterwards; the engine
 // (pool, cache, retry counter) is concurrency-safe by construction;
 // per-call mutable state (fresh benchmark instances, trace collectors) is
-// private to the call; and the lazily-built DSE driver is guarded by
+// private to the call; the functional memo (memo.go) publishes each entry
+// once, under its own lock; and the lazily-built DSE driver is guarded by
 // dseOnce. TestSessionConcurrentMixedUse locks the property in under -race.
 
 import (
@@ -66,6 +67,10 @@ type Session struct {
 	// deferred cleanup may both call it.
 	closeOnce sync.Once
 	closeErr  error
+
+	// memo is the session's functional memo (memo.go): one leaf-event log
+	// and Check verdict per benchmark, which later timings replay.
+	memo funcMemo
 
 	// metricsReg is the instrumentation registry the serving layer
 	// installs via UseMetrics. Atomic because installation may race a
@@ -218,19 +223,19 @@ func freshInstance(b workloads.Benchmark) workloads.Benchmark {
 // so parallel jobs share no mutable state; profiled runs (non-nil
 // Recorder) bypass the cache entirely. The compute runs under the
 // session's job policy (deadline + transient retries), and its result
-// persists to the disk tier when one is attached.
-func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fault.Plan, opts sim.Options) (*BenchResult, error) {
+// persists to the disk tier when one is attached. keep says whether a
+// miss of the functional memo keeps its log (see runBenchmark).
+func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fault.Plan, opts sim.Options, keep bool) (*BenchResult, error) {
 	b = freshInstance(b)
 	if opts.Recorder != nil {
-		return runBenchmark(ctx, s.params, b, plan, opts)
+		return runBenchmark(ctx, s.params, b, plan, opts, &s.memo, keep)
 	}
 	k := exec.NewKey("core/bench", b.Name(), s.paramsKey, planKey(plan), optsKey(opts))
 	// Span attribution: when this call computes the point itself, the
-	// build/compile/sim/check spans recorded inside runBenchmark tell the
-	// story and no "cache" span is recorded. When the result came from the
-	// cache — a hit, the disk tier, or a singleflight wait on another
-	// request's in-flight compute — the whole CachedJSON call is the
-	// "cache" span.
+	// spans recorded inside runBenchmark tell the story and no "cache"
+	// span is recorded. When the result came from the cache — a hit, the
+	// disk tier, or a singleflight wait on another request's in-flight
+	// compute — the whole CachedJSON call is the "cache" span.
 	computed := false
 	t0 := time.Now()
 	r, err := exec.CachedJSON(s.engine.Cache(), k, func() (*BenchResult, error) {
@@ -238,7 +243,7 @@ func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fau
 		var r *BenchResult
 		err := s.engine.RunJob(ctx, b.Name(), func(ctx context.Context) error {
 			var rerr error
-			r, rerr = runBenchmark(ctx, s.params, b, plan, opts)
+			r, rerr = runBenchmark(ctx, s.params, b, plan, opts, &s.memo, keep)
 			return rerr
 		})
 		return r, err
@@ -254,7 +259,7 @@ func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fau
 // name the registry holds runs, and is cached, as the registry's default
 // instance, so a GEMM with a larger N returns the default GEMM's result.
 func (s *Session) RunBenchmark(ctx context.Context, b workloads.Benchmark) (*BenchResult, error) {
-	return s.evaluate(ctx, b, s.plan, s.simOpts)
+	return s.evaluate(ctx, b, s.plan, s.simOpts, false)
 }
 
 // resolveBenches maps names to benchmarks (all of Table 4 when empty).
@@ -279,7 +284,7 @@ func (s *Session) Table7(ctx context.Context) ([]*BenchResult, error) {
 	benches := workloads.All()
 	rows := make([]*BenchResult, len(benches))
 	err := s.engine.Pool().Map(ctx, len(benches), func(ctx context.Context, i int) error {
-		r, err := s.evaluate(ctx, benches[i], s.plan, s.simOpts)
+		r, err := s.evaluate(ctx, benches[i], s.plan, s.simOpts, false)
 		if err != nil {
 			return err
 		}
@@ -303,7 +308,7 @@ func (s *Session) Bench(ctx context.Context, names []string) ([]BenchSim, error)
 	}
 	out := make([]BenchSim, len(benches))
 	err = s.engine.Pool().Map(ctx, len(benches), func(ctx context.Context, i int) error {
-		r, err := s.evaluate(ctx, benches[i], s.plan, s.simOpts)
+		r, err := s.evaluate(ctx, benches[i], s.plan, s.simOpts, false)
 		if err != nil {
 			return err
 		}
@@ -320,9 +325,13 @@ func (s *Session) Bench(ctx context.Context, names []string) ([]BenchSim, error)
 	return out, nil
 }
 
-// Profile runs one benchmark with the observability subsystem armed. Always
-// uncached (the collector is a side effect) and single-threaded per call,
-// but safe to invoke from parallel jobs. The evaluation records under a
+// Profile runs one benchmark with the observability subsystem armed.
+// Never served from the design-point cache (the collector is a side
+// effect), and single-threaded per call, but safe to invoke from parallel
+// jobs. Its functional result comes from the session's memo: the first
+// profile of a benchmark builds, interprets and checks it and keeps the
+// log, and every later one (of any caller in the session) replays that log
+// against a fresh Program()'s mapping. The evaluation records under a
 // "profile" span, which the result keeps.
 func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileResult, error) {
 	// The collector is private to this call, and the benchmark instance
@@ -332,7 +341,7 @@ func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileR
 	opts := s.simOpts
 	opts.Recorder = col
 	ctx, span := metrics.Start(ctx, "profile")
-	r, err := runBenchmark(ctx, s.params, b, s.plan, opts)
+	r, err := runBenchmark(ctx, s.params, b, s.plan, opts, &s.memo, true)
 	span.EndWith(b.Name(), nil, err)
 	if err != nil {
 		return nil, err
@@ -419,7 +428,7 @@ func (s *Session) resiliencePoint(ctx context.Context, b workloads.Benchmark, ba
 			return row, fmt.Errorf("core: resilience at %.0f%%: %w", 100*frac, err)
 		}
 	}
-	r, err := s.evaluate(ctx, b, plan, sim.Options{})
+	r, err := s.evaluate(ctx, b, plan, sim.Options{}, true)
 	switch {
 	case err == nil:
 		row.Feasible = true
@@ -456,7 +465,7 @@ func (s *Session) Recovery(ctx context.Context, b workloads.Benchmark, spec faul
 				return fmt.Errorf("core: %s: %w", label, err)
 			}
 		}
-		r, err := s.evaluate(ctx, b, plan, sim.Options{})
+		r, err := s.evaluate(ctx, b, plan, sim.Options{}, true)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", label, err)
 		}

@@ -532,7 +532,7 @@ func (c *progCompiler) compute(ctl *Controller) func() {
 			f()
 		}
 		if emit != nil {
-			emit(&ExecEvent{Ctrl: ctl, Iters: iters})
+			emit(ExecEvent{Ctrl: ctl, Iters: iters})
 		}
 	}
 }

@@ -173,7 +173,9 @@ type ExecEvent struct {
 	Write       bool
 }
 
-// ExecHook observes leaf executions in program order.
+// ExecHook observes leaf executions in program order. The event is reused
+// once the hook returns (its Env and SparseAddrs are not): a hook that
+// keeps it keeps a copy, *ev.
 type ExecHook func(ev *ExecEvent)
 
 // Run executes the program sequentially, defining the IR's functional
@@ -378,18 +380,21 @@ func (c *progCompiler) loops(ctl *Controller, body func()) func() {
 
 // emitter returns the function that reports one execution of the leaf at
 // the top of the path, with the first n counter levels as its environment;
-// nil when the run has no hook.
-func (c *progCompiler) emitter(n int) func(ev *ExecEvent) {
+// nil when the run has no hook. Each leaf reports through one event it
+// reuses, so an execution allocates only its Env.
+func (c *progCompiler) emitter(n int) func(ev ExecEvent) {
 	if c.hook == nil {
 		return nil
 	}
 	hook, env := c.hook, c.env
 	path := append([]*Controller(nil), c.path...)
 	path = path[:len(path):len(path)] // an append by a hook must copy
-	return func(ev *ExecEvent) {
-		ev.Path = path
-		ev.Env = append([]int32(nil), env[:n]...)
-		hook(ev)
+	slot := new(ExecEvent)
+	return func(ev ExecEvent) {
+		*slot = ev
+		slot.Path = path
+		slot.Env = append([]int32(nil), env[:n]...)
+		hook(slot)
 	}
 }
 
@@ -507,7 +512,7 @@ func (c *progCompiler) transfer(ctl *Controller) func() {
 	write := ctl.Kind == StoreKind || ctl.Kind == ScatterKind
 	event := func(o, n int, sparse []int32) {
 		if emit != nil {
-			emit(&ExecEvent{Ctrl: ctl, Buf: x.DRAM, DenseOff: o, DenseLen: n, SparseAddrs: sparse, Write: write})
+			emit(ExecEvent{Ctrl: ctl, Buf: x.DRAM, DenseOff: o, DenseLen: n, SparseAddrs: sparse, Write: write})
 		}
 	}
 	dram := dramOf(x.DRAM)

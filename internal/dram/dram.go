@@ -402,13 +402,18 @@ func (d *DRAM) bankRowOf(addr uint64) (uint8, int32) {
 // Submit enqueues a request; it returns false (and drops the request) if
 // no healthy channel owns the address or the owning channel's queue is full
 // — callers must retry.
-func (d *DRAM) Submit(r Request) bool {
-	ci, ok := d.Accepts(r.Addr)
-	if ok {
-		b, row := d.bankRowOf(r.Addr)
-		d.enqueue(ci, entry{Addr: r.Addr, Tag: r.Tag, row: row, bank: b, Write: r.Write})
+func (d *DRAM) Submit(r Request) bool { return d.SubmitTo(d.channelOf(r.Addr), r) }
+
+// SubmitTo is Submit for a request whose channel ci the caller decoded
+// with ChannelOf, or took from Accepts, since the last KillChannel (the
+// only call that remaps addresses), so the address is not decoded again.
+func (d *DRAM) SubmitTo(ci int, r Request) bool {
+	if ci < 0 || d.channels[ci].queued >= d.cfg.QueueDepth {
+		return false
 	}
-	return ok
+	b, row := d.bankRowOf(r.Addr)
+	d.enqueue(ci, entry{Addr: r.Addr, Tag: r.Tag, row: row, bank: b, Write: r.Write})
+	return true
 }
 
 // enqueue queues an accepted entry on channel ci.
@@ -626,6 +631,10 @@ func (d *DRAM) Accepts(addr uint64) (ci int, ok bool) {
 	ci = d.channelOf(addr)
 	return ci, ci >= 0 && d.channels[ci].queued < d.cfg.QueueDepth
 }
+
+// ChannelOf returns the (fault-remapped) channel owning addr, -1 when every
+// candidate channel is down. The answer holds until the next KillChannel.
+func (d *DRAM) ChannelOf(addr uint64) int { return d.channelOf(addr) }
 
 // QueueSlack returns the free request-queue slots on channel ci.
 func (d *DRAM) QueueSlack(ci int) int {

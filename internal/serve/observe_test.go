@@ -258,6 +258,27 @@ func checkTopLevel(t *testing.T, rec requestRecord) {
 	}
 }
 
+// checkEvaluation fails unless parent's children are one evaluation's
+// phases, exactly those named, each once, with the sim span holding the
+// graph build and the engine.
+func checkEvaluation(t *testing.T, parent *metrics.Span, phases ...string) {
+	t.Helper()
+	if parent == nil {
+		t.Fatal("no span holds the evaluation")
+	}
+	var names []string
+	for _, sp := range parent.Children {
+		names = append(names, sp.Name)
+	}
+	if got, want := strings.Join(names, ","), strings.Join(phases, ","); got != want {
+		t.Fatalf("%s holds %s, want %s", parent.Name, got, want)
+	}
+	sim := findSpan(parent.Children, "sim")
+	if sim == nil || len(sim.Children) < 2 || sim.Children[0].Name != "graph" || sim.Children[1].Name != "engine" {
+		t.Fatalf("sim span holds %+v, want graph then engine", sim)
+	}
+}
+
 func TestDebugRequestsRingRecordsPhases(t *testing.T) {
 	_, ts := newTestServer(t, func(cfg *Config) {
 		cfg.SlowRequest = time.Nanosecond // everything is "slow"
@@ -292,11 +313,7 @@ func TestDebugRequestsRingRecordsPhases(t *testing.T) {
 	}
 	checkTopLevel(t, rec)
 	run := findSpan(rec.Phases, "run")
-	for _, want := range []string{"compile", "sim"} {
-		if findSpan(run.Children, want) == nil {
-			t.Fatalf("missing %q under run; got %+v", want, run.Children)
-		}
-	}
+	checkEvaluation(t, run, "build", "compile", "interpret", "check", "sim")
 	if rec.PhaseUS <= 0 || rec.WallUS <= 0 {
 		t.Fatalf("empty timings: %+v", rec)
 	}
@@ -314,6 +331,22 @@ func TestDebugRequestsRingRecordsPhases(t *testing.T) {
 	run = findSpan(rec.Phases, "run")
 	if run == nil || findSpan(run.Children, "cache") == nil || findSpan(run.Children, "compile") != nil {
 		t.Fatalf("warm rerun records no lone cache span under run: %+v", rec.Phases)
+	}
+}
+
+// TestProfileReusesFunctionalResult: the session's first profile of a
+// benchmark runs its functional phase under the profile span; a later one
+// records a memo span in its place and still times the benchmark under
+// sim.
+func TestProfileReusesFunctionalResult(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	for _, phases := range [][]string{{"build", "compile", "interpret", "check", "sim"}, {"memo", "build", "compile", "sim"}} {
+		if resp, body := get(t, ts.URL+"/v1/profile?bench=SMDV"); resp.StatusCode != 200 {
+			t.Fatalf("profile = %d: %s", resp.StatusCode, body)
+		}
+		rec := newestRecord(t, ts.URL, "/v1/profile")
+		checkTopLevel(t, rec)
+		checkEvaluation(t, findSpan(rec.Phases, "profile"), phases...)
 	}
 }
 
@@ -378,9 +411,17 @@ func TestSweepPhasesNeverExceedWall(t *testing.T) {
 	for _, sp := range run.Children {
 		count[sp.Name]++
 	}
-	for _, name := range []string{"build", "compile", "sim", "check"} {
+	for _, name := range []string{"build", "compile", "interpret", "check", "sim"} {
 		if count[name] != 4 {
 			t.Errorf("run holds %d %s spans, want one per benchmark (4): %v", count[name], name, count)
+		}
+	}
+	if len(count) != 5 {
+		t.Errorf("run holds spans other than the five phases: %v", count)
+	}
+	for _, sp := range run.Children {
+		if sp.Name == "sim" && (len(sp.Children) != 2 || sp.Children[0].Name != "graph" || sp.Children[1].Name != "engine") {
+			t.Errorf("a sim span holds %+v, want graph then engine", sp.Children)
 		}
 	}
 	if rec.Dropped != 0 {
@@ -400,9 +441,10 @@ func TestSweepTreeCapReportsDropped(t *testing.T) {
 	if kept+1 > metrics.MaxSpans {
 		t.Errorf("record keeps %d spans plus its root, over the cap %d", kept, metrics.MaxSpans)
 	}
-	// admission, queue and run, plus build, compile with eight passes, sim
-	// and check for each of the seven benchmarks.
-	if want := 3 + 7*12; kept+rec.Dropped != want {
+	// admission, queue and run, plus build, compile with eight passes,
+	// interpret, check, and sim with the graph build and the engine for
+	// each of the seven benchmarks.
+	if want := 3 + 7*15; kept+rec.Dropped != want {
 		t.Errorf("kept %d + dropped %d spans, want %d in all", kept, rec.Dropped, want)
 	}
 	if rec.Dropped == 0 {
@@ -465,10 +507,7 @@ func TestTimedOutRequestRecordIsSnapshot(t *testing.T) {
 	}
 	rec = newestRecord(t, ts.URL, "/v1/run")
 	checkTopLevel(t, rec)
-	run := findSpan(rec.Phases, "run")
-	if run == nil || findSpan(run.Children, "sim") == nil {
-		t.Fatalf("2m run records no sim span under run: %+v", rec.Phases)
-	}
+	checkEvaluation(t, findSpan(rec.Phases, "run"), "build", "compile", "interpret", "check", "sim")
 }
 
 func TestRequestIDEchoedAndGenerated(t *testing.T) {

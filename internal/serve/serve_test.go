@@ -176,6 +176,30 @@ func TestTimedOutRunIsNotMemoized(t *testing.T) {
 	}
 }
 
+// TestTimedOutProfileIsNotMemoized: a profile that runs out of its
+// deadline while computing a benchmark's functional result must not leave
+// that result half made for the session: the same profile with time to
+// finish answers 200 with GEMM's Table 7 cycles.
+func TestTimedOutProfileIsNotMemoized(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	resp, body := get(t, ts.URL+"/v1/profile?bench=GEMM&timeout=50ms")
+	if resp.StatusCode != http.StatusGatewayTimeout && resp.StatusCode != http.StatusOK {
+		t.Fatalf("50ms profile = %d, want 504 (or 200 on a fast host): %s", resp.StatusCode, body)
+	}
+	resp, body = get(t, ts.URL+"/v1/profile?bench=GEMM&timeout=2m")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("2m profile after a timed-out one = %d, want 200: %s", resp.StatusCode, body)
+	}
+	var p struct{ Bench core.BenchResult }
+	if err := json.Unmarshal(body, &p); err != nil {
+		t.Fatalf("profile body: %v\n%s", err, body)
+	}
+	const gemmCycles = 220925
+	if p.Bench.Cycles != gemmCycles {
+		t.Fatalf("GEMM cycles = %d, want Table 7's %d", p.Bench.Cycles, gemmCycles)
+	}
+}
+
 func TestQuotaDeniedIs429WithRetryAfter(t *testing.T) {
 	_, ts := newTestServer(t, func(cfg *Config) {
 		cfg.TenantRate = 0.5

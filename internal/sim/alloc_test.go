@@ -29,10 +29,7 @@ func TestEngineAllocatesPerTransfer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, _, err := prepare(context.Background(), m, Options{}, eventLoop)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, _ := executeAndPrepare(t, m, eventLoop)
 		transfers, bursts := 0, 0
 		for _, a := range eng.acts {
 			if a.kind == actTransfer {

@@ -46,6 +46,11 @@ type runningXfer struct {
 	// fault (e.g. a killed DRAM channel) and must be reissued. act.bursts is
 	// never mutated, so those indices name the same bursts across recovery.
 	requeue []int
+	// decoded is one more than the index of the burst whose DRAM channel
+	// chanOf holds (0: none), so the issue pass's probe and the submit
+	// that follows decode it once (see burstChannel).
+	decoded int
+	chanOf  int
 
 	// Event-core bookkeeping (untouched by the legacy cycle loop). seq is
 	// the admission order — the legacy engine attempts transfers in running-
@@ -266,7 +271,7 @@ func (e *engine) issueInto(rx *runningXfer) {
 		}
 		req := dram.Request{Addr: rx.act.bursts[idx], Write: rx.act.write,
 			Tag: burstTag(rx.act.id, idx)}
-		if !e.dram.Submit(req) {
+		if !e.dram.SubmitTo(e.burstChannel(rx, idx), req) {
 			break // channel queue full; retry next cycle
 		}
 		if len(rx.requeue) > 0 {
@@ -282,6 +287,17 @@ func (e *engine) issueInto(rx *runningXfer) {
 			}
 		}
 	}
+}
+
+// burstChannel returns the DRAM channel of rx's burst idx, decoding the
+// address only when it is not the burst decoded last. A channel holds
+// until KillChannel remaps addresses, after which the recovery stall
+// forgets every decoded channel (rebuildEventState).
+func (e *engine) burstChannel(rx *runningXfer, idx int) int {
+	if rx.decoded != idx+1 {
+		rx.decoded, rx.chanOf = idx+1, e.dram.ChannelOf(rx.act.bursts[idx])
+	}
+	return rx.chanOf
 }
 
 // retire resolves transfers whose bursts have all completed.

@@ -62,7 +62,7 @@ func (e *engine) issueBurstsEvent() bool {
 			if len(rx.requeue) > 0 {
 				idx = rx.requeue[0]
 			}
-			if ci, ok := e.dram.Accepts(rx.act.bursts[idx]); ok {
+			if ci := e.burstChannel(rx, idx); e.dram.QueueSlack(ci) > 0 {
 				rx.state = rxActive
 				kept = append(kept, rx)
 			} else {
@@ -255,7 +255,8 @@ func (e *engine) nextDeadline() int64 {
 // rebuildEventState re-derives the event core's indexes after a recovery
 // stall: every running transfer starts active, so the first issue pass
 // attempts them all at the resume cycle — exactly what the legacy loop does
-// — and re-parks the ones that cannot act.
+// — and re-parks the ones that cannot act. It also forgets each transfer's
+// decoded burst channel, which a killed channel may have remapped.
 func (e *engine) rebuildEventState() {
 	e.active = e.active[:0]
 	for slot := range e.parked {
@@ -269,6 +270,7 @@ func (e *engine) rebuildEventState() {
 		rx.seq = e.nextSeq
 		e.nextSeq++
 		rx.state = rxActive
+		rx.decoded = 0 // a killed channel remaps addresses
 		e.active = append(e.active, rx)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
+	"plasticine/internal/dhdl"
 	"plasticine/internal/fault"
 	"plasticine/internal/trace"
 	"plasticine/internal/workloads"
@@ -17,6 +18,21 @@ import (
 // — cycle count, DRAM counters, trace report, pattern rollup, recovery
 // decomposition — must match exactly. The legacy cycle loop
 // is the oracle; any divergence is an event-core bug by definition.
+
+// executeAndPrepare runs m's program through the functional phase and
+// prepares an engine on its log, with default options.
+func executeAndPrepare(t *testing.T, m *compiler.Mapping, lp loop) (*engine, *dhdl.State) {
+	t.Helper()
+	log, st, err := Execute(context.Background(), m.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := prepare(context.Background(), m, log, Options{}, lp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng, st
+}
 
 // goldenRun executes one benchmark under the given engine with a collector
 // armed and returns everything observable about the run.
@@ -118,10 +134,7 @@ func TestEngineGoldenStall(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, _, err := prepare(context.Background(), m, Options{}, kind.loop)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, _ := executeAndPrepare(t, m, kind.loop)
 		if fin, err := eng.runUntil(700); err != nil {
 			t.Fatalf("%v engine: %v", kind, err)
 		} else if fin {
@@ -202,10 +215,7 @@ func TestEngineGoldenRecovery(t *testing.T) {
 func TestWatchdogToleratesLongMemoryGap(t *testing.T) {
 	for _, kind := range []engineKind{eventEngine, cycleEngine} {
 		m, total, want := recoverySetup(t, memoryFaultPlan(t, fault.Spec{Seed: 3, SpikeProb: 1.0, SpikeCycles: 400}))
-		eng, st, err := prepare(context.Background(), m, Options{}, kind.loop)
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng, st := executeAndPrepare(t, m, kind.loop)
 		eng.stallWindow = 64
 		if _, err := eng.run(); err != nil {
 			t.Fatalf("%v engine: spiked run tripped the stall detector: %v", kind, err)
