@@ -117,10 +117,10 @@ func checkAgainstOracle(t testing.TB, p *Program, onTile func(*Controller, laneT
 	t.Helper()
 	inputs := SnapshotDRAM(p)
 	var refEvents, gotEvents []ExecEvent
-	ref, refErr := traceReference(p, func(ev *ExecEvent) { refEvents = append(refEvents, *ev) })
+	ref, refErr := traceReference(p, func(ev *ExecEvent) { refEvents = append(refEvents, keepEvent(ev)) })
 	refDRAM := SnapshotDRAM(p)
 	RestoreDRAM(p, inputs)
-	got, gotErr := trace(context.Background(), p, func(ev *ExecEvent) { gotEvents = append(gotEvents, *ev) }, onTile)
+	got, gotErr := trace(context.Background(), p, func(ev *ExecEvent) { gotEvents = append(gotEvents, keepEvent(ev)) }, onTile)
 
 	if (refErr == nil) != (gotErr == nil) {
 		t.Fatalf("%s: oracle error %v, compiled error %v", p.Name, refErr, gotErr)
@@ -156,6 +156,15 @@ func checkAgainstOracle(t testing.TB, p *Program, onTile func(*Controller, laneT
 		}
 	}
 	return got, nil
+}
+
+// keepEvent copies an event with its Env and SparseAddrs, which are valid
+// only during the hook's call.
+func keepEvent(ev *ExecEvent) ExecEvent {
+	k := *ev
+	k.Env = append([]int32(nil), ev.Env...)
+	k.SparseAddrs = append([]int32(nil), ev.SparseAddrs...)
+	return k
 }
 
 // sameValues compares values by type and bit pattern, so NaNs compare

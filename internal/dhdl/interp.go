@@ -159,7 +159,7 @@ func ifail(format string, args ...any) {
 type ExecEvent struct {
 	Ctrl *Controller
 	Path []*Controller // ancestors, root first, ending at Ctrl (shared: do not modify)
-	Env  []int32       // counter values in scope (copy)
+	Env  []int32       // counter values in scope
 
 	// Iters is the number of body iterations a Compute executed.
 	Iters int64
@@ -173,9 +173,10 @@ type ExecEvent struct {
 	Write       bool
 }
 
-// ExecHook observes leaf executions in program order. The event is reused
-// once the hook returns (its Env and SparseAddrs are not): a hook that
-// keeps it keeps a copy, *ev.
+// ExecHook observes leaf executions in program order. The event, its Env
+// and its SparseAddrs are valid only during the call: the interpreter
+// reuses all three for the leaf's next execution, so a hook that keeps any
+// of them keeps a copy.
 type ExecHook func(ev *ExecEvent)
 
 // Run executes the program sequentially, defining the IR's functional
@@ -380,8 +381,8 @@ func (c *progCompiler) loops(ctl *Controller, body func()) func() {
 
 // emitter returns the function that reports one execution of the leaf at
 // the top of the path, with the first n counter levels as its environment;
-// nil when the run has no hook. Each leaf reports through one event it
-// reuses, so an execution allocates only its Env.
+// nil when the run has no hook. Each leaf reports through one event and
+// one Env it reuses, so an execution allocates nothing.
 func (c *progCompiler) emitter(n int) func(ev ExecEvent) {
 	if c.hook == nil {
 		return nil
@@ -390,10 +391,12 @@ func (c *progCompiler) emitter(n int) func(ev ExecEvent) {
 	path := append([]*Controller(nil), c.path...)
 	path = path[:len(path):len(path)] // an append by a hook must copy
 	slot := new(ExecEvent)
+	own := make([]int32, n)
 	return func(ev ExecEvent) {
 		*slot = ev
 		slot.Path = path
-		slot.Env = append([]int32(nil), env[:n]...)
+		copy(own, env)
+		slot.Env = own
 		hook(slot)
 	}
 }
@@ -580,9 +583,10 @@ func (c *progCompiler) transfer(ctl *Controller) func() {
 		}
 	case GatherKind:
 		addrAt := c.addrStream(ctl)
+		var addrs []int32 // the event's, reused by every execution
 		return func() {
 			o, _, n := operands()
-			var addrs []int32
+			addrs = addrs[:0]
 			for i := 0; i < n; i++ {
 				av := addrAt(i)
 				if emit != nil {
@@ -613,9 +617,10 @@ func (c *progCompiler) transfer(ctl *Controller) func() {
 		sameType(ctl, x.DataFIFO.Name, x.DataFIFO.Elem)
 		dq = c.fifo(x.DataFIFO)
 	}
+	var addrs []int32 // the event's, reused by every execution
 	return func() {
 		o, _, n := operands()
-		var addrs []int32
+		addrs = addrs[:0]
 		for i := 0; i < n; i++ {
 			av := addrAt(i)
 			if emit != nil {

@@ -73,12 +73,11 @@ type Request struct {
 }
 
 // entry is a request inside the memory system: queued, in flight or
-// backing off before a retry. Bank and row are decoded once at Submit: the
-// scheduler compares rows every tick, and the divisions in bankRowOf
-// dominated its profile. They depend only on the address and the geometry,
-// never on fault remapping, so they hold for the entry's whole life. The
-// fields are as narrow as their ranges allow, so an entry is 24 bytes and
-// the queues that copy it stay small.
+// backing off before a retry. Bank and row are decoded before it enters
+// (see Burst): the scheduler compares rows every tick. They depend only on
+// the address and the geometry, never on fault remapping, so they hold for
+// the entry's whole life. The fields are as narrow as their ranges allow,
+// so an entry is 24 bytes and the queues that copy it stay small.
 type entry struct {
 	Addr uint64
 	Tag  int64
@@ -382,37 +381,95 @@ func (d *DRAM) ChannelStats() []ChanStats {
 	return append([]ChanStats(nil), d.chanStats...)
 }
 
-// channelOf maps an address to a channel: burst-granularity interleaving
-// spreads consecutive bursts across channels. Under a fault plan, traffic
-// owned by a downed channel remaps onto the healthy ones (-1 if none).
+// channelOf maps an address to its channel, Decode(addr).Chan, dividing
+// for the remap's pick only when the address's own channel is down.
 func (d *DRAM) channelOf(addr uint64) int {
-	if d.faults != nil {
-		return d.remapChannel(addr)
+	n := addr / uint64(d.cfg.BurstBytes)
+	home := int32(n % uint64(d.cfg.Channels))
+	if !d.down(home) || len(d.healthy) == 0 {
+		return d.route(home, 0)
 	}
-	return int(addr/uint64(d.cfg.BurstBytes)) % d.cfg.Channels
+	return d.route(home, int32(n%uint64(len(d.healthy))))
 }
 
-// bankRowOf maps an address to (bank, row) within its channel.
-func (d *DRAM) bankRowOf(addr uint64) (uint8, int32) {
-	block := addr / uint64(d.cfg.BurstBytes) / uint64(d.cfg.Channels)
-	row := int32(block * uint64(d.cfg.BurstBytes) / uint64(d.cfg.RowBytes))
-	return uint8(int(row) % d.cfg.BanksPerChan), row
+// Burst is a burst address decoded against the memory system: the channel
+// that owns it after the fault remap, and its bank and row there.
+// Burst-granularity interleaving spreads consecutive bursts across the
+// channels; under a fault plan, a downed channel's bursts remap onto the
+// healthy ones. Decode computes a Burst with divisions; Next steps one to
+// the following burst with none, so a caller walking consecutive bursts
+// divides once per stretch. A Burst holds until the next KillChannel,
+// which remaps addresses: decode it again after one.
+type Burst struct {
+	Addr uint64
+	// Chan is the owning channel after the fault remap, -1 when every
+	// channel is down (ChannelOf's answer).
+	Chan int
+
+	// home is the channel before the remap, the burst number mod Channels;
+	// spare is the burst number mod the count of healthy channels, which
+	// picks the remap's target (0 when the memory system is healthy).
+	home, spare int32
+	// col is the burst's byte offset in its bank row, row and bank the
+	// row and its bank, as an entry holds them. Decode's row is exact
+	// while the row fits an int32 (see entry), which Next's stepping keeps.
+	col  int32
+	row  int32
+	bank uint8
+}
+
+// Decode decodes the burst holding addr.
+func (d *DRAM) Decode(addr uint64) Burst {
+	n := addr / uint64(d.cfg.BurstBytes)
+	off := n / uint64(d.cfg.Channels) * uint64(d.cfg.BurstBytes)
+	row := int32(off / uint64(d.cfg.RowBytes))
+	b := Burst{Addr: addr, home: int32(n % uint64(d.cfg.Channels)),
+		col: int32(off % uint64(d.cfg.RowBytes)), row: row, bank: uint8(int(row) % d.cfg.BanksPerChan)}
+	if h := len(d.healthy); h > 0 {
+		b.spare = int32(n % uint64(h))
+	}
+	b.Chan = d.route(b.home, b.spare)
+	return b
+}
+
+// Next steps b to the burst BurstBytes after it, as Decode would decode it,
+// without dividing: the burst number, and with it each of b's residues,
+// grows by one.
+func (d *DRAM) Next(b *Burst) {
+	b.Addr += uint64(d.cfg.BurstBytes)
+	if h := int32(len(d.healthy)); h > 0 {
+		if b.spare++; b.spare == h {
+			b.spare = 0
+		}
+	}
+	if b.home++; b.home == int32(d.cfg.Channels) {
+		b.home = 0
+		for b.col += int32(d.cfg.BurstBytes); b.col >= int32(d.cfg.RowBytes); b.col -= int32(d.cfg.RowBytes) {
+			b.row++
+			if b.bank++; int(b.bank) == d.cfg.BanksPerChan {
+				b.bank = 0
+			}
+		}
+	}
+	b.Chan = d.route(b.home, b.spare)
 }
 
 // Submit enqueues a request; it returns false (and drops the request) if
 // no healthy channel owns the address or the owning channel's queue is full
 // — callers must retry.
-func (d *DRAM) Submit(r Request) bool { return d.SubmitTo(d.channelOf(r.Addr), r) }
+func (d *DRAM) Submit(r Request) bool {
+	b := d.Decode(r.Addr)
+	return d.SubmitBurst(&b, r.Write, r.Tag)
+}
 
-// SubmitTo is Submit for a request whose channel ci the caller decoded
-// with ChannelOf, or took from Accepts, since the last KillChannel (the
-// only call that remaps addresses), so the address is not decoded again.
-func (d *DRAM) SubmitTo(ci int, r Request) bool {
+// SubmitBurst is Submit for a burst the caller decoded (or stepped to)
+// since the last KillChannel, so its address is not decoded again.
+func (d *DRAM) SubmitBurst(b *Burst, write bool, tag int64) bool {
+	ci := b.Chan
 	if ci < 0 || d.channels[ci].queued >= d.cfg.QueueDepth {
 		return false
 	}
-	b, row := d.bankRowOf(r.Addr)
-	d.enqueue(ci, entry{Addr: r.Addr, Tag: r.Tag, row: row, bank: b, Write: r.Write})
+	d.enqueue(ci, entry{Addr: b.Addr, Tag: tag, row: b.row, bank: b.bank, Write: write})
 	return true
 }
 
@@ -467,7 +524,9 @@ func (d *DRAM) Tick(now int64) []int64 {
 	}
 
 	for ci := range d.channels {
-		d.schedule(ci, now)
+		if now >= d.channels[ci].wake {
+			d.schedule(ci, now)
+		}
 	}
 	return d.landed
 }
@@ -505,11 +564,10 @@ func (d *DRAM) finish(ci int, r *entry) {
 	}
 }
 
+// schedule issues channel ci's FR-FCFS pick at cycle now, if a bank with
+// queued work is ready. Tick calls it only from the channel's wake on.
 func (d *DRAM) schedule(ci int, now int64) {
 	ch := &d.channels[ci]
-	if now < ch.wake {
-		return
-	}
 	b, i := ch.pick(now)
 	if b < 0 {
 		return

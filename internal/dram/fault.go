@@ -76,19 +76,24 @@ func (d *DRAM) InjectFaults(f *Faults) error {
 	return nil
 }
 
-// remapChannel redirects a request owned by a downed channel onto a healthy
-// one, preserving the interleave pattern; returns -1 if none are healthy.
-func (d *DRAM) remapChannel(addr uint64) int {
-	idx := int(addr / uint64(d.cfg.BurstBytes))
-	ch := idx % d.cfg.Channels
-	f := d.faults
-	if f == nil || ch >= len(f.Down) || !f.Down[ch] {
-		return ch
-	}
-	if len(d.healthy) == 0 {
+// route returns the channel owning a burst whose channel before the remap
+// is home and whose burst number mod the count of healthy channels is
+// spare: home while it is up, else the healthy channel spare picks, which
+// keeps the interleave pattern, or -1 when none is healthy.
+func (d *DRAM) route(home, spare int32) int {
+	switch {
+	case !d.down(home):
+		return int(home)
+	case len(d.healthy) == 0:
 		return -1
 	}
-	return d.healthy[idx%len(d.healthy)]
+	return d.healthy[spare]
+}
+
+// down reports whether the fault plan has taken channel ch offline.
+func (d *DRAM) down(ch int32) bool {
+	f := d.faults
+	return f != nil && int(ch) < len(f.Down) && f.Down[ch]
 }
 
 // spikeLatency rolls the latency-spike die for one scheduled burst.

@@ -294,6 +294,9 @@ func (s *Server) finishTrace(rec requestRecord, root *metrics.Span) {
 	rec.Slow = s.cfg.SlowRequest > 0 && wall >= s.cfg.SlowRequest
 	rec.Dropped, rec.Phases = snap.Dropped, snap.Children
 	s.ring.add(rec)
+	if s.cfg.filed != nil {
+		s.cfg.filed(rec)
+	}
 	if s.cfg.AccessLog != nil {
 		if line, err := safeMarshal(rec, false); err == nil {
 			s.accessMu.Lock()

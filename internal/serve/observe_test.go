@@ -455,9 +455,26 @@ func TestSweepTreeCapReportsDropped(t *testing.T) {
 // TestTimedOutRequestRecordIsSnapshot: a request that answers 504 while its
 // job keeps running files one record, which the straggler cannot change.
 // Run under -race, this also checks the job records into the live tree
-// while /debugz/requests reads the record.
+// while /debugz/requests reads the record. The job holds its run span open
+// until the 504 record is filed: the interpreter and the engine poll the
+// same deadline, and a job that stopped on it first would end the span
+// before the record was taken.
 func TestTimedOutRequestRecordIsSnapshot(t *testing.T) {
-	s, ts := newTestServer(t, nil)
+	timedOut := make(chan struct{})
+	var once sync.Once
+	s, ts := newTestServer(t, func(cfg *Config) {
+		cfg.filed = func(rec requestRecord) {
+			if rec.Status == http.StatusGatewayTimeout {
+				once.Do(func() { close(timedOut) })
+			}
+		}
+		cfg.holdJob = func() {
+			select {
+			case <-timedOut:
+			case <-time.After(time.Minute):
+			}
+		}
+	})
 	resp, body := get(t, ts.URL+"/v1/run?bench=GEMM&timeout=50ms")
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Skipf("50ms GEMM run = %d, not a timeout on this host: %s", resp.StatusCode, body)

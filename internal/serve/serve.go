@@ -121,6 +121,11 @@ type Config struct {
 
 	// now is the test clock hook (default time.Now).
 	now func() time.Time
+	// holdJob and filed are test hooks too. holdJob, when set, runs inside
+	// each dispatched job's run span once its evaluation returns; filed
+	// sees each request record as the ring files it.
+	holdJob func()
+	filed   func(requestRecord)
 }
 
 // server lifecycle states.
@@ -284,7 +289,14 @@ func (s *Server) dispatch() {
 		s.busy.Add(1)
 		t0 := s.cfg.now()
 		j.queue.End()
-		v, err := runIsolated(j.ctx, j.run)
+		run := j.run
+		if hold := s.cfg.holdJob; hold != nil {
+			run = func(ctx context.Context) (any, error) {
+				defer hold()
+				return j.run(ctx)
+			}
+		}
+		v, err := runIsolated(j.ctx, run)
 		d := s.cfg.now().Sub(t0)
 		s.observeService(d)
 		if j.tenant != "" {

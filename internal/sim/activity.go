@@ -58,9 +58,12 @@ type activity struct {
 	dur  int64 // cycles from start to completion (firings + drain)
 	fill int64 // cycles from start to first output (pipeline depth)
 
-	// Transfer work.
-	bursts []uint64 // burst-aligned byte addresses
-	write  bool
+	// Transfer work: nBursts bursts, in issue order, as runs (see
+	// burstRun). list holds the listed runs' addresses.
+	runs    []burstRun
+	list    []uint64
+	nBursts int
+	write   bool
 
 	deps       []dep
 	dependents []*activity
@@ -109,4 +112,86 @@ func (d dep) gateTime() int64 {
 		return t
 	}
 	return d.on.end
+}
+
+// burstRun is a stretch of a transfer's bursts, burst-aligned byte
+// addresses. A dense run is rows rows of perRow consecutive bursts, the
+// first row's first burst at addr and each row's stride bytes after the
+// one before; the builder extends it while each merged row of a tiled
+// transfer continues the stride. A listed run (perRow 0) is rows bursts
+// whose addresses are the activity's list from index addr on: a sparse
+// transfer's coalesced bursts.
+type burstRun struct {
+	addr   uint64
+	stride int64
+	perRow int32
+	rows   int32
+}
+
+// len returns the run's burst count.
+func (r *burstRun) len() int {
+	if r.perRow == 0 {
+		return int(r.rows)
+	}
+	return int(r.perRow) * int(r.rows)
+}
+
+// at returns the address of the run's burst at column col of row row (a
+// listed run's row-th burst, col 0).
+func (r *burstRun) at(list []uint64, row, col int) uint64 {
+	if r.perRow == 0 {
+		return list[int(r.addr)+row]
+	}
+	return r.addr + uint64(int64(row)*r.stride) + uint64(col)*burstBytes
+}
+
+// addRow appends a row of n consecutive bursts from first. The row extends
+// the last run when that is a dense run of n-burst rows and first is one
+// stride past its last row; a run's second row sets its stride.
+func (a *activity) addRow(first uint64, n int) {
+	a.nBursts += n
+	if k := len(a.runs); k > 0 {
+		if r := &a.runs[k-1]; int(r.perRow) == n {
+			switch {
+			case r.rows == 1:
+				r.stride, r.rows = int64(first-r.addr), 2
+				return
+			case first == r.addr+uint64(int64(r.rows)*r.stride):
+				r.rows++
+				return
+			}
+		}
+	}
+	a.runs = append(a.runs, burstRun{addr: first, perRow: int32(n), rows: 1})
+}
+
+// addListed appends the n bursts at the end of a.list, from index start on,
+// extending the last run when it is listed: listed runs take the list in
+// order, so the last one ends where these begin.
+func (a *activity) addListed(start, n int) {
+	if n == 0 {
+		return
+	}
+	a.nBursts += n
+	if k := len(a.runs); k > 0 && a.runs[k-1].perRow == 0 {
+		a.runs[k-1].rows += int32(n)
+		return
+	}
+	a.runs = append(a.runs, burstRun{addr: uint64(start), rows: int32(n)})
+}
+
+// burstAt returns the address of the activity's i-th burst.
+func (a *activity) burstAt(i int) uint64 {
+	for k := range a.runs {
+		r := &a.runs[k]
+		if n := r.len(); i >= n {
+			i -= n
+			continue
+		}
+		if r.perRow == 0 {
+			return r.at(a.list, i, 0)
+		}
+		return r.at(a.list, i/int(r.perRow), i%int(r.perRow))
+	}
+	panic("sim: burst index past the transfer's bursts")
 }

@@ -3,7 +3,6 @@ package sim
 import (
 	"bytes"
 	"math/bits"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -187,13 +186,13 @@ func (b *builder) handle(ev *dhdl.ExecEvent) {
 		b.key = appendEnvPrefix(b.key[:0], ev)
 		if prev := b.lastOfUnit[unit]; prev != nil && prev.kind == actTransfer &&
 			!prev.resolved && bytes.Equal(b.lastXferKey[ev.Ctrl], b.key) && len(ev.Ctrl.Chain) > 0 {
-			prev.bursts = b.burstsFor(prev.bursts, ev)
+			b.burstsFor(prev, ev)
 			return
 		}
 		b.lastXferKey[ev.Ctrl] = append(b.lastXferKey[ev.Ctrl][:0], b.key...)
 		a = b.newActivity(actTransfer, ev.Ctrl)
 		a.write = ev.Write
-		a.bursts = b.burstsFor(nil, ev)
+		b.burstsFor(a, ev)
 		a.fill = 8 // command path through AG and coalescing unit
 	}
 
@@ -396,42 +395,41 @@ func sameParentLeaf(w *activity, ev *dhdl.ExecEvent, parent *dhdl.Controller) bo
 	return false
 }
 
-// burstsFor appends a transfer event's burst-aligned DRAM addresses to dst.
-// Dense transfers become sequential bursts; sparse transfers go through the
+// burstsFor appends a transfer event's bursts to a's. A dense transfer is
+// one row of consecutive bursts (addRow); a sparse transfer goes through the
 // coalescing cache, which merges addresses falling into the same burst
-// within a sliding window (Section 3.4).
-func (b *builder) burstsFor(dst []uint64, ev *dhdl.ExecEvent) []uint64 {
+// within a sliding window (Section 3.4), and lists the bursts it keeps.
+func (b *builder) burstsFor(a *activity, ev *dhdl.ExecEvent) {
 	base := b.base[ev.Buf]
 	if len(ev.SparseAddrs) == 0 {
 		startB := base + uint64(ev.DenseOff)*4
 		endB := startB + uint64(ev.DenseLen)*4
 		first := startB &^ (burstBytes - 1)
 		if endB > first {
-			dst = slices.Grow(dst, int((endB-first+burstBytes-1)/burstBytes))
+			a.addRow(first, int((endB-first+burstBytes-1)/burstBytes))
 		}
-		for a := first; a < endB; a += burstBytes {
-			dst = append(dst, a)
-		}
-		return dst
+		return
 	}
 	// Coalescing cache: the last coalesceWindow distinct bursts, fresh for
-	// every transfer. They are the bursts this call appended, so dst[oldest:]
-	// is the window, oldest first, and b.window answers membership; it holds
-	// one more while a new burst joins before the oldest leaves.
-	oldest := len(dst)
+	// every transfer. They are the bursts this call listed, so
+	// a.list[oldest:] is the window, oldest first, and b.window answers
+	// membership; it holds one more while a new burst joins before the
+	// oldest leaves.
+	start := len(a.list)
+	oldest := start
 	b.window.reset(min(b.coalesceWindow, len(ev.SparseAddrs)) + 1)
 	for _, idx := range ev.SparseAddrs {
 		addr := (base + uint64(ev.DenseOff)*4 + uint64(idx)*4) &^ (burstBytes - 1)
 		if !b.window.add(addr) {
 			continue
 		}
-		dst = append(dst, addr)
-		if len(dst)-oldest > b.coalesceWindow {
-			b.window.remove(dst[oldest])
+		a.list = append(a.list, addr)
+		if len(a.list)-oldest > b.coalesceWindow {
+			b.window.remove(a.list[oldest])
 			oldest++
 		}
 	}
-	return dst
+	a.addListed(start, len(a.list)-start)
 }
 
 // burstSet is the coalescing window's membership test: an open-addressed

@@ -63,28 +63,31 @@ func TestCoalescingDedupesWithinWindow(t *testing.T) {
 		addrs = append(addrs, int32(i%32)) // words 0..31 = 2 bursts
 	}
 	ev := &dhdl.ExecEvent{Ctrl: m.Prog.Leaves()[0], Buf: buf, SparseAddrs: addrs}
-	bursts := b.burstsFor(nil, ev)
-	if len(bursts) != 2 {
-		t.Errorf("coalesced to %d bursts, want 2", len(bursts))
+	if got := len(burstsOf(b, ev)); got != 2 {
+		t.Errorf("coalesced to %d bursts, want 2", got)
 	}
 	// With a single-entry window, alternating addresses defeat coalescing.
 	b.coalesceWindow = 1
 	alt := &dhdl.ExecEvent{Ctrl: m.Prog.Leaves()[0], Buf: buf,
 		SparseAddrs: []int32{0, 100, 1, 101, 2, 102}}
-	if got := len(b.burstsFor(nil, alt)); got != 6 {
+	if got := len(burstsOf(b, alt)); got != 6 {
 		t.Errorf("window=1 produced %d bursts, want 6", got)
 	}
 
 	// Random sparse streams through one builder, so its window's storage is
 	// reused across transfers and sizes, must emit what the map-based window
-	// emits, burst by burst, after whatever bursts dst already holds.
+	// emits, burst by burst, after whatever bursts the transfer already
+	// lists.
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n < 3000; n++ {
 		b.coalesceWindow = []int{1, 2, 63, 64, 65, 200}[n%6]
 		ev := &dhdl.ExecEvent{Ctrl: m.Prog.Leaves()[0], Buf: buf,
 			DenseOff: rng.Intn(64), SparseAddrs: sparseStream(rng, b.coalesceWindow)}
 		prefix := []uint64{uint64(rng.Intn(1 << 20))}[:rng.Intn(2)]
-		got := b.burstsFor(slices.Clone(prefix), ev)
+		a := &activity{list: slices.Clone(prefix)}
+		a.addListed(0, len(prefix))
+		b.burstsFor(a, ev)
+		got := expandRuns(a)
 		want := mapWindowBursts(b, slices.Clone(prefix), ev)
 		if !slices.Equal(got, want) {
 			i := 0
@@ -163,7 +166,7 @@ func TestDenseBurstsCoverRange(t *testing.T) {
 	b := newBuilder(m)
 	buf := m.Prog.DRAMs[0]
 	ev := &dhdl.ExecEvent{Ctrl: m.Prog.Leaves()[0], Buf: buf, DenseOff: 3, DenseLen: 64}
-	bursts := b.burstsFor(nil, ev)
+	bursts := burstsOf(b, ev)
 	// 64 words starting at word 3: bytes 12..268 span 5 bursts.
 	if len(bursts) != 5 {
 		t.Errorf("got %d bursts, want 5", len(bursts))
@@ -174,9 +177,19 @@ func TestDenseBurstsCoverRange(t *testing.T) {
 		}
 	}
 	// A merged tile row appends to the bursts before it.
-	if got := b.burstsFor(bursts[:1], ev); len(got) != 6 || got[0] != bursts[0] || got[1] != bursts[0] {
+	a := &activity{}
+	a.addRow(bursts[0], 1)
+	b.burstsFor(a, ev)
+	if got := expandRuns(a); len(got) != 6 || got[0] != bursts[0] || got[1] != bursts[0] {
 		t.Errorf("appending a row to one burst gave %v", got)
 	}
+}
+
+// burstsOf returns the bursts of a transfer of the one event ev.
+func burstsOf(b *builder, ev *dhdl.ExecEvent) []uint64 {
+	a := &activity{}
+	b.burstsFor(a, ev)
+	return expandRuns(a)
 }
 
 func compileDot(t *testing.T) *compiler.Mapping {

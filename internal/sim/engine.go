@@ -39,18 +39,14 @@ const (
 // runningXfer tracks an in-flight transfer activity.
 type runningXfer struct {
 	act       *activity
-	nextBurst int
+	cur       cursor
 	inFlight  int
 	completed int
 	// requeue holds burst indices whose requests were dropped by a mid-run
-	// fault (e.g. a killed DRAM channel) and must be reissued. act.bursts is
-	// never mutated, so those indices name the same bursts across recovery.
+	// fault (e.g. a killed DRAM channel) and must be reissued. An activity's
+	// runs are never mutated, so those indices name the same bursts across
+	// recovery.
 	requeue []int
-	// decoded is one more than the index of the burst whose DRAM channel
-	// chanOf holds (0: none), so the issue pass's probe and the submit
-	// that follows decode it once (see burstChannel).
-	decoded int
-	chanOf  int
 
 	// Event-core bookkeeping (untouched by the legacy cycle loop). seq is
 	// the admission order — the legacy engine attempts transfers in running-
@@ -83,6 +79,45 @@ func (h startHeap) Less(i, j int) bool { return h[i].start < h[j].start }
 func (h startHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *startHeap) Push(x any)        { *h = append(*h, x.(*activity)) }
 func (h *startHeap) Pop() any          { old := *h; n := len(old); v := old[n-1]; *h = old[:n-1]; return v }
+
+// cursor is a running transfer's issue position: its next burst, the next-th
+// in issue order, at column col of row row of run run, and that burst
+// decoded against the memory system. The issue path submits the decoded
+// burst, so within a row each burst's decode is a step from the one
+// before (dram.Next), and only a row's first burst is decoded afresh.
+type cursor struct {
+	next          int
+	run, row, col int
+	b             dram.Burst
+}
+
+// seek decodes the cursor's burst afresh: at admission, at the start of
+// each row, and after a KillChannel remaps addresses.
+func (e *engine) seek(rx *runningXfer) {
+	c := &rx.cur
+	if c.next < rx.act.nBursts {
+		c.b = e.dram.Decode(rx.act.runs[c.run].at(rx.act.list, c.row, c.col))
+	}
+}
+
+// advance moves rx's cursor past the burst it just issued.
+func (e *engine) advance(rx *runningXfer) {
+	c := &rx.cur
+	if c.next++; c.next == rx.act.nBursts {
+		return
+	}
+	r := &rx.act.runs[c.run]
+	if c.col+1 < int(r.perRow) {
+		c.col++
+		e.dram.Next(&c.b)
+		return
+	}
+	c.col = 0
+	if c.row++; c.row == int(r.rows) {
+		c.run, c.row = c.run+1, 0
+	}
+	e.seek(rx)
+}
 
 // burstTag packs an activity id and burst index into a dram.Request tag, so
 // landings and lost-work accounting can identify any in-flight burst.
@@ -138,15 +173,13 @@ type engine struct {
 
 	// Event-core state (unused by the legacy cycle loop). active is the
 	// subset of running transfers that may issue a burst next cycle, kept in
-	// admission (seq) order; activeDirty marks out-of-order wakeups that
-	// require a re-sort. parked holds the transfers blocked on each DRAM
+	// admission (seq) order. parked holds the transfers blocked on each DRAM
 	// channel at index channel+1, and at 0 those blocked because every
 	// channel is down; nParked counts them all. retireNeeded is set by
 	// the completion callback when a transfer lands its last burst, so the
 	// O(running) retire scan only runs on cycles where something can retire.
 	nextSeq      int64
 	active       []*runningXfer
-	activeDirty  bool
 	parked       [][]*runningXfer
 	nParked      int
 	retireNeeded bool
@@ -200,7 +233,7 @@ func (e *engine) drainReady() {
 		case actCompute:
 			e.resolve(a, start, start+a.dur)
 		case actTransfer:
-			if len(a.bursts) == 0 {
+			if a.nBursts == 0 {
 				e.resolve(a, start, start+a.fill)
 				continue
 			}
@@ -213,6 +246,7 @@ func (e *engine) drainReady() {
 // admit starts a transfer whose start time has arrived.
 func (e *engine) admit(a *activity) *runningXfer {
 	rx := &runningXfer{act: a, lastBusy: -1}
+	e.seek(rx)
 	e.running = append(e.running, rx)
 	e.byAct[a.id] = rx
 	e.lastProgressAt = e.clock // admission is forward progress
@@ -236,20 +270,23 @@ func (e *engine) tick() {
 		if rx.state == rxSat {
 			e.activate(rx)
 		}
-		if rx.completed == len(rx.act.bursts) {
+		if rx.completed == rx.act.nBursts {
 			e.retireNeeded = true
 		}
 	}
 }
 
-// activate puts a woken transfer back on the active list, marking the list
-// for a re-sort only when rx lands out of admission order.
+// activate puts a woken transfer back on the active list at its admission
+// position, found from the list's end: most wakes land there, and the
+// transfers after it move one slot up as the search passes them.
 func (e *engine) activate(rx *runningXfer) {
 	rx.state = rxActive
-	if n := len(e.active); n > 0 && e.active[n-1].seq > rx.seq {
-		e.activeDirty = true
-	}
+	i := len(e.active)
 	e.active = append(e.active, rx)
+	for ; i > 0 && e.active[i-1].seq > rx.seq; i-- {
+		e.active[i] = e.active[i-1]
+	}
+	e.active[i] = rx
 }
 
 // issueInto attempts one cycle's worth of burst submissions for one
@@ -261,23 +298,21 @@ func (e *engine) issueInto(rx *runningXfer) {
 		if rx.inFlight >= agOutstanding {
 			break
 		}
-		idx := -1
+		idx, b := rx.cur.next, &rx.cur.b
 		if len(rx.requeue) > 0 {
 			idx = rx.requeue[0]
-		} else if rx.nextBurst < len(rx.act.bursts) {
-			idx = rx.nextBurst
-		} else {
+			lost := e.dram.Decode(rx.act.burstAt(idx))
+			b = &lost
+		} else if idx == rx.act.nBursts {
 			break
 		}
-		req := dram.Request{Addr: rx.act.bursts[idx], Write: rx.act.write,
-			Tag: burstTag(rx.act.id, idx)}
-		if !e.dram.SubmitTo(e.burstChannel(rx, idx), req) {
+		if !e.dram.SubmitBurst(b, rx.act.write, burstTag(rx.act.id, idx)) {
 			break // channel queue full; retry next cycle
 		}
 		if len(rx.requeue) > 0 {
 			rx.requeue = rx.requeue[1:]
 		} else {
-			rx.nextBurst++
+			e.advance(rx)
 		}
 		rx.inFlight++
 		if e.rec != nil {
@@ -289,22 +324,20 @@ func (e *engine) issueInto(rx *runningXfer) {
 	}
 }
 
-// burstChannel returns the DRAM channel of rx's burst idx, decoding the
-// address only when it is not the burst decoded last. A channel holds
-// until KillChannel remaps addresses, after which the recovery stall
-// forgets every decoded channel (rebuildEventState).
-func (e *engine) burstChannel(rx *runningXfer, idx int) int {
-	if rx.decoded != idx+1 {
-		rx.decoded, rx.chanOf = idx+1, e.dram.ChannelOf(rx.act.bursts[idx])
+// nextChannel returns the DRAM channel of the burst rx issues next: a
+// reissue's, decoded here, or the cursor's.
+func (e *engine) nextChannel(rx *runningXfer) int {
+	if len(rx.requeue) > 0 {
+		return e.dram.ChannelOf(rx.act.burstAt(rx.requeue[0]))
 	}
-	return rx.chanOf
+	return rx.cur.b.Chan
 }
 
 // retire resolves transfers whose bursts have all completed.
 func (e *engine) retire() {
 	kept := e.running[:0]
 	for _, rx := range e.running {
-		if rx.completed == len(rx.act.bursts) {
+		if rx.completed == rx.act.nBursts {
 			rx.act.busy, rx.act.hiWater = rx.busy, int32(rx.hiWater)
 			e.byAct[rx.act.id] = nil
 			e.resolve(rx.act, rx.act.start, e.clock+rx.act.fill)

@@ -81,9 +81,8 @@ func TestWatchdogAbortsLivelockedSchedule(t *testing.T) {
 	if err := ddr.InjectFaults(&dram.Faults{Down: []bool{true, true, true, true}}); err != nil {
 		t.Fatal(err)
 	}
-	a := &activity{id: 0, kind: actTransfer,
-		leaf:   &dhdl.Controller{Name: "stuck_load"},
-		bursts: []uint64{0, 64, 128}}
+	a := stridedBursts(&activity{id: 0, kind: actTransfer,
+		leaf: &dhdl.Controller{Name: "stuck_load"}}, 3, 64)
 	eng := &engine{acts: []*activity{a}, dram: ddr, stallWindow: 5000, loop: eventLoop}
 	_, err := eng.run()
 	if err == nil {
@@ -119,12 +118,8 @@ func TestWatchdogAbortsLivelockedSchedule(t *testing.T) {
 
 func TestWatchdogCycleBudget(t *testing.T) {
 	// A legitimate long transfer aborts once it exceeds the cycle budget.
-	bursts := make([]uint64, 4096)
-	for i := range bursts {
-		bursts[i] = uint64(i * 64)
-	}
-	a := &activity{id: 0, kind: actTransfer,
-		leaf: &dhdl.Controller{Name: "big_load"}, bursts: bursts}
+	a := stridedBursts(&activity{id: 0, kind: actTransfer,
+		leaf: &dhdl.Controller{Name: "big_load"}}, 4096, 64)
 	eng := &engine{acts: []*activity{a}, dram: dram.New(dram.DDR3_1600x4()), maxCycles: 100,
 		stallWindow: defaultStallWindow, loop: eventLoop}
 	_, err := eng.run()
@@ -159,20 +154,14 @@ func TestWatchdogDeadlockDiagnostic(t *testing.T) {
 func TestEngineTransferContention(t *testing.T) {
 	// Two transfers targeting the same channel take about twice as long
 	// together as one alone.
-	mkBursts := func(n int) []uint64 {
-		out := make([]uint64, n)
-		for i := range out {
-			out[i] = uint64(i * 64 * 4) // all on channel 0
-		}
-		return out
-	}
-	solo := &activity{id: 0, kind: actTransfer, bursts: mkBursts(256)}
+	const stride = 64 * 4 // all on channel 0
+	solo := stridedBursts(&activity{id: 0, kind: actTransfer}, 256, stride)
 	mk1, err := newTestEngine([]*activity{solo}).run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := &activity{id: 0, kind: actTransfer, bursts: mkBursts(256)}
-	y := &activity{id: 1, kind: actTransfer, bursts: mkBursts(256)}
+	x := stridedBursts(&activity{id: 0, kind: actTransfer}, 256, stride)
+	y := stridedBursts(&activity{id: 1, kind: actTransfer}, 256, stride)
 	mk2, err := newTestEngine([]*activity{x, y}).run()
 	if err != nil {
 		t.Fatal(err)
@@ -203,4 +192,13 @@ func TestActivityDepDedup(t *testing.T) {
 	if b.nDepsLeft != 1 || len(b.deps) != 1 {
 		t.Errorf("deps=%d nDepsLeft=%d, want 1/1", len(b.deps), b.nDepsLeft)
 	}
+}
+
+// stridedBursts gives transfer a n bursts, stride bytes apart from address
+// 0, one row each, and returns it.
+func stridedBursts(a *activity, n int, stride uint64) *activity {
+	for i := 0; i < n; i++ {
+		a.addRow(uint64(i)*stride, 1)
+	}
+	return a
 }

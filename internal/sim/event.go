@@ -42,10 +42,6 @@ func (e *engine) issueBurstsEvent() bool {
 	if len(e.active) == 0 {
 		return false
 	}
-	if e.activeDirty {
-		slices.SortFunc(e.active, bySeq)
-		e.activeDirty = false
-	}
 	kept := e.active[:0]
 	for _, rx := range e.active {
 		if rx.act.resolved {
@@ -55,14 +51,10 @@ func (e *engine) issueBurstsEvent() bool {
 		switch {
 		case rx.inFlight >= agOutstanding:
 			rx.state = rxSat // a burst completion reactivates it
-		case len(rx.requeue) == 0 && rx.nextBurst >= len(rx.act.bursts):
+		case len(rx.requeue) == 0 && rx.cur.next == rx.act.nBursts:
 			rx.state = rxDone // nothing left to issue; retires when bursts land
 		default:
-			idx := rx.nextBurst
-			if len(rx.requeue) > 0 {
-				idx = rx.requeue[0]
-			}
-			if ci := e.burstChannel(rx, idx); e.dram.QueueSlack(ci) > 0 {
+			if ci := e.nextChannel(rx); e.dram.QueueSlack(ci) > 0 {
 				rx.state = rxActive
 				kept = append(kept, rx)
 			} else {
@@ -255,22 +247,21 @@ func (e *engine) nextDeadline() int64 {
 // rebuildEventState re-derives the event core's indexes after a recovery
 // stall: every running transfer starts active, so the first issue pass
 // attempts them all at the resume cycle — exactly what the legacy loop does
-// — and re-parks the ones that cannot act. It also forgets each transfer's
-// decoded burst channel, which a killed channel may have remapped.
+// — and re-parks the ones that cannot act. It also decodes each transfer's
+// next burst afresh, as a killed channel may have remapped it.
 func (e *engine) rebuildEventState() {
 	e.active = e.active[:0]
 	for slot := range e.parked {
 		e.parked[slot] = e.parked[slot][:0]
 	}
 	e.nParked = 0
-	e.activeDirty = false
 	e.retireNeeded = false
 	e.nextSeq = 0
 	for _, rx := range e.running {
 		rx.seq = e.nextSeq
 		e.nextSeq++
 		rx.state = rxActive
-		rx.decoded = 0 // a killed channel remaps addresses
+		e.seek(rx) // a killed channel remaps addresses
 		e.active = append(e.active, rx)
 	}
 }

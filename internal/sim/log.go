@@ -52,6 +52,8 @@ func Execute(ctx context.Context, p *dhdl.Program) (*Log, *dhdl.State, error) {
 		leafOf[c] = int32(i)
 	}
 	l := &Log{prog: p.Name, leaves: len(leaves)}
+	// The event's counter values and sparse addresses sit in buffers the
+	// interpreter reuses; these appends are their one copy.
 	st, err := dhdl.TraceContext(ctx, p, func(ev *dhdl.ExecEvent) {
 		e := logEvent{leaf: leafOf[ev.Ctrl], env: int32(len(l.env)), addrs: int32(len(l.addrs)), x: ev.Iters}
 		if ev.Ctrl.Kind != dhdl.ComputeKind {
@@ -77,10 +79,9 @@ func appendDoubling[T any](s []T, vs ...T) []T {
 	return append(s, vs...)
 }
 
-// replayTo feeds the log's events to the graph builder, as leaf executions
-// of m's program. It polls ctx every ctxCheckInterval events.
-func (l *Log) replayTo(ctx context.Context, b *builder) error {
-	p := b.m.Prog
+// replayTo feeds the log's events to handle (the graph builder's), as leaf
+// executions of p. It polls ctx every ctxCheckInterval events.
+func (l *Log) replayTo(ctx context.Context, p *dhdl.Program, handle dhdl.ExecHook) error {
 	leaves := p.Leaves()
 	if len(leaves) != l.leaves || p.Name != l.prog {
 		return fmt.Errorf("sim: the event log of %q (%d leaves) does not belong to %q (%d leaves)",
@@ -108,7 +109,7 @@ func (l *Log) replayTo(ctx context.Context, b *builder) error {
 				ev.SparseAddrs = l.addrs[e.addrs:addrsEnd:addrsEnd]
 			}
 		}
-		b.handle(&ev)
+		handle(&ev)
 	}
 	return nil
 }

@@ -12,23 +12,16 @@ import (
 // with enough bursts to stay mid-flight for thousands of cycles. Calling it
 // twice yields two independent but identical graphs.
 func buildPauseGraph() []*activity {
-	mkBursts := func(n, stride int) []uint64 {
-		out := make([]uint64, n)
-		for i := range out {
-			out[i] = uint64(i * stride)
-		}
-		return out
-	}
-	load := &activity{id: 0, kind: actTransfer, fill: 4,
-		leaf: &dhdl.Controller{Name: "load"}, bursts: mkBursts(512, 64)}
-	load2 := &activity{id: 1, kind: actTransfer, fill: 4,
-		leaf: &dhdl.Controller{Name: "load2"}, bursts: mkBursts(512, 128)}
+	load := stridedBursts(&activity{id: 0, kind: actTransfer, fill: 4,
+		leaf: &dhdl.Controller{Name: "load"}}, 512, 64)
+	load2 := stridedBursts(&activity{id: 1, kind: actTransfer, fill: 4,
+		leaf: &dhdl.Controller{Name: "load2"}}, 512, 128)
 	comp := &activity{id: 2, kind: actCompute, dur: 700, fill: 9,
 		leaf: &dhdl.Controller{Name: "dot"}}
 	comp.addDep(load, fillToStart)
 	comp.addDep(load2, endToStart)
-	store := &activity{id: 3, kind: actTransfer, fill: 4, write: true,
-		leaf: &dhdl.Controller{Name: "store"}, bursts: mkBursts(256, 64)}
+	store := stridedBursts(&activity{id: 3, kind: actTransfer, fill: 4, write: true,
+		leaf: &dhdl.Controller{Name: "store"}}, 256, 64)
 	store.addDep(comp, endToStart)
 	return []*activity{load, load2, comp, store}
 }

@@ -12,7 +12,6 @@ import (
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
 	"plasticine/internal/dhdl"
-	"plasticine/internal/dram"
 	"plasticine/internal/fault"
 	"plasticine/internal/pattern"
 	"plasticine/internal/trace"
@@ -33,10 +32,8 @@ func streamPrepare(ctx context.Context, m *compiler.Mapping, opts Options) (*eng
 	if err != nil {
 		return nil, nil, fmt.Errorf("sim: functional execution failed: %w", err)
 	}
-	dcfg := dram.DDR3_1600x4()
-	dcfg.Channels = m.Params.Chip.DDRChannels
-	ddr := dram.New(dcfg)
-	if err := ddr.InjectFaults(m.Faults.DRAMFaults()); err != nil {
+	ddr, err := newMemory(m)
+	if err != nil {
 		return nil, nil, err
 	}
 	return &engine{acts: b.acts, dram: ddr, units: b.units, rec: opts.Recorder,

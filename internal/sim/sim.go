@@ -170,18 +170,28 @@ func prepare(ctx context.Context, m *compiler.Mapping, log *Log, opts Options, l
 		b.coalesceWindow = opts.CoalesceWindow
 	}
 	b.disableNBuffer = opts.DisableNBuffer
-	if err := log.replayTo(ctx, b); err != nil {
+	if err := log.replayTo(ctx, m.Prog, b.handle); err != nil {
 		return nil, err
 	}
+	ddr, err := newMemory(m)
+	if err != nil {
+		return nil, err
+	}
+	return &engine{acts: b.acts, dram: ddr, units: b.units, rec: opts.Recorder,
+		maxCycles: opts.MaxCycles, stallWindow: defaultStallWindow,
+		loop: lp, insts: simMetrics.Load()}, nil
+}
+
+// newMemory builds the memory system m's chip names, under the DRAM faults
+// of m's plan. Its bursts are the builder's: burstBytes each.
+func newMemory(m *compiler.Mapping) (*dram.DRAM, error) {
 	dcfg := dram.DDR3_1600x4()
 	dcfg.Channels = m.Params.Chip.DDRChannels
 	ddr := dram.New(dcfg)
 	if err := ddr.InjectFaults(m.Faults.DRAMFaults()); err != nil {
 		return nil, err
 	}
-	return &engine{acts: b.acts, dram: ddr, units: b.units, rec: opts.Recorder,
-		maxCycles: opts.MaxCycles, stallWindow: defaultStallWindow,
-		loop: lp, insts: simMetrics.Load()}, nil
+	return ddr, nil
 }
 
 // buildResult assembles the Result for a finished engine.

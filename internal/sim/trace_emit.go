@@ -55,7 +55,7 @@ func gapCause(a *activity) trace.StallCause {
 // fill), the remainder being DRAM wait.
 func busyOf(a *activity) int64 {
 	span := a.end - a.start
-	if a.kind != actTransfer || len(a.bursts) == 0 {
+	if a.kind != actTransfer || a.nBursts == 0 {
 		return span
 	}
 	busy := a.busy + a.fill
@@ -102,7 +102,7 @@ func (e *engine) emitTrace(m *compiler.Mapping, windows []trace.Window) {
 		bytesOf := map[*dhdl.Controller]int64{}
 		for _, a := range e.acts {
 			if a.kind == actTransfer && a.leaf != nil {
-				bytesOf[a.leaf] += int64(len(a.bursts)) * burstBytes
+				bytesOf[a.leaf] += int64(a.nBursts) * burstBytes
 			}
 		}
 		agOf := map[int]int64{} // AG node index -> bytes

@@ -162,7 +162,7 @@ func (e *engine) diagnostic(reason string) *WatchdogError {
 		w.InFlight = append(w.InFlight, StuckTransfer{
 			Name:      actLabel(rx.act),
 			Completed: rx.completed,
-			Total:     len(rx.act.bursts),
+			Total:     rx.act.nBursts,
 			InFlight:  rx.inFlight,
 		})
 	}
