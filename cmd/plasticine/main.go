@@ -119,7 +119,7 @@ commands:
                     compile and simulate one benchmark vs the FPGA model,
                     optionally under an injected fault plan; -events adds
                     timed mid-run faults (kill-pcu@N,kill-pmu@N,kill-sw@N,
-                    kill-chan@N) survived via checkpoint/repair/resume
+                    kill-chan@N) survived via drain/repair/stall/resume
   profile -bench <name> [-by-pattern] [-passes] [-events list] [-faults spec]
                     [-trace path] [-counters path]
                     cycle-level profile: per-unit busy/stall/idle accounting
@@ -145,8 +145,9 @@ commands:
                     optionally on a memory system with latency spikes
                     and transient burst failures
   recovery <benchmark> [-events list] [-seed N]
-                    mid-run fault recovery overhead: drain, checkpoint,
-                    repair/reconfigure, resume — vs the event-free run
+                    mid-run fault recovery overhead: drain, repair, a
+                    reconfiguration stall in place, resume — vs the
+                    event-free run
   table3 [suite flags]
                     parameter selection sweep (Section 3.7)
   table5            area breakdown (Table 5)

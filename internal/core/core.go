@@ -11,6 +11,7 @@ import (
 
 	"plasticine/internal/arch"
 	"plasticine/internal/compiler"
+	"plasticine/internal/exec"
 	"plasticine/internal/fault"
 	"plasticine/internal/fpga"
 	"plasticine/internal/metrics"
@@ -67,25 +68,16 @@ type BenchResult struct {
 // interpreter and the engine poll it, so a parallel suite can abandon
 // in-flight work when a sibling fails or the user interrupts.
 //
-// The run is two phases: the functional phase (Build, the interpreter and
-// Check) and the timing phase (compile and replay its log). With a memo,
-// the functional result comes from it when it holds b's (a hit: Program()
-// stands in for Build, and nothing else of the phase runs); with keep set,
-// a miss claims b's slot, so concurrent callers compute it once, and keeps
-// the outcome unless the run's context ended first. Without a memo — the
-// instance may not be the registry's — every phase runs. The design point
-// compiles before the functional phase, so one that does not fit pays for
-// no trace, and errors keep their order: Build, compile, the interpreter,
-// the engine, then Check.
-func runBenchmark(ctx context.Context, params arch.Params, b workloads.Benchmark, plan *fault.Plan, opts sim.Options, memo *funcMemo, keep bool) (*BenchResult, error) {
+// Every caller runs one sequence: compile b.Program(), take the functional
+// result (Build, the interpreter and Check; memo.go) from memo, or compute
+// it when memo is nil, and replay its log. A design point that does not
+// fit therefore pays for no Build and no trace, and errors keep their
+// order: the program, compile, Build, the interpreter, the engine, then
+// Check.
+func runBenchmark(ctx context.Context, params arch.Params, b workloads.Benchmark, plan *fault.Plan, opts sim.Options, memo *exec.Cache) (*BenchResult, error) {
 	name := b.Name()
 	fail := func(err error) (*BenchResult, error) { return nil, fmt.Errorf("core: %s: %w", name, err) }
-	lk, err := memo.lookup(ctx, name, keep)
-	if err != nil {
-		return fail(err)
-	}
-	defer lk.release()
-	p, err := lk.program(ctx, b)
+	p, err := b.Program()
 	if err != nil {
 		return fail(err)
 	}
@@ -94,12 +86,15 @@ func runBenchmark(ctx context.Context, params arch.Params, b workloads.Benchmark
 	if err != nil {
 		return fail(err)
 	}
-	fn, err := lk.functional(ctx, b, p)
+	// A nil memo keeps nothing, so execute runs for this evaluation alone.
+	fn, err := cached(ctx, memo, exec.NewKey(name), "memo", func() (*functional, error) {
+		return execute(ctx, b)
+	})
 	if err != nil {
 		return fail(err)
 	}
-	// Nothing here holds the log past the graph build, so the collector may
-	// take a log the memo does not keep while the engine runs.
+	// Nothing here holds the log past the graph build, so the garbage
+	// collector may take a log the memo does not keep while the engine runs.
 	checkErr := fn.check
 	simCtx, span := metrics.Start(ctx, "sim")
 	opts.Recovery = true

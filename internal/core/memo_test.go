@@ -8,16 +8,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"plasticine/internal/arch"
 	"plasticine/internal/dhdl"
+	"plasticine/internal/exec"
 	"plasticine/internal/fault"
 	"plasticine/internal/metrics"
 	"plasticine/internal/sim"
@@ -78,8 +79,8 @@ func spanNames(sp *metrics.Span) string {
 // as it ran before the functional and timing phases split; regenerate them
 // only for a change that means to alter these outputs. The pristine
 // session's first profile of each benchmark builds and interprets it, and
-// the hit after it must match it exactly; the faulted sessions start from
-// the pristine session's entries, so each of their evaluations is a hit.
+// the hit after it must match it exactly; the faulted sessions share the
+// pristine session's memo, so each of their evaluations is a hit.
 func TestMemoHitsMatchStreamingRuns(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "memo_identity_digests.json"))
 	if err != nil {
@@ -102,7 +103,7 @@ func TestMemoHitsMatchStreamingRuns(t *testing.T) {
 		if pristine == nil {
 			pristine = sess
 		} else {
-			sess.memo.m = maps.Clone(pristine.memo.m)
+			sess.memo = pristine.memo
 		}
 		for _, b := range workloads.All() {
 			key := b.Name() + "/" + labels[i]
@@ -112,7 +113,7 @@ func TestMemoHitsMatchStreamingRuns(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", key, err)
 				}
-				if got := spanNames(p.Spans); got != "build,compile,interpret,check,sim" {
+				if got := spanNames(p.Spans); got != "compile,build,interpret,check,sim" {
 					t.Fatalf("%s: the first profile records %s, not a miss", key, got)
 				}
 				built = parts(p)
@@ -121,10 +122,10 @@ func TestMemoHitsMatchStreamingRuns(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
-			if got := spanNames(hit.Spans); got != "memo,build,compile,sim" {
+			if got := spanNames(hit.Spans); got != "compile,memo,sim" {
 				t.Fatalf("%s: the profile records %s, not a memo hit", key, got)
 			}
-			point, err := sess.evaluate(ctx, b, plan, sim.Options{}, true)
+			point, err := sess.evaluate(ctx, b, plan, sim.Options{}, sess.memo)
 			if err != nil {
 				t.Fatalf("%s: %v", key, err)
 			}
@@ -199,8 +200,8 @@ func innerProductCycles(t *testing.T) int64 {
 
 // doneTrap is a context that cancels itself the first time its Done
 // channel is asked for once armed. The interpreter asks as it compiles its
-// first leaf and compilation never does, so armed after Build, it cancels
-// the run inside the functional trace.
+// first leaf, and neither compilation nor the memo's owner does, so armed
+// after Build, it cancels the run inside the functional trace.
 type doneTrap struct {
 	context.Context
 	cancel context.CancelFunc
@@ -228,9 +229,6 @@ func TestCanceledTraceIsNotMemoized(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "functional execution failed") {
 		t.Fatalf("profile canceled mid-trace = %v, want a functional-execution error wrapping context.Canceled", err)
 	}
-	if e := sess.memo.peek(b.Name()); e != nil {
-		t.Fatalf("the canceled trace left a memo entry: %+v", e)
-	}
 	b.onBuild = nil
 	p, err := sess.Profile(context.Background(), b)
 	if err != nil {
@@ -242,8 +240,11 @@ func TestCanceledTraceIsNotMemoized(t *testing.T) {
 	if n := b.builds.Load(); n != 2 {
 		t.Fatalf("%d builds, want 2: the canceled one and the one after it", n)
 	}
-	if got := spanNames(p.Spans); got != "build,compile,interpret,check,sim" {
+	if got := spanNames(p.Spans); got != "compile,build,interpret,check,sim" {
 		t.Fatalf("the profile after a canceled one records %s, want a full functional phase", got)
+	}
+	if st := sess.memo.Stats(); st.Hits != 0 || st.Misses != 2 {
+		t.Fatalf("memo %+v, want two misses: the canceled trace kept nothing", st)
 	}
 }
 
@@ -261,7 +262,10 @@ func TestFailedCheckIsMemoized(t *testing.T) {
 	}
 	for i, run := range []func() error{
 		func() error { _, err := sess.Profile(context.Background(), b); return err },
-		func() error { _, err := sess.evaluate(context.Background(), b, nil, sim.Options{}, true); return err },
+		func() error {
+			_, err := sess.evaluate(context.Background(), b, nil, sim.Options{}, sess.memo)
+			return err
+		},
 	} {
 		if err := run(); err == nil || err.Error() != first.Error() {
 			t.Errorf("timing %d after the failed check = %v, want %v", i, err, first)
@@ -296,9 +300,9 @@ func TestConcurrentProfilesTraceOnce(t *testing.T) {
 			t.Fatal(errs[i])
 		}
 		switch got := spanNames(results[i].Spans); got {
-		case "build,compile,interpret,check,sim":
+		case "compile,build,interpret,check,sim":
 			traced++
-		case "memo,build,compile,sim":
+		case "compile,memo,sim":
 		default:
 			t.Errorf("profile %d records %s", i, got)
 		}
@@ -313,29 +317,104 @@ func TestConcurrentProfilesTraceOnce(t *testing.T) {
 
 // TestTableRunsKeepNoLog: Table 7's, Bench's and RunBenchmark's
 // evaluations, which the design-point cache already limits to one per key,
-// keep no functional result for the session; a profile afterwards computes
-// its own.
+// neither read nor fill the session's functional memo: after a profile has
+// kept InnerProduct's log, RunBenchmark still runs its own functional
+// phase, and Bench keeps nothing for TPCHQ6.
 func TestTableRunsKeepNoLog(t *testing.T) {
 	sess := NewSession()
-	if _, err := sess.RunBenchmark(context.Background(), workloads.NewInnerProduct()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Bench(context.Background(), []string{"TPCHQ6"}); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"InnerProduct", "TPCHQ6"} {
-		if e := sess.memo.peek(name); e != nil {
-			t.Errorf("%s: a cached evaluation kept its log", name)
-		}
-	}
 	p, err := sess.Profile(context.Background(), workloads.NewInnerProduct())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := spanNames(p.Spans); got != "build,compile,interpret,check,sim" {
+	if got := spanNames(p.Spans); got != "compile,build,interpret,check,sim" {
 		t.Errorf("first profile records %s", got)
 	}
-	if sess.memo.peek("InnerProduct") == nil {
-		t.Error("a profile kept no log")
+	ctx, span := metrics.Start(context.Background(), "run")
+	if _, err := sess.RunBenchmark(ctx, workloads.NewInnerProduct()); err != nil {
+		t.Fatal(err)
+	}
+	span.End()
+	if got := spanNames(span.Snapshot()); got != "compile,build,interpret,check,sim" {
+		t.Errorf("RunBenchmark after a profile records %s, want its own functional phase", got)
+	}
+	if _, err := sess.Bench(context.Background(), []string{"TPCHQ6"}); err != nil {
+		t.Fatal(err)
+	}
+	if st := sess.memo.Stats(); st != (exec.CacheStats{Misses: 1}) {
+		t.Errorf("memo %+v, want the profile's one miss alone", st)
+	}
+}
+
+// TestUnfitPointBuildsNothing: a profile and a resilience point on a chip
+// too small for the benchmark fail to compile before the functional phase,
+// so they generate no inputs (no Build) and leave the memo untouched.
+func TestUnfitPointBuildsNothing(t *testing.T) {
+	tiny := arch.Default()
+	tiny.Chip.Rows, tiny.Chip.Cols = 1, 2
+	sess := NewSession(WithArch(tiny))
+	b := newCountingBench("UnfitInnerProduct")
+	if _, err := sess.Profile(context.Background(), b); !isInfeasible(err) {
+		t.Errorf("profile on a one-unit chip = %v, want a compile error", err)
+	}
+	rows, err := sess.Resilience(context.Background(), b, fault.Spec{}, []float64{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 || rows[0].Feasible || !strings.Contains(rows[0].Reason, "UnfitInnerProduct") {
+		t.Errorf("resilience on a one-unit chip = %+v, want one infeasible row with the compile error", rows)
+	}
+	if n := b.builds.Load(); n != 0 {
+		t.Errorf("%d builds for design points that do not fit, want 0", n)
+	}
+	if st := sess.memo.Stats(); st != (exec.CacheStats{}) {
+		t.Errorf("design points that do not fit used the memo: %+v", st)
+	}
+}
+
+// TestProfileWaiterLeavesAtItsDeadline: a profile that finds another
+// computing the benchmark's functional result stops waiting when its own
+// deadline passes, and the owner's result is still kept for the next one.
+func TestProfileWaiterLeavesAtItsDeadline(t *testing.T) {
+	sess := NewSession()
+	b := newCountingBench("SlowInnerProduct")
+	building, release := make(chan struct{}), make(chan struct{})
+	b.onBuild = func() {
+		close(building)
+		<-release
+	}
+	owner := make(chan error, 1)
+	go func() {
+		_, err := sess.Profile(context.Background(), b)
+		owner <- err
+	}()
+	<-building
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := sess.Profile(ctx, b)
+		waiter <- err
+	}()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("waiting profile = %v, want its own deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the waiting profile outlived its deadline")
+	}
+	close(release)
+	if err := <-owner; err != nil {
+		t.Fatal(err)
+	}
+	p, err := sess.Profile(context.Background(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spanNames(p.Spans); got != "compile,memo,sim" {
+		t.Errorf("the profile after the owner's records %s, want a memo hit", got)
+	}
+	if n := b.builds.Load(); n != 1 {
+		t.Errorf("%d builds, want the owner's one", n)
 	}
 }

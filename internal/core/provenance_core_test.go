@@ -156,14 +156,14 @@ func TestProfileByPatternRendering(t *testing.T) {
 }
 
 // TestProfileCarriesCompilePasses: a profiled run keeps its evaluation's
-// span tree — build, the compile span with its passes, the functional
-// phase (interpret and check) on the session's first profile of the
+// span tree — the compile span with its passes, the functional phase
+// (build, interpret and check) on the session's first profile of the
 // benchmark or one memo span on a later one, and sim with the graph build
 // and the engine below it — and ships it on the Chrome trace's compiler
 // track.
 func TestProfileCarriesCompilePasses(t *testing.T) {
 	sess := NewSession()
-	for _, want := range []string{"build,compile,interpret,check,sim", "memo,build,compile,sim"} {
+	for _, want := range []string{"compile,build,interpret,check,sim", "compile,memo,sim"} {
 		p, err := sess.Profile(context.Background(), workloads.NewInnerProduct())
 		if err != nil {
 			t.Fatal(err)

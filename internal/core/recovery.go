@@ -9,8 +9,10 @@ import (
 )
 
 // RecoveryReport decomposes the cost of surviving a timed fault schedule
-// into checkpoint (quiescence drain), reconfiguration, and re-execution
-// cycles for one benchmark.
+// into quiescence drain, reconfiguration, and re-execution cycles for one
+// benchmark: at each event the engine drains its outstanding bursts, the
+// fabric is repaired, and the drained engine stalls in place for the
+// reconfiguration before it resumes.
 type RecoveryReport struct {
 	Name string
 	Spec fault.Spec

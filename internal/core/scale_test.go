@@ -39,7 +39,7 @@ func BenchmarkScale(b *testing.B) {
 			var r *BenchResult
 			for i := 0; i < b.N; i++ {
 				var err error
-				if r, err = runBenchmark(context.Background(), arch.Default(), w, nil, sim.Options{}, nil, false); err != nil {
+				if r, err = runBenchmark(context.Background(), arch.Default(), w, nil, sim.Options{}, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

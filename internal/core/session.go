@@ -20,8 +20,8 @@ package core
 // is written only during NewSession and read-only afterwards; the engine
 // (pool, cache, retry counter) is concurrency-safe by construction;
 // per-call mutable state (fresh benchmark instances, trace collectors) is
-// private to the call; the functional memo (memo.go) publishes each entry
-// once, under its own lock; and the lazily-built DSE driver is guarded by
+// private to the call; the functional memo (memo.go) is an exec.Cache like
+// the design-point cache; and the lazily-built DSE sweep is guarded by
 // dseOnce. TestSessionConcurrentMixedUse locks the property in under -race.
 
 import (
@@ -69,8 +69,8 @@ type Session struct {
 	closeErr  error
 
 	// memo is the session's functional memo (memo.go): one leaf-event log
-	// and Check verdict per benchmark, which later timings replay.
-	memo funcMemo
+	// and Check verdict per benchmark name, which its timings replay.
+	memo *exec.Cache
 
 	// metricsReg is the instrumentation registry the serving layer
 	// installs via UseMetrics. Atomic because installation may race a
@@ -95,8 +95,8 @@ func WithFaults(plan *fault.Plan) SessionOption {
 }
 
 // WithSimOptions sets the simulator options benchmark runs use (default:
-// sim.Options{}). A non-nil Recorder disables result caching for those runs:
-// trace collection is a side effect the cache cannot replay.
+// sim.Options{}). Leave Recorder nil: Profile arms its own collector, and a
+// cached run would feed one only on a miss.
 func WithSimOptions(opts sim.Options) SessionOption {
 	return func(s *Session) { s.simOpts = opts }
 }
@@ -128,7 +128,7 @@ func WithDiskCache(d *exec.DiskCache) SessionOption {
 // NewSession builds a session. Defaults: paper architecture, no faults, one
 // worker, fresh cache, no persistence, no job policy.
 func NewSession(opts ...SessionOption) *Session {
-	s := &Session{params: arch.Default(), engine: exec.NewEngine(1)}
+	s := &Session{params: arch.Default(), engine: exec.NewEngine(1), memo: exec.NewCache()}
 	for _, o := range opts {
 		o(s)
 	}
@@ -199,8 +199,8 @@ func planKey(p *fault.Plan) string {
 }
 
 // optsKey canonicalises simulator options for cache keys. The Recorder is
-// deliberately excluded: recorded runs never hit the cache. So is Recovery,
-// which runBenchmark always sets.
+// excluded, since Profile, which arms one, bypasses the cache, and so is
+// Recovery, which runBenchmark always sets.
 func optsKey(o sim.Options) string {
 	return fmt.Sprintf("cw=%d nbuf=%t max=%d", o.CoalesceWindow, o.DisableNBuffer, o.MaxCycles)
 }
@@ -220,38 +220,39 @@ func freshInstance(b workloads.Benchmark) workloads.Benchmark {
 // evaluate is the cached benchmark evaluation every suite-level method funnels
 // through: one compile+simulate per distinct (benchmark, params, plan, opts)
 // point per session. The benchmark is re-instantiated inside the compute
-// so parallel jobs share no mutable state; profiled runs (non-nil
-// Recorder) bypass the cache entirely. The compute runs under the
-// session's job policy (deadline + transient retries), and its result
-// persists to the disk tier when one is attached. keep says whether a
-// miss of the functional memo keeps its log (see runBenchmark).
-func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fault.Plan, opts sim.Options, keep bool) (*BenchResult, error) {
+// so parallel jobs share no mutable state. The compute runs under the
+// session's job policy (deadline + transient retries), takes its
+// functional result from memo (nil: computes it; see runBenchmark), and
+// its result persists to the disk tier when one is attached.
+func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fault.Plan, opts sim.Options, memo *exec.Cache) (*BenchResult, error) {
 	b = freshInstance(b)
-	if opts.Recorder != nil {
-		return runBenchmark(ctx, s.params, b, plan, opts, &s.memo, keep)
-	}
 	k := exec.NewKey("core/bench", b.Name(), s.paramsKey, planKey(plan), optsKey(opts))
-	// Span attribution: when this call computes the point itself, the
-	// spans recorded inside runBenchmark tell the story and no "cache"
-	// span is recorded. When the result came from the cache — a hit, the
-	// disk tier, or a singleflight wait on another request's in-flight
-	// compute — the whole CachedJSON call is the "cache" span.
-	computed := false
-	t0 := time.Now()
-	r, err := exec.CachedJSON(s.engine.Cache(), k, func() (*BenchResult, error) {
-		computed = true
+	return cached(ctx, s.engine.Cache(), k, "cache", func() (*BenchResult, error) {
 		var r *BenchResult
 		err := s.engine.RunJob(ctx, b.Name(), func(ctx context.Context) error {
 			var rerr error
-			r, rerr = runBenchmark(ctx, s.params, b, plan, opts, &s.memo, keep)
+			r, rerr = runBenchmark(ctx, s.params, b, plan, opts, memo)
 			return rerr
 		})
 		return r, err
 	})
+}
+
+// cached is exec.CachedJSON with span attribution: a call that computes
+// the value leaves the story to the spans compute records, and one whose
+// value came from c — a hit, the disk tier, or a wait on another caller's
+// computation — records one span, name, over the whole call.
+func cached[T any](ctx context.Context, c *exec.Cache, k exec.Key, name string, compute func() (T, error)) (T, error) {
+	computed := false
+	t0 := time.Now()
+	v, err := exec.CachedJSON(ctx, c, k, func() (T, error) {
+		computed = true
+		return compute()
+	})
 	if !computed {
-		metrics.Add(ctx, "cache", t0)
+		metrics.Add(ctx, name, t0)
 	}
-	return r, err
+	return v, err
 }
 
 // RunBenchmark evaluates one Table 4 benchmark under the session's plan and
@@ -259,7 +260,7 @@ func (s *Session) evaluate(ctx context.Context, b workloads.Benchmark, plan *fau
 // name the registry holds runs, and is cached, as the registry's default
 // instance, so a GEMM with a larger N returns the default GEMM's result.
 func (s *Session) RunBenchmark(ctx context.Context, b workloads.Benchmark) (*BenchResult, error) {
-	return s.evaluate(ctx, b, s.plan, s.simOpts, false)
+	return s.evaluate(ctx, b, s.plan, s.simOpts, nil)
 }
 
 // resolveBenches maps names to benchmarks (all of Table 4 when empty).
@@ -284,7 +285,7 @@ func (s *Session) Table7(ctx context.Context) ([]*BenchResult, error) {
 	benches := workloads.All()
 	rows := make([]*BenchResult, len(benches))
 	err := s.engine.Pool().Map(ctx, len(benches), func(ctx context.Context, i int) error {
-		r, err := s.evaluate(ctx, benches[i], s.plan, s.simOpts, false)
+		r, err := s.evaluate(ctx, benches[i], s.plan, s.simOpts, nil)
 		if err != nil {
 			return err
 		}
@@ -308,7 +309,7 @@ func (s *Session) Bench(ctx context.Context, names []string) ([]BenchSim, error)
 	}
 	out := make([]BenchSim, len(benches))
 	err = s.engine.Pool().Map(ctx, len(benches), func(ctx context.Context, i int) error {
-		r, err := s.evaluate(ctx, benches[i], s.plan, s.simOpts, false)
+		r, err := s.evaluate(ctx, benches[i], s.plan, s.simOpts, nil)
 		if err != nil {
 			return err
 		}
@@ -330,9 +331,9 @@ func (s *Session) Bench(ctx context.Context, names []string) ([]BenchSim, error)
 // effect), and single-threaded per call, but safe to invoke from parallel
 // jobs. Its functional result comes from the session's memo: the first
 // profile of a benchmark builds, interprets and checks it and keeps the
-// log, and every later one (of any caller in the session) replays that log
-// against a fresh Program()'s mapping. The evaluation records under a
-// "profile" span, which the result keeps.
+// log, and every later one (of any caller in the session) replays that
+// log. The evaluation records under a "profile" span, which the result
+// keeps.
 func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileResult, error) {
 	// The collector is private to this call, and the benchmark instance
 	// is fresh like every other run's.
@@ -341,7 +342,7 @@ func (s *Session) Profile(ctx context.Context, b workloads.Benchmark) (*ProfileR
 	opts := s.simOpts
 	opts.Recorder = col
 	ctx, span := metrics.Start(ctx, "profile")
-	r, err := runBenchmark(ctx, s.params, b, s.plan, opts, &s.memo, true)
+	r, err := runBenchmark(ctx, s.params, b, s.plan, opts, s.memo)
 	span.EndWith(b.Name(), nil, err)
 	if err != nil {
 		return nil, err
@@ -428,7 +429,7 @@ func (s *Session) resiliencePoint(ctx context.Context, b workloads.Benchmark, ba
 			return row, fmt.Errorf("core: resilience at %.0f%%: %w", 100*frac, err)
 		}
 	}
-	r, err := s.evaluate(ctx, b, plan, sim.Options{}, true)
+	r, err := s.evaluate(ctx, b, plan, sim.Options{}, s.memo)
 	switch {
 	case err == nil:
 		row.Feasible = true
@@ -465,7 +466,7 @@ func (s *Session) Recovery(ctx context.Context, b workloads.Benchmark, spec faul
 				return fmt.Errorf("core: %s: %w", label, err)
 			}
 		}
-		r, err := s.evaluate(ctx, b, plan, sim.Options{}, true)
+		r, err := s.evaluate(ctx, b, plan, sim.Options{}, s.memo)
 		if err != nil {
 			return fmt.Errorf("core: %s: %w", label, err)
 		}

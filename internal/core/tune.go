@@ -47,7 +47,7 @@ func (s *Session) tuneEvaluate(ctx context.Context, p arch.Params, name string) 
 	if err != nil {
 		return tune.EvalOutcome{}, err
 	}
-	r, err := runBenchmark(ctx, p, b, nil, sim.Options{}, &s.memo, true)
+	r, err := runBenchmark(ctx, p, b, nil, sim.Options{}, s.memo)
 	if err != nil {
 		if tuneInfeasible(err) {
 			return tune.EvalOutcome{Infeasible: true}, nil

@@ -180,7 +180,7 @@ func (d *DRAM) KillChannel(c int, lost func(tag int64)) (int, error) {
 		return 0, fmt.Errorf("dram: channel %d is already down", c)
 	}
 	// Record each in-flight request's owning channel BEFORE marking c down:
-	// remapChannel answers differently afterwards, and a request in c's
+	// channelOf answers differently afterwards, and a request in c's
 	// queue belongs to c regardless of which channel its address hashes to.
 	dropped := 0
 	drop := func(tag int64) {

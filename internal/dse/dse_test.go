@@ -203,7 +203,7 @@ func TestTable6LadderShape(t *testing.T) {
 
 func TestMinimizeAreaRespectsFixed(t *testing.T) {
 	bs := benches(t)
-	p, area, err := NewSweep(nil, arch.Default().Chip, nil).minimizeArea(bs[0], map[string]int{"stages": 6})
+	p, area, err := NewSweep(nil, arch.Default().Chip, nil).minimizeArea(context.Background(), bs[0], map[string]int{"stages": 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestMinimizeAreaRespectsFixed(t *testing.T) {
 
 func TestMinimizeAreaUnknownParam(t *testing.T) {
 	bs := benches(t)
-	_, _, err := NewSweep(nil, arch.Default().Chip, nil).minimizeArea(bs[0], map[string]int{"lanes?": 4})
+	_, _, err := NewSweep(nil, arch.Default().Chip, nil).minimizeArea(context.Background(), bs[0], map[string]int{"lanes?": 4})
 	if !errors.Is(err, ErrUnknownParam) {
 		t.Fatalf("want ErrUnknownParam, got %v", err)
 	}

@@ -116,9 +116,9 @@ func appendPCU(dst []byte, p arch.PCUParams) []byte {
 // benchArea is AnalyticalArea through the design-point cache (and, when
 // attached, the persistent tier), keyed by areaKey. Infeasible points are
 // cached like any other value, so a point that cannot map fails exactly
-// once.
-func (s *Sweep) benchArea(b *Bench, p arch.PCUParams) float64 {
-	v, _ := exec.CachedJSON(s.Engine.Cache(), s.areaKey(b, p), func() (areaPoint, error) {
+// once. It fails only when ctx ends while another job computes the point.
+func (s *Sweep) benchArea(ctx context.Context, b *Bench, p arch.PCUParams) (float64, error) {
+	v, err := exec.CachedJSON(ctx, s.Engine.Cache(), s.areaKey(b, p), func() (areaPoint, error) {
 		s.mPoints.Inc()
 		a := AnalyticalArea(b, p, s.Chip)
 		if math.IsInf(a, 1) {
@@ -127,10 +127,10 @@ func (s *Sweep) benchArea(b *Bench, p arch.PCUParams) float64 {
 		}
 		return areaPoint{Area: a}, nil
 	})
-	if v.Infeasible {
-		return Infeasible
+	if err != nil || v.Infeasible {
+		return Infeasible, err
 	}
-	return v.Area
+	return v.Area, nil
 }
 
 // canonFixed renders a fixed-parameter map in sorted order, so maps with
@@ -152,11 +152,11 @@ func canonFixed(fixed map[string]int) string {
 // minimizeArea is minimizeAreaUncached through the cache: a whole descent
 // result persists as one entry, so a resumed sweep skips not just the grid
 // points but the descents themselves.
-func (s *Sweep) minimizeArea(b *Bench, fixed map[string]int) (arch.PCUParams, float64, error) {
+func (s *Sweep) minimizeArea(ctx context.Context, b *Bench, fixed map[string]int) (arch.PCUParams, float64, error) {
 	k := exec.NewKey("dse/minimize", b.Name, canonFixed(fixed), s.chipKey)
-	v, err := exec.CachedJSON(s.Engine.Cache(), k, func() (minPoint, error) {
+	v, err := exec.CachedJSON(ctx, s.Engine.Cache(), k, func() (minPoint, error) {
 		s.mPoints.Inc()
-		p, area, err := s.minimizeAreaUncached(b, fixed)
+		p, area, err := s.minimizeAreaUncached(ctx, b, fixed)
 		if err != nil {
 			return minPoint{}, err
 		}
@@ -181,7 +181,7 @@ func (s *Sweep) minimizeArea(b *Bench, fixed map[string]int) (arch.PCUParams, fl
 // possible PCU area" (Section 3.7). The descent is sequential (each step
 // depends on the last) but every point it probes goes through the shared
 // cache, and neighbouring grid points probe heavily overlapping sets.
-func (s *Sweep) minimizeAreaUncached(b *Bench, fixed map[string]int) (arch.PCUParams, float64, error) {
+func (s *Sweep) minimizeAreaUncached(ctx context.Context, b *Bench, fixed map[string]int) (arch.PCUParams, float64, error) {
 	p := maxParams()
 	for name, v := range fixed {
 		pp, err := pcuParam(name)
@@ -190,9 +190,9 @@ func (s *Sweep) minimizeAreaUncached(b *Bench, fixed map[string]int) (arch.PCUPa
 		}
 		*pp.Field(&p) = v
 	}
-	best := s.benchArea(b, p)
-	if math.IsInf(best, 1) {
-		return p, Infeasible, nil
+	best, err := s.benchArea(ctx, b, p)
+	if err != nil || math.IsInf(best, 1) {
+		return p, Infeasible, err
 	}
 	order := []string{"stages", "registers", "vectorIns", "vectorOuts", "scalarIns", "scalarOuts"}
 	for pass := 0; pass < 2; pass++ {
@@ -208,7 +208,11 @@ func (s *Sweep) minimizeAreaUncached(b *Bench, fixed map[string]int) (arch.PCUPa
 			for _, v := range pp.Values {
 				q := p
 				*pp.Field(&q) = v
-				if a := s.benchArea(b, q); a < best {
+				a, err := s.benchArea(ctx, b, q)
+				if err != nil {
+					return p, Infeasible, err
+				}
+				if a < best {
 					best, bestV = a, v
 				}
 			}
@@ -234,14 +238,14 @@ func (s *Sweep) Figure7(ctx context.Context, panelID string) (*Panel, error) {
 	for i := range areas {
 		areas[i] = make([]float64, nV)
 	}
-	err := s.Engine.Pool().Map(ctx, len(s.Benches)*nV, func(_ context.Context, i int) error {
+	err := s.Engine.Pool().Map(ctx, len(s.Benches)*nV, func(ctx context.Context, i int) error {
 		bi, vi := i/nV, i%nV
 		b, v := s.Benches[bi], values[vi]
 		fixed := map[string]int{spec.param: v}
 		for k, fv := range spec.fixed {
 			fixed[k] = fv
 		}
-		_, area, err := s.minimizeArea(b, fixed)
+		_, area, err := s.minimizeArea(ctx, b, fixed)
 		if err != nil {
 			return fmt.Errorf("dse: panel %s, %s=%d: %w", panelID, spec.param, v, err)
 		}
@@ -311,8 +315,8 @@ func (s *Sweep) Table3(ctx context.Context) ([]Table3Row, error) {
 // identical at any worker count.
 func (s *Sweep) Table6(ctx context.Context, params arch.Params) ([]Ladder, error) {
 	rows := make([]Ladder, len(s.Benches))
-	err := s.Engine.Pool().Map(ctx, len(s.Benches), func(_ context.Context, i int) error {
-		r, err := s.table6Row(s.Benches[i], params)
+	err := s.Engine.Pool().Map(ctx, len(s.Benches), func(ctx context.Context, i int) error {
+		r, err := s.table6Row(ctx, s.Benches[i], params)
 		if err != nil {
 			return err
 		}
@@ -347,10 +351,10 @@ func (s *Sweep) Table6(ctx context.Context, params arch.Params) ([]Ladder, error
 // and every ratio row reads the same demand table.
 func (s *Sweep) RatioStudy(ctx context.Context, params arch.Params) ([]RatioRow, error) {
 	demands := make([]unitDemand, len(s.Benches))
-	err := s.Engine.Pool().Map(ctx, len(s.Benches), func(_ context.Context, i int) error {
+	err := s.Engine.Pool().Map(ctx, len(s.Benches), func(ctx context.Context, i int) error {
 		b := s.Benches[i]
 		k := exec.NewKey("dse/demand", b.Name, params.Key())
-		d, err := exec.CachedJSON(s.Engine.Cache(), k, func() (unitDemand, error) {
+		d, err := exec.CachedJSON(ctx, s.Engine.Cache(), k, func() (unitDemand, error) {
 			part, err := demand(b, params)
 			if err != nil {
 				return unitDemand{}, err

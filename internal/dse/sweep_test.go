@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -91,12 +92,13 @@ func TestAreaProbeAllocs(t *testing.T) {
 			points = append(points, p)
 		}
 	}
+	ctx := context.Background()
 	next := 0
 	miss := testing.AllocsPerRun(len(points)-1, func() {
-		s.benchArea(b, points[next])
+		s.benchArea(ctx, b, points[next])
 		next++
 	})
-	hit := testing.AllocsPerRun(100, func() { s.benchArea(b, points[0]) })
+	hit := testing.AllocsPerRun(100, func() { s.benchArea(ctx, b, points[0]) })
 	if st := s.Engine.CacheStats(); st.Misses != int64(len(points)) {
 		t.Fatalf("%d misses, want %d", st.Misses, len(points))
 	}

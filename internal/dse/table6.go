@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -29,12 +30,16 @@ type Ladder struct {
 // (hardwired ops, exactly the live registers, no input FIFOs or control).
 // owner/ui qualify the cache identity: unit names repeat across benchmarks,
 // so the single-unit pseudo-bench is named by its owning benchmark and unit
-// index to keep design-point cache keys unique.
-func (s *Sweep) unitAreas(owner string, ui int, u *compiler.VirtualPCU) (asic, het float64) {
+// index to keep design-point cache keys unique. It fails only when ctx ends
+// while another job computes one of the unit's points.
+func (s *Sweep) unitAreas(ctx context.Context, owner string, ui int, u *compiler.VirtualPCU) (asic, het float64, err error) {
 	chip := s.Chip
 	single := &Bench{Name: fmt.Sprintf("%s/unit%d:%s", owner, ui, u.Name), PCUs: []*compiler.VirtualPCU{u}}
-	best, area, err := s.minimizeArea(single, map[string]int{})
-	if err != nil || math.IsInf(area, 1) {
+	best, area, err := s.minimizeArea(ctx, single, map[string]int{})
+	if err != nil {
+		return 0, 0, err
+	}
+	if math.IsInf(area, 1) {
 		best = maxParams()
 	}
 	parts, err := compiler.PartitionPCU(u, best)
@@ -47,7 +52,7 @@ func (s *Sweep) unitAreas(owner string, ui int, u *compiler.VirtualPCU) (asic, h
 				ops = 1
 			}
 			asic = float64(ops*u.Lanes) * arch.ASICFUArea() * float64(u.Unroll)
-			return asic, asic / 0.4
+			return asic, asic / 0.4, nil
 		}
 		best = maxParams()
 	}
@@ -66,7 +71,7 @@ func (s *Sweep) unitAreas(owner string, ui int, u *compiler.VirtualPCU) (asic, h
 		regs := float64(ph.StagesUsed*live*u.Lanes) * arch.ASICRegArea()
 		asic += fu + regs
 	}
-	return asic * float64(u.Unroll), het * float64(u.Unroll)
+	return asic * float64(u.Unroll), het * float64(u.Unroll), nil
 }
 
 func pmuKB(m *compiler.VirtualPMU) float64 {
@@ -90,18 +95,21 @@ func hetPMUArea(m *compiler.VirtualPMU) float64 {
 // table6Row computes one benchmark's ladder row through the cache: the
 // finished row is one persistent-tier entry, so a resumed Table 6 run skips
 // completed benchmarks outright.
-func (s *Sweep) table6Row(b *Bench, params arch.Params) (Ladder, error) {
+func (s *Sweep) table6Row(ctx context.Context, b *Bench, params arch.Params) (Ladder, error) {
 	k := exec.NewKey("dse/table6-row", b.Name, params.Key(), s.chipKey)
-	return exec.CachedJSON(s.Engine.Cache(), k, func() (Ladder, error) {
-		return s.table6RowUncached(b, params)
+	return exec.CachedJSON(ctx, s.Engine.Cache(), k, func() (Ladder, error) {
+		return s.table6RowUncached(ctx, b, params)
 	})
 }
 
-func (s *Sweep) table6RowUncached(b *Bench, params arch.Params) (Ladder, error) {
+func (s *Sweep) table6RowUncached(ctx context.Context, b *Bench, params arch.Params) (Ladder, error) {
 	chip := s.Chip
 	var asicP, hetP float64
 	for ui, u := range b.PCUs {
-		a, h := s.unitAreas(b.Name, ui, u)
+		a, h, err := s.unitAreas(ctx, b.Name, ui, u)
+		if err != nil {
+			return Ladder{}, err
+		}
 		asicP += a
 		hetP += h
 	}
@@ -119,7 +127,7 @@ func (s *Sweep) table6RowUncached(b *Bench, params arch.Params) (Ladder, error) 
 	// b: homogeneous PMUs within the app (all sized like the largest).
 	homM := maxHet * float64(pmuCount)
 	// c: homogeneous PCUs within the app (best single box).
-	_, homP, err := s.minimizeArea(b, map[string]int{})
+	_, homP, err := s.minimizeArea(ctx, b, map[string]int{})
 	if err != nil {
 		return Ladder{}, err
 	}
@@ -136,7 +144,10 @@ func (s *Sweep) table6RowUncached(b *Bench, params arch.Params) (Ladder, error) 
 		genM += float64(pm.Units()) * arch.PMUArea(params.PMU, chip)
 	}
 	// e: generalized PCUs (the final PCU parameters).
-	genP := s.benchArea(b, params.PCU)
+	genP, err := s.benchArea(ctx, b, params.PCU)
+	if err != nil {
+		return Ladder{}, err
+	}
 	if math.IsInf(genP, 1) {
 		genP = homP
 	}

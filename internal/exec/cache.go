@@ -60,14 +60,15 @@ func (s CacheStats) String() string {
 // use, with an optional disk-backed persistent tier underneath (AttachDisk).
 // The memory tier is one map from the full key to a typed entry, so a stored
 // point costs its entry and its key. Each key computes at most once:
-// concurrent requesters of an in-flight key block until the first
-// computation finishes. Deterministic errors are cached too (a no-fit, a
-// failed check, a watchdog abort), so a failing point fails once,
-// identically, for every requester. Two outcomes are never memoized, since
-// they say more about the requester than about the key: a computation that
-// panics, and one that fails with an error wrapping context.Canceled or
+// concurrent requesters of an in-flight key wait until the first
+// computation finishes, or until their own context ends, which fails their
+// call alone. Deterministic errors are cached too (a no-fit, a failed
+// check, a watchdog abort), so a failing point fails once, identically,
+// for every requester. Two outcomes are never memoized, since they say
+// more about the requester than about the key: a computation that panics,
+// and one that fails with an error wrapping context.Canceled or
 // context.DeadlineExceeded. Its entry is discarded, the outcome goes to its
-// own requester, and blocked and later requesters recompute under their
+// own requester, and waiting and later requesters recompute under their
 // own contexts. A nil *Cache disables caching: CachedJSON simply calls
 // compute.
 type Cache struct {
@@ -79,11 +80,16 @@ type Cache struct {
 	misses atomic.Int64
 }
 
-// entry is one key's slot in the memory tier. Its owner fills val and err
-// (or marks it abandoned) and then releases done; requesters that found the
-// entry wait on done before reading anything else.
+// entry is one key's slot in the memory tier. Its owner fills val and err,
+// then finish sets finished (and abandoned, if it gave up) under the cache's
+// lock and wakes the waiters; a requester reads val and err only after it
+// saw finished under that lock or wake closed.
 type entry[T any] struct {
-	done      sync.WaitGroup
+	// wake is made by the first requester that waits on the unfinished
+	// entry and closed when it finishes; nil while no one waits, so the
+	// owner and a finished entry carry no channel.
+	wake      chan struct{}
+	finished  bool
 	abandoned bool // the owner panicked or was canceled; the entry is gone
 	val       T
 	err       error
@@ -118,12 +124,15 @@ func (c *Cache) Disk() *DiskCache {
 }
 
 // CachedJSON returns the cached value for k, computing and storing it on
-// first use. When the cache has a disk tier, a memory miss consults it
-// before computing, and successful values are written through as JSON. T
-// must JSON round-trip exactly (exported fields, no NaN/Inf — encode
+// first use. A caller that finds k still being computed waits for it until
+// ctx ends, and then returns an error wrapping ctx.Err(), which nothing
+// memoizes; the computation goes on for its owner. When the cache has a
+// disk tier, a memory miss consults it before computing, and successful
+// values are written through as JSON, so with a disk tier attached T must
+// JSON round-trip exactly (exported fields, no NaN/Inf — encode
 // infeasibility as a flag); errors are never persisted. Every call for one
 // key must use the same T. Nil-safe: a nil cache just runs compute.
-func CachedJSON[T any](c *Cache, k Key, compute func() (T, error)) (T, error) {
+func CachedJSON[T any](ctx context.Context, c *Cache, k Key, compute func() (T, error)) (T, error) {
 	if c == nil {
 		return compute()
 	}
@@ -132,10 +141,16 @@ func CachedJSON[T any](c *Cache, k Key, compute func() (T, error)) (T, error) {
 		c.mu.Lock()
 		slot, found := c.entries[k]
 		if !found {
-			e := &entry[T]{}
-			e.done.Add(1)
-			c.entries[k] = e
-			slot = e
+			slot = &entry[T]{}
+			c.entries[k] = slot
+		}
+		e := slot.(*entry[T])
+		var wake chan struct{}
+		if found && !e.finished {
+			if e.wake == nil {
+				e.wake = make(chan struct{})
+			}
+			wake = e.wake
 		}
 		disk := c.disk
 		c.mu.Unlock()
@@ -147,11 +162,17 @@ func CachedJSON[T any](c *Cache, k Key, compute func() (T, error)) (T, error) {
 			}
 			first = false
 		}
-		e := slot.(*entry[T])
 		if !found {
 			return fill(c, k, e, disk, compute)
 		}
-		e.done.Wait()
+		if wake != nil {
+			select {
+			case <-wake:
+			case <-ctx.Done():
+				var zero T
+				return zero, fmt.Errorf("exec: waiting for another caller's computation: %w", ctx.Err())
+			}
+		}
 		if e.abandoned {
 			// The owner's computation panicked or was canceled and the
 			// entry was dropped; start over and compute for ourselves.
@@ -170,9 +191,7 @@ func fill[T any](c *Cache, k Key, e *entry[T], disk *DiskCache, compute func() (
 	completed := false
 	defer func() {
 		if !completed {
-			e.abandoned = true
-			c.drop(k, e)
-			e.done.Done()
+			finish(c, k, e, true)
 		}
 	}()
 	if disk != nil {
@@ -181,7 +200,7 @@ func fill[T any](c *Cache, k Key, e *entry[T], disk *DiskCache, compute func() (
 			if json.Unmarshal(data, &v) == nil {
 				e.val = v
 				completed = true
-				e.done.Done()
+				finish(c, k, e, false)
 				return v, nil
 			}
 			// Valid envelope, undecodable payload (e.g. the value type
@@ -194,7 +213,7 @@ func fill[T any](c *Cache, k Key, e *entry[T], disk *DiskCache, compute func() (
 	}
 	e.val, e.err = val, err
 	completed = true
-	e.done.Done()
+	finish(c, k, e, false)
 	if disk != nil && err == nil {
 		// Write-through, best-effort; errors are never persisted — a
 		// failure observed in one process must not veto re-evaluation in
@@ -206,12 +225,18 @@ func fill[T any](c *Cache, k Key, e *entry[T], disk *DiskCache, compute func() (
 	return val, err
 }
 
-// drop removes e from the memory tier if it is still k's entry.
-func (c *Cache) drop(k Key, e any) {
+// finish ends the owner's computation of k's entry e: it marks e finished,
+// removes it from the memory tier when abandoned, and wakes its waiters.
+func finish[T any](c *Cache, k Key, e *entry[T], abandoned bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.entries[k] == e {
+	e.finished, e.abandoned = true, abandoned
+	if abandoned {
 		delete(c.entries, k)
+	}
+	if e.wake != nil {
+		close(e.wake)
+		e.wake = nil
 	}
 }
 

@@ -137,7 +137,7 @@ func TestCacheHitMissCounting(t *testing.T) {
 	c := NewCache()
 	calls := 0
 	get := func(k string) int {
-		v, err := CachedJSON(c, NewKey("test", k), func() (int, error) {
+		v, err := CachedJSON(context.Background(), c, NewKey("test", k), func() (int, error) {
 			calls++
 			return len(k), nil
 		})
@@ -163,7 +163,7 @@ func TestCacheCachesErrors(t *testing.T) {
 	calls := 0
 	boom := errors.New("infeasible point")
 	for i := 0; i < 3; i++ {
-		_, err := CachedJSON(c, NewKey("err"), func() (int, error) {
+		_, err := CachedJSON(context.Background(), c, NewKey("err"), func() (int, error) {
 			calls++
 			return 0, boom
 		})
@@ -199,13 +199,13 @@ func TestDiskTierFilenameCollision(t *testing.T) {
 	}
 	c := NewCache()
 	c.AttachDisk(d)
-	vb, err := CachedJSON(c, kb, func() (string, error) { return "value-b", nil })
+	vb, err := CachedJSON(context.Background(), c, kb, func() (string, error) { return "value-b", nil })
 	if err != nil || vb != "value-b" {
 		t.Fatalf("kb computed %q, %v — the collision served the wrong entry?", vb, err)
 	}
 	fresh := NewCache()
 	fresh.AttachDisk(d)
-	vb, err = CachedJSON(fresh, kb, func() (string, error) { return "WRONG", nil })
+	vb, err = CachedJSON(context.Background(), fresh, kb, func() (string, error) { return "WRONG", nil })
 	if err != nil || vb != "value-b" {
 		t.Fatalf("kb from disk = %q, %v, want value-b", vb, err)
 	}
@@ -257,7 +257,7 @@ func TestCacheConcurrentSingleCompute(t *testing.T) {
 	const distinct = 7
 	err := NewPool(16).Map(context.Background(), 200, func(_ context.Context, i int) error {
 		k := i % distinct
-		v, err := CachedJSON(c, NewKey("k", fmt.Sprint(k)), func() (int, error) {
+		v, err := CachedJSON(context.Background(), c, NewKey("k", fmt.Sprint(k)), func() (int, error) {
 			computes.Add(1)
 			time.Sleep(time.Millisecond) // widen the in-flight window
 			return k * 10, nil
@@ -283,7 +283,7 @@ func TestCacheConcurrentSingleCompute(t *testing.T) {
 
 func TestNilCacheAndEngine(t *testing.T) {
 	var c *Cache
-	v, err := CachedJSON(c, NewKey("x"), func() (int, error) { return 9, nil })
+	v, err := CachedJSON(context.Background(), c, NewKey("x"), func() (int, error) { return 9, nil })
 	if err != nil || v != 9 {
 		t.Fatalf("nil cache: %d, %v", v, err)
 	}

@@ -173,16 +173,16 @@ func TestCacheNeverMemoizesPanic(t *testing.T) {
 				t.Fatal("first lookup did not propagate the panic")
 			}
 		}()
-		CachedJSON(c, k, compute)
+		CachedJSON(context.Background(), c, k, compute)
 	}()
-	v, err := CachedJSON(c, k, compute)
+	v, err := CachedJSON(context.Background(), c, k, compute)
 	if err != nil || v != "recovered" {
 		t.Fatalf("lookup after panic = (%v, %v), want (recovered, nil)", v, err)
 	}
 	if calls.Load() != 2 {
 		t.Fatalf("compute ran %d times, want 2 (panic not memoized, success memoized)", calls.Load())
 	}
-	if v, err := CachedJSON(c, k, compute); err != nil || v != "recovered" {
+	if v, err := CachedJSON(context.Background(), c, k, compute); err != nil || v != "recovered" {
 		t.Fatalf("third lookup = (%v, %v), want the memoized success", v, err)
 	}
 }
@@ -197,7 +197,7 @@ func TestCacheWaitersRecomputeAfterPanic(t *testing.T) {
 	inFirst.Add(1)
 	go func() {
 		defer func() { recover() }()
-		CachedJSON(c, k, func() (string, error) {
+		CachedJSON(context.Background(), c, k, func() (string, error) {
 			inFirst.Done()
 			<-release
 			panic("owner dies")
@@ -211,7 +211,7 @@ func TestCacheWaitersRecomputeAfterPanic(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			v, err := CachedJSON(c, k, func() (string, error) { return "fresh", nil })
+			v, err := CachedJSON(context.Background(), c, k, func() (string, error) { return "fresh", nil })
 			if err != nil {
 				t.Errorf("waiter %d: %v", w, err)
 			}
@@ -236,7 +236,7 @@ func TestCacheNeverMemoizesCancellation(t *testing.T) {
 		k := NewKey("deadline")
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		defer cancel()
-		_, err := CachedJSON(c, k, func() (string, error) {
+		_, err := CachedJSON(context.Background(), c, k, func() (string, error) {
 			<-ctx.Done()
 			return "", fmt.Errorf("run abandoned: %w", ctx.Err())
 		})
@@ -244,7 +244,7 @@ func TestCacheNeverMemoizesCancellation(t *testing.T) {
 			t.Fatalf("owner lookup = %v, want its own deadline", err)
 		}
 		calls := 0
-		v, err := CachedJSON(c, k, func() (string, error) { calls++; return "fresh", nil })
+		v, err := CachedJSON(context.Background(), c, k, func() (string, error) { calls++; return "fresh", nil })
 		if err != nil || v != "fresh" || calls != 1 {
 			t.Fatalf("later lookup = (%v, %v) after %d computes, want a recomputed value", v, err, calls)
 		}
@@ -256,7 +256,7 @@ func TestCacheNeverMemoizesCancellation(t *testing.T) {
 		started := make(chan struct{})
 		ownerErr := make(chan error, 1)
 		go func() {
-			_, err := CachedJSON(c, k, func() (string, error) {
+			_, err := CachedJSON(context.Background(), c, k, func() (string, error) {
 				close(started)
 				<-ctx.Done()
 				return "", fmt.Errorf("run abandoned: %w", ctx.Err())
@@ -270,7 +270,7 @@ func TestCacheNeverMemoizesCancellation(t *testing.T) {
 		}
 		waiter := make(chan result, 1)
 		go func() {
-			v, err := CachedJSON(c, k, func() (string, error) { return "fresh", nil })
+			v, err := CachedJSON(context.Background(), c, k, func() (string, error) { return "fresh", nil })
 			waiter <- result{v, err}
 		}()
 		time.Sleep(10 * time.Millisecond) // let the waiter block on the entry
@@ -282,11 +282,75 @@ func TestCacheNeverMemoizesCancellation(t *testing.T) {
 			t.Fatalf("waiter lookup = (%v, %v), want a recomputed value", r.v, r.err)
 		}
 		// The waiter's success is an ordinary result and stays memoized.
-		v, err := CachedJSON(c, k, func() (string, error) { return "", errors.New("recomputed a memoized success") })
+		v, err := CachedJSON(context.Background(), c, k, func() (string, error) { return "", errors.New("recomputed a memoized success") })
 		if err != nil || v != "fresh" {
 			t.Fatalf("third lookup = (%v, %v), want the memoized success", v, err)
 		}
 	})
+}
+
+// --- a waiter honours its own deadline ----------------------------------------
+
+func TestCacheWaiterLeavesAtItsDeadline(t *testing.T) {
+	// A requester whose deadline ends while another computes its key stops
+	// waiting at once; the owner's value is still memoized and served.
+	c := NewCache()
+	k := NewKey("slow")
+	started, release := make(chan struct{}), make(chan struct{})
+	owner := make(chan error, 1)
+	go func() {
+		v, err := CachedJSON(context.Background(), c, k, func() (string, error) {
+			close(started)
+			<-release
+			return "owned", nil
+		})
+		if err == nil && v != "owned" {
+			err = fmt.Errorf("owner got %q", v)
+		}
+		owner <- err
+	}()
+	<-started
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := CachedJSON(ctx, c, k, func() (string, error) { return "", errors.New("the waiter computed") })
+		waiter <- err
+	}()
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("waiter lookup = %v, want its own deadline", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("the waiter outlived its deadline")
+	}
+	close(release)
+	if err := <-owner; err != nil {
+		t.Fatal(err)
+	}
+	before := c.Stats()
+	v, err := CachedJSON(context.Background(), c, k, func() (string, error) { return "", errors.New("recomputed the owner's value") })
+	if err != nil || v != "owned" {
+		t.Fatalf("lookup after the owner = (%v, %v), want its memoized value", v, err)
+	}
+	if st := c.Stats(); st.Hits != before.Hits+1 || st.Misses != before.Misses {
+		t.Fatalf("stats %+v after %+v, want one more hit", st, before)
+	}
+}
+
+func TestCacheHitAllocatesNothing(t *testing.T) {
+	// A hit on a finished entry costs no goroutine, channel or allocation,
+	// whatever the requester's context.
+	c := NewCache()
+	k := NewKey("warm")
+	compute := func() (string, error) { return "v", nil }
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	CachedJSON(ctx, c, k, compute)
+	if n := testing.AllocsPerRun(100, func() { CachedJSON(ctx, c, k, compute) }); n != 0 {
+		t.Fatalf("a hit allocates %v times, want 0", n)
+	}
 }
 
 // --- JobPolicy --------------------------------------------------------------
@@ -552,7 +616,7 @@ func TestCachedJSONPersistsAcrossCaches(t *testing.T) {
 	c1 := NewCache()
 	d1, _ := OpenDiskCache(dir, 0)
 	c1.AttachDisk(d1)
-	v, err := CachedJSON(c1, k, compute)
+	v, err := CachedJSON(context.Background(), c1, k, compute)
 	if err != nil || v.Area != 12.25 {
 		t.Fatalf("first CachedJSON = (%+v, %v)", v, err)
 	}
@@ -561,7 +625,7 @@ func TestCachedJSONPersistsAcrossCaches(t *testing.T) {
 	c2 := NewCache()
 	d2, _ := OpenDiskCache(dir, 0)
 	c2.AttachDisk(d2)
-	v, err = CachedJSON(c2, k, compute)
+	v, err = CachedJSON(context.Background(), c2, k, compute)
 	if err != nil || v.Area != 12.25 {
 		t.Fatalf("resumed CachedJSON = (%+v, %v)", v, err)
 	}
@@ -588,7 +652,7 @@ func (v countedValue) MarshalJSON() ([]byte, error) {
 // tier never pays for the JSON encoding only the tier reads.
 func TestCachedJSONWithoutDiskSkipsEncoding(t *testing.T) {
 	var encodes atomic.Int64
-	v, err := CachedJSON(NewCache(), NewKey("memory", "only"), func() (countedValue, error) {
+	v, err := CachedJSON(context.Background(), NewCache(), NewKey("memory", "only"), func() (countedValue, error) {
 		return countedValue{N: 7, encodes: &encodes}, nil
 	})
 	if err != nil || v.N != 7 {
@@ -607,7 +671,7 @@ func TestCachedJSONNeverPersistsErrors(t *testing.T) {
 	c1 := NewCache()
 	d1, _ := OpenDiskCache(dir, 0)
 	c1.AttachDisk(d1)
-	if _, err := CachedJSON(c1, k, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+	if _, err := CachedJSON(context.Background(), c1, k, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if s := d1.Stats(); s.Writes != 0 {
@@ -618,7 +682,7 @@ func TestCachedJSONNeverPersistsErrors(t *testing.T) {
 	c2 := NewCache()
 	d2, _ := OpenDiskCache(dir, 0)
 	c2.AttachDisk(d2)
-	v, err := CachedJSON(c2, k, func() (int, error) { return 7, nil })
+	v, err := CachedJSON(context.Background(), c2, k, func() (int, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("re-evaluation = (%d, %v), want (7, nil)", v, err)
 	}

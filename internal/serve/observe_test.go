@@ -313,7 +313,7 @@ func TestDebugRequestsRingRecordsPhases(t *testing.T) {
 	}
 	checkTopLevel(t, rec)
 	run := findSpan(rec.Phases, "run")
-	checkEvaluation(t, run, "build", "compile", "interpret", "check", "sim")
+	checkEvaluation(t, run, "compile", "build", "interpret", "check", "sim")
 	if rec.PhaseUS <= 0 || rec.WallUS <= 0 {
 		t.Fatalf("empty timings: %+v", rec)
 	}
@@ -340,7 +340,7 @@ func TestDebugRequestsRingRecordsPhases(t *testing.T) {
 // sim.
 func TestProfileReusesFunctionalResult(t *testing.T) {
 	_, ts := newTestServer(t, nil)
-	for _, phases := range [][]string{{"build", "compile", "interpret", "check", "sim"}, {"memo", "build", "compile", "sim"}} {
+	for _, phases := range [][]string{{"compile", "build", "interpret", "check", "sim"}, {"compile", "memo", "sim"}} {
 		if resp, body := get(t, ts.URL+"/v1/profile?bench=SMDV"); resp.StatusCode != 200 {
 			t.Fatalf("profile = %d: %s", resp.StatusCode, body)
 		}
@@ -441,7 +441,7 @@ func TestSweepTreeCapReportsDropped(t *testing.T) {
 	if kept+1 > metrics.MaxSpans {
 		t.Errorf("record keeps %d spans plus its root, over the cap %d", kept, metrics.MaxSpans)
 	}
-	// admission, queue and run, plus build, compile with eight passes,
+	// admission, queue and run, plus compile with eight passes, build,
 	// interpret, check, and sim with the graph build and the engine for
 	// each of the seven benchmarks.
 	if want := 3 + 7*15; kept+rec.Dropped != want {
@@ -456,9 +456,10 @@ func TestSweepTreeCapReportsDropped(t *testing.T) {
 // job keeps running files one record, which the straggler cannot change.
 // Run under -race, this also checks the job records into the live tree
 // while /debugz/requests reads the record. The job holds its run span open
-// until the 504 record is filed: the interpreter and the engine poll the
-// same deadline, and a job that stopped on it first would end the span
-// before the record was taken.
+// until the 504 record is filed, and only then evaluates: the interpreter
+// and the engine poll the same deadline, so a job that stopped on it first
+// would end the span before the record was taken, and one that finished
+// inside it would memoize the point the last request must compute.
 func TestTimedOutRequestRecordIsSnapshot(t *testing.T) {
 	timedOut := make(chan struct{})
 	var once sync.Once
@@ -524,7 +525,7 @@ func TestTimedOutRequestRecordIsSnapshot(t *testing.T) {
 	}
 	rec = newestRecord(t, ts.URL, "/v1/run")
 	checkTopLevel(t, rec)
-	checkEvaluation(t, findSpan(rec.Phases, "run"), "build", "compile", "interpret", "check", "sim")
+	checkEvaluation(t, findSpan(rec.Phases, "run"), "compile", "build", "interpret", "check", "sim")
 }
 
 func TestRequestIDEchoedAndGenerated(t *testing.T) {

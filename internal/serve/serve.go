@@ -122,7 +122,7 @@ type Config struct {
 	// now is the test clock hook (default time.Now).
 	now func() time.Time
 	// holdJob and filed are test hooks too. holdJob, when set, runs inside
-	// each dispatched job's run span once its evaluation returns; filed
+	// each dispatched job's run span before its evaluation starts; filed
 	// sees each request record as the ring files it.
 	holdJob func()
 	filed   func(requestRecord)
@@ -292,7 +292,7 @@ func (s *Server) dispatch() {
 		run := j.run
 		if hold := s.cfg.holdJob; hold != nil {
 			run = func(ctx context.Context) (any, error) {
-				defer hold()
+				hold()
 				return j.run(ctx)
 			}
 		}

@@ -277,16 +277,23 @@ func (e *engine) tick() {
 }
 
 // activate puts a woken transfer back on the active list at its admission
-// position, found from the list's end: most wakes land there, and the
-// transfers after it move one slot up as the search passes them.
+// position.
 func (e *engine) activate(rx *runningXfer) {
 	rx.state = rxActive
-	i := len(e.active)
-	e.active = append(e.active, rx)
-	for ; i > 0 && e.active[i-1].seq > rx.seq; i-- {
-		e.active[i] = e.active[i-1]
+	e.active = insertBySeq(e.active, rx)
+}
+
+// insertBySeq inserts rx into list, which is in admission order, at its
+// admission position, found from the list's end: most inserts land there,
+// and the transfers after it move one slot up as the search passes them.
+func insertBySeq(list []*runningXfer, rx *runningXfer) []*runningXfer {
+	i := len(list)
+	list = append(list, rx)
+	for ; i > 0 && list[i-1].seq > rx.seq; i-- {
+		list[i] = list[i-1]
 	}
-	e.active[i] = rx
+	list[i] = rx
+	return list
 }
 
 // issueInto attempts one cycle's worth of burst submissions for one

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"cmp"
-	"container/heap"
-	"slices"
-)
+import "container/heap"
 
 // This file is the discrete-event scheduling core (eventLoop). It resolves
 // the identical activity graph against the identical DRAM model as the
@@ -69,10 +65,6 @@ func (e *engine) issueBurstsEvent() bool {
 	return len(e.active) > 0
 }
 
-// bySeq orders transfers by admission. Sequence numbers are unique, so the
-// order is total.
-func bySeq(a, b *runningXfer) int { return cmp.Compare(a.seq, b.seq) }
-
 // parkBlocked benches a transfer whose next submission would be rejected,
 // against its target channel ci, or against -1 when every channel is down.
 // Each group stays in admission order, so a wake takes its head.
@@ -82,9 +74,7 @@ func (e *engine) parkBlocked(rx *runningXfer, ci int) {
 	if slot >= len(e.parked) {
 		e.parked = append(e.parked, make([][]*runningXfer, slot+1-len(e.parked))...)
 	}
-	group := e.parked[slot]
-	i, _ := slices.BinarySearchFunc(group, rx, bySeq)
-	e.parked[slot] = slices.Insert(group, i, rx)
+	e.parked[slot] = insertBySeq(e.parked[slot], rx)
 	e.nParked++
 }
 

@@ -297,7 +297,7 @@ func (s *search) benchEval(ctx context.Context, c candidate, bench string, owned
 			return out, nil
 		}
 	}
-	return exec.CachedJSON(s.env.Engine.Cache(), k, func() (EvalOutcome, error) {
+	return exec.CachedJSON(ctx, s.env.Engine.Cache(), k, func() (EvalOutcome, error) {
 		var out EvalOutcome
 		err := s.env.Engine.RunJob(ctx, "tune "+bench+" "+c.key, func(ctx context.Context) error {
 			var rerr error
