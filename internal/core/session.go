@@ -152,8 +152,9 @@ func (s *Session) Workers() int { return s.engine.Workers() }
 func (s *Session) Engine() *exec.Engine { return s.engine }
 
 // CacheStats snapshots the design-point cache counters. Misses equals the
-// number of distinct points evaluated, so it is identical at any worker
-// count; surface it in sweep summaries.
+// number of distinct results computed (benchmark runs, descents, Table 6
+// rows, tuner evaluations), so it is identical at any worker count; surface
+// it in sweep summaries.
 func (s *Session) CacheStats() exec.CacheStats { return s.engine.CacheStats() }
 
 // Retries reports how many transient job failures the session's policy has

@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"plasticine/internal/arch"
@@ -97,9 +98,9 @@ func TestTable6ResumesFromDiskTier(t *testing.T) {
 // TestTable3ResumesFromPartialDiskTier resumes from a tier that holds only
 // the start of a run, as a kill after Figure 7's panel a leaves it. Table 3
 // over that tier must read what a memory-only run computes, serving panel
-// a's points from disk and computing and persisting the rest.
+// a's descents from disk and computing and persisting the rest.
 func TestTable3ResumesFromPartialDiskTier(t *testing.T) {
-	benches := benches(t)[:1] // every computed point is an fsynced file
+	benches := benches(t)
 	chip := arch.Default().Chip
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -128,5 +129,40 @@ func TestTable3ResumesFromPartialDiskTier(t *testing.T) {
 	// written to it: nothing the tier holds is computed again.
 	if st.DiskHits+st.DiskWrites != st.Misses {
 		t.Fatalf("resumed run: %d misses, %d disk hits, %d disk writes", st.Misses, st.DiskHits, st.DiskWrites)
+	}
+}
+
+// TestSweepTierHoldsOnlyResults reads back what a fresh tier holds after
+// each sweep: the results a resumed run reads, and no design-point probe.
+// Table 3 persists one dse/minimize entry per Figure 7 cell (51 values of
+// six panels for each of the twelve benchmarks), and Table 6 one
+// dse/table6-row entry per benchmark, its descents left uncached.
+func TestSweepTierHoldsOnlyResults(t *testing.T) {
+	params := arch.Default()
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name, family string
+		want         int
+		run          func(*Sweep) error
+	}{
+		{"Table3", "dse/minimize", 612, func(s *Sweep) error { _, err := s.Table3(ctx); return err }},
+		{"Table6", "dse/table6-row", 12, func(s *Sweep) error { _, err := s.Table6(ctx, params); return err }},
+	} {
+		dir := t.TempDir()
+		if err := tc.run(NewSweep(benches(t), params.Chip, newDiskEngine(t, dir, 2))); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		ents, err := exec.InspectDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			if family, _, _ := strings.Cut(e.Key, "\x00"); e.Err != nil || family != tc.family {
+				t.Fatalf("%s persisted %s (key family %q, err %v), want only %s entries", tc.name, e.File, family, e.Err, tc.family)
+			}
+		}
+		if len(ents) != tc.want {
+			t.Fatalf("%s persisted %d entries, want %d", tc.name, len(ents), tc.want)
+		}
 	}
 }

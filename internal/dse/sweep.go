@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 
 	"plasticine/internal/arch"
@@ -15,16 +14,19 @@ import (
 
 // Sweep is the design-space exploration driver: the benchmark set, the chip
 // organisation, and the evaluation engine (worker pool + design-point cache)
-// every sweep draws from. Figure 7, Table 3, Table 6 and the ratio study all
-// hit overlapping regions of the parameter space — Table 3 alone re-visits
-// each panel's grid — so sharing one cache means no design point is ever
-// partitioned twice.
+// every sweep draws from. The cache keeps the results a later call reads:
+// each Figure 7 cell's descent (Table 3 computes them; later panels and
+// resumed runs read them), each Table 6 row and each benchmark's unit
+// demand. A single design-point probe is priced directly (area): it costs a
+// few microseconds and allocates nothing, less than the key and entry that
+// would hold it, and once its descent is cached nothing asks for it again.
 //
 // Benches and Chip must be treated as immutable once the sweep starts: jobs
 // on many goroutines partition the same virtual units concurrently
-// (PartitionPCU is read-only by contract), cache keys assume a Bench's name
-// uniquely identifies its unit set, and NewSweep renders Chip into the keys
-// once. A nil Engine runs sequentially and uncached.
+// (PartitionPCU and CountPCUParts are read-only by contract), cache keys
+// assume a Bench's name uniquely identifies its unit set, and NewSweep
+// renders Chip into the keys once. A nil Engine runs sequentially and
+// uncached.
 type Sweep struct {
 	Benches []*Bench
 	Chip    arch.ChipParams
@@ -47,8 +49,8 @@ func NewSweep(benches []*Bench, chip arch.ChipParams, eng *exec.Engine) *Sweep {
 }
 
 // SetMetrics installs design-point counters on the sweep: points counts
-// area evaluations actually computed (cache misses only — a resumed or
-// repeated sweep that reads the cache computes nothing), infeasible the
+// the area evaluations computed, one per probe (a descent that a resumed or
+// repeated sweep reads from the cache probes nothing), infeasible the
 // subset whose virtual units could not map. Call before sweeping; a nil
 // registry uninstalls.
 func (s *Sweep) SetMetrics(r *metrics.Registry) {
@@ -63,74 +65,28 @@ func RegisterMetrics(r *metrics.Registry) { registerMetrics(r) }
 
 func registerMetrics(r *metrics.Registry) (points, infeasible *metrics.Counter) {
 	return r.Counter("plasticine_dse_points_total",
-			"DSE design points computed (area evaluations that missed the cache)."),
+			"DSE area evaluations computed, one per design-point probe."),
 		r.Counter("plasticine_dse_infeasible_total",
-			"Computed DSE design points whose benchmark could not map.")
+			"Computed DSE area evaluations whose benchmark could not map.")
 }
 
-// areaPoint and minPoint are the persisted forms of design-point results.
-// Infeasibility is an explicit flag rather than +Inf because the persistent
-// tier stores JSON, which cannot represent infinities.
-type areaPoint struct {
-	Area       float64 `json:",omitempty"`
-	Infeasible bool    `json:",omitempty"`
+// area prices one design point: AnalyticalArea, counted.
+func (s *Sweep) area(b *Bench, p arch.PCUParams) float64 {
+	s.mPoints.Inc()
+	a := AnalyticalArea(b, p, s.Chip)
+	if math.IsInf(a, 1) {
+		s.mInfeasible.Inc()
+	}
+	return a
 }
 
+// minPoint is the persisted form of a descent. Infeasibility is an explicit
+// flag rather than +Inf because the persistent tier stores JSON, which
+// cannot represent infinities.
 type minPoint struct {
 	Params     arch.PCUParams
 	Area       float64 `json:",omitempty"`
 	Infeasible bool    `json:",omitempty"`
-}
-
-// areaKey is the cache key of a bench's PCU area under p: the bench's name
-// plus every PCU and chip parameter. It is exec.NewKey("dse/pcu-area",
-// b.Name, p as %+v renders it, s.chipKey), built on the stack and copied
-// into the key, its one allocation.
-func (s *Sweep) areaKey(b *Bench, p arch.PCUParams) exec.Key {
-	var buf [320]byte
-	k := append(buf[:0], "dse/pcu-area\x00"...)
-	k = append(k, b.Name...)
-	k = append(appendPCU(append(k, 0), p), 0)
-	return exec.Key(append(k, s.chipKey...))
-}
-
-// appendPCU appends p to dst exactly as fmt's %+v renders it, without
-// reflection. A persistent tier names each entry by its key's hash, so the
-// rendering must never change.
-func appendPCU(dst []byte, p arch.PCUParams) []byte {
-	fields := [...]struct {
-		label string
-		v     int
-	}{
-		{"{Lanes:", p.Lanes}, {" Stages:", p.Stages}, {" Registers:", p.Registers},
-		{" ScalarIns:", p.ScalarIns}, {" ScalarOuts:", p.ScalarOuts},
-		{" VectorIns:", p.VectorIns}, {" VectorOuts:", p.VectorOuts},
-	}
-	for _, f := range fields {
-		dst = append(dst, f.label...)
-		dst = strconv.AppendInt(dst, int64(f.v), 10)
-	}
-	return append(dst, '}')
-}
-
-// benchArea is AnalyticalArea through the design-point cache (and, when
-// attached, the persistent tier), keyed by areaKey. Infeasible points are
-// cached like any other value, so a point that cannot map fails exactly
-// once. It fails only when ctx ends while another job computes the point.
-func (s *Sweep) benchArea(ctx context.Context, b *Bench, p arch.PCUParams) (float64, error) {
-	v, err := exec.CachedJSON(ctx, s.Engine.Cache(), s.areaKey(b, p), func() (areaPoint, error) {
-		s.mPoints.Inc()
-		a := AnalyticalArea(b, p, s.Chip)
-		if math.IsInf(a, 1) {
-			s.mInfeasible.Inc()
-			return areaPoint{Infeasible: true}, nil
-		}
-		return areaPoint{Area: a}, nil
-	})
-	if err != nil || v.Infeasible {
-		return Infeasible, err
-	}
-	return v.Area, nil
 }
 
 // canonFixed renders a fixed-parameter map in sorted order, so maps with
@@ -149,19 +105,24 @@ func canonFixed(fixed map[string]int) string {
 	return b.String()
 }
 
-// minimizeArea is minimizeAreaUncached through the cache: a whole descent
-// result persists as one entry, so a resumed sweep skips not just the grid
-// points but the descents themselves.
+// minimizeArea is minimizeAreaUncached from maxParams with fixed applied,
+// through the cache: a whole descent result persists as one entry, so a
+// resumed sweep skips the descents themselves. It fails when fixed names
+// an unknown parameter, or when ctx ends while another job computes the
+// same descent.
 func (s *Sweep) minimizeArea(ctx context.Context, b *Bench, fixed map[string]int) (arch.PCUParams, float64, error) {
+	start := maxParams()
+	for name, v := range fixed {
+		pp, err := pcuParam(name)
+		if err != nil {
+			return start, Infeasible, fmt.Errorf("dse: %s: fixed grid: %w", b.Name, err)
+		}
+		*pp.Field(&start) = v
+	}
 	k := exec.NewKey("dse/minimize", b.Name, canonFixed(fixed), s.chipKey)
 	v, err := exec.CachedJSON(ctx, s.Engine.Cache(), k, func() (minPoint, error) {
-		s.mPoints.Inc()
-		p, area, err := s.minimizeAreaUncached(ctx, b, fixed)
-		if err != nil {
-			return minPoint{}, err
-		}
+		p, area := s.minimizeAreaUncached(b, start, fixed)
 		if math.IsInf(area, 1) {
-			s.mInfeasible.Inc()
 			return minPoint{Params: p, Infeasible: true}, nil
 		}
 		return minPoint{Params: p, Area: area}, nil
@@ -175,24 +136,15 @@ func (s *Sweep) minimizeArea(ctx context.Context, b *Bench, fixed map[string]int
 	return v.Params, v.Area, nil
 }
 
-// minimizeAreaUncached performs coordinate descent over the free PCU
-// parameters (those not in fixed) to find the minimum total PCU area for a
+// minimizeAreaUncached performs coordinate descent from p over the PCU
+// parameters not in fixed to find the minimum total PCU area for a
 // benchmark — the paper's "sweep the remaining space to find the minimum
 // possible PCU area" (Section 3.7). The descent is sequential (each step
-// depends on the last) but every point it probes goes through the shared
-// cache, and neighbouring grid points probe heavily overlapping sets.
-func (s *Sweep) minimizeAreaUncached(ctx context.Context, b *Bench, fixed map[string]int) (arch.PCUParams, float64, error) {
-	p := maxParams()
-	for name, v := range fixed {
-		pp, err := pcuParam(name)
-		if err != nil {
-			return p, Infeasible, fmt.Errorf("dse: %s: fixed grid: %w", b.Name, err)
-		}
-		*pp.Field(&p) = v
-	}
-	best, err := s.benchArea(ctx, b, p)
-	if err != nil || math.IsInf(best, 1) {
-		return p, Infeasible, err
+// depends on the last) and prices every point it probes directly.
+func (s *Sweep) minimizeAreaUncached(b *Bench, p arch.PCUParams, fixed map[string]int) (arch.PCUParams, float64) {
+	best := s.area(b, p)
+	if math.IsInf(best, 1) {
+		return p, Infeasible
 	}
 	order := []string{"stages", "registers", "vectorIns", "vectorOuts", "scalarIns", "scalarOuts"}
 	for pass := 0; pass < 2; pass++ {
@@ -200,26 +152,19 @@ func (s *Sweep) minimizeAreaUncached(ctx context.Context, b *Bench, fixed map[st
 			if _, isFixed := fixed[name]; isFixed {
 				continue
 			}
-			pp, err := pcuParam(name)
-			if err != nil {
-				return p, Infeasible, fmt.Errorf("dse: %s: %w", b.Name, err)
-			}
+			pp, _ := pcuParam(name) // order names only PCUSpace parameters
 			bestV := *pp.Field(&p)
 			for _, v := range pp.Values {
 				q := p
 				*pp.Field(&q) = v
-				a, err := s.benchArea(ctx, b, q)
-				if err != nil {
-					return p, Infeasible, err
-				}
-				if a < best {
+				if a := s.area(b, q); a < best {
 					best, bestV = a, v
 				}
 			}
 			*pp.Field(&p) = bestV
 		}
 	}
-	return p, best, nil
+	return p, best
 }
 
 // Figure7 computes one panel (a-f), fanning the benchmark x value grid
@@ -292,8 +237,9 @@ func (s *Sweep) Figure7(ctx context.Context, panelID string) (*Panel, error) {
 
 // Table3 runs the panel sequence and reports the selected value per
 // parameter next to the paper's choice. Panels run in order (each fixes the
-// previous selections) with full internal parallelism; the shared cache
-// makes the Table 3 pass far cheaper than six cold Figure 7 panels.
+// previous selections) with full internal parallelism. No two panels share a
+// cell, so Table 3 computes each of its descents once, and a later Figure 7
+// panel over the same cache (or tier) reads its cells from there.
 func (s *Sweep) Table3(ctx context.Context) ([]Table3Row, error) {
 	paper := map[string]int{
 		"stages": 6, "registers": 6, "scalarIns": 6,

@@ -2,7 +2,6 @@ package dse
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"plasticine/internal/arch"
@@ -24,21 +23,16 @@ type Ladder struct {
 }
 
 // unitAreas returns the ASIC and heterogeneous-reconfigurable areas of one
-// virtual PCU. Both use the unit's own best parameterisation (per-unit
-// minimizeArea), so heterogeneous sizing is never worse than the
+// virtual PCU. Both use the unit's own best parameterisation (a descent over
+// the unit alone), so heterogeneous sizing is never worse than the
 // homogeneous compromise; the ASIC variant strips configuration overhead
 // (hardwired ops, exactly the live registers, no input FIFOs or control).
-// owner/ui qualify the cache identity: unit names repeat across benchmarks,
-// so the single-unit pseudo-bench is named by its owning benchmark and unit
-// index to keep design-point cache keys unique. It fails only when ctx ends
-// while another job computes one of the unit's points.
-func (s *Sweep) unitAreas(ctx context.Context, owner string, ui int, u *compiler.VirtualPCU) (asic, het float64, err error) {
+// The descent is uncached: no other call asks for it, and the cache keeps
+// the finished Table 6 row.
+func (s *Sweep) unitAreas(u *compiler.VirtualPCU) (asic, het float64) {
 	chip := s.Chip
-	single := &Bench{Name: fmt.Sprintf("%s/unit%d:%s", owner, ui, u.Name), PCUs: []*compiler.VirtualPCU{u}}
-	best, area, err := s.minimizeArea(ctx, single, map[string]int{})
-	if err != nil {
-		return 0, 0, err
-	}
+	single := &Bench{PCUs: []*compiler.VirtualPCU{u}}
+	best, area := s.minimizeAreaUncached(single, maxParams(), nil)
 	if math.IsInf(area, 1) {
 		best = maxParams()
 	}
@@ -52,7 +46,7 @@ func (s *Sweep) unitAreas(ctx context.Context, owner string, ui int, u *compiler
 				ops = 1
 			}
 			asic = float64(ops*u.Lanes) * arch.ASICFUArea() * float64(u.Unroll)
-			return asic, asic / 0.4, nil
+			return asic, asic / 0.4
 		}
 		best = maxParams()
 	}
@@ -71,7 +65,7 @@ func (s *Sweep) unitAreas(ctx context.Context, owner string, ui int, u *compiler
 		regs := float64(ph.StagesUsed*live*u.Lanes) * arch.ASICRegArea()
 		asic += fu + regs
 	}
-	return asic * float64(u.Unroll), het * float64(u.Unroll), nil
+	return asic * float64(u.Unroll), het * float64(u.Unroll)
 }
 
 func pmuKB(m *compiler.VirtualPMU) float64 {
@@ -98,18 +92,15 @@ func hetPMUArea(m *compiler.VirtualPMU) float64 {
 func (s *Sweep) table6Row(ctx context.Context, b *Bench, params arch.Params) (Ladder, error) {
 	k := exec.NewKey("dse/table6-row", b.Name, params.Key(), s.chipKey)
 	return exec.CachedJSON(ctx, s.Engine.Cache(), k, func() (Ladder, error) {
-		return s.table6RowUncached(ctx, b, params)
+		return s.table6RowUncached(b, params)
 	})
 }
 
-func (s *Sweep) table6RowUncached(ctx context.Context, b *Bench, params arch.Params) (Ladder, error) {
+func (s *Sweep) table6RowUncached(b *Bench, params arch.Params) (Ladder, error) {
 	chip := s.Chip
 	var asicP, hetP float64
-	for ui, u := range b.PCUs {
-		a, h, err := s.unitAreas(ctx, b.Name, ui, u)
-		if err != nil {
-			return Ladder{}, err
-		}
+	for _, u := range b.PCUs {
+		a, h := s.unitAreas(u)
 		asicP += a
 		hetP += h
 	}
@@ -127,10 +118,7 @@ func (s *Sweep) table6RowUncached(ctx context.Context, b *Bench, params arch.Par
 	// b: homogeneous PMUs within the app (all sized like the largest).
 	homM := maxHet * float64(pmuCount)
 	// c: homogeneous PCUs within the app (best single box).
-	_, homP, err := s.minimizeArea(ctx, b, map[string]int{})
-	if err != nil {
-		return Ladder{}, err
-	}
+	_, homP := s.minimizeAreaUncached(b, maxParams(), nil)
 	if math.IsInf(homP, 1) {
 		homP = hetP // cannot homogenise; treat as unchanged
 	}
@@ -144,10 +132,7 @@ func (s *Sweep) table6RowUncached(ctx context.Context, b *Bench, params arch.Par
 		genM += float64(pm.Units()) * arch.PMUArea(params.PMU, chip)
 	}
 	// e: generalized PCUs (the final PCU parameters).
-	genP, err := s.benchArea(ctx, b, params.PCU)
-	if err != nil {
-		return Ladder{}, err
-	}
+	genP := s.area(b, params.PCU)
 	if math.IsInf(genP, 1) {
 		genP = homP
 	}

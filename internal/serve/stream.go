@@ -25,6 +25,11 @@ import (
 //	{"event":"error", "error":..., "status":N}  // terminal on failure
 //	{"event":"done"}                            // always the last line
 //
+// A heartbeat's points_evaluated is the session cache's misses since the
+// request began, so it counts cached results computed (descents, Table 6
+// rows, benchmark runs), not the design-point probes inside a descent,
+// which are priced without the cache; cache_hits counts the hits.
+//
 // Because the 200 header is committed before the sweep finishes, failures
 // after admission arrive as an "error" event, not an HTTP status.
 
